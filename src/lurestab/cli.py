@@ -4,9 +4,9 @@ Subcommands: ``check`` (positivity/stability gates), ``radius`` (stability
 radius formulas), ``nn-bound`` (network sector bound), ``sweep``
 (simulation batches to CSV), ``refine`` (data-driven sector refinement).
 
-Exit codes: 0 success / verdict true, 2 analysis negative, 1 usage or
-input error.  All numbers in a report come from library operations; the
-CLI only formats them.
+Exit codes: 0 success / verdict true, 2 analysis negative, 1 input
+error; an error exits with the ``exit_code`` of its class.  All numbers
+in a report come from library operations; the CLI only formats them.
 """
 
 from __future__ import annotations
@@ -20,14 +20,12 @@ import numpy as np
 from . import ffnn, radius as rad, sim
 from .errors import (
     CertificationError,
+    InputError,
     LureStabError,
     NoInstabilityError,
     NonzeroBiasError,
-    NotSisoError,
-    ProblemFormatError,
     UpperNotMetzlerError,
 )
-from .linalg import NormKind
 from .problems import Problem, load_problem
 
 EXIT_OK = 0
@@ -103,8 +101,7 @@ def cmd_check(args) -> int:
     report = Report("check", problem)
     sector = problem.analysis_sector()
     if sector is None:
-        print("error: check needs a sector, network, or builtin nonlinearity", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("check needs a sector, network, or builtin nonlinearity")
     cert = rad.certify_positive_lure(problem.system, sector)
     _certificate_results(report, cert)
     if not cert.verdict:
@@ -120,31 +117,22 @@ def cmd_radius(args) -> int:
     problem = load_problem(args.problem, norm_override=args.norm)
     report = Report("radius", problem)
     sector = problem.analysis_sector()
-    kind = problem.nonlinearity_kind
-
-    if kind == "none":
-        if problem.pert.schur_scale is not None:
-            result = rad.stability_radius_schur(problem.system.a, problem.pert)
-        else:
-            result = rad.stability_radius_linear(problem.system.a, problem.pert)
-    else:
-        compute = rad.nn_stability_radius if kind == "network" else rad.stability_radius_lure
-        try:
-            result = compute(problem.system, sector, problem.pert)
-        except (CertificationError, UpperNotMetzlerError) as exc:
-            if not args.override_gates:
-                cert = getattr(exc, "certificate", None)
-                if cert is not None:
-                    _certificate_results(report, cert)
-                report.warn(str(exc))
-                report.warn("pass --override-gates to compute the formula anyway")
-                report.emit(args.format)
-                return EXIT_NEGATIVE
-            result = compute(problem.system, sector, problem.pert, override_gates=True)
-            report.warn(
-                "GATES FAILED (" + str(exc) + "); the radius below is a formula "
-                "evaluation outside the certified regime"
-            )
+    try:
+        result = problem.radius()
+    except (CertificationError, UpperNotMetzlerError) as exc:
+        if not args.override_gates:
+            cert = getattr(exc, "certificate", None)
+            if cert is not None:
+                _certificate_results(report, cert)
+            report.warn(str(exc))
+            report.warn("pass --override-gates to compute the formula anyway")
+            report.emit(args.format)
+            return EXIT_NEGATIVE
+        result = problem.radius(override_gates=True)
+        report.warn(
+            "GATES FAILED (" + str(exc) + "); the radius below is a formula "
+            "evaluation outside the certified regime"
+        )
 
     report.set("radius", float(result.radius))
     report.set("formula", result.formula)
@@ -168,13 +156,11 @@ def cmd_nn_bound(args) -> int:
     elif args.problem:
         problem = load_problem(args.problem)
         if problem.network is None:
-            print("error: the problem file has no network", file=sys.stderr)
-            return EXIT_INPUT
+            raise InputError("the problem file has no network")
         net = problem.network
         report = Report("nn-bound", problem)
     else:
-        print("error: nn-bound needs --network or --problem", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("nn-bound needs --network or --problem")
 
     try:
         bound = ffnn.sector_bound_ffnn(net)
@@ -200,44 +186,29 @@ def cmd_nn_bound(args) -> int:
     return EXIT_OK
 
 
-def _formula_radius_or_none(problem: Problem, report: Report) -> float | None:
-    sector = problem.analysis_sector()
-    try:
-        if sector is None:
-            if problem.pert.schur_scale is not None:
-                return rad.stability_radius_schur(problem.system.a, problem.pert).radius
-            return rad.stability_radius_linear(problem.system.a, problem.pert).radius
-        result = rad.stability_radius_lure(
-            problem.system, sector, problem.pert, override_gates=True
-        )
-        if not result.certificate.verdict:
-            report.warn(
-                "radius used for the delta grid was computed with failed gates: "
-                + ", ".join(result.certificate.failed_gates())
-            )
-        return result.radius
-    except LureStabError as exc:
-        report.warn(f"no analytic radius available ({exc})")
-        return None
-
-
 def cmd_sweep(args) -> int:
     problem = load_problem(args.problem, norm_override=args.norm)
     report = Report("sweep", problem)
     phi = problem.loop_nonlinearity()
     if phi is None:
-        print("error: sweep needs a sector, network, or builtin nonlinearity", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("sweep needs a sector, network, or builtin nonlinearity")
     cfg = problem.sim_config(dt=args.dt, horizon=args.horizon)
-    formula_radius = _formula_radius_or_none(problem, report)
+    formula_radius = None
+    try:
+        result = problem.radius(override_gates=True)
+    except LureStabError as exc:
+        report.warn(f"no analytic radius available ({exc})")
+    else:
+        formula_radius = result.radius
+        if not result.certificate.verdict:
+            report.warn(
+                "radius used for the delta grid was computed with failed gates: "
+                + ", ".join(result.certificate.failed_gates())
+            )
     deltas = problem.sweep_deltas
     if deltas is None:
         if formula_radius is None:
-            print(
-                "error: the problem lists no sweep deltas and no radius is computable",
-                file=sys.stderr,
-            )
-            return EXIT_INPUT
+            raise InputError("the problem lists no sweep deltas and no radius is computable")
         deltas = [round(f * formula_radius, 12) for f in (0.5, 0.8, 1.0, 1.2, 1.5)]
         report.warn("sweep deltas derived from the analytic radius")
 
@@ -249,8 +220,7 @@ def cmd_sweep(args) -> int:
     try:
         sim.write_sweep_csv(rows, out_path)
     except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError(f"cannot write {out_path}: {exc}") from None
 
     summary = []
     for delta in deltas:
@@ -284,18 +254,16 @@ def cmd_refine(args) -> int:
     problem = load_problem(args.problem, norm_override=args.norm)
     report = Report("refine", problem)
     if problem.network is None:
-        print("error: refine needs a problem with a network", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("refine needs a problem with a network")
     if problem.pert.k1 != 1 or problem.pert.k2 != 1:
-        print("error: refine needs a scalar perturbation structure", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("refine needs a scalar perturbation structure")
     net = problem.network
     bound = ffnn.sector_bound_ffnn(net)
     report.set("gamma2", _mat(bound.upper))
 
     delta_crit = args.delta_crit
     if delta_crit is None:
-        base = rad.nn_stability_radius(problem.system, bound, problem.pert)
+        base = problem.radius()
         report.set("formula_radius", float(base.radius))
         cfg = problem.sim_config(dt=args.dt, horizon=args.horizon)
         try:
@@ -320,14 +288,9 @@ def cmd_refine(args) -> int:
     refined = rad.refine_upper_sector(problem.system, problem.pert, float(delta_crit))
     report.set("magnitude", float(refined.magnitude))
     report.set("candidates", [float(refined.magnitude), float(-refined.magnitude)])
-    try:
-        chosen = ffnn.select_refined_sign(net, refined.magnitude, seed=args.seed)
-    except NotSisoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    chosen, check = ffnn.select_refined_sign(net, refined.magnitude, seed=args.seed)
     report.set("refined_upper", _mat(chosen.upper))
     report.set("refined_lower", _mat(chosen.lower))
-    check = ffnn.empirical_sector_check(net, chosen, seed=args.seed)
     report.set("empirical_samples", check.samples)
     report.set("empirical_violations", check.count)
     report.set("empirical_max_ratio", float(check.max_ratio))
@@ -396,15 +359,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ProblemFormatError as exc:
+    except (LureStabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except LureStabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
+        return getattr(exc, "exit_code", EXIT_INPUT)
 
 
 if __name__ == "__main__":

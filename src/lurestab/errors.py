@@ -4,7 +4,19 @@ from __future__ import annotations
 
 
 class LureStabError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``exit_code`` is the CLI exit status for the error: 2 (analysis
+    negative) unless a subclass marks it as an input error.
+    """
+
+    exit_code = 2
+
+
+class InputError(LureStabError):
+    """The input does not fit what the requested operation needs."""
+
+    exit_code = 1
 
 
 class NonSquareError(LureStabError):
@@ -71,11 +83,7 @@ class NonzeroBiasError(LureStabError):
         )
 
 
-class MixedActivationsError(LureStabError):
-    """Sector bounds require one shared activation across all hidden layers."""
-
-
-class NotSisoError(LureStabError):
+class NotSisoError(InputError):
     """Sign selection among refined sector candidates needs a scalar loop."""
 
 
@@ -101,7 +109,7 @@ class UnstableAtZeroError(LureStabError):
     """The unperturbed loop is already unstable, so there is no threshold to find."""
 
 
-class ProblemFormatError(LureStabError):
+class ProblemFormatError(InputError):
     """A problem or network file failed to parse or validate."""
 
     def __init__(self, message: str, path=None, line=None):

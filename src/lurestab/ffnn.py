@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    MixedActivationsError,
     NonFiniteEntriesError,
     NonzeroBiasError,
     NotSisoError,
@@ -98,15 +97,12 @@ class Layer:
 class Ffnn:
     """Fully connected network: ``q`` activated hidden layers, affine output.
 
-    ``activation`` is shared by all hidden layers.  ``layer_activations``
-    may override it per hidden layer for evaluation purposes, but any
-    mixture disqualifies the network from the product sector bound.
+    ``activation`` is shared by all hidden layers.
     """
 
     hidden: tuple[Layer, ...]
     output: Layer
     activation: ActivationSpec
-    layer_activations: tuple[ActivationSpec, ...] | None = None
 
     def __post_init__(self):
         hidden = tuple(self.hidden)
@@ -117,13 +113,6 @@ class Ffnn:
                 raise DimensionMismatchError(
                     f"layer dimensions do not chain: {prev} feeds {nxt}"
                 )
-        if self.layer_activations is not None:
-            acts = tuple(self.layer_activations)
-            if len(acts) != len(hidden):
-                raise DimensionMismatchError(
-                    f"{len(acts)} per-layer activations for {len(hidden)} hidden layers"
-                )
-            object.__setattr__(self, "layer_activations", acts)
 
     @property
     def q(self) -> int:
@@ -138,11 +127,6 @@ class Ffnn:
     def output_dim(self) -> int:
         return self.output.w.shape[0]
 
-    def activation_for(self, i: int) -> ActivationSpec:
-        if self.layer_activations is not None:
-            return self.layer_activations[i]
-        return self.activation
-
 
 def ffnn_eval(net: Ffnn, z) -> np.ndarray:
     """Forward pass.  ``z`` may be a single input (p,) or a batch (p, k)."""
@@ -153,10 +137,10 @@ def ffnn_eval(net: Ffnn, z) -> np.ndarray:
         raise DimensionMismatchError(
             f"input dimension {x.shape[0]} does not match network input {net.input_dim}"
         )
-    for i, layer in enumerate(net.hidden):
-        act = net.activation_for(i)
-        if act.fn is None:
-            raise ValueError(f"activation {act.name!r} has no callable for evaluation")
+    act = net.activation
+    if net.hidden and act.fn is None:
+        raise ValueError(f"activation {act.name!r} has no callable for evaluation")
+    for layer in net.hidden:
         x = act.fn(layer.w @ x + layer.b[:, None])
     x = net.output.w @ x + net.output.b[:, None]
     return x[:, 0] if single else x
@@ -165,9 +149,8 @@ def ffnn_eval(net: Ffnn, z) -> np.ndarray:
 def sector_bound_ffnn(net: Ffnn) -> SectorBound:
     """Symmetric sector from the activation gain and the |weight| product.
 
-    Requires zero biases and a single shared activation; the bound is
-    ``c^q |W_out| |W_q| ... |W_1]`` with ``c = max(|a1|, |a2|)``, valid for
-    nonnegative inputs.
+    Requires zero biases; the bound is ``c^q |W_out| |W_q| ... |W_1]``
+    with ``c = max(|a1|, |a2|)``, valid for nonnegative inputs.
     """
     bad = [
         i + 1
@@ -176,12 +159,6 @@ def sector_bound_ffnn(net: Ffnn) -> SectorBound:
     ]
     if bad:
         raise NonzeroBiasError(bad)
-    if net.layer_activations is not None:
-        names = {act.name for act in net.layer_activations}
-        if len(names) > 1 or (net.hidden and names != {net.activation.name}):
-            raise MixedActivationsError(
-                "sector bound requires one shared activation; got " + ", ".join(sorted(names))
-            )
     c = net.activation.slope_gain
     product = np.abs(net.output.w)
     for layer in reversed(net.hidden):
@@ -194,18 +171,14 @@ def sector_bound_ffnn(net: Ffnn) -> SectorBound:
 class SectorCheck:
     """Sampled sector-membership report.
 
-    ``violations`` holds (input, output) pairs that escaped the sector;
-    ``max_ratio`` is the largest output-to-upper-bound ratio seen where the
-    upper bound was positive.
+    ``count`` is the number of sampled inputs whose output escaped the
+    sector; ``max_ratio`` is the largest output-to-upper-bound ratio seen
+    where the upper bound was positive.
     """
 
     samples: int
-    violations: list
+    count: int
     max_ratio: float
-
-    @property
-    def count(self) -> int:
-        return len(self.violations)
 
 
 def empirical_sector_check(
@@ -237,11 +210,10 @@ def empirical_sector_check(
     upper = sector.upper @ z
     slack = 1e-9 * np.maximum(1.0, np.abs(upper))
     bad = (out > upper + slack) | (out < lower - slack)
-    bad_cols = np.flatnonzero(bad.any(axis=0))
-    violations = [(z[:, j].copy(), out[:, j].copy()) for j in bad_cols]
+    count = int(bad.any(axis=0).sum())
     positive = upper > 0
     max_ratio = float((out[positive] / upper[positive]).max()) if positive.any() else 0.0
-    return SectorCheck(samples=samples, violations=violations, max_ratio=max_ratio)
+    return SectorCheck(samples=samples, count=count, max_ratio=max_ratio)
 
 
 def select_refined_sign(
@@ -250,7 +222,7 @@ def select_refined_sign(
     samples: int = 1000,
     input_box: tuple[float, float] = (0.0, 10.0),
     seed: int = 42,
-) -> SectorBound:
+) -> tuple[SectorBound, SectorCheck]:
     """Pick the sign of a refined scalar upper bound by sampling the network.
 
     Candidates ``+magnitude`` and ``-magnitude`` are each paired with the
@@ -258,7 +230,7 @@ def select_refined_sign(
     with fewer sampled violations wins.  A violation-free tie means the
     output sits below ``-magnitude * z`` everywhere sampled, so the tighter
     negative candidate carries more information; any other tie keeps the
-    conservative positive sign.
+    conservative positive sign.  Returns the chosen sector with its check.
     """
     if magnitude <= 0:
         raise ValueError("magnitude must be positive")
@@ -271,8 +243,10 @@ def select_refined_sign(
     plus_check = empirical_sector_check(net, plus, samples, input_box, seed)
     minus_check = empirical_sector_check(net, minus, samples, input_box, seed)
     if plus_check.count != minus_check.count:
-        return plus if plus_check.count < minus_check.count else minus
-    return minus if plus_check.count == 0 else plus
+        pick_plus = plus_check.count < minus_check.count
+    else:
+        pick_plus = plus_check.count != 0
+    return (plus, plus_check) if pick_plus else (minus, minus_check)
 
 
 def load_ffnn(path) -> Ffnn:

@@ -9,7 +9,6 @@ natural numpy shape.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -26,10 +25,6 @@ from .errors import (
 # Strict stability margin: a matrix counts as Hurwitz only if its spectral
 # abscissa is below -HURWITZ_TOL.
 HURWITZ_TOL = 1e-9
-
-# Power-iteration defaults (nonnegative matrices only).
-POWER_TOL = 1e-10
-POWER_MAX_ITER = 10_000
 
 # A pivot below this fraction of the largest entry magnitude is treated as zero.
 PIVOT_RTOL = 1e-12
@@ -60,21 +55,6 @@ class NormKind(Enum):
         except ValueError:
             valid = ", ".join(k.value for k in cls)
             raise ValueError(f"unknown norm {name!r}; expected one of: {valid}") from None
-
-
-@dataclass(frozen=True)
-class SpectralResult:
-    """Outcome of a spectral computation (abscissa or radius).
-
-    ``iterations`` is zero when a direct dense method produced the value;
-    ``converged`` implies ``residual <= tol * max(1, |value|)`` for the
-    tolerance the computation was configured with.
-    """
-
-    value: float
-    iterations: int = 0
-    converged: bool = True
-    residual: float = 0.0
 
 
 def as_matrix(obj, name: str = "matrix") -> np.ndarray:
@@ -115,71 +95,25 @@ def is_metzler(m, tol: float = 0.0) -> bool:
     return bool((off >= -tol).all())
 
 
-def spectral_abscissa(m) -> SpectralResult:
+def spectral_abscissa(m) -> float:
     """Largest real part over the eigenvalues, by the dense QR method."""
     m = as_matrix(m)
     _require_square(m)
     eigs = np.linalg.eigvals(m)
-    return SpectralResult(value=float(np.max(eigs.real)))
+    return float(np.max(eigs.real))
 
 
 def is_hurwitz(m, tol: float = HURWITZ_TOL) -> bool:
     """True iff the spectral abscissa is strictly below ``-tol``."""
-    return spectral_abscissa(m).value < -tol
+    return spectral_abscissa(m) < -tol
 
 
-def spectral_radius(
-    m,
-    tol: float = POWER_TOL,
-    max_iter: int = POWER_MAX_ITER,
-    method: str = "auto",
-) -> SpectralResult:
-    """Largest eigenvalue modulus.
-
-    ``method`` is one of:
-
-    * ``"dense"`` -- dense eigenvalues, always applicable;
-    * ``"power"`` -- power iteration with the deterministic start vector of
-      ones, valid only for nonnegative matrices (Perron-Frobenius);
-    * ``"auto"`` -- power iteration for nonnegative input with a dense
-      fallback if it fails to converge, dense otherwise.
-    """
+def spectral_radius(m) -> float:
+    """Largest eigenvalue modulus, by the dense QR method."""
     m = as_matrix(m)
     _require_square(m)
-    if method not in ("auto", "dense", "power"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "power" and not is_nonnegative(m):
-        raise NotMetzlerError("power iteration requires a nonnegative matrix")
-    if method in ("power", "auto") and is_nonnegative(m):
-        result = _power_radius(m, tol, max_iter)
-        if result.converged or method == "power":
-            return result
     eigs = np.linalg.eigvals(m)
-    return SpectralResult(value=float(np.max(np.abs(eigs))))
-
-
-def _power_radius(m: np.ndarray, tol: float, max_iter: int) -> SpectralResult:
-    # Iterate on m + I: the unit diagonal shift makes every class aperiodic
-    # without changing eigenvectors, so the iteration converges for all
-    # nonnegative matrices with a non-defective dominant root.
-    n = m.shape[0]
-    ms = m + np.eye(n)
-    x = np.ones(n)
-    est = 1.0
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        y = ms @ x
-        top = float(np.abs(y).max())
-        if top == 0.0:
-            return SpectralResult(value=0.0, iterations=it, converged=True, residual=0.0)
-        est = top
-        x = y / top
-        residual = float(np.abs(ms @ x - est * x).max())
-        if residual <= tol * max(1.0, est):
-            return SpectralResult(
-                value=est - 1.0, iterations=it, converged=True, residual=residual
-            )
-    return SpectralResult(value=est - 1.0, iterations=max_iter, converged=False, residual=residual)
+    return float(np.max(np.abs(eigs)))
 
 
 def operator_norm(m, kind: NormKind = NormKind.TWO) -> float:
@@ -243,11 +177,6 @@ def metzler_hurwitz_certificate(m) -> np.ndarray:
     if not (v > 0).all() or not ((m @ v) < 0).all():
         raise NotHurwitzError("no positive vector v with m @ v < 0 exists")
     return v
-
-
-def elementwise_abs(m) -> np.ndarray:
-    """Entrywise absolute value."""
-    return np.abs(as_matrix(m))
 
 
 def elementwise_leq(a, b) -> bool:

@@ -8,8 +8,8 @@ Schema (matrix literals are nested row-major arrays)::
       "sector": {"Sigma1": [[...]], "Sigma2": [[...]]},      # at most one of
       "network": "relative/path.json",                        # these three
       "builtin_nonlinearity": "cubic_sine",
-      "simulation": {"dt": 0.001, "horizon": 20.0, "x0": [...]},   # optional
-      "sweep": {"deltas": [0.1, 0.2]}                              # optional
+      "simulation": {"dt": 0.001, "horizon": 20.0},   # optional
+      "sweep": {"deltas": [0.1, 0.2]}                 # optional
     }
 
 A problem with none of sector/network/builtin describes a purely linear
@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -30,7 +31,16 @@ import numpy as np
 from .errors import DimensionMismatchError, NonFiniteEntriesError, ProblemFormatError
 from .ffnn import Ffnn, load_ffnn, sector_bound_ffnn
 from .linalg import NormKind, as_matrix
-from .radius import LtiSystem, PerturbationStructure, SectorBound
+from .radius import (
+    LtiSystem,
+    PerturbationStructure,
+    RadiusReport,
+    SectorBound,
+    nn_stability_radius,
+    stability_radius_linear,
+    stability_radius_lure,
+    stability_radius_schur,
+)
 from .sim import BUILTIN_NONLINEARITIES, Nonlinearity, SimConfig
 
 FIXTURE_PACKAGE = "lurestab.fixtures"
@@ -61,22 +71,11 @@ class Problem:
     pert: PerturbationStructure
     sector: SectorBound | None
     network: Ffnn | None
-    network_path: str | None
     builtin: str | None
-    sim_overrides: dict
+    simulation: SimConfig
     sweep_deltas: list[float] | None
     path: Path
     digest: str
-
-    @property
-    def nonlinearity_kind(self) -> str:
-        if self.sector is not None:
-            return "sector"
-        if self.network is not None:
-            return "network"
-        if self.builtin is not None:
-            return "builtin"
-        return "none"
 
     def analysis_sector(self) -> SectorBound | None:
         """The sector driving radius/certification for this problem.
@@ -114,19 +113,44 @@ class Problem:
             return Nonlinearity.gain(self.sector.upper, name="upper_sector_gain")
         return None
 
+    def radius(self, override_gates: bool = False) -> RadiusReport:
+        """The stability radius by the formula that fits this problem.
+
+        A purely linear problem takes the Schur-scaled radius when the
+        perturbation carries a scale pattern and the linear radius
+        otherwise; a network problem takes the weight-product sector; a
+        sector or builtin problem takes the sector-loop radius.
+        ``override_gates`` only applies to the loop formulas.
+        """
+        sector = self.analysis_sector()
+        if sector is None:
+            if self.pert.schur_scale is not None:
+                return stability_radius_schur(self.system.a, self.pert)
+            return stability_radius_linear(self.system.a, self.pert)
+        compute = nn_stability_radius if self.network is not None else stability_radius_lure
+        return compute(self.system, sector, self.pert, override_gates=override_gates)
+
     def sim_config(self, dt=None, horizon=None) -> SimConfig:
-        kwargs = dict(self.sim_overrides)
+        """The file's simulation settings with the given ones replacing them."""
+        changes = {}
         if dt is not None:
-            kwargs["dt"] = dt
+            changes["dt"] = dt
         if horizon is not None:
-            kwargs["horizon"] = horizon
-        return SimConfig(**kwargs)
+            changes["horizon"] = horizon
+        return replace(self.simulation, **changes)
 
 
 def _get(data: dict, key: str, context: str, path) -> object:
     if key not in data:
         raise ProblemFormatError(f"{context}: missing required field {key!r}", path=path)
     return data[key]
+
+
+def _number(value, context: str, path) -> float:
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not numeric or not math.isfinite(value):
+        raise ProblemFormatError(f"{context}: expected a finite number, got {value!r}", path=path)
+    return float(value)
 
 
 def _matrix(data: dict, key: str, context: str, path) -> np.ndarray:
@@ -180,7 +204,6 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
 
     sector = None
     network = None
-    network_path = None
     builtin = None
     if "sector" in data:
         sec = data["sector"]
@@ -196,8 +219,7 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
                 path=resolved,
             )
     elif "network" in data:
-        network_path = str(data["network"])
-        net_file = Path(network_path)
+        net_file = Path(str(data["network"]))
         if not net_file.is_absolute():
             net_file = resolved.parent / net_file
         network = load_ffnn(net_file)
@@ -216,37 +238,35 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
                 path=resolved,
             )
 
-    sim_overrides = {}
-    if "simulation" in data:
-        sim = data["simulation"]
-        if not isinstance(sim, dict):
-            raise ProblemFormatError("simulation: must be an object", path=resolved)
-        for key in ("dt", "horizon"):
-            if key in sim:
-                sim_overrides[key] = float(sim[key])
-        if "x0" in sim:
-            sim_overrides["x0"] = np.asarray(sim["x0"], dtype=float)
-        unknown = set(sim) - {"dt", "horizon", "x0"}
-        if unknown:
-            raise ProblemFormatError(
-                f"simulation: unknown field(s) {sorted(unknown)}", path=resolved
-            )
+    sim = data.get("simulation", {})
+    if not isinstance(sim, dict):
+        raise ProblemFormatError("simulation: must be an object", path=resolved)
+    unknown = set(sim) - {"dt", "horizon"}
+    if unknown:
+        raise ProblemFormatError(
+            f"simulation: unknown field(s) {sorted(unknown)}", path=resolved
+        )
+    try:
+        sim_config = SimConfig(
+            **{key: _number(value, f"simulation.{key}", resolved) for key, value in sim.items()}
+        )
+    except ValueError as exc:
+        raise ProblemFormatError(f"simulation: {exc}", path=resolved) from None
 
     sweep_deltas = None
     if "sweep" in data:
         sw = data["sweep"]
-        if not isinstance(sw, dict) or "deltas" not in sw:
+        if not isinstance(sw, dict) or not isinstance(sw.get("deltas"), list):
             raise ProblemFormatError("sweep: must be an object with a 'deltas' list", path=resolved)
-        sweep_deltas = [float(d) for d in sw["deltas"]]
+        sweep_deltas = [_number(d, "sweep.deltas", resolved) for d in sw["deltas"]]
 
     return Problem(
         system=system,
         pert=pert,
         sector=sector,
         network=network,
-        network_path=network_path,
         builtin=builtin,
-        sim_overrides=sim_overrides,
+        simulation=sim_config,
         sweep_deltas=sweep_deltas,
         path=resolved,
         digest=digest,

@@ -202,12 +202,6 @@ class RefinedSector:
     candidates: tuple[np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
-class RadiusPair:
-    r_p: float
-    r_q: float
-
-
 def closed_loop_matrix(sys: LtiSystem, gain) -> np.ndarray:
     """``A + B @ gain @ C`` for a constant feedback gain (m x p)."""
     gain = as_matrix(gain, "gain")
@@ -304,13 +298,13 @@ def stability_radius_schur(a, pert: PerturbationStructure) -> RadiusReport:
         raise NotHurwitzError("stability radius formula requires a Hurwitz matrix")
     product = pert.e @ linalg.inverse(-a) @ pert.d @ pert.schur_scale
     rho = linalg.spectral_radius(product)
-    if rho.value <= 0.0:
+    if rho <= 0.0:
         raise ZeroSpectralRadiusError(
             "spectral radius of the scaled transfer is zero; "
             "this structure cannot destabilize the system"
         )
     return RadiusReport(
-        radius=1.0 / rho.value,
+        radius=1.0 / rho,
         norm=NormKind.MAX_ABS,
         formula="schur_spectral",
         closed_loop=a,
@@ -410,20 +404,3 @@ def refine_upper_sector(
     magnitude = 1.0 / linalg.operator_norm(transfer, pert.norm)
     candidates = (np.array([[magnitude]]), np.array([[-magnitude]]))
     return RefinedSector(magnitude=magnitude, candidates=candidates)
-
-
-def monotonicity_gap(p, q, pert: PerturbationStructure) -> RadiusPair:
-    """Radii of an ordered pair ``p >= q`` of Metzler Hurwitz matrices.
-
-    Larger matrices sit closer to instability, so callers should observe
-    ``r_p <= r_q``; this function just computes both sides.
-    """
-    p = as_matrix(p, "P")
-    q = as_matrix(q, "Q")
-    if p.shape != q.shape:
-        raise DimensionMismatchError(f"shape mismatch: {p.shape} vs {q.shape}")
-    if not (p >= q).all():
-        raise OrderViolationError("P >= Q must hold elementwise")
-    r_p = stability_radius_linear(p, pert).radius
-    r_q = stability_radius_linear(q, pert).radius
-    return RadiusPair(r_p=r_p, r_q=r_q)

@@ -24,7 +24,7 @@ from .errors import (
     ZeroInitialStateError,
 )
 from .ffnn import Ffnn, ffnn_eval
-from .linalg import NormKind, as_matrix, operator_norm
+from .linalg import as_matrix, operator_norm
 from .radius import LtiSystem, PerturbationStructure
 
 DECAY_THRESHOLD = 1e-3
@@ -107,7 +107,6 @@ class SimConfig:
 
     dt: float = 1e-3
     horizon: float = 20.0
-    method: str = "rk4"
     x0: np.ndarray | None = None
 
     def __post_init__(self):
@@ -115,8 +114,6 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.dt > self.horizon:
             raise ValueError("dt must not exceed the horizon")
-        if self.method != "rk4":
-            raise ValueError(f"unsupported method {self.method!r}")
         if self.x0 is not None:
             x0 = np.asarray(self.x0, dtype=float).reshape(-1)
             if not np.isfinite(x0).all():
@@ -393,13 +390,3 @@ def write_sweep_csv(rows, path) -> None:
                     "" if row.blowup_time is None else repr(row.blowup_time),
                 ]
             )
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    n = traj.states.shape[1]
-    p = traj.outputs.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x_{i + 1}" for i in range(n)] + [f"y_{j + 1}" for j in range(p)])
-        for t, x, y in zip(traj.times, traj.states, traj.outputs):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in x] + [repr(float(v)) for v in y])

@@ -1,18 +1,22 @@
-"""Seeded random-instance generators shared by the property and acceptance tests."""
+"""Seeded random-instance generators and helpers shared by the property and acceptance tests."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from lurestab.errors import DimensionMismatchError, OrderViolationError
 from lurestab.ffnn import RELU, TANH, Ffnn, Layer
-from lurestab.linalg import spectral_radius
+from lurestab.linalg import as_matrix, spectral_radius
+from lurestab.radius import PerturbationStructure, stability_radius_linear
 
 
 def random_metzler_hurwitz(rng, n: int, margin_lo: float = 0.2, margin_hi: float = 2.0) -> np.ndarray:
     """Metzler Hurwitz matrix: nonnegative random part shifted left of its
     Perron root."""
     r = rng.uniform(0.0, 1.0, size=(n, n))
-    shift = spectral_radius(r, method="dense").value + rng.uniform(margin_lo, margin_hi)
+    shift = spectral_radius(r) + rng.uniform(margin_lo, margin_hi)
     return r - shift * np.eye(n)
 
 
@@ -31,6 +35,29 @@ def ordered_metzler_pair(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
     q[off] = q[off] * rng.uniform(0.0, 1.0, size=n * n - n)
     q[np.eye(n, dtype=bool)] -= rng.uniform(0.0, 2.0, size=n)
     return p, q
+
+
+@dataclass(frozen=True)
+class RadiusPair:
+    r_p: float
+    r_q: float
+
+
+def monotonicity_gap(p, q, pert: PerturbationStructure) -> RadiusPair:
+    """Radii of an ordered pair ``p >= q`` of Metzler Hurwitz matrices.
+
+    Larger matrices sit closer to instability, so callers should observe
+    ``r_p <= r_q``; this function just computes both sides.
+    """
+    p = as_matrix(p, "P")
+    q = as_matrix(q, "Q")
+    if p.shape != q.shape:
+        raise DimensionMismatchError(f"shape mismatch: {p.shape} vs {q.shape}")
+    if not (p >= q).all():
+        raise OrderViolationError("P >= Q must hold elementwise")
+    r_p = stability_radius_linear(p, pert).radius
+    r_q = stability_radius_linear(q, pert).radius
+    return RadiusPair(r_p=r_p, r_q=r_q)
 
 
 def random_zero_bias_net(rng, max_q: int = 3, max_width: int = 8) -> Ffnn:

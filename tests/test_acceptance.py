@@ -17,7 +17,6 @@ from lurestab import ffnn, linalg, sim
 from lurestab.linalg import NormKind
 from lurestab.radius import (
     PerturbationStructure,
-    monotonicity_gap,
     stability_radius_linear,
     stability_radius_lure,
 )
@@ -25,6 +24,7 @@ from lurestab.sim import Nonlinearity, SimConfig
 
 from generators import (
     bisect_destabilizing_delta,
+    monotonicity_gap,
     ordered_metzler_pair,
     random_metzler_hurwitz,
     random_zero_bias_net,
@@ -87,7 +87,7 @@ def test_criterion_03_example_a_criticality_crosscheck(example_a):
     structure = example_a.pert.d @ example_a.pert.e
 
     def abscissa(delta):
-        return linalg.spectral_abscissa(upper_loop + delta * structure).value
+        return linalg.spectral_abscissa(upper_loop + delta * structure)
 
     lo, hi = abscissa(0.24), abscissa(0.28)
     elapsed = time.perf_counter() - start
@@ -175,7 +175,7 @@ def test_criterion_07_formula_vs_bisection_oracle():
         structure = d @ e
 
         def abscissa(delta):
-            return linalg.spectral_abscissa(a + delta * structure).value
+            return linalg.spectral_abscissa(a + delta * structure)
 
         star = bisect_destabilizing_delta(abscissa, 0.0, 10.0 * formula, 1e-7 * formula)
         worst_rel = max(worst_rel, abs(star - formula) / formula)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from lurestab import ffnn
 from lurestab.cli import main
 from lurestab.problems import fixture_path, load_problem, resolve_problem_path
 from lurestab.errors import ProblemFormatError
@@ -106,6 +107,39 @@ class TestProblemLoading:
         a = load_problem("example_a.json")
         b = load_problem("example_a.json")
         assert a.digest == b.digest and len(a.digest) == 64
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("sweep", "deltas", 5),
+            ("sweep", "deltas", ["a"]),
+            ("simulation", "dt", [1]),
+            ("simulation", "dt", "x"),
+            ("simulation", "dt", -1),
+        ],
+        ids=["deltas-number", "deltas-string", "dt-list", "dt-string", "dt-negative"],
+    )
+    def test_malformed_simulation_fields_exit_one(self, capsys, tmp_path, section, field, value):
+        doc = json.loads(fixture_path("example_a.json").read_text())
+        doc[section][field] = value
+        path = tmp_path / "bad_field.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "sweep", "--problem", str(path), "--trials", "1")
+        assert code == 1
+        assert err.startswith(f"error: {path}: ")
+        assert "Traceback" not in err
+
+    def test_simulation_x0_is_not_a_problem_field(self, capsys, tmp_path):
+        # sweeps and searches draw their own initial states, so a file x0
+        # would be silently ignored
+        doc = json.loads(fixture_path("example_a.json").read_text())
+        doc["simulation"]["x0"] = [1.0, 1.0]
+        path = tmp_path / "x0.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "radius", "--problem", str(path))
+        assert code == 1
+        assert err.startswith(f"error: {path}: ")
+        assert "unknown field(s) ['x0']" in err
 
 
 class TestCheckCommand:
@@ -314,6 +348,22 @@ class TestRefineCommand:
         )
         assert code == 0
         assert data["results"]["magnitude"] == pytest.approx(0.91, abs=1e-6)
+
+    def test_samples_the_network_once_per_candidate(self, capsys, monkeypatch):
+        calls = []
+        check = ffnn.empirical_sector_check
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(ffnn, "empirical_sector_check", counted)
+        code, data = run_json(
+            capsys, "refine", "--problem", "example_b.json", "--delta-crit", "3.15"
+        )
+        assert code == 0
+        assert len(calls) == 2
+        assert data["results"]["empirical_violations"] > 0
 
     def test_without_network_is_usage_error(self, capsys, sector_problem):
         code, out, err = run_cli(capsys, "refine", "--problem", str(sector_problem))

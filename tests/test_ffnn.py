@@ -6,7 +6,6 @@ import pytest
 from lurestab import ffnn
 from lurestab.errors import (
     DimensionMismatchError,
-    MixedActivationsError,
     NonzeroBiasError,
     NotSisoError,
     ProblemFormatError,
@@ -98,16 +97,6 @@ class TestSectorBound:
             ffnn.sector_bound_ffnn(net)
         assert exc_info.value.layers == [1]
 
-    def test_mixed_activations_rejected(self):
-        net = Ffnn(
-            hidden=(Layer.linear(np.ones((2, 1))), Layer.linear(np.ones((2, 2)))),
-            output=Layer.linear(np.ones((1, 2))),
-            activation=RELU,
-            layer_activations=(RELU, TANH),
-        )
-        with pytest.raises(MixedActivationsError):
-            ffnn.sector_bound_ffnn(net)
-
     def test_scaling_one_hidden_layer_scales_bound(self, rng):
         net = random_zero_bias_net(rng)
         s = 3.0
@@ -168,18 +157,18 @@ class TestEmpiricalSectorCheck:
 class TestSelectRefinedSign:
     def test_positive_net_selects_positive(self):
         net = scalar_net([[1.0]], [[0.9]])
-        chosen = ffnn.select_refined_sign(net, 0.5, samples=200, seed=2)
+        chosen, _ = ffnn.select_refined_sign(net, 0.5, samples=200, seed=2)
         assert chosen.upper[0, 0] == pytest.approx(0.5)
 
     def test_negated_net_selects_negative(self):
         net = scalar_net([[1.0]], [[-0.9]])
-        chosen = ffnn.select_refined_sign(net, 0.5, samples=200, seed=2)
+        chosen, _ = ffnn.select_refined_sign(net, 0.5, samples=200, seed=2)
         assert chosen.upper[0, 0] == pytest.approx(-0.5)
 
     def test_reference_net_keeps_positive_sign_but_violates(self, reference_net):
-        chosen = ffnn.select_refined_sign(reference_net, 0.25, samples=500, seed=42)
+        chosen, check = ffnn.select_refined_sign(reference_net, 0.25, samples=500, seed=42)
         assert chosen.upper[0, 0] == pytest.approx(0.25)
-        check = ffnn.empirical_sector_check(reference_net, chosen, samples=500, seed=42)
+        assert check == ffnn.empirical_sector_check(reference_net, chosen, samples=500, seed=42)
         assert check.count > 0
 
     def test_requires_scalar_network(self):

@@ -14,7 +14,13 @@ from lurestab.errors import (
 from lurestab.linalg import NormKind
 from lurestab.radius import LtiSystem, PerturbationStructure, SectorBound
 
-from generators import bisect_destabilizing_delta, ordered_metzler_pair, random_metzler_hurwitz
+from generators import (
+    bisect_destabilizing_delta,
+    monotonicity_gap,
+    ordered_metzler_pair,
+    random_metzler,
+    random_metzler_hurwitz,
+)
 
 # First worked example: open-loop unstable Metzler plant with unit feedback paths.
 SYS_A = LtiSystem(
@@ -107,6 +113,21 @@ class TestCertify:
         # the upper loop is fine, so the witness vector is still available
         assert cert.positive_vector is not None
 
+    @pytest.mark.parametrize("abscissa", [-1e-7, -1e-8, 1e-8, 1e-7])
+    def test_gate_and_certificate_agree_near_boundary(self, abscissa):
+        # Metzler upper loops shifted to sit just inside or just outside the
+        # Hurwitz boundary: the eigenvalue gate and the witness v > 0 must
+        # give the same answer there
+        rng = np.random.default_rng(17)
+        for _ in range(240):
+            n = int(rng.integers(2, 81))
+            m = random_metzler(rng, n)
+            a = m - (linalg.spectral_abscissa(m) - abscissa) * np.eye(n)
+            sys = LtiSystem(a=a, b=np.zeros((n, 1)), c=np.zeros((1, n)))
+            cert = rad.certify_positive_lure(sys, SectorBound.scalar(0.0, 0.0))
+            assert cert.hurwitz_at_upper == (cert.positive_vector is not None)
+            assert cert.hurwitz_at_upper == (abscissa < 0)
+
 
 class TestLinearRadius:
     def test_negated_identity_radius_one(self):
@@ -145,7 +166,7 @@ class TestLinearRadius:
             assert (e @ linalg.inverse(-a) @ d >= 0).all()
 
             def abscissa(delta):
-                return linalg.spectral_abscissa(a + delta * (d @ e)).value
+                return linalg.spectral_abscissa(a + delta * (d @ e))
 
             star = bisect_destabilizing_delta(abscissa, 0.0, 10.0 * formula, 1e-9 * formula)
             assert star == pytest.approx(formula, rel=1e-6)
@@ -221,7 +242,7 @@ class TestSchurRadius:
                 signs = 2.0 * signs - 1.0
 
                 def abscissa(t):
-                    return linalg.spectral_abscissa(a + t * signs).value
+                    return linalg.spectral_abscissa(a + t * signs)
 
                 if abscissa(10.0 * formula) <= 0:
                     continue
@@ -281,7 +302,7 @@ class TestNnRadius:
         structure = PERT_B.d @ PERT_B.e
 
         def abscissa(delta):
-            return linalg.spectral_abscissa(loop + delta * structure).value
+            return linalg.spectral_abscissa(loop + delta * structure)
 
         star = bisect_destabilizing_delta(abscissa, 0.0, 10.0 * report.radius, 1e-9)
         assert star == pytest.approx(report.radius, rel=1e-6)
@@ -313,19 +334,19 @@ class TestMonotonicity:
     def test_equal_matrices_equal_radii(self):
         p = -2.0 * np.eye(2)
         pert = PerturbationStructure(d=np.eye(2), e=np.eye(2), norm=NormKind.TWO)
-        pair = rad.monotonicity_gap(p, p, pert)
+        pair = monotonicity_gap(p, p, pert)
         assert pair.r_p == pair.r_q
 
     def test_diagonal_pair(self):
         pert = PerturbationStructure(d=np.eye(2), e=np.eye(2), norm=NormKind.TWO)
-        pair = rad.monotonicity_gap(-np.eye(2), -2.0 * np.eye(2), pert)
+        pair = monotonicity_gap(-np.eye(2), -2.0 * np.eye(2), pert)
         assert pair.r_p == pytest.approx(1.0)
         assert pair.r_q == pytest.approx(2.0)
 
     def test_order_violation_raises(self):
         pert = PerturbationStructure(d=np.eye(2), e=np.eye(2), norm=NormKind.TWO)
         with pytest.raises(OrderViolationError):
-            rad.monotonicity_gap(-2.0 * np.eye(2), -np.eye(2), pert)
+            monotonicity_gap(-2.0 * np.eye(2), -np.eye(2), pert)
 
     def test_random_ordered_pairs(self, rng):
         for _ in range(50):
@@ -333,7 +354,7 @@ class TestMonotonicity:
             p, q = ordered_metzler_pair(rng, n)
             for norm in (NormKind.ONE, NormKind.TWO, NormKind.INF):
                 pert = PerturbationStructure(d=np.eye(n), e=np.eye(n), norm=norm)
-                pair = rad.monotonicity_gap(p, q, pert)
+                pair = monotonicity_gap(p, q, pert)
                 assert pair.r_p <= pair.r_q + 1e-9
 
     def test_interval_interior_matrices_stay_stable(self, rng):
@@ -344,7 +365,7 @@ class TestMonotonicity:
             for _ in range(10):
                 t = rng.uniform(0.0, 1.0, size=(n, n))
                 mid = q + t * (p - q)
-                assert linalg.spectral_abscissa(mid).value < 0
+                assert linalg.spectral_abscissa(mid) < 0
 
 
 class TestAizermanSoundness:
@@ -367,4 +388,4 @@ class TestAizermanSoundness:
             for u in rng.uniform(0.0, 1.0, size=20):
                 gain = np.array([[lo + u * (hi - lo)]])
                 loop = rad.closed_loop_matrix(sys, gain)
-                assert linalg.spectral_abscissa(loop).value < 0
+                assert linalg.spectral_abscissa(loop) < 0
