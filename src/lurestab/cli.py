@@ -24,12 +24,10 @@ from .errors import (
     LureStabError,
     NoInstabilityError,
     NonzeroBiasError,
-    UpperNotMetzlerError,
 )
 from .problems import Problem, load_problem
 
 EXIT_OK = 0
-EXIT_INPUT = 1
 EXIT_NEGATIVE = 2
 
 
@@ -119,11 +117,9 @@ def cmd_radius(args) -> int:
     sector = problem.analysis_sector()
     try:
         result = problem.radius()
-    except (CertificationError, UpperNotMetzlerError) as exc:
+    except CertificationError as exc:
         if not args.override_gates:
-            cert = getattr(exc, "certificate", None)
-            if cert is not None:
-                _certificate_results(report, cert)
+            _certificate_results(report, exc.certificate)
             report.warn(str(exc))
             report.warn("pass --override-gates to compute the formula anyway")
             report.emit(args.format)
@@ -196,6 +192,8 @@ def cmd_sweep(args) -> int:
     formula_radius = None
     try:
         result = problem.radius(override_gates=True)
+    except InputError:
+        raise
     except LureStabError as exc:
         report.warn(f"no analytic radius available ({exc})")
     else:
@@ -359,9 +357,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (LureStabError, ValueError) as exc:
+    except LureStabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return getattr(exc, "exit_code", EXIT_INPUT)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

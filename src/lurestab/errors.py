@@ -13,8 +13,8 @@ class LureStabError(Exception):
     exit_code = 2
 
 
-class InputError(LureStabError):
-    """The input does not fit what the requested operation needs."""
+class InputError(LureStabError, ValueError):
+    """The input does not fit what the requested operation needs (also a ValueError)."""
 
     exit_code = 1
 
@@ -61,11 +61,6 @@ class CertificationError(LureStabError):
     def __init__(self, message: str, certificate=None):
         super().__init__(message)
         self.certificate = certificate
-
-
-class UpperNotMetzlerError(LureStabError):
-    """The upper-sector closed loop is not Metzler, so the radius formula
-    is outside its proof's domain."""
 
 
 class OrderViolationError(LureStabError):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InputError,
     NonFiniteEntriesError,
     NonzeroBiasError,
     NotSisoError,
@@ -41,7 +42,7 @@ class ActivationSpec:
 
     def __post_init__(self):
         if not self.a1 < self.a2:
-            raise ValueError(f"activation sector needs a1 < a2, got [{self.a1}, {self.a2}]")
+            raise InputError(f"activation sector needs a1 < a2, got [{self.a1}, {self.a2}]")
 
     @property
     def slope_gain(self) -> float:
@@ -64,7 +65,7 @@ def activation_from_name(name: str, a1: float | None = None, a2: float | None = 
             spec = ActivationSpec(spec.name, float(a1), float(a2), spec.fn)
         return spec
     if a1 is None or a2 is None:
-        raise ValueError(f"activation {name!r} is not built in; explicit a1/a2 required")
+        raise InputError(f"activation {name!r} is not built in; explicit a1/a2 required")
     return ActivationSpec(key, float(a1), float(a2), None)
 
 
@@ -139,7 +140,7 @@ def ffnn_eval(net: Ffnn, z) -> np.ndarray:
         )
     act = net.activation
     if net.hidden and act.fn is None:
-        raise ValueError(f"activation {act.name!r} has no callable for evaluation")
+        raise InputError(f"activation {act.name!r} has no callable for evaluation")
     for layer in net.hidden:
         x = act.fn(layer.w @ x + layer.b[:, None])
     x = net.output.w @ x + net.output.b[:, None]
@@ -194,10 +195,12 @@ def empirical_sector_check(
     cases (e.g. identity relu chains) do not count as violations.
     """
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise InputError("samples must be >= 1")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative; got {seed}")
     lo, hi = float(input_box[0]), float(input_box[1])
     if lo < 0 or hi < lo:
-        raise ValueError("input box must satisfy 0 <= lo <= hi")
+        raise InputError("input box must satisfy 0 <= lo <= hi")
     p = net.input_dim
     if sector.lower.shape[1] != p:
         raise DimensionMismatchError(
@@ -233,7 +236,7 @@ def select_refined_sign(
     conservative positive sign.  Returns the chosen sector with its check.
     """
     if magnitude <= 0:
-        raise ValueError("magnitude must be positive")
+        raise InputError("magnitude must be positive")
     if net.output_dim != 1 or net.input_dim != 1:
         raise NotSisoError("sign selection needs a scalar network (one input, one output)")
     base = sector_bound_ffnn(net)
@@ -254,10 +257,10 @@ def load_ffnn(path) -> Ffnn:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise ProblemFormatError(f"cannot read network file ({exc})", path=path) from None
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
+        raise ProblemFormatError(f"cannot read network file ({exc})", path=path) from None
     try:
         return ffnn_from_dict(data)
     except ProblemFormatError:
@@ -279,13 +282,13 @@ def ffnn_from_dict(data: dict) -> Ffnn:
     )
     raw_layers = data["layers"]
     if not raw_layers:
-        raise ValueError("a network needs at least an output layer")
+        raise InputError("a network needs at least an output layer")
     layers = []
     for i, entry in enumerate(raw_layers):
         rows, cols = int(entry["rows"]), int(entry["cols"])
         weights = np.asarray(entry["weights"], dtype=float)
         if weights.size != rows * cols:
-            raise ValueError(
+            raise InputError(
                 f"layer {i + 1}: {weights.size} weights for declared {rows}x{cols}"
             )
         w = weights.reshape(rows, cols)

@@ -1,4 +1,4 @@
-"""Dense real-matrix predicates, norms, inverses, and spectral quantities.
+"""Dense real-matrix predicates, norms, LU solves, and spectral quantities.
 
 Everything here works on plain 2-D numpy arrays at desk scale (n up to a
 few hundred).  Vectors are carried as (n, 1) or (1, n) matrices by the
@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InputError,
     NonFiniteEntriesError,
     NonSquareError,
     NotHurwitzError,
@@ -22,15 +23,15 @@ from .errors import (
     SingularMatrixError,
 )
 
-# Strict stability margin: a matrix counts as Hurwitz only if its spectral
-# abscissa is below -HURWITZ_TOL.
+# Strict stability margin of the eigenvalue test, used for non-Metzler matrices:
+# a matrix counts as Hurwitz only if its spectral abscissa is below -HURWITZ_TOL.
 HURWITZ_TOL = 1e-9
 
 # A pivot below this fraction of the largest entry magnitude is treated as zero.
 PIVOT_RTOL = 1e-12
 
-# Residual tolerance for inverse round trips, and the slack used when checking
-# sign conditions on *computed* (as opposed to user-supplied) matrices.
+# Slack used when checking sign conditions on *computed* (as opposed to
+# user-supplied) matrices.
 FLOAT_SLACK = 1e-9
 
 
@@ -54,7 +55,7 @@ class NormKind(Enum):
             return cls(str(name).strip().lower())
         except ValueError:
             valid = ", ".join(k.value for k in cls)
-            raise ValueError(f"unknown norm {name!r}; expected one of: {valid}") from None
+            raise InputError(f"unknown norm {name!r}; expected one of: {valid}") from None
 
 
 def as_matrix(obj, name: str = "matrix") -> np.ndarray:
@@ -131,11 +132,11 @@ def operator_norm(m, kind: NormKind = NormKind.TWO) -> float:
         return float(np.linalg.norm(m, 2))
     if kind is NormKind.MAX_ABS:
         return float(np.abs(m).max())
-    raise ValueError(f"unknown norm kind {kind!r}")
+    raise InputError(f"unknown norm kind {kind!r}")
 
 
-def inverse(m) -> np.ndarray:
-    """Matrix inverse via LU with a scale-relative pivot threshold.
+def inverse(m, rhs) -> np.ndarray:
+    """``m^{-1} @ rhs`` (a vector or a block of columns) from one LU of ``m``.
 
     Raises SingularMatrixError when any pivot magnitude falls below
     ``PIVOT_RTOL`` times the largest entry magnitude.
@@ -154,27 +155,30 @@ def inverse(m) -> np.ndarray:
         raise SingularMatrixError(
             f"pivot below {PIVOT_RTOL:g} * max|entry|; matrix is numerically singular"
         )
-    return scipy.linalg.lu_solve((lu, piv), np.eye(m.shape[0]))
+    return scipy.linalg.lu_solve((lu, piv), rhs)
 
 
 def metzler_hurwitz_certificate(m) -> np.ndarray:
     """Positive vector ``v`` with ``m @ v < 0``, certifying Hurwitz stability.
 
     For a Metzler matrix, ``v = (-m)^{-1} @ ones`` works exactly when ``-m``
-    is a nonsingular M-matrix, i.e. when ``m`` is Hurwitz.  Returns ``v`` as
-    a 1-D array; raises NotHurwitzError when no certificate exists.
+    is a nonsingular M-matrix, i.e. when ``m`` is Hurwitz, so this is a
+    Hurwitz test with no eigenvalues and no ``HURWITZ_TOL``; only a pivot
+    below ``PIVOT_RTOL`` counts as singular, hence not Hurwitz.  Returns
+    ``v`` as a 1-D array; raises NotHurwitzError when no certificate exists.
     """
     m = as_matrix(m)
-    _require_square(m)
-    # slack admits float noise in computed closed loops; the returned
-    # certificate is still verified exactly below
+    # slack admits float noise in computed closed loops; the witness is checked
+    # on the Metzler majorant, whose spectral abscissa bounds that of m
     if not is_metzler(m, tol=FLOAT_SLACK):
         raise NotMetzlerError("certificate construction requires a Metzler matrix")
+    majorant = np.abs(m)
+    np.fill_diagonal(majorant, np.diag(m))
     try:
-        v = inverse(-m) @ np.ones(m.shape[0])
+        v = inverse(-m, np.ones(m.shape[0]))
     except SingularMatrixError:
         raise NotHurwitzError("matrix is singular, hence not Hurwitz") from None
-    if not (v > 0).all() or not ((m @ v) < 0).all():
+    if not (v > 0).all() or not ((majorant @ v) < 0).all():
         raise NotHurwitzError("no positive vector v with m @ v < 0 exists")
     return v
 

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteEntriesError, ProblemFormatError
+from .errors import DimensionMismatchError, InputError, NonFiniteEntriesError, ProblemFormatError
 from .ffnn import Ffnn, load_ffnn, sector_bound_ffnn
 from .linalg import NormKind, as_matrix
 from .radius import (
@@ -181,6 +181,8 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"invalid JSON: {exc.msg}", path=resolved, line=exc.lineno) from None
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"not UTF-8 text ({exc.reason})", path=resolved) from None
     if not isinstance(data, dict):
         raise ProblemFormatError("top level must be a JSON object", path=resolved)
 
@@ -250,7 +252,7 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
         sim_config = SimConfig(
             **{key: _number(value, f"simulation.{key}", resolved) for key, value in sim.items()}
         )
-    except ValueError as exc:
+    except InputError as exc:
         raise ProblemFormatError(f"simulation: {exc}", path=resolved) from None
 
     sweep_deltas = None
@@ -293,13 +295,15 @@ def _build_perturbation(data, path, norm_override) -> PerturbationStructure:
     norm_name = norm_override or data.get("norm", "two")
     try:
         norm = NormKind.from_name(norm_name)
-    except ValueError as exc:
+    except InputError as exc:
         raise ProblemFormatError(f"perturbation: {exc}", path=path) from None
     schur = None
     if "S" in data:
         schur = _matrix(data, "S", "perturbation", path)
         norm = NormKind.MAX_ABS if norm_override is None else norm
+    elif norm is NormKind.MAX_ABS:
+        raise ProblemFormatError("perturbation: the maxabs norm needs a scale pattern S", path=path)
     try:
         return PerturbationStructure(d=d, e=e, norm=norm, schur_scale=schur)
-    except (ValueError, DimensionMismatchError) as exc:
+    except (InputError, DimensionMismatchError) as exc:
         raise ProblemFormatError(f"perturbation: {exc}", path=path) from None

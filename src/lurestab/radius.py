@@ -11,7 +11,7 @@ in any norm monotone on nonnegative matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,11 +19,11 @@ from . import linalg
 from .errors import (
     CertificationError,
     DimensionMismatchError,
+    InputError,
     MissingSchurScaleError,
     NotHurwitzError,
     NotMetzlerError,
     OrderViolationError,
-    UpperNotMetzlerError,
     ZeroSpectralRadiusError,
 )
 from .linalg import NormKind, as_matrix
@@ -88,11 +88,6 @@ class SectorBound:
     def scalar(cls, lower: float, upper: float) -> "SectorBound":
         return cls(np.array([[float(lower)]]), np.array([[float(upper)]]))
 
-    @classmethod
-    def symmetric(cls, upper) -> "SectorBound":
-        upper = as_matrix(upper, "sector upper")
-        return cls(-upper, upper)
-
 
 @dataclass(frozen=True)
 class PerturbationStructure:
@@ -111,21 +106,21 @@ class PerturbationStructure:
         d = as_matrix(self.d, "D")
         e = as_matrix(self.e, "E")
         if not linalg.is_nonnegative(d):
-            raise ValueError("D must be elementwise nonnegative")
+            raise InputError("D must be elementwise nonnegative")
         if not linalg.is_nonnegative(e):
-            raise ValueError("E must be elementwise nonnegative")
+            raise InputError("E must be elementwise nonnegative")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "e", e)
         if self.schur_scale is not None:
             s = as_matrix(self.schur_scale, "S")
             if not linalg.is_nonnegative(s):
-                raise ValueError("schur scale S must be elementwise nonnegative")
+                raise InputError("schur scale S must be elementwise nonnegative")
             if s.shape != (self.k1, self.k2):
                 raise DimensionMismatchError(
                     f"S must be {self.k1}x{self.k2} to scale delta, got {s.shape}"
                 )
             if self.norm is not NormKind.MAX_ABS:
-                raise ValueError("a Schur scale pattern requires the maxabs norm")
+                raise InputError("a Schur scale pattern requires the maxabs norm")
             object.__setattr__(self, "schur_scale", s)
 
     @property
@@ -150,9 +145,10 @@ class AizermanCertificate:
     """Gate-by-gate outcome of the positivity/stability certification.
 
     ``verdict`` is the conjunction of the five named gates.
-    ``metzler_at_upper`` is informational: it always holds when the lower
-    gate passes, and it controls whether ``positive_vector`` (the witness
-    ``v > 0`` with ``(A + B S2 C) v < 0``) could be constructed.
+    ``metzler_at_upper`` is informational: B, C >= 0, S1 <= S2 and a Metzler
+    lower loop imply it.  Then ``hurwitz_at_upper`` is decided by the
+    witness ``positive_vector`` (``v > 0`` with ``(A + B S2 C) v < 0``);
+    only a non-Metzler upper loop is gated by its eigenvalues.
     """
 
     b_nonneg: bool
@@ -181,7 +177,7 @@ class AizermanCertificate:
 class RadiusReport:
     """A computed stability radius together with its provenance.
 
-    ``closed_loop`` is the matrix whose inverse the formula took, and
+    ``closed_loop`` is the matrix the formula solved with, and
     ``formula`` is one of ``linear_norm``, ``schur_spectral``,
     ``lure_upper_sector``, ``nn_upper_sector``.
     """
@@ -231,13 +227,15 @@ def certify_positive_lure(sys: LtiSystem, sector: SectorBound) -> AizermanCertif
     upper_loop = closed_loop_matrix(sys, sector.upper)
     metzler_at_lower = linalg.is_metzler(lower_loop, tol=linalg.FLOAT_SLACK)
     metzler_at_upper = linalg.is_metzler(upper_loop, tol=linalg.FLOAT_SLACK)
-    hurwitz_at_upper = linalg.is_hurwitz(upper_loop)
     positive_vector = None
-    if hurwitz_at_upper and metzler_at_upper:
+    if metzler_at_upper:
         try:
             positive_vector = linalg.metzler_hurwitz_certificate(upper_loop)
-        except (NotMetzlerError, NotHurwitzError):
-            positive_vector = None
+        except NotHurwitzError:
+            pass
+        hurwitz_at_upper = positive_vector is not None
+    else:
+        hurwitz_at_upper = linalg.is_hurwitz(upper_loop)
     verdict = bool(
         b_nonneg and c_nonneg and sector_ordered and metzler_at_lower and hurwitz_at_upper
     )
@@ -255,10 +253,20 @@ def certify_positive_lure(sys: LtiSystem, sector: SectorBound) -> AizermanCertif
 
 def _require_monotone_norm(norm: NormKind) -> None:
     if norm is NormKind.MAX_ABS:
-        raise ValueError(
+        raise InputError(
             "the maxabs norm is reserved for the Schur-scaled radius; "
             "use norm one/two/inf here"
         )
+
+
+def _require_metzler_hurwitz(a: np.ndarray) -> None:
+    """Gate of the linear radius formulas, decided by the positive witness."""
+    try:
+        linalg.metzler_hurwitz_certificate(a)
+    except NotMetzlerError:
+        raise NotMetzlerError("stability radius formula requires a Metzler matrix") from None
+    except NotHurwitzError:
+        raise NotHurwitzError("stability radius formula requires a Hurwitz matrix") from None
 
 
 def stability_radius_linear(a, pert: PerturbationStructure) -> RadiusReport:
@@ -270,11 +278,8 @@ def stability_radius_linear(a, pert: PerturbationStructure) -> RadiusReport:
     a = as_matrix(a, "A")
     pert.check_dims(a.shape[0])
     _require_monotone_norm(pert.norm)
-    if not linalg.is_metzler(a, tol=linalg.FLOAT_SLACK):
-        raise NotMetzlerError("stability radius formula requires a Metzler matrix")
-    if not linalg.is_hurwitz(a):
-        raise NotHurwitzError("stability radius formula requires a Hurwitz matrix")
-    transfer = pert.e @ linalg.inverse(a) @ pert.d
+    _require_metzler_hurwitz(a)
+    transfer = pert.e @ linalg.inverse(a, pert.d)
     radius = 1.0 / linalg.operator_norm(transfer, pert.norm)
     return RadiusReport(
         radius=radius,
@@ -292,11 +297,8 @@ def stability_radius_schur(a, pert: PerturbationStructure) -> RadiusReport:
     pert.check_dims(a.shape[0])
     if pert.schur_scale is None:
         raise MissingSchurScaleError("the Schur-scaled radius needs a scale pattern S")
-    if not linalg.is_metzler(a, tol=linalg.FLOAT_SLACK):
-        raise NotMetzlerError("stability radius formula requires a Metzler matrix")
-    if not linalg.is_hurwitz(a):
-        raise NotHurwitzError("stability radius formula requires a Hurwitz matrix")
-    product = pert.e @ linalg.inverse(-a) @ pert.d @ pert.schur_scale
+    _require_metzler_hurwitz(a)
+    product = pert.e @ linalg.inverse(-a, pert.d) @ pert.schur_scale
     rho = linalg.spectral_radius(product)
     if rho <= 0.0:
         raise ZeroSpectralRadiusError(
@@ -333,13 +335,8 @@ def stability_radius_lure(
             "closed loop failed gate(s): " + ", ".join(certificate.failed_gates()),
             certificate=certificate,
         )
-    if not certificate.metzler_at_upper and not override_gates:
-        raise UpperNotMetzlerError(
-            "upper-sector closed loop is not Metzler; the radius formula "
-            "is not certified for this system"
-        )
     upper_loop = closed_loop_matrix(sys, sector.upper)
-    transfer = pert.e @ linalg.inverse(upper_loop) @ pert.d
+    transfer = pert.e @ linalg.inverse(upper_loop, pert.d)
     radius = 1.0 / linalg.operator_norm(transfer, pert.norm)
     return RadiusReport(
         radius=radius,
@@ -363,15 +360,9 @@ def nn_stability_radius(
     sector-loop radius at the upper edge.
     """
     if not np.allclose(nn_sector.lower, -nn_sector.upper, rtol=0.0, atol=1e-12):
-        raise ValueError("network sector must be symmetric (lower == -upper)")
+        raise InputError("network sector must be symmetric (lower == -upper)")
     report = stability_radius_lure(sys, nn_sector, pert, override_gates=override_gates)
-    return RadiusReport(
-        radius=report.radius,
-        norm=report.norm,
-        formula="nn_upper_sector",
-        closed_loop=report.closed_loop,
-        certificate=report.certificate,
-    )
+    return replace(report, formula="nn_upper_sector")
 
 
 def refine_upper_sector(
@@ -390,7 +381,7 @@ def refine_upper_sector(
     returned; sign selection is done empirically against the network.
     """
     if delta_crit < 0:
-        raise ValueError("delta_crit must be nonnegative")
+        raise InputError("delta_crit must be nonnegative")
     pert.check_dims(sys.n)
     if direction is None:
         direction = np.eye(pert.k1, pert.k2)
@@ -400,7 +391,7 @@ def refine_upper_sector(
             f"direction must be {pert.k1}x{pert.k2}, got {direction.shape}"
         )
     perturbed = sys.a + delta_crit * (pert.d @ direction @ pert.e)
-    transfer = sys.c @ linalg.inverse(perturbed) @ sys.b
+    transfer = sys.c @ linalg.inverse(perturbed, sys.b)
     magnitude = 1.0 / linalg.operator_norm(transfer, pert.norm)
     candidates = (np.array([[magnitude]]), np.array([[-magnitude]]))
     return RefinedSector(magnitude=magnitude, candidates=candidates)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InputError,
     NonFiniteStateError,
     UnstableAtZeroError,
     NoInstabilityError,
@@ -54,7 +55,7 @@ class Nonlinearity:
     def scalar(cls, fn: Callable[[float], float], name: str | None = None) -> "Nonlinearity":
         at_zero = float(fn(0.0))
         if abs(at_zero) > 1e-12:
-            raise ValueError(f"scalar nonlinearity must fix the origin; f(0) = {at_zero:g}")
+            raise InputError(f"scalar nonlinearity must fix the origin; f(0) = {at_zero:g}")
         return cls("scalar", fn=fn, name=name)
 
     @classmethod
@@ -76,6 +77,8 @@ class Nonlinearity:
                 out[i] = self.fn(float(yi))
             except OverflowError:
                 out[i] = math.copysign(math.inf, yi)
+            except ValueError as exc:
+                raise InputError(f"nonlinearity {self.name!r} is undefined at y = {yi:g} ({exc})") from None
         return out
 
 
@@ -110,14 +113,15 @@ class SimConfig:
     x0: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.dt > self.horizon:
-            raise ValueError("dt must not exceed the horizon")
+        if not 0 < self.dt <= self.horizon < math.inf:
+            raise InputError(
+                "dt and horizon must satisfy 0 < dt <= horizon < inf; "
+                f"got dt={self.dt!r}, horizon={self.horizon!r}"
+            )
         if self.x0 is not None:
             x0 = np.asarray(self.x0, dtype=float).reshape(-1)
             if not np.isfinite(x0).all():
-                raise ValueError("x0 must be finite")
+                raise InputError("x0 must be finite")
             object.__setattr__(self, "x0", x0)
 
 
@@ -127,7 +131,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    outputs: np.ndarray
     blowup_time: float | None = None
 
 
@@ -157,7 +160,7 @@ def simulate_lure(
             f"delta must be {pert.k1}x{pert.k2}, got {delta.shape}"
         )
     if cfg.x0 is None:
-        raise ValueError("cfg.x0 must be set for a single simulation")
+        raise InputError("cfg.x0 must be set for a single simulation")
     x0 = cfg.x0
     if x0.shape[0] != sys.n:
         raise DimensionMismatchError(f"x0 must have {sys.n} entries, got {x0.shape[0]}")
@@ -169,18 +172,15 @@ def simulate_lure(
     drift = sys.a + pert.d @ delta @ pert.e
     steps = int(round(cfg.horizon / cfg.dt))
     if phi.kind == "gain":
-        return _simulate_linear(sys, drift + sys.b @ phi.mat @ sys.c, x0, cfg.dt, steps)
+        return _simulate_linear(drift + sys.b @ phi.mat @ sys.c, x0, cfg.dt, steps)
     return _simulate_stages(sys, drift, phi, x0, cfg.dt, steps)
 
 
-def _record(sys: LtiSystem, times, states, k, blowup_time) -> Trajectory:
-    times = np.asarray(times[: k + 1])
-    states = np.asarray(states[: k + 1])
-    outputs = states @ sys.c.T
-    return Trajectory(times=times, states=states, outputs=outputs, blowup_time=blowup_time)
+def _record(times, states, k, blowup_time) -> Trajectory:
+    return Trajectory(times=times[: k + 1], states=states[: k + 1], blowup_time=blowup_time)
 
 
-def _simulate_linear(sys, m, x0, dt, steps) -> Trajectory:
+def _simulate_linear(m, x0, dt, steps) -> Trajectory:
     # For a linear field the four RK4 stages telescope into one constant
     # step matrix: the degree-4 Taylor polynomial of expm(dt * m).
     h = dt * m
@@ -196,8 +196,8 @@ def _simulate_linear(sys, m, x0, dt, steps) -> Trajectory:
         if not np.isfinite(peak):
             raise NonFiniteStateError(f"state became non-finite at t = {k * dt:g}")
         if peak > BLOWUP_BOUND:
-            return _record(sys, times, states, k, blowup_time=k * dt)
-    return _record(sys, times, states, steps, blowup_time=None)
+            return _record(times, states, k, blowup_time=k * dt)
+    return _record(times, states, steps, blowup_time=None)
 
 
 def _simulate_stages(sys, drift, phi, x0, dt, steps) -> Trajectory:
@@ -222,8 +222,8 @@ def _simulate_stages(sys, drift, phi, x0, dt, steps) -> Trajectory:
         if np.isnan(peak):
             raise NonFiniteStateError(f"state became NaN at t = {k * dt:g}")
         if peak > BLOWUP_BOUND:
-            return _record(sys, times, states, k, blowup_time=k * dt)
-    return _record(sys, times, states, steps, blowup_time=None)
+            return _record(times, states, k, blowup_time=k * dt)
+    return _record(times, states, steps, blowup_time=None)
 
 
 def classify_stability(
@@ -262,6 +262,8 @@ def default_direction(pert: PerturbationStructure) -> np.ndarray:
 
 
 def _draw_initial_states(n: int, trials: int, seed: int) -> np.ndarray:
+    if seed < 0 or trials < 0:
+        raise InputError(f"seed and trials must be nonnegative; got seed={seed}, trials={trials}")
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, 1.0, size=(trials, n))
 
@@ -292,9 +294,9 @@ def find_critical_delta(
     initial states is reused at every delta.
     """
     if delta_max <= 0:
-        raise ValueError("delta_max must be positive")
+        raise InputError("delta_max must be positive")
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise InputError("tol must be positive")
     cfg = cfg or SimConfig()
     if direction is None:
         direction = default_direction(pert)

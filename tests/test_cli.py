@@ -165,6 +165,21 @@ class TestCheckCommand:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("which", ["problem", "network"])
+    def test_non_utf8_file_exits_one(self, capsys, tmp_path, which):
+        bad = tmp_path / f"{which}.json"
+        bad.write_bytes(b'{"name": "\xff"}')
+        if which == "problem":
+            path = bad
+        else:
+            doc = json.loads(fixture_path("example_b.json").read_text())
+            doc["network"] = str(bad)
+            path = tmp_path / "uses_bad_network.json"
+            path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", "--problem", str(path))
+        assert code == 1
+        assert err.startswith(f"error: {bad}: ")
+
 
 class TestRadiusCommand:
     def test_example_a_needs_override(self, capsys):
@@ -224,6 +239,7 @@ class TestRadiusCommand:
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "radius", "--problem", str(path))
         assert code == 1
+        assert err.startswith(f"error: {path}: ")
         assert "maxabs" in err
 
     def test_deterministic_output(self, capsys):
@@ -325,6 +341,78 @@ class TestSweepCommand:
         assert code == 0
         assert len(data["results"]["deltas"]) == 5
         assert any("derived" in w for w in data["warnings"])
+
+    def test_maxabs_norm_without_scale_is_input_error(self, capsys, sector_problem, tmp_path):
+        # a loop formula cannot use the maxabs norm; the sweep must stop
+        # instead of going on without a radius
+        doc = json.loads(sector_problem.read_text())
+        doc["perturbation"]["norm"] = "maxabs"
+        path = tmp_path / "maxabs.json"
+        path.write_text(json.dumps(doc))
+        out_csv = tmp_path / "rows.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--problem", str(path), "--out", str(out_csv), "--trials", "1"
+        )
+        assert code == 1
+        assert err.startswith(f"error: {path}: ")
+        assert "maxabs" in err
+        assert not out_csv.exists()
+
+    def test_schur_scale_on_sector_problem_is_input_error(self, capsys, sector_problem, tmp_path):
+        # "S" forces the maxabs norm, which the loop formula rejects; the
+        # sweep must stop as it does for any input error
+        doc = json.loads(sector_problem.read_text())
+        doc["perturbation"]["S"] = [[1.0]]
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(doc))
+        out_csv = tmp_path / "rows.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--problem", str(path), "--out", str(out_csv), "--trials", "1"
+        )
+        assert code == 1
+        assert err.startswith("error: the maxabs norm is reserved")
+        assert not out_csv.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_undefined_nonlinearity_value_exits_one(self, capsys, tmp_path):
+        # a huge delta drives cubic_sine's input to inf, where sin is undefined
+        doc = json.loads(fixture_path("example_a.json").read_text())
+        doc["sweep"]["deltas"] = [1e308]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "sweep", "--problem", str(path), "--out", str(tmp_path / "h.csv"),
+            "--trials", "1", "--dt", "0.1", "--horizon", "1",
+        )
+        assert code == 1
+        assert err.startswith("error: nonlinearity 'cubic_sine' is undefined at y = inf")
+
+    @pytest.mark.parametrize("flag", ["--horizon", "--dt"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_step_or_horizon_exits_one(self, capsys, tmp_path, flag, value):
+        code, out, err = run_cli(
+            capsys, "sweep", "--problem", "example_a.json", "--out", str(tmp_path / "a.csv"),
+            "--trials", "1", flag, value,
+        )
+        assert code == 1
+        assert err.startswith("error: dt and horizon must satisfy 0 < dt <= horizon < inf")
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--problem", "example_a.json", "--seed", "-1"),
+            ("sweep", "--problem", "example_a.json", "--trials", "-1"),
+            ("refine", "--problem", "example_b.json", "--delta-crit", "3.15", "--seed", "-1"),
+        ],
+        ids=["sweep-seed", "sweep-trials", "refine-seed"],
+    )
+    def test_negative_seed_or_trials_exits_one(self, capsys, tmp_path, argv):
+        out_flag = ("--out", str(tmp_path / "x.csv")) if argv[0] == "sweep" else ()
+        code, out, err = run_cli(capsys, *argv, *out_flag)
+        assert code == 1
+        assert err.startswith("error: seed") and "must be nonnegative" in err
+        assert out == ""
 
 
 class TestRefineCommand:

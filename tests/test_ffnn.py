@@ -6,6 +6,7 @@ import pytest
 from lurestab import ffnn
 from lurestab.errors import (
     DimensionMismatchError,
+    InputError,
     NonzeroBiasError,
     NotSisoError,
     ProblemFormatError,
@@ -152,6 +153,11 @@ class TestEmpiricalSectorCheck:
         bound = ffnn.sector_bound_ffnn(reference_net)
         with pytest.raises(ValueError):
             ffnn.empirical_sector_check(reference_net, bound, input_box=(-1.0, 1.0))
+
+    def test_negative_seed_is_input_error(self, reference_net):
+        bound = ffnn.sector_bound_ffnn(reference_net)
+        with pytest.raises(InputError, match="seed must be nonnegative"):
+            ffnn.empirical_sector_check(reference_net, bound, seed=-1)
 
 
 class TestSelectRefinedSign:

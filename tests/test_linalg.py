@@ -128,33 +128,51 @@ class TestOperatorNorm:
 
 class TestInverse:
     def test_identity(self):
-        assert np.allclose(linalg.inverse(np.eye(3)), np.eye(3))
+        assert np.allclose(linalg.inverse(np.eye(3), np.eye(3)), np.eye(3))
 
     def test_diagonal(self):
-        assert np.allclose(linalg.inverse(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
+        assert np.allclose(linalg.inverse(np.diag([2.0, 4.0]), np.eye(2)), np.diag([0.5, 0.25]))
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
-            linalg.inverse([[1.0, 2.0], [2.0, 4.0]])
+            linalg.inverse([[1.0, 2.0], [2.0, 4.0]], np.eye(2))
         with pytest.raises(SingularMatrixError):
-            linalg.inverse(np.zeros((2, 2)))
+            linalg.inverse(np.zeros((2, 2)), np.eye(2))
+
+    def test_matches_numpy_solve(self, rng):
+        for _ in range(50):
+            n, k = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+            m = rng.normal(0.0, 1.0, size=(n, n)) + n * np.eye(n)
+            block = rng.normal(0.0, 1.0, size=(n, k))
+            for rhs in (block, block[:, 0]):
+                got = linalg.inverse(m, rhs)
+                assert got.shape == rhs.shape
+                assert np.allclose(got, np.linalg.solve(m, rhs), rtol=1e-12, atol=1e-14)
+
+    def test_pivot_check_is_scale_relative(self):
+        # the threshold is PIVOT_RTOL times the largest entry, whatever the scale
+        for scale in (1e-6, 1.0, 1e6):
+            with pytest.raises(SingularMatrixError):
+                linalg.inverse(scale * np.diag([1.0, 1e-13]), np.ones(2))
+            v = linalg.inverse(scale * np.diag([1.0, 1e-11]), np.ones(2))
+            assert v == pytest.approx([1.0 / scale, 1e11 / scale])
 
     def test_m_matrix_inverse_is_nonnegative(self):
-        inv = linalg.inverse(-UPPER_LOOP)
+        inv = linalg.inverse(-UPPER_LOOP, np.eye(3))
         assert (inv >= -1e-9).all()
 
     def test_round_trip_residual(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 8))
             m = rng.normal(0.0, 1.0, size=(n, n)) + n * np.eye(n)
-            inv = linalg.inverse(m)
+            inv = linalg.inverse(m, np.eye(n))
             assert np.abs(m @ inv - np.eye(n)).max() < 1e-9
             assert np.abs(inv @ m - np.eye(n)).max() < 1e-9
 
     def test_random_m_matrix_inverses_nonnegative(self, rng):
         for _ in range(50):
             m = random_metzler_hurwitz(rng, int(rng.integers(2, 7)))
-            assert (linalg.inverse(-m) >= -1e-9).all()
+            assert (linalg.inverse(-m, np.eye(len(m))) >= -1e-9).all()
 
 
 class TestCertificate:

@@ -129,6 +129,126 @@ class TestCertify:
             assert cert.hurwitz_at_upper == (abscissa < 0)
 
 
+    def test_certificate_accepts_metzler_loop_just_inside_the_boundary(self):
+        # abscissa -1e-10 lies inside the eigenvalue gate's -HURWITZ_TOL
+        # margin; for a Metzler loop the witness v > 0 decides, exactly
+        a = np.array([[-1.0, 1.0], [1.0, -1.0]]) - 1e-10 * np.eye(2)
+        assert linalg.spectral_abscissa(a) == pytest.approx(-1e-10, rel=1e-6)
+        assert not linalg.is_hurwitz(a)
+        sys = LtiSystem(a=a, b=np.zeros((2, 1)), c=np.zeros((1, 2)))
+        cert = rad.certify_positive_lure(sys, SectorBound.scalar(0.0, 0.0))
+        assert cert.hurwitz_at_upper and cert.verdict
+        assert (cert.positive_vector > 0).all() and (a @ cert.positive_vector < 0).all()
+        pert = PerturbationStructure(d=np.eye(2), e=np.eye(2), norm=NormKind.TWO)
+        assert rad.stability_radius_linear(a, pert).radius == pytest.approx(1e-10, rel=1e-5)
+
+    @pytest.mark.parametrize("embedded", [False, True], ids=["2x2", "in-3x3"])
+    def test_metzler_only_within_slack_and_unstable_is_rejected(self, embedded):
+        # off-diagonals -1e-9 pass is_metzler(tol=FLOAT_SLACK), and v > 0
+        # with a @ v < 0 exists, but the abscissa is +5e-10: the witness
+        # must be checked on the Metzler majorant, not on a itself
+        a = np.array([[-5e-10, -1e-9], [-1e-9, -5e-10]])
+        if embedded:
+            a = np.block([[a, np.zeros((2, 1))], [np.zeros((1, 2)), -np.ones((1, 1))]])
+        n = a.shape[0]
+        assert linalg.spectral_abscissa(a) == pytest.approx(5e-10, rel=1e-6)
+        assert linalg.is_metzler(a, tol=linalg.FLOAT_SLACK)
+        v = np.linalg.solve(-a, np.ones(n))
+        assert (v > 0).all() and (a @ v < 0).all()
+        with pytest.raises(NotHurwitzError):
+            linalg.metzler_hurwitz_certificate(a)
+        sys = LtiSystem(a=a, b=np.zeros((n, 1)), c=np.zeros((1, n)))
+        cert = rad.certify_positive_lure(sys, SectorBound.scalar(0.0, 0.0))
+        assert cert.metzler_at_upper
+        assert not cert.hurwitz_at_upper and not cert.verdict
+        assert cert.positive_vector is None
+        pert = PerturbationStructure(d=np.eye(n), e=np.eye(n), norm=NormKind.TWO)
+        with pytest.raises(NotHurwitzError, match="requires a Hurwitz matrix"):
+            rad.stability_radius_linear(a, pert)
+        schur = PerturbationStructure(
+            d=np.eye(n), e=np.eye(n), norm=NormKind.MAX_ABS, schur_scale=np.ones((n, n))
+        )
+        with pytest.raises(NotHurwitzError, match="requires a Hurwitz matrix"):
+            rad.stability_radius_schur(a, schur)
+
+    def test_passing_verdict_implies_metzler_upper_loop(self):
+        # B, C >= 0 and S1 <= S2 make the upper loop the lower loop plus a
+        # nonnegative matrix, so a passing verdict never has a non-Metzler
+        # upper loop; the radius formula therefore needs no gate of its own
+        rng = np.random.default_rng(23)
+        passed = 0
+        for _ in range(1500):
+            n, m, p = (int(k) for k in rng.integers(1, 6, size=3))
+            a = rng.uniform(-0.5, 1.0, size=(n, n))
+            np.fill_diagonal(a, rng.uniform(-6.0, -1.0, size=n))
+            sys = LtiSystem(a=a, b=rng.uniform(0.0, 1.0, (n, m)), c=rng.uniform(0.0, 1.0, (p, n)))
+            lower = rng.uniform(-0.5, 1.0, size=(m, p))
+            sector = SectorBound(lower, lower + rng.uniform(0.0, 1.0, size=(m, p)))
+            cert = rad.certify_positive_lure(sys, sector)
+            if cert.verdict:
+                passed += 1
+                assert cert.metzler_at_upper
+                assert cert.positive_vector is not None
+        assert passed >= 100
+
+
+class TestMetzlerPathsUseNoEigenvalues:
+    """Gates, formulas and refinement on Metzler loops run on LU solves only."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Refuses eigenvalues and n-column solves; records each solve's rhs shape."""
+
+        def refuse(m):
+            raise AssertionError("spectral_abscissa called on a Metzler path")
+
+        solve = linalg.inverse
+        shapes = []
+
+        def column_solve(m, rhs):
+            # a right-hand side with n columns would be an explicit inverse
+            assert np.ndim(rhs) == 1 or np.shape(rhs)[1] < np.shape(m)[0]
+            shapes.append(np.shape(rhs))
+            return solve(m, rhs)
+
+        monkeypatch.setattr(linalg, "spectral_abscissa", refuse)
+        monkeypatch.setattr(linalg, "inverse", column_solve)
+        return shapes
+
+    @staticmethod
+    def seeded_system():
+        # off-diagonal entries >= 0.3 keep the lower loop Metzler, and row
+        # sums <= -1 keep the upper loop Hurwitz, for the sector [-0.1, 0.1]
+        rng = np.random.default_rng(5)
+        a = rng.uniform(0.3, 1.0, (6, 6))
+        np.fill_diagonal(a, 0.0)
+        np.fill_diagonal(a, -a.sum(axis=1) - 1.0)
+        sys = LtiSystem(a=a, b=rng.uniform(0.0, 1.0, (6, 1)), c=rng.uniform(0.0, 1.0, (1, 6)))
+        pert = PerturbationStructure(
+            d=rng.uniform(0.0, 1.0, (6, 1)), e=rng.uniform(0.0, 1.0, (1, 6)), norm=NormKind.TWO
+        )
+        return sys, SectorBound.scalar(-0.1, 0.1), pert
+
+    @pytest.mark.parametrize("case", ["example_b", "seeded"])
+    def test_no_eigvals_and_no_explicit_inverse(self, solves, case):
+        sys, sector, pert = (SYS_B, SECTOR_B, PERT_B) if case == "example_b" else self.seeded_system()
+        cert = rad.certify_positive_lure(sys, sector)
+        assert cert.verdict and cert.positive_vector is not None
+        schur = PerturbationStructure(d=pert.d, e=pert.e, norm=NormKind.MAX_ABS, schur_scale=[[1.0]])
+        radii = [
+            rad.stability_radius_lure(sys, sector, pert).radius,
+            rad.nn_stability_radius(sys, sector, pert).radius,
+            rad.stability_radius_linear(sys.a, pert).radius,
+            rad.stability_radius_schur(sys.a, schur).radius,
+        ]
+        assert all(np.isfinite(r) and r > 0 for r in radii)
+        assert radii[2] == pytest.approx(radii[3], rel=1e-12)
+        assert rad.refine_upper_sector(sys, pert, radii[0]).magnitude == pytest.approx(
+            float(sector.upper[0, 0]), rel=1e-9
+        )
+        assert solves
+
+
 class TestLinearRadius:
     def test_negated_identity_radius_one(self):
         for norm in (NormKind.ONE, NormKind.TWO, NormKind.INF):
@@ -163,7 +283,7 @@ class TestLinearRadius:
             pert = PerturbationStructure(d=d, e=e, norm=NormKind.TWO)
             formula = rad.stability_radius_linear(a, pert).radius
             # the worst perturbation direction is the positive one
-            assert (e @ linalg.inverse(-a) @ d >= 0).all()
+            assert (e @ linalg.inverse(-a, d) >= 0).all()
 
             def abscissa(delta):
                 return linalg.spectral_abscissa(a + delta * (d @ e))
@@ -320,7 +440,7 @@ class TestRefineUpperSector:
     def test_zero_delta_uses_unperturbed_plant(self):
         refined = rad.refine_upper_sector(SYS_B, PERT_B, 0.0)
         expected = 1.0 / linalg.operator_norm(
-            SYS_B.c @ linalg.inverse(SYS_B.a) @ SYS_B.b, NormKind.TWO
+            SYS_B.c @ linalg.inverse(SYS_B.a, SYS_B.b), NormKind.TWO
         )
         assert refined.magnitude == pytest.approx(expected, rel=1e-12)
 

@@ -5,6 +5,7 @@ import scipy.linalg
 from lurestab import sim
 from lurestab.errors import (
     DimensionMismatchError,
+    InputError,
     NoInstabilityError,
     NonFiniteStateError,
     UnstableAtZeroError,
@@ -45,6 +46,11 @@ class TestNonlinearity:
     def test_scalar_applies_elementwise(self):
         phi = Nonlinearity.scalar(lambda y: -y)
         assert phi(np.array([1.0, -2.0])) == pytest.approx([-1.0, 2.0])
+
+    def test_undefined_value_is_input_error(self):
+        phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].make()
+        with pytest.raises(InputError, match="undefined at y = inf"):
+            phi(np.array([np.inf]))
 
     def test_builtin_registry(self):
         builtin = sim.BUILTIN_NONLINEARITIES["cubic_sine"]
@@ -97,12 +103,6 @@ class TestSimulate:
         with pytest.raises(DimensionMismatchError):
             sim.simulate_lure(sys, ZERO_PHI, identity_pert(2), np.zeros((1, 1)), cfg)
 
-    def test_outputs_follow_c(self):
-        sys = LtiSystem(a=[[-1.0, 0.0], [0.0, -1.0]], b=[[0.0], [0.0]], c=[[2.0, 1.0]])
-        cfg = SimConfig(dt=0.1, horizon=1.0, x0=np.array([1.0, 2.0]))
-        traj = sim.simulate_lure(sys, ZERO_PHI, identity_pert(2), np.zeros((2, 2)), cfg)
-        assert traj.outputs[:, 0] == pytest.approx(traj.states @ np.array([2.0, 1.0]))
-
     def test_positivity_preserved_for_certified_loop(self, example_b):
         phi = example_b.loop_nonlinearity()
         cfg = SimConfig(dt=0.005, horizon=10.0, x0=np.array([0.3, 0.8, 0.1]))
@@ -114,7 +114,7 @@ class TestClassify:
     def _synthetic(self, factor, T=10.0, n=50):
         times = np.linspace(0.0, T, n)
         states = np.exp(factor * times)[:, None] * np.ones((n, 2))
-        return Trajectory(times=times, states=states, outputs=states[:, :1])
+        return Trajectory(times=times, states=states)
 
     def test_decaying(self):
         assert sim.classify_stability(self._synthetic(-1.0)).label == "Stable"
@@ -130,7 +130,7 @@ class TestClassify:
     def test_zero_initial_state_rejected(self):
         times = np.array([0.0, 1.0])
         states = np.zeros((2, 2))
-        traj = Trajectory(times=times, states=states, outputs=states)
+        traj = Trajectory(times=times, states=states)
         with pytest.raises(ZeroInitialStateError):
             sim.classify_stability(traj)
 
@@ -214,6 +214,14 @@ class TestSweep:
         rows = sim.sweep(sys, ZERO_PHI, identity_pert(2), [0.1, 0.2], cfg=cfg, trials=2)
         assert [(r.delta, r.trial) for r in rows] == [(0.1, 0), (0.1, 1), (0.2, 0), (0.2, 1)]
 
+    @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"trials": -1}], ids=["seed", "trials"])
+    def test_negative_seed_or_trials_is_input_error(self, kwargs):
+        sys = two_state_system()
+        with pytest.raises(InputError, match="must be nonnegative"):
+            sim.sweep(sys, ZERO_PHI, identity_pert(2), [0.0], **kwargs)
+        with pytest.raises(InputError, match="must be nonnegative"):
+            sim.find_critical_delta(sys, ZERO_PHI, identity_pert(2), **kwargs)
+
     def test_csv_writers(self, tmp_path):
         sys = two_state_system()
         cfg = SimConfig(dt=0.05, horizon=5.0, x0=np.array([1.0, 1.0]))
@@ -266,6 +274,11 @@ class TestSimConfig:
             SimConfig(dt=0.0)
         with pytest.raises(ValueError):
             SimConfig(dt=2.0, horizon=1.0)
+        for value in (np.inf, np.nan):
+            with pytest.raises(InputError, match="horizon < inf"):
+                SimConfig(horizon=value)
+            with pytest.raises(InputError):
+                SimConfig(dt=value)
 
 
 class TestFormulaConsistency:
