@@ -114,20 +114,19 @@ def cmd_check(args) -> int:
 def cmd_radius(args) -> int:
     problem = load_problem(args.problem, norm_override=args.norm)
     report = Report("radius", problem)
-    sector = problem.analysis_sector()
     try:
-        result = problem.radius()
+        result = problem.radius(override_gates=args.override_gates)
     except CertificationError as exc:
-        if not args.override_gates:
-            _certificate_results(report, exc.certificate)
-            report.warn(str(exc))
-            report.warn("pass --override-gates to compute the formula anyway")
-            report.emit(args.format)
-            return EXIT_NEGATIVE
-        result = problem.radius(override_gates=True)
+        _certificate_results(report, exc.certificate)
+        report.warn(str(exc))
+        report.warn("pass --override-gates to compute the formula anyway")
+        report.emit(args.format)
+        return EXIT_NEGATIVE
+    if result.certificate is not None and not result.certificate.verdict:
         report.warn(
-            "GATES FAILED (" + str(exc) + "); the radius below is a formula "
-            "evaluation outside the certified regime"
+            "GATES FAILED (closed loop failed gate(s): "
+            + ", ".join(result.certificate.failed_gates())
+            + "); the radius below is a formula evaluation outside the certified regime"
         )
 
     report.set("radius", float(result.radius))
@@ -139,8 +138,8 @@ def cmd_radius(args) -> int:
     elif result.gates:
         for name, ok in result.gates.items():
             report.set(f"gate_{name}", bool(ok))
-    if sector is not None:
-        report.set("sector_upper", _mat(sector.upper))
+    if result.sector is not None:
+        report.set("sector_upper", _mat(result.sector.upper))
     report.emit(args.format)
     return EXIT_OK
 

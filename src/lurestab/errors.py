@@ -48,7 +48,8 @@ class MissingSchurScaleError(LureStabError):
 
 
 class ZeroSpectralRadiusError(LureStabError):
-    """The Schur-scaled radius denominator is zero (structure is unperturbable)."""
+    """A radius formula's denominator is zero: a transfer norm or the Schur
+    spectral radius vanishes, so the structure cannot destabilize the loop."""
 
 
 class CertificationError(LureStabError):

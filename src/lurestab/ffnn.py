@@ -186,10 +186,9 @@ def empirical_sector_check(
     net: Ffnn,
     sector: SectorBound,
     samples: int = 1000,
-    input_box: tuple[float, float] = (0.0, 10.0),
     seed: int = 42,
 ) -> SectorCheck:
-    """Sample nonnegative inputs and test ``S1 z <= pi(z) <= S2 z`` componentwise.
+    """Sample inputs on ``[0, 10]^p`` and test ``S1 z <= pi(z) <= S2 z`` componentwise.
 
     A small relative slack absorbs float rounding so that exact-equality
     cases (e.g. identity relu chains) do not count as violations.
@@ -198,16 +197,13 @@ def empirical_sector_check(
         raise InputError("samples must be >= 1")
     if seed < 0:
         raise InputError(f"seed must be nonnegative; got {seed}")
-    lo, hi = float(input_box[0]), float(input_box[1])
-    if lo < 0 or hi < lo:
-        raise InputError("input box must satisfy 0 <= lo <= hi")
     p = net.input_dim
     if sector.lower.shape[1] != p:
         raise DimensionMismatchError(
             f"sector has {sector.lower.shape[1]} input columns, network expects {p}"
         )
     rng = np.random.default_rng(seed)
-    z = rng.uniform(lo, hi, size=(p, samples))
+    z = rng.uniform(0.0, 10.0, size=(p, samples))
     out = ffnn_eval(net, z)
     lower = sector.lower @ z
     upper = sector.upper @ z
@@ -223,7 +219,6 @@ def select_refined_sign(
     net: Ffnn,
     magnitude: float,
     samples: int = 1000,
-    input_box: tuple[float, float] = (0.0, 10.0),
     seed: int = 42,
 ) -> tuple[SectorBound, SectorCheck]:
     """Pick the sign of a refined scalar upper bound by sampling the network.
@@ -243,8 +238,8 @@ def select_refined_sign(
     lower = -np.abs(base.upper)
     plus = SectorBound(np.minimum(lower, magnitude), np.array([[magnitude]]))
     minus = SectorBound(np.minimum(lower, -magnitude), np.array([[-magnitude]]))
-    plus_check = empirical_sector_check(net, plus, samples, input_box, seed)
-    minus_check = empirical_sector_check(net, minus, samples, input_box, seed)
+    plus_check = empirical_sector_check(net, plus, samples, seed)
+    minus_check = empirical_sector_check(net, minus, samples, seed)
     if plus_check.count != minus_check.count:
         pick_plus = plus_check.count < minus_check.count
     else:
@@ -253,7 +248,7 @@ def select_refined_sign(
 
 
 def load_ffnn(path) -> Ffnn:
-    """Load a network from its JSON file (see ``ffnn_to_dict`` for the schema)."""
+    """Load a network from its JSON file (see ``ffnn_from_dict`` for the schema)."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -295,25 +290,3 @@ def ffnn_from_dict(data: dict) -> Ffnn:
         b = np.asarray(entry.get("bias", np.zeros(rows)), dtype=float)
         layers.append(Layer(w, b))
     return Ffnn(hidden=tuple(layers[:-1]), output=layers[-1], activation=activation)
-
-
-def ffnn_to_dict(net: Ffnn) -> dict:
-    """Serialize a network to the JSON schema accepted by ``ffnn_from_dict``."""
-    layers = []
-    for layer in list(net.hidden) + [net.output]:
-        layers.append(
-            {
-                "rows": layer.w.shape[0],
-                "cols": layer.w.shape[1],
-                "weights": [float(x) for x in layer.w.ravel()],
-                "bias": [float(x) for x in layer.b],
-            }
-        )
-    return {
-        "activation": {
-            "name": net.activation.name,
-            "a1": net.activation.a1,
-            "a2": net.activation.a2,
-        },
-        "layers": layers,
-    }

@@ -82,10 +82,10 @@ def _require_square(m: np.ndarray, name: str = "matrix") -> None:
         raise NonSquareError(f"{name}: expected square matrix, got shape {m.shape}")
 
 
-def is_nonnegative(m, tol: float = 0.0) -> bool:
-    """True iff every entry is >= -tol (exact sign test by default)."""
+def is_nonnegative(m) -> bool:
+    """True iff every entry is >= 0 (an exact sign test)."""
     m = as_matrix(m)
-    return bool((m >= -tol).all())
+    return bool((m >= 0).all())
 
 
 def is_metzler(m, tol: float = 0.0) -> bool:
@@ -104,9 +104,9 @@ def spectral_abscissa(m) -> float:
     return float(np.max(eigs.real))
 
 
-def is_hurwitz(m, tol: float = HURWITZ_TOL) -> bool:
-    """True iff the spectral abscissa is strictly below ``-tol``."""
-    return spectral_abscissa(m) < -tol
+def is_hurwitz(m) -> bool:
+    """True iff the spectral abscissa is strictly below ``-HURWITZ_TOL``."""
+    return spectral_abscissa(m) < -HURWITZ_TOL
 
 
 def spectral_radius(m) -> float:

@@ -106,11 +106,11 @@ class Problem:
         the named function.
         """
         if self.network is not None:
-            return Nonlinearity.network(self.network, name="network")
+            return Nonlinearity.network(self.network)
         if self.builtin is not None:
             return BUILTIN_NONLINEARITIES[self.builtin].make()
         if self.sector is not None:
-            return Nonlinearity.gain(self.sector.upper, name="upper_sector_gain")
+            return Nonlinearity.gain(self.sector.upper)
         return None
 
     def radius(self, override_gates: bool = False) -> RadiusReport:

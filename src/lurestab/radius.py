@@ -179,7 +179,8 @@ class RadiusReport:
 
     ``closed_loop`` is the matrix the formula solved with, and
     ``formula`` is one of ``linear_norm``, ``schur_spectral``,
-    ``lure_upper_sector``, ``nn_upper_sector``.
+    ``lure_upper_sector``, ``nn_upper_sector``.  The loop formulas also
+    record the ``sector`` whose upper edge they evaluated.
     """
 
     radius: float
@@ -188,6 +189,7 @@ class RadiusReport:
     closed_loop: np.ndarray
     certificate: AizermanCertificate | None = None
     gates: dict = field(default_factory=dict)
+    sector: SectorBound | None = None
 
 
 @dataclass(frozen=True)
@@ -269,6 +271,15 @@ def _require_metzler_hurwitz(a: np.ndarray) -> None:
         raise NotHurwitzError("stability radius formula requires a Hurwitz matrix") from None
 
 
+def _reciprocal(size: float, what: str) -> float:
+    """``1 / size`` for the radius formulas; a zero ``size`` raises."""
+    if size <= 0.0:
+        raise ZeroSpectralRadiusError(
+            f"{what} is zero; this structure cannot destabilize the system"
+        )
+    return 1.0 / size
+
+
 def stability_radius_linear(a, pert: PerturbationStructure) -> RadiusReport:
     """Exact radius of destabilizing ``D @ delta @ E`` for a stable positive flow.
 
@@ -280,9 +291,8 @@ def stability_radius_linear(a, pert: PerturbationStructure) -> RadiusReport:
     _require_monotone_norm(pert.norm)
     _require_metzler_hurwitz(a)
     transfer = pert.e @ linalg.inverse(a, pert.d)
-    radius = 1.0 / linalg.operator_norm(transfer, pert.norm)
     return RadiusReport(
-        radius=radius,
+        radius=_reciprocal(linalg.operator_norm(transfer, pert.norm), "the transfer E A^-1 D"),
         norm=pert.norm,
         formula="linear_norm",
         closed_loop=a,
@@ -299,14 +309,10 @@ def stability_radius_schur(a, pert: PerturbationStructure) -> RadiusReport:
         raise MissingSchurScaleError("the Schur-scaled radius needs a scale pattern S")
     _require_metzler_hurwitz(a)
     product = pert.e @ linalg.inverse(-a, pert.d) @ pert.schur_scale
-    rho = linalg.spectral_radius(product)
-    if rho <= 0.0:
-        raise ZeroSpectralRadiusError(
-            "spectral radius of the scaled transfer is zero; "
-            "this structure cannot destabilize the system"
-        )
     return RadiusReport(
-        radius=1.0 / rho,
+        radius=_reciprocal(
+            linalg.spectral_radius(product), "spectral radius of the scaled transfer"
+        ),
         norm=NormKind.MAX_ABS,
         formula="schur_spectral",
         closed_loop=a,
@@ -337,13 +343,15 @@ def stability_radius_lure(
         )
     upper_loop = closed_loop_matrix(sys, sector.upper)
     transfer = pert.e @ linalg.inverse(upper_loop, pert.d)
-    radius = 1.0 / linalg.operator_norm(transfer, pert.norm)
     return RadiusReport(
-        radius=radius,
+        radius=_reciprocal(
+            linalg.operator_norm(transfer, pert.norm), "the transfer E (A + B S2 C)^-1 D"
+        ),
         norm=pert.norm,
         formula="lure_upper_sector",
         closed_loop=upper_loop,
         certificate=certificate,
+        sector=sector,
     )
 
 
@@ -369,29 +377,23 @@ def refine_upper_sector(
     sys: LtiSystem,
     pert: PerturbationStructure,
     delta_crit: float,
-    direction: np.ndarray | None = None,
 ) -> RefinedSector:
     """Upper sector magnitude implied by an observed critical perturbation.
 
     Given the perturbation size ``delta_crit`` at which the loop was seen
     to destabilize, the tightest consistent sector magnitude is
-    ``1 / ||C (A + delta_crit * D @ direction @ E)^{-1} B||``.  ``direction``
-    defaults to the scalar 1 (identity pattern for larger blocks).  For a
-    scalar loop the sign is undetermined, so both signed candidates are
-    returned; sign selection is done empirically against the network.
+    ``1 / ||C (A + delta_crit * D @ I @ E)^{-1} B||``, with ``I`` the
+    identity pattern (the scalar 1 for a scalar structure).  For a scalar
+    loop the sign is undetermined, so both signed candidates are returned;
+    sign selection is done empirically against the network.
     """
     if delta_crit < 0:
         raise InputError("delta_crit must be nonnegative")
     pert.check_dims(sys.n)
-    if direction is None:
-        direction = np.eye(pert.k1, pert.k2)
-    direction = as_matrix(direction, "direction")
-    if direction.shape != (pert.k1, pert.k2):
-        raise DimensionMismatchError(
-            f"direction must be {pert.k1}x{pert.k2}, got {direction.shape}"
-        )
-    perturbed = sys.a + delta_crit * (pert.d @ direction @ pert.e)
+    perturbed = sys.a + delta_crit * (pert.d @ np.eye(pert.k1, pert.k2) @ pert.e)
     transfer = sys.c @ linalg.inverse(perturbed, sys.b)
-    magnitude = 1.0 / linalg.operator_norm(transfer, pert.norm)
+    magnitude = _reciprocal(
+        linalg.operator_norm(transfer, pert.norm), "the transfer C (A + delta_crit D E)^-1 B"
+    )
     candidates = (np.array([[magnitude]]), np.array([[-magnitude]]))
     return RefinedSector(magnitude=magnitude, candidates=candidates)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -59,12 +59,12 @@ class Nonlinearity:
         return cls("scalar", fn=fn, name=name)
 
     @classmethod
-    def network(cls, net: Ffnn, name: str | None = None) -> "Nonlinearity":
-        return cls("network", net=net, name=name)
+    def network(cls, net: Ffnn) -> "Nonlinearity":
+        return cls("network", net=net)
 
     @classmethod
-    def gain(cls, mat, name: str | None = None) -> "Nonlinearity":
-        return cls("gain", mat=as_matrix(mat, "gain"), name=name)
+    def gain(cls, mat) -> "Nonlinearity":
+        return cls("gain", mat=as_matrix(mat, "gain"))
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         if self.kind == "gain":
@@ -106,11 +106,10 @@ BUILTIN_NONLINEARITIES = {
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Fixed-step integrator settings; ``x0`` may be filled in per trial."""
+    """Fixed-step integrator settings."""
 
     dt: float = 1e-3
     horizon: float = 20.0
-    x0: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0 < self.dt <= self.horizon < math.inf:
@@ -118,11 +117,6 @@ class SimConfig:
                 "dt and horizon must satisfy 0 < dt <= horizon < inf; "
                 f"got dt={self.dt!r}, horizon={self.horizon!r}"
             )
-        if self.x0 is not None:
-            x0 = np.asarray(self.x0, dtype=float).reshape(-1)
-            if not np.isfinite(x0).all():
-                raise InputError("x0 must be finite")
-            object.__setattr__(self, "x0", x0)
 
 
 @dataclass(frozen=True)
@@ -147,11 +141,12 @@ def simulate_lure(
     pert: PerturbationStructure,
     delta,
     cfg: SimConfig,
+    x0,
 ) -> Trajectory:
-    """Integrate ``x' = (A + D delta E) x + B phi(C x)`` with classical RK4.
+    """Integrate ``x' = (A + D delta E) x + B phi(C x)`` from ``x0`` with classical RK4.
 
-    Integration halts early once the state magnitude exceeds the blowup
-    bound; a NaN state before that bound raises NonFiniteStateError.
+    Integration halts early once the state magnitude is infinite or exceeds
+    the blowup bound; a NaN state raises NonFiniteStateError.
     """
     pert.check_dims(sys.n)
     delta = as_matrix(delta, "delta")
@@ -159,82 +154,59 @@ def simulate_lure(
         raise DimensionMismatchError(
             f"delta must be {pert.k1}x{pert.k2}, got {delta.shape}"
         )
-    if cfg.x0 is None:
-        raise InputError("cfg.x0 must be set for a single simulation")
-    x0 = cfg.x0
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != sys.n:
         raise DimensionMismatchError(f"x0 must have {sys.n} entries, got {x0.shape[0]}")
+    if not np.isfinite(x0).all():
+        raise InputError("x0 must be finite")
     if phi.kind == "scalar" and sys.m != sys.p:
         raise DimensionMismatchError(
             "an elementwise scalar nonlinearity needs matching input/output counts"
         )
 
     drift = sys.a + pert.d @ delta @ pert.e
-    steps = int(round(cfg.horizon / cfg.dt))
+    dt = cfg.dt
+    steps = int(round(cfg.horizon / dt))
     if phi.kind == "gain":
-        return _simulate_linear(drift + sys.b @ phi.mat @ sys.c, x0, cfg.dt, steps)
-    return _simulate_stages(sys, drift, phi, x0, cfg.dt, steps)
+        # For a linear field the four RK4 stages telescope into one constant
+        # step matrix: the degree-4 Taylor polynomial of expm(h).
+        h = dt * (drift + sys.b @ phi.mat @ sys.c)
+        step = np.eye(sys.n) + h + h @ h / 2.0 + h @ h @ h / 6.0 + h @ h @ h @ h / 24.0
+        advance = step.__matmul__
+    else:
+        b = sys.b
+        c = sys.c
 
+        def deriv(x):
+            return drift @ x + b @ phi(c @ x)
 
-def _record(times, states, k, blowup_time) -> Trajectory:
-    return Trajectory(times=times[: k + 1], states=states[: k + 1], blowup_time=blowup_time)
-
-
-def _simulate_linear(m, x0, dt, steps) -> Trajectory:
-    # For a linear field the four RK4 stages telescope into one constant
-    # step matrix: the degree-4 Taylor polynomial of expm(dt * m).
-    h = dt * m
-    step = np.eye(m.shape[0]) + h + h @ h / 2.0 + h @ h @ h / 6.0 + h @ h @ h @ h / 24.0
-    times = np.arange(steps + 1) * dt
-    states = np.empty((steps + 1, m.shape[0]))
-    states[0] = x0
-    x = x0.copy()
-    for k in range(1, steps + 1):
-        x = step @ x
-        states[k] = x
-        peak = np.abs(x).max()
-        if not np.isfinite(peak):
-            raise NonFiniteStateError(f"state became non-finite at t = {k * dt:g}")
-        if peak > BLOWUP_BOUND:
-            return _record(times, states, k, blowup_time=k * dt)
-    return _record(times, states, steps, blowup_time=None)
-
-
-def _simulate_stages(sys, drift, phi, x0, dt, steps) -> Trajectory:
-    b = sys.b
-    c = sys.c
-
-    def deriv(x):
-        return drift @ x + b @ phi(c @ x)
+        def advance(x):
+            k1 = deriv(x)
+            k2 = deriv(x + 0.5 * dt * k1)
+            k3 = deriv(x + 0.5 * dt * k2)
+            k4 = deriv(x + dt * k3)
+            return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     times = np.arange(steps + 1) * dt
-    states = np.empty((steps + 1, drift.shape[0]))
+    states = np.empty((steps + 1, sys.n))
     states[0] = x0
-    x = x0.copy()
+    x = x0
     for k in range(1, steps + 1):
-        k1 = deriv(x)
-        k2 = deriv(x + 0.5 * dt * k1)
-        k3 = deriv(x + 0.5 * dt * k2)
-        k4 = deriv(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = advance(x)
         states[k] = x
         peak = np.abs(x).max()
-        if np.isnan(peak):
+        if math.isnan(peak):
             raise NonFiniteStateError(f"state became NaN at t = {k * dt:g}")
         if peak > BLOWUP_BOUND:
-            return _record(times, states, k, blowup_time=k * dt)
-    return _record(times, states, steps, blowup_time=None)
+            return Trajectory(times[: k + 1], states[: k + 1], blowup_time=k * dt)
+    return Trajectory(times, states)
 
 
-def classify_stability(
-    traj: Trajectory,
-    decay_threshold: float = DECAY_THRESHOLD,
-    growth_threshold: float = GROWTH_THRESHOLD,
-) -> StabilityVerdict:
+def classify_stability(traj: Trajectory) -> StabilityVerdict:
     """Label a finite trajectory by its final-to-initial magnitude ratio.
 
-    Blowup or a ratio above ``growth_threshold`` is Unstable; a ratio below
-    ``decay_threshold`` is Stable; anything between is Inconclusive (the
+    Blowup or a ratio above ``GROWTH_THRESHOLD`` is Unstable; a ratio below
+    ``DECAY_THRESHOLD`` is Stable; anything between is Inconclusive (the
     horizon was too short to tell).
     """
     x0 = traj.states[0]
@@ -243,29 +215,34 @@ def classify_stability(
         raise ZeroInitialStateError("cannot classify a trajectory started at the origin")
     final = float(np.abs(traj.states[-1]).max())
     ratio = final / initial
-    if traj.blowup_time is not None or ratio >= growth_threshold:
+    if traj.blowup_time is not None or ratio >= GROWTH_THRESHOLD:
         return StabilityVerdict("Unstable", ratio, traj.blowup_time)
-    if ratio <= decay_threshold:
+    if ratio <= DECAY_THRESHOLD:
         return StabilityVerdict("Stable", ratio, None)
     return StabilityVerdict("Inconclusive", ratio, None)
 
 
-def default_direction(pert: PerturbationStructure) -> np.ndarray:
-    """Worst-case-oriented unit perturbation direction.
+def _trial_batch(sys, phi, pert, cfg, trials: int, seed: int):
+    """Per-trial verdicts of one seeded batch of initial states, by perturbation size.
 
-    Nonnegative directions are extremal for positive structures; the
-    scalar case uses +1, larger blocks the all-ones matrix normalized in
-    the structure's norm.
+    The batch is ``trials`` states drawn uniformly from the unit box, and
+    the perturbation runs along the all-ones pattern normalized in the
+    structure's norm (nonnegative directions are extremal for positive
+    structures).  The returned function yields one verdict per trial,
+    lazily, so a caller may stop at the first Unstable trial.
     """
-    ones = np.ones((pert.k1, pert.k2))
-    return ones / operator_norm(ones, pert.norm)
-
-
-def _draw_initial_states(n: int, trials: int, seed: int) -> np.ndarray:
     if seed < 0 or trials < 0:
         raise InputError(f"seed and trials must be nonnegative; got seed={seed}, trials={trials}")
-    rng = np.random.default_rng(seed)
-    return rng.uniform(0.0, 1.0, size=(trials, n))
+    x0s = np.random.default_rng(seed).uniform(0.0, 1.0, size=(trials, sys.n))
+    ones = np.ones((pert.k1, pert.k2))
+    direction = ones / operator_norm(ones, pert.norm)
+    cfg = cfg or SimConfig()
+
+    def verdicts(delta: float):
+        for x0 in x0s:
+            yield classify_stability(simulate_lure(sys, phi, pert, delta * direction, cfg, x0))
+
+    return verdicts
 
 
 @dataclass(frozen=True)
@@ -278,7 +255,6 @@ def find_critical_delta(
     sys: LtiSystem,
     phi: Nonlinearity,
     pert: PerturbationStructure,
-    direction: np.ndarray | None = None,
     delta_max: float = 1.0,
     tol: float = 0.01,
     cfg: SimConfig | None = None,
@@ -297,17 +273,10 @@ def find_critical_delta(
         raise InputError("delta_max must be positive")
     if tol <= 0:
         raise InputError("tol must be positive")
-    cfg = cfg or SimConfig()
-    if direction is None:
-        direction = default_direction(pert)
-    x0s = _draw_initial_states(sys.n, trials, seed)
+    verdicts = _trial_batch(sys, phi, pert, cfg, trials, seed)
 
     def any_unstable(delta: float) -> bool:
-        for x0 in x0s:
-            traj = simulate_lure(sys, phi, pert, delta * direction, replace(cfg, x0=x0))
-            if classify_stability(traj).label == "Unstable":
-                return True
-        return False
+        return any(verdict.label == "Unstable" for verdict in verdicts(delta))
 
     if any_unstable(0.0):
         raise UnstableAtZeroError("a trial trajectory is unstable at delta = 0")
@@ -345,7 +314,6 @@ def sweep(
     phi: Nonlinearity,
     pert: PerturbationStructure,
     deltas,
-    direction: np.ndarray | None = None,
     cfg: SimConfig | None = None,
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
@@ -355,26 +323,12 @@ def sweep(
     Rows come out sorted by delta then trial index, ready for the CSV
     writer; identical seeds and configs reproduce them exactly.
     """
-    cfg = cfg or SimConfig()
-    if direction is None:
-        direction = default_direction(pert)
-    x0s = _draw_initial_states(sys.n, trials, seed)
-    rows = []
-    for delta in deltas:
-        for trial, x0 in enumerate(x0s):
-            traj = simulate_lure(sys, phi, pert, float(delta) * direction, replace(cfg, x0=x0))
-            verdict = classify_stability(traj)
-            rows.append(
-                SweepRow(
-                    delta=float(delta),
-                    trial=trial,
-                    seed=seed,
-                    verdict=verdict.label,
-                    decay_ratio=verdict.decay_ratio,
-                    blowup_time=verdict.blowup_time,
-                )
-            )
-    return rows
+    verdicts = _trial_batch(sys, phi, pert, cfg, trials, seed)
+    return [
+        SweepRow(float(delta), trial, seed, verdict.label, verdict.decay_ratio, verdict.blowup_time)
+        for delta in deltas
+        for trial, verdict in enumerate(verdicts(float(delta)))
+    ]
 
 
 def write_sweep_csv(rows, path) -> None:

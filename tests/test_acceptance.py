@@ -271,8 +271,8 @@ def test_criterion_10_rk4_order():
     zero_phi = Nonlinearity.scalar(lambda y: 0.0)
 
     def max_error(dt):
-        cfg = SimConfig(dt=dt, horizon=2.0, x0=x0)
-        traj = sim.simulate_lure(sys_2, zero_phi, pert, np.zeros((2, 2)), cfg)
+        cfg = SimConfig(dt=dt, horizon=2.0)
+        traj = sim.simulate_lure(sys_2, zero_phi, pert, np.zeros((2, 2)), cfg, x0)
         exact = np.stack([scipy.linalg.expm(a * t) @ x0 for t in traj.times])
         return np.abs(traj.states - exact).max()
 

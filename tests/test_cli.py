@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from lurestab import ffnn
+from lurestab import ffnn, problems, radius
 from lurestab.cli import main
 from lurestab.problems import fixture_path, load_problem, resolve_problem_path
 from lurestab.errors import ProblemFormatError
@@ -38,6 +38,30 @@ def sector_problem(tmp_path):
     path = tmp_path / "small.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+@pytest.fixture
+def zero_transfer_problem(tmp_path):
+    """example_b with D = 0, so every transfer E M^-1 D is zero."""
+    doc = json.loads(fixture_path("example_b.json").read_text())
+    doc["perturbation"]["D"] = [[0.0], [0.0], [0.0]]
+    doc["network"] = str(fixture_path("gain_network.json"))
+    path = tmp_path / "zero_d.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper; returns the list its calls append to."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestProblemLoading:
@@ -242,6 +266,32 @@ class TestRadiusCommand:
         assert err.startswith(f"error: {path}: ")
         assert "maxabs" in err
 
+    def test_override_gates_certifies_once(self, capsys, monkeypatch):
+        calls = counting(monkeypatch, radius, "certify_positive_lure")
+        code, data = run_json(
+            capsys, "radius", "--problem", "example_a.json", "--override-gates"
+        )
+        assert code == 0
+        assert len(calls) == 1
+        assert data["warnings"] == [
+            "GATES FAILED (closed loop failed gate(s): metzler_at_lower); the radius below "
+            "is a formula evaluation outside the certified regime"
+        ]
+
+    def test_network_sector_computed_once(self, capsys, monkeypatch):
+        calls = counting(monkeypatch, problems, "sector_bound_ffnn")
+        code, data = run_json(capsys, "radius", "--problem", "example_b.json")
+        assert code == 0
+        assert len(calls) == 1
+        assert data["results"]["sector_upper"][0][0] == pytest.approx(0.91)
+
+    def test_zero_transfer_exits_two_without_traceback(self, capsys, zero_transfer_problem):
+        code, out, err = run_cli(capsys, "radius", "--problem", str(zero_transfer_problem))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "is zero" in err
+        assert "Traceback" not in err
+
     def test_deterministic_output(self, capsys):
         args = ("radius", "--problem", "example_b.json", "--format", "json")
         code_a, out_a, _ = run_cli(capsys, *args)
@@ -372,6 +422,16 @@ class TestSweepCommand:
         assert code == 1
         assert err.startswith("error: the maxabs norm is reserved")
         assert not out_csv.exists()
+
+    def test_zero_transfer_warns_and_still_sweeps(self, capsys, zero_transfer_problem, tmp_path):
+        code, data = run_json(
+            capsys, "sweep", "--problem", str(zero_transfer_problem),
+            "--out", str(tmp_path / "z.csv"), "--trials", "1", "--dt", "0.05", "--horizon", "2",
+        )
+        assert code == 0
+        assert any(w.startswith("no analytic radius available (") for w in data["warnings"])
+        assert "formula_radius" not in data["results"]
+        assert (tmp_path / "z.csv").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_undefined_nonlinearity_value_exits_one(self, capsys, tmp_path):

@@ -450,6 +450,29 @@ class TestRefineUpperSector:
         assert refined.magnitude == pytest.approx(0.91, abs=1e-6)
 
 
+class TestZeroTransfer:
+    """A transfer with zero norm has no finite reciprocal: each formula raises."""
+
+    ZERO_D = PerturbationStructure(d=[[0.0], [0.0], [0.0]], e=[[1.0, 0.0, 0.0]], norm=NormKind.TWO)
+
+    def test_linear_radius(self):
+        with pytest.raises(ZeroSpectralRadiusError, match="is zero"):
+            rad.stability_radius_linear(SYS_B.a, self.ZERO_D)
+
+    def test_lure_radius(self):
+        with pytest.raises(ZeroSpectralRadiusError, match="is zero"):
+            rad.stability_radius_lure(SYS_B, SECTOR_B, self.ZERO_D)
+
+    def test_refined_sector(self):
+        no_feedback = LtiSystem(a=SYS_B.a, b=[[0.0], [0.0], [0.0]], c=SYS_B.c)
+        with pytest.raises(ZeroSpectralRadiusError, match="is zero"):
+            rad.refine_upper_sector(no_feedback, PERT_B, 1.0)
+
+    def test_report_records_the_sector(self):
+        assert rad.stability_radius_lure(SYS_B, SECTOR_B, PERT_B).sector is SECTOR_B
+        assert rad.nn_stability_radius(SYS_B, SECTOR_B, PERT_B).sector is SECTOR_B
+
+
 class TestMonotonicity:
     def test_equal_matrices_equal_radii(self):
         p = -2.0 * np.eye(2)

@@ -64,16 +64,18 @@ class TestNonlinearity:
 class TestSimulate:
     def test_stable_linear_decay(self):
         sys = two_state_system()
-        cfg = SimConfig(dt=0.01, horizon=15.0, x0=np.array([1.0, 1.0]))
-        traj = sim.simulate_lure(sys, ZERO_PHI, identity_pert(2), np.zeros((2, 2)), cfg)
+        cfg = SimConfig(dt=0.01, horizon=15.0)
+        x0 = np.array([1.0, 1.0])
+        traj = sim.simulate_lure(sys, ZERO_PHI, identity_pert(2), np.zeros((2, 2)), cfg, x0)
         verdict = sim.classify_stability(traj)
         assert verdict.label == "Stable"
         assert verdict.decay_ratio < 1e-3
 
     def test_blowup_halts_early(self):
         sys = two_state_system([[2.0, 0.0], [0.0, 2.0]])
-        cfg = SimConfig(dt=0.01, horizon=60.0, x0=np.array([1.0, 1.0]))
-        traj = sim.simulate_lure(sys, ZERO_PHI, identity_pert(2), np.zeros((2, 2)), cfg)
+        cfg = SimConfig(dt=0.01, horizon=60.0)
+        x0 = np.array([1.0, 1.0])
+        traj = sim.simulate_lure(sys, ZERO_PHI, identity_pert(2), np.zeros((2, 2)), cfg, x0)
         assert traj.blowup_time is not None
         assert traj.times[-1] < 60.0
         assert sim.classify_stability(traj).label == "Unstable"
@@ -81,33 +83,90 @@ class TestSimulate:
     def test_nan_from_nonlinearity_is_reported_distinctly(self):
         bad = Nonlinearity.scalar(lambda y: float("nan") if y > 0.5 else 0.0)
         sys = LtiSystem(a=[[0.0]], b=[[1.0]], c=[[1.0]])
-        cfg = SimConfig(dt=0.1, horizon=5.0, x0=np.array([1.0]))
+        cfg = SimConfig(dt=0.1, horizon=5.0)
         with pytest.raises(NonFiniteStateError):
-            sim.simulate_lure(sys, bad, scalar_pert(1), [[0.0]], cfg)
+            sim.simulate_lure(sys, bad, scalar_pert(1), [[0.0]], cfg, np.array([1.0]))
 
     def test_linear_fast_path_matches_staged_integration(self):
         # same loop expressed as a gain and as a scalar function
         sys = LtiSystem(a=[[-2.0, 1.0], [1.0, -3.0]], b=[[1.0], [0.5]], c=[[1.0, 1.0]])
         pert = scalar_pert(2)
-        cfg = SimConfig(dt=0.01, horizon=5.0, x0=np.array([1.0, 0.5]))
+        cfg = SimConfig(dt=0.01, horizon=5.0)
+        x0 = np.array([1.0, 0.5])
         delta = np.array([[0.1]])
-        gain_traj = sim.simulate_lure(sys, Nonlinearity.gain([[-0.4]]), pert, delta, cfg)
+        gain_traj = sim.simulate_lure(sys, Nonlinearity.gain([[-0.4]]), pert, delta, cfg, x0)
         fn_traj = sim.simulate_lure(
-            sys, Nonlinearity.scalar(lambda y: -0.4 * y), pert, delta, cfg
+            sys, Nonlinearity.scalar(lambda y: -0.4 * y), pert, delta, cfg, x0
         )
         assert np.abs(gain_traj.states - fn_traj.states).max() < 1e-9
 
     def test_delta_shape_validated(self):
         sys = two_state_system()
-        cfg = SimConfig(x0=np.array([1.0, 1.0]))
         with pytest.raises(DimensionMismatchError):
-            sim.simulate_lure(sys, ZERO_PHI, identity_pert(2), np.zeros((1, 1)), cfg)
+            sim.simulate_lure(
+                sys, ZERO_PHI, identity_pert(2), np.zeros((1, 1)), SimConfig(), np.array([1.0, 1.0])
+            )
 
     def test_positivity_preserved_for_certified_loop(self, example_b):
         phi = example_b.loop_nonlinearity()
-        cfg = SimConfig(dt=0.005, horizon=10.0, x0=np.array([0.3, 0.8, 0.1]))
-        traj = sim.simulate_lure(example_b.system, phi, example_b.pert, [[1.0]], cfg)
+        cfg = SimConfig(dt=0.005, horizon=10.0)
+        x0 = np.array([0.3, 0.8, 0.1])
+        traj = sim.simulate_lure(example_b.system, phi, example_b.pert, [[1.0]], cfg, x0)
         assert traj.states.min() >= -1e-6
+
+
+    def test_initial_state_needs_n_finite_entries(self):
+        sys = two_state_system()
+        args = (sys, ZERO_PHI, identity_pert(2), np.zeros((2, 2)), SimConfig())
+        with pytest.raises(DimensionMismatchError):
+            sim.simulate_lure(*args, np.array([1.0]))
+        with pytest.raises(InputError, match="x0 must be finite"):
+            sim.simulate_lure(*args, np.array([1.0, np.inf]))
+
+
+# one-state loops whose first step overflows: with A = 1e200 the gain loop's
+# step matrix is inf, with A = -1e200 its Taylor terms add to inf - inf = NaN
+GAIN_INF = (LtiSystem(a=[[1e200]], b=[[0.0]], c=[[1.0]]), Nonlinearity.gain([[0.0]]))
+GAIN_NAN = (LtiSystem(a=[[-1e200]], b=[[0.0]], c=[[1.0]]), Nonlinearity.gain([[0.0]]))
+STAGES_INF = (
+    LtiSystem(a=[[1.0]], b=[[1.0]], c=[[1.0]]),
+    Nonlinearity.scalar(lambda y: np.inf if y > 0.5 else 0.0),
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestBlowupRule:
+    """The gain loop's step matrix and the RK4 stages share one halting rule."""
+
+    def test_growing_gain_loop_halts_at_the_bound(self):
+        sys = LtiSystem(a=[[0.5]], b=[[1.0]], c=[[1.0]])
+        cfg = SimConfig(dt=0.01, horizon=100.0)
+        phi = Nonlinearity.gain([[1.0]])
+        traj = sim.simulate_lure(sys, phi, scalar_pert(1), [[0.0]], cfg, np.array([1.0]))
+        # x = exp(1.5 t) crosses 1e9 near t = 13.8
+        assert traj.blowup_time == pytest.approx(traj.times[-1])
+        assert 13.0 < traj.blowup_time < 15.0
+        assert np.abs(traj.states[-1]).max() > sim.BLOWUP_BOUND
+        assert np.abs(traj.states[-2]).max() <= sim.BLOWUP_BOUND
+        verdict = sim.classify_stability(traj)
+        assert verdict.label == "Unstable"
+        assert verdict.blowup_time == traj.blowup_time
+
+    @pytest.mark.parametrize("loop", [GAIN_INF, STAGES_INF], ids=["gain", "stages"])
+    def test_infinite_state_is_a_blowup(self, loop):
+        sys, phi = loop
+        cfg = SimConfig(dt=0.01, horizon=1.0)
+        traj = sim.simulate_lure(sys, phi, scalar_pert(1), [[0.0]], cfg, np.array([1.0]))
+        assert traj.blowup_time == pytest.approx(0.01)
+        assert np.isinf(traj.states[-1]).all()
+        assert sim.classify_stability(traj).label == "Unstable"
+
+    def test_nan_state_raises_on_the_gain_path(self):
+        # the staged path's case is TestSimulate::test_nan_from_nonlinearity_is_reported_distinctly
+        sys, phi = GAIN_NAN
+        cfg = SimConfig(dt=0.01, horizon=1.0)
+        with pytest.raises(NonFiniteStateError, match="NaN"):
+            sim.simulate_lure(sys, phi, scalar_pert(1), [[0.0]], cfg, np.array([1.0]))
 
 
 class TestClassify:
@@ -143,8 +202,8 @@ class TestRk4Order:
         horizon = 2.0
 
         def max_error(dt):
-            cfg = SimConfig(dt=dt, horizon=horizon, x0=x0)
-            traj = sim.simulate_lure(sys, ZERO_PHI, identity_pert(2), np.zeros((2, 2)), cfg)
+            cfg = SimConfig(dt=dt, horizon=horizon)
+            traj = sim.simulate_lure(sys, ZERO_PHI, identity_pert(2), np.zeros((2, 2)), cfg, x0)
             exact = np.stack([scipy.linalg.expm(a * t) @ x0 for t in traj.times])
             return np.abs(traj.states - exact).max()
 
@@ -224,7 +283,7 @@ class TestSweep:
 
     def test_csv_writers(self, tmp_path):
         sys = two_state_system()
-        cfg = SimConfig(dt=0.05, horizon=5.0, x0=np.array([1.0, 1.0]))
+        cfg = SimConfig(dt=0.05, horizon=5.0)
         rows = sim.sweep(sys, ZERO_PHI, identity_pert(2), [0.0], cfg=cfg, trials=2)
         sweep_path = tmp_path / "sweep.csv"
         sim.write_sweep_csv(rows, sweep_path)
