@@ -84,11 +84,8 @@ def _human(value) -> str:
 
 
 def _certificate_results(report: Report, cert: rad.AizermanCertificate) -> None:
-    report.set("gate_b_nonneg", cert.b_nonneg)
-    report.set("gate_c_nonneg", cert.c_nonneg)
-    report.set("gate_sector_ordered", cert.sector_ordered)
-    report.set("gate_metzler_at_lower", cert.metzler_at_lower)
-    report.set("gate_hurwitz_at_upper", cert.hurwitz_at_upper)
+    for name, ok in cert.gates().items():
+        report.set(f"gate_{name}", ok)
     report.set("metzler_at_upper", cert.metzler_at_upper)
     report.set("verdict", bool(cert.verdict))
     report.set("positive_vector", _vec(cert.positive_vector))
@@ -260,19 +257,14 @@ def cmd_refine(args) -> int:
 
     delta_crit = args.delta_crit
     if delta_crit is None:
-        base = problem.radius()
+        base = rad.nn_stability_radius(problem.system, bound, problem.pert)
         report.set("formula_radius", float(base.radius))
         cfg = problem.sim_config(dt=args.dt, horizon=args.horizon)
         try:
             found = sim.find_critical_delta(
-                problem.system,
-                sim.Nonlinearity.network(net),
-                problem.pert,
-                delta_max=max(10.0 * base.radius, 1.0),
-                tol=0.01,
-                cfg=cfg,
-                trials=args.trials,
-                seed=args.seed,
+                problem.system, sim.Nonlinearity.network(net), problem.pert,
+                delta_max=max(10.0 * base.radius, 1.0), tol=0.01, cfg=cfg,
+                trials=args.trials, seed=args.seed,
             )
         except NoInstabilityError as exc:
             report.warn(str(exc))
@@ -282,10 +274,10 @@ def cmd_refine(args) -> int:
         report.set("delta_crit_bracket", [found.bracket[0], found.bracket[1]])
     report.set("delta_crit", float(delta_crit))
 
-    refined = rad.refine_upper_sector(problem.system, problem.pert, float(delta_crit))
-    report.set("magnitude", float(refined.magnitude))
-    report.set("candidates", [float(refined.magnitude), float(-refined.magnitude)])
-    chosen, check = ffnn.select_refined_sign(net, refined.magnitude, seed=args.seed)
+    magnitude = rad.refine_upper_sector(problem.system, problem.pert, float(delta_crit))
+    report.set("magnitude", magnitude)
+    report.set("candidates", [magnitude, -magnitude])
+    chosen, check = ffnn.select_refined_sign(net, magnitude, bound.lower, seed=args.seed)
     report.set("refined_upper", _mat(chosen.upper))
     report.set("refined_lower", _mat(chosen.lower))
     report.set("empirical_samples", check.samples)

@@ -218,13 +218,14 @@ def empirical_sector_check(
 def select_refined_sign(
     net: Ffnn,
     magnitude: float,
+    lower: np.ndarray,
     samples: int = 1000,
     seed: int = 42,
 ) -> tuple[SectorBound, SectorCheck]:
     """Pick the sign of a refined scalar upper bound by sampling the network.
 
-    Candidates ``+magnitude`` and ``-magnitude`` are each paired with the
-    lower bound ``-|G2|`` from the weight-product sector, and the candidate
+    Candidates ``+magnitude`` and ``-magnitude`` are each paired with
+    ``lower``, the lower edge of the network's base sector, and the candidate
     with fewer sampled violations wins.  A violation-free tie means the
     output sits below ``-magnitude * z`` everywhere sampled, so the tighter
     negative candidate carries more information; any other tie keeps the
@@ -234,8 +235,6 @@ def select_refined_sign(
         raise InputError("magnitude must be positive")
     if net.output_dim != 1 or net.input_dim != 1:
         raise NotSisoError("sign selection needs a scalar network (one input, one output)")
-    base = sector_bound_ffnn(net)
-    lower = -np.abs(base.upper)
     plus = SectorBound(np.minimum(lower, magnitude), np.array([[magnitude]]))
     minus = SectorBound(np.minimum(lower, -magnitude), np.array([[-magnitude]]))
     plus_check = empirical_sector_check(net, plus, samples, seed)

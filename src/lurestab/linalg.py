@@ -1,7 +1,7 @@
 """Dense real-matrix predicates, norms, LU solves, and spectral quantities.
 
-Everything here works on plain 2-D numpy arrays at desk scale (n up to a
-few hundred).  Vectors are carried as (n, 1) or (1, n) matrices by the
+Everything here works on plain dense 2-D numpy arrays (n up to about a
+thousand).  Vectors are carried as (n, 1) or (1, n) matrices by the
 analysis layer; helper routines return 1-D arrays where that is the
 natural numpy shape.
 """
@@ -135,11 +135,10 @@ def operator_norm(m, kind: NormKind = NormKind.TWO) -> float:
     raise InputError(f"unknown norm kind {kind!r}")
 
 
-def inverse(m, rhs) -> np.ndarray:
-    """``m^{-1} @ rhs`` (a vector or a block of columns) from one LU of ``m``.
+def _solver(m):
+    """``rhs -> m^{-1} @ rhs`` from one LU of ``m``, the factorization behind every solve.
 
-    Raises SingularMatrixError when any pivot magnitude falls below
-    ``PIVOT_RTOL`` times the largest entry magnitude.
+    Raises SingularMatrixError for a pivot below ``PIVOT_RTOL * max|entry|``.
     """
     import scipy.linalg  # deferred: keeps CLI start-up light
 
@@ -150,35 +149,49 @@ def inverse(m, rhs) -> np.ndarray:
         raise SingularMatrixError("cannot invert the zero matrix")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(m)
-    if np.abs(np.diag(lu)).min() < PIVOT_RTOL * scale:
+        factors = scipy.linalg.lu_factor(m)
+    if np.abs(np.diag(factors[0])).min() < PIVOT_RTOL * scale:
         raise SingularMatrixError(
             f"pivot below {PIVOT_RTOL:g} * max|entry|; matrix is numerically singular"
         )
-    return scipy.linalg.lu_solve((lu, piv), rhs)
+    return lambda rhs: scipy.linalg.lu_solve(factors, rhs)
 
 
-def metzler_hurwitz_certificate(m) -> np.ndarray:
-    """Positive vector ``v`` with ``m @ v < 0``, certifying Hurwitz stability.
+def inverse(m, rhs) -> np.ndarray:
+    """``m^{-1} @ rhs`` (a vector or a block of columns) from one LU of ``m``."""
+    return _solver(m)(rhs)
 
-    For a Metzler matrix, ``v = (-m)^{-1} @ ones`` works exactly when ``-m``
-    is a nonsingular M-matrix, i.e. when ``m`` is Hurwitz, so this is a
-    Hurwitz test with no eigenvalues and no ``HURWITZ_TOL``; only a pivot
-    below ``PIVOT_RTOL`` counts as singular, hence not Hurwitz.  Returns
-    ``v`` as a 1-D array; raises NotHurwitzError when no certificate exists.
+
+def metzler_solve(m, rhs=None) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Hurwitz witness of a Metzler ``m`` and ``(-m)^{-1} @ rhs``, from one LU of ``-m``.
+
+    The witness ``v = (-m)^{-1} @ ones`` is kept when ``v > 0`` and the
+    Metzler majorant of ``m`` maps it below zero, i.e. exactly when ``m`` is
+    Hurwitz; a singular ``m`` (pivot below ``PIVOT_RTOL``) gives no witness
+    and no solve.  ``ones`` and ``rhs`` are two solves against the one
+    factor: a ``[ones | rhs]`` block would move the last bits of both.
     """
     m = as_matrix(m)
     # slack admits float noise in computed closed loops; the witness is checked
     # on the Metzler majorant, whose spectral abscissa bounds that of m
     if not is_metzler(m, tol=FLOAT_SLACK):
         raise NotMetzlerError("certificate construction requires a Metzler matrix")
+    try:
+        solve = _solver(-m)
+    except SingularMatrixError:
+        return None, None
+    v = solve(np.ones(m.shape[0]))
     majorant = np.abs(m)
     np.fill_diagonal(majorant, np.diag(m))
-    try:
-        v = inverse(-m, np.ones(m.shape[0]))
-    except SingularMatrixError:
-        raise NotHurwitzError("matrix is singular, hence not Hurwitz") from None
     if not (v > 0).all() or not ((majorant @ v) < 0).all():
+        v = None
+    return v, None if rhs is None else solve(rhs)
+
+
+def metzler_hurwitz_certificate(m) -> np.ndarray:
+    """Positive ``v`` with ``m @ v < 0`` for a Metzler ``m``; NotHurwitzError if none exists."""
+    v, _ = metzler_solve(m)
+    if v is None:
         raise NotHurwitzError("no positive vector v with m @ v < 0 exists")
     return v
 

@@ -209,6 +209,8 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
     builtin = None
     if "sector" in data:
         sec = data["sector"]
+        if not isinstance(sec, dict):
+            raise ProblemFormatError("sector: must be an object", path=resolved)
         lower = _matrix(sec, "Sigma1", "sector", resolved)
         upper = _matrix(sec, "Sigma2", "sector", resolved)
         try:

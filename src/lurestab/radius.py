@@ -192,14 +192,6 @@ class RadiusReport:
     sector: SectorBound | None = None
 
 
-@dataclass(frozen=True)
-class RefinedSector:
-    """Magnitude of a data-driven upper sector bound and its signed candidates."""
-
-    magnitude: float
-    candidates: tuple[np.ndarray, np.ndarray]
-
-
 def closed_loop_matrix(sys: LtiSystem, gain) -> np.ndarray:
     """``A + B @ gain @ C`` for a constant feedback gain (m x p)."""
     gain = as_matrix(gain, "gain")
@@ -218,6 +210,11 @@ def certify_positive_lure(sys: LtiSystem, sector: SectorBound) -> AizermanCertif
     computed closed-loop matrices carry a small floating-point slack; the
     sign checks on the user-supplied B and C are exact.
     """
+    return _certify(sys, sector)[0]
+
+
+def _certify(sys: LtiSystem, sector: SectorBound, rhs=None) -> tuple:
+    """The certificate, the upper loop ``M`` and ``(-M)^{-1} rhs`` (or None), by one LU."""
     if sector.lower.shape != (sys.m, sys.p):
         raise DimensionMismatchError(
             f"sector must be {sys.m}x{sys.p}, got {sector.lower.shape}"
@@ -229,12 +226,9 @@ def certify_positive_lure(sys: LtiSystem, sector: SectorBound) -> AizermanCertif
     upper_loop = closed_loop_matrix(sys, sector.upper)
     metzler_at_lower = linalg.is_metzler(lower_loop, tol=linalg.FLOAT_SLACK)
     metzler_at_upper = linalg.is_metzler(upper_loop, tol=linalg.FLOAT_SLACK)
-    positive_vector = None
+    positive_vector = solution = None
     if metzler_at_upper:
-        try:
-            positive_vector = linalg.metzler_hurwitz_certificate(upper_loop)
-        except NotHurwitzError:
-            pass
+        positive_vector, solution = linalg.metzler_solve(upper_loop, rhs)
         hurwitz_at_upper = positive_vector is not None
     else:
         hurwitz_at_upper = linalg.is_hurwitz(upper_loop)
@@ -250,7 +244,7 @@ def certify_positive_lure(sys: LtiSystem, sector: SectorBound) -> AizermanCertif
         metzler_at_upper=metzler_at_upper,
         positive_vector=positive_vector,
         verdict=verdict,
-    )
+    ), upper_loop, solution
 
 
 def _require_monotone_norm(norm: NormKind) -> None:
@@ -261,14 +255,15 @@ def _require_monotone_norm(norm: NormKind) -> None:
         )
 
 
-def _require_metzler_hurwitz(a: np.ndarray) -> None:
-    """Gate of the linear radius formulas, decided by the positive witness."""
+def _metzler_hurwitz_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``(-a)^{-1} rhs`` for the linear formulas, gated by the witness of the same LU."""
     try:
-        linalg.metzler_hurwitz_certificate(a)
+        v, solution = linalg.metzler_solve(a, rhs)
     except NotMetzlerError:
         raise NotMetzlerError("stability radius formula requires a Metzler matrix") from None
-    except NotHurwitzError:
-        raise NotHurwitzError("stability radius formula requires a Hurwitz matrix") from None
+    if v is None:
+        raise NotHurwitzError("stability radius formula requires a Hurwitz matrix")
+    return solution
 
 
 def _reciprocal(size: float, what: str) -> float:
@@ -289,8 +284,7 @@ def stability_radius_linear(a, pert: PerturbationStructure) -> RadiusReport:
     a = as_matrix(a, "A")
     pert.check_dims(a.shape[0])
     _require_monotone_norm(pert.norm)
-    _require_metzler_hurwitz(a)
-    transfer = pert.e @ linalg.inverse(a, pert.d)
+    transfer = pert.e @ _metzler_hurwitz_solve(a, pert.d)
     return RadiusReport(
         radius=_reciprocal(linalg.operator_norm(transfer, pert.norm), "the transfer E A^-1 D"),
         norm=pert.norm,
@@ -307,8 +301,7 @@ def stability_radius_schur(a, pert: PerturbationStructure) -> RadiusReport:
     pert.check_dims(a.shape[0])
     if pert.schur_scale is None:
         raise MissingSchurScaleError("the Schur-scaled radius needs a scale pattern S")
-    _require_metzler_hurwitz(a)
-    product = pert.e @ linalg.inverse(-a, pert.d) @ pert.schur_scale
+    product = pert.e @ _metzler_hurwitz_solve(a, pert.d) @ pert.schur_scale
     return RadiusReport(
         radius=_reciprocal(
             linalg.spectral_radius(product), "spectral radius of the scaled transfer"
@@ -335,14 +328,16 @@ def stability_radius_lure(
     """
     pert.check_dims(sys.n)
     _require_monotone_norm(pert.norm)
-    certificate = certify_positive_lure(sys, sector)
+    certificate, upper_loop, solution = _certify(sys, sector, pert.d)
     if not certificate.verdict and not override_gates:
         raise CertificationError(
             "closed loop failed gate(s): " + ", ".join(certificate.failed_gates()),
             certificate=certificate,
         )
-    upper_loop = closed_loop_matrix(sys, sector.upper)
-    transfer = pert.e @ linalg.inverse(upper_loop, pert.d)
+    if solution is None:
+        # reached by override only: a non-Metzler upper loop, or a singular one (this raises)
+        solution = linalg.inverse(-upper_loop, pert.d)
+    transfer = pert.e @ solution
     return RadiusReport(
         radius=_reciprocal(
             linalg.operator_norm(transfer, pert.norm), "the transfer E (A + B S2 C)^-1 D"
@@ -377,23 +372,20 @@ def refine_upper_sector(
     sys: LtiSystem,
     pert: PerturbationStructure,
     delta_crit: float,
-) -> RefinedSector:
+) -> float:
     """Upper sector magnitude implied by an observed critical perturbation.
 
     Given the perturbation size ``delta_crit`` at which the loop was seen
     to destabilize, the tightest consistent sector magnitude is
     ``1 / ||C (A + delta_crit * D @ I @ E)^{-1} B||``, with ``I`` the
     identity pattern (the scalar 1 for a scalar structure).  For a scalar
-    loop the sign is undetermined, so both signed candidates are returned;
-    sign selection is done empirically against the network.
+    loop the sign of ``+-magnitude`` is selected empirically against the network.
     """
     if delta_crit < 0:
         raise InputError("delta_crit must be nonnegative")
     pert.check_dims(sys.n)
     perturbed = sys.a + delta_crit * (pert.d @ np.eye(pert.k1, pert.k2) @ pert.e)
     transfer = sys.c @ linalg.inverse(perturbed, sys.b)
-    magnitude = _reciprocal(
+    return _reciprocal(
         linalg.operator_norm(transfer, pert.norm), "the transfer C (A + delta_crit D E)^-1 B"
     )
-    candidates = (np.array([[magnitude]]), np.array([[-magnitude]]))
-    return RefinedSector(magnitude=magnitude, candidates=candidates)

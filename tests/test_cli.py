@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+import scipy.linalg
 
 from lurestab import ffnn, problems, radius
 from lurestab.cli import main
@@ -51,9 +52,9 @@ def zero_transfer_problem(tmp_path):
     return path
 
 
-def counting(monkeypatch, module, name):
+def counting(monkeypatch, module, name, calls=None):
     """Replace ``module.name`` by a wrapper; returns the list its calls append to."""
-    calls = []
+    calls = [] if calls is None else calls
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
@@ -62,6 +63,18 @@ def counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def upper_loop_problem(tmp_path, upper):
+    """Metzler lower loop ``A``; the sector's upper edge sets the upper loop."""
+    doc = {
+        "system": {"A": [[-2.0, 1.0], [1.0, -2.0]], "B": [[1.0], [0.0]], "C": [[1.0, 0.0]]},
+        "perturbation": {"D": [[1.0], [1.0]], "E": [[1.0, 1.0]], "norm": "two"},
+        "sector": {"Sigma1": [[0.0]], "Sigma2": [[upper]]},
+    }
+    path = tmp_path / "upper_loop.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 class TestProblemLoading:
@@ -152,6 +165,16 @@ class TestProblemLoading:
         assert code == 1
         assert err.startswith(f"error: {path}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [5, [[1.0]], "x"], ids=["number", "list", "string"])
+    def test_non_object_sector_exits_one(self, capsys, tmp_path, sector_problem, value):
+        doc = json.loads(sector_problem.read_text())
+        doc["sector"] = value
+        path = tmp_path / "bad_sector.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", "--problem", str(path))
+        assert code == 1
+        assert err == f"error: {path}: sector: must be an object\n"
 
     def test_simulation_x0_is_not_a_problem_field(self, capsys, tmp_path):
         # sweeps and searches draw their own initial states, so a file x0
@@ -267,7 +290,8 @@ class TestRadiusCommand:
         assert "maxabs" in err
 
     def test_override_gates_certifies_once(self, capsys, monkeypatch):
-        calls = counting(monkeypatch, radius, "certify_positive_lure")
+        # the Lur'e formula certifies through the helper behind certify_positive_lure
+        calls = counting(monkeypatch, radius, "_certify")
         code, data = run_json(
             capsys, "radius", "--problem", "example_a.json", "--override-gates"
         )
@@ -279,11 +303,58 @@ class TestRadiusCommand:
         ]
 
     def test_network_sector_computed_once(self, capsys, monkeypatch):
-        calls = counting(monkeypatch, problems, "sector_bound_ffnn")
-        code, data = run_json(capsys, "radius", "--problem", "example_b.json")
-        assert code == 0
+        # cli calls it through the ffnn module, problems through its own name
+        calls = counting(monkeypatch, ffnn, "sector_bound_ffnn")
+        counting(monkeypatch, problems, "sector_bound_ffnn", calls)
+        for argv, key in [
+            (("radius",), "sector_upper"),
+            (("refine", "--delta-crit", "3.15"), "gamma2"),
+            (("refine", "--trials", "1", "--horizon", "10", "--dt", "0.02"), "gamma2"),
+        ]:
+            calls.clear()
+            code, data = run_json(capsys, argv[0], "--problem", "example_b.json", *argv[1:])
+            assert code == 0
+            assert len(calls) == 1, argv
+            assert data["results"][key][0][0] == pytest.approx(0.91)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--problem", "example_a.json"),
+            ("check", "--problem", "example_b.json"),
+            ("radius", "--problem", "example_a.json", "--override-gates"),
+            ("radius", "--problem", "example_b.json"),
+        ],
+        ids=["check-a", "check-b", "radius-a-override", "radius-b"],
+    )
+    def test_one_factorization_per_closed_loop(self, capsys, monkeypatch, argv):
+        calls = counting(monkeypatch, scipy.linalg, "lu_factor")
+        run_cli(capsys, *argv)
         assert len(calls) == 1
-        assert data["results"]["sector_upper"][0][0] == pytest.approx(0.91)
+
+    def test_override_gates_on_singular_metzler_upper_loop_exits_two(self, capsys, tmp_path):
+        # upper loop [[-0.5, 1], [1, -2]] is Metzler with determinant 0
+        path = upper_loop_problem(tmp_path, 1.5)
+        code, data = run_json(capsys, "radius", "--problem", str(path))
+        assert code == 2
+        assert data["results"]["gate_hurwitz_at_upper"] is False
+        code, out, err = run_cli(capsys, "radius", "--problem", str(path), "--override-gates")
+        assert code == 2
+        assert out == ""
+        assert err == "error: pivot below 1e-12 * max|entry|; matrix is numerically singular\n"
+
+    def test_override_gates_on_unstable_metzler_upper_loop_evaluates_formula(
+        self, capsys, tmp_path
+    ):
+        # upper loop [[0, 1], [1, -2]] is Metzler, nonsingular, with an eigenvalue > 0
+        path = upper_loop_problem(tmp_path, 2.0)
+        code, data = run_json(capsys, "radius", "--problem", str(path), "--override-gates")
+        assert code == 0
+        assert data["results"]["gate_hurwitz_at_upper"] is False
+        assert data["results"]["positive_vector"] is None
+        # E (-M)^{-1} D = [1 1] [[-2, -1], [-1, 0]] [1 1]^T = -4, of norm 4
+        assert data["results"]["radius"] == pytest.approx(0.25, rel=1e-12)
+        assert any("GATES FAILED" in w for w in data["warnings"])
 
     def test_zero_transfer_exits_two_without_traceback(self, capsys, zero_transfer_problem):
         code, out, err = run_cli(capsys, "radius", "--problem", str(zero_transfer_problem))

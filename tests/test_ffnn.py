@@ -158,16 +158,19 @@ class TestEmpiricalSectorCheck:
 class TestSelectRefinedSign:
     def test_positive_net_selects_positive(self):
         net = scalar_net([[1.0]], [[0.9]])
-        chosen, _ = ffnn.select_refined_sign(net, 0.5, samples=200, seed=2)
+        lower = ffnn.sector_bound_ffnn(net).lower
+        chosen, _ = ffnn.select_refined_sign(net, 0.5, lower, samples=200, seed=2)
         assert chosen.upper[0, 0] == pytest.approx(0.5)
 
     def test_negated_net_selects_negative(self):
         net = scalar_net([[1.0]], [[-0.9]])
-        chosen, _ = ffnn.select_refined_sign(net, 0.5, samples=200, seed=2)
+        lower = ffnn.sector_bound_ffnn(net).lower
+        chosen, _ = ffnn.select_refined_sign(net, 0.5, lower, samples=200, seed=2)
         assert chosen.upper[0, 0] == pytest.approx(-0.5)
 
     def test_reference_net_keeps_positive_sign_but_violates(self, reference_net):
-        chosen, check = ffnn.select_refined_sign(reference_net, 0.25, samples=500, seed=42)
+        lower = ffnn.sector_bound_ffnn(reference_net).lower
+        chosen, check = ffnn.select_refined_sign(reference_net, 0.25, lower, samples=500, seed=42)
         assert chosen.upper[0, 0] == pytest.approx(0.25)
         assert check == ffnn.empirical_sector_check(reference_net, chosen, samples=500, seed=42)
         assert check.count > 0
@@ -179,7 +182,7 @@ class TestSelectRefinedSign:
             activation=RELU,
         )
         with pytest.raises(NotSisoError):
-            ffnn.select_refined_sign(net, 0.5)
+            ffnn.select_refined_sign(net, 0.5, -np.ones((2, 2)))
 
 
 class TestWeightProductBoundSoundness:

@@ -3,8 +3,9 @@
 Each case runs one command in-process with ``--format json`` and compares
 its exit code, stdout, stderr and written sweep CSV, byte for byte, with
 ``tests/golden/<case>.txt``.  Paths are normalised: the bundled fixture
-directory reads ``<fixtures>`` and the CSV directory ``<out>``.  After an
-intended change of output, rewrite the files with
+directory reads ``<fixtures>``, ``tests/problems`` reads ``<problems>``
+and the CSV directory ``<out>``.  After an intended change of output,
+rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -25,6 +26,7 @@ from lurestab.cli import main
 from lurestab.problems import fixture_path
 
 GOLDEN = Path(__file__).parent / "golden"
+PROBLEMS = Path(__file__).parent / "problems"
 SWEEP = ("--trials", "2", "--dt", "0.02", "--out", "{out}/sweep.csv")
 
 CASES = {
@@ -33,6 +35,8 @@ CASES = {
     "radius_a": ("radius", "--problem", "example_a.json"),
     "radius_a_override": ("radius", "--problem", "example_a.json", "--override-gates"),
     "radius_b": ("radius", "--problem", "example_b.json"),
+    "radius_linear": ("radius", "--problem", "{problems}/linear.json"),
+    "radius_schur": ("radius", "--problem", "{problems}/schur.json"),
     "nn_bound_b": ("nn-bound", "--problem", "example_b.json"),
     "nn_bound_gain_network": ("nn-bound", "--network", "{fixtures}/gain_network.json"),
     "refine_b_delta_crit": ("refine", "--problem", "example_b.json", "--delta-crit", "3.15"),
@@ -47,7 +51,8 @@ CASES = {
 def transcript(argv, out_dir: Path) -> str:
     """Exit code, stdout, stderr and the sweep CSV of one command, paths normalised."""
     fixtures = str(fixture_path("example_a.json").parent)
-    argv = [arg.format(fixtures=fixtures, out=out_dir) for arg in argv] + ["--format", "json"]
+    argv = [arg.format(fixtures=fixtures, problems=PROBLEMS, out=out_dir) for arg in argv]
+    argv += ["--format", "json"]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
@@ -55,7 +60,8 @@ def transcript(argv, out_dir: Path) -> str:
     csv = out_dir / "sweep.csv"
     if csv.exists():
         parts += ["--- csv", csv.read_bytes().decode()]
-    return "\n".join(parts).replace(fixtures, "<fixtures>").replace(str(out_dir), "<out>")
+    text = "\n".join(parts).replace(fixtures, "<fixtures>").replace(str(PROBLEMS), "<problems>")
+    return text.replace(str(out_dir), "<out>")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lurestab import linalg, radius as rad
 from lurestab.errors import (
@@ -202,17 +203,17 @@ class TestMetzlerPathsUseNoEigenvalues:
         def refuse(m):
             raise AssertionError("spectral_abscissa called on a Metzler path")
 
-        solve = linalg.inverse
+        solve = scipy.linalg.lu_solve
         shapes = []
 
-        def column_solve(m, rhs):
+        def column_solve(factors, rhs):
             # a right-hand side with n columns would be an explicit inverse
-            assert np.ndim(rhs) == 1 or np.shape(rhs)[1] < np.shape(m)[0]
+            assert np.ndim(rhs) == 1 or np.shape(rhs)[1] < len(factors[1])
             shapes.append(np.shape(rhs))
-            return solve(m, rhs)
+            return solve(factors, rhs)
 
         monkeypatch.setattr(linalg, "spectral_abscissa", refuse)
-        monkeypatch.setattr(linalg, "inverse", column_solve)
+        monkeypatch.setattr(scipy.linalg, "lu_solve", column_solve)
         return shapes
 
     @staticmethod
@@ -243,10 +244,47 @@ class TestMetzlerPathsUseNoEigenvalues:
         ]
         assert all(np.isfinite(r) and r > 0 for r in radii)
         assert radii[2] == pytest.approx(radii[3], rel=1e-12)
-        assert rad.refine_upper_sector(sys, pert, radii[0]).magnitude == pytest.approx(
+        assert rad.refine_upper_sector(sys, pert, radii[0]) == pytest.approx(
             float(sector.upper[0, 0]), rel=1e-9
         )
         assert solves
+
+
+class TestOneFactorizationPerClosedLoop:
+    """Gate, certificate and transfer of a Metzler loop share one LU."""
+
+    CALLS = {
+        "certify": lambda: rad.certify_positive_lure(SYS_B, SECTOR_B),
+        "lure": lambda: rad.stability_radius_lure(SYS_B, SECTOR_B, PERT_B),
+        "lure-override": lambda: rad.stability_radius_lure(
+            SYS_A, SECTOR_A, PERT_A, override_gates=True
+        ),
+        "linear": lambda: rad.stability_radius_linear(SYS_B.a, PERT_B),
+        "schur": lambda: rad.stability_radius_schur(
+            SYS_B.a,
+            PerturbationStructure(d=PERT_B.d, e=PERT_B.e, norm=NormKind.MAX_ABS, schur_scale=[[1.0]]),
+        ),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_one_lu(self, monkeypatch, call):
+        factor = scipy.linalg.lu_factor
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+        self.CALLS[call]()
+        assert len(calls) == 1
+
+    def test_transfer_matches_the_inverse_bit_for_bit(self):
+        upper = rad.closed_loop_matrix(SYS_B, SECTOR_B.upper)
+        v, solution = linalg.metzler_solve(upper, PERT_B.d)
+        assert np.array_equal(v, linalg.inverse(-upper, np.ones(3)))
+        assert np.array_equal(solution, -linalg.inverse(upper, PERT_B.d))
+        assert linalg.metzler_solve(upper)[1] is None
 
 
 class TestLinearRadius:
@@ -430,24 +468,20 @@ class TestNnRadius:
 
 class TestRefineUpperSector:
     def test_example_b_at_observed_critical_delta(self):
-        refined = rad.refine_upper_sector(SYS_B, PERT_B, 3.15)
-        assert refined.magnitude == pytest.approx(0.2497639282341831, rel=1e-12)
-        assert abs(refined.magnitude - 0.25) <= 0.01
-        plus, minus = refined.candidates
-        assert plus == pytest.approx(np.array([[refined.magnitude]]))
-        assert minus == pytest.approx(-np.array([[refined.magnitude]]))
+        magnitude = rad.refine_upper_sector(SYS_B, PERT_B, 3.15)
+        assert magnitude == pytest.approx(0.2497639282341831, rel=1e-12)
+        assert abs(magnitude - 0.25) <= 0.01
 
     def test_zero_delta_uses_unperturbed_plant(self):
-        refined = rad.refine_upper_sector(SYS_B, PERT_B, 0.0)
+        magnitude = rad.refine_upper_sector(SYS_B, PERT_B, 0.0)
         expected = 1.0 / linalg.operator_norm(
             SYS_B.c @ linalg.inverse(SYS_B.a, SYS_B.b), NormKind.TWO
         )
-        assert refined.magnitude == pytest.approx(expected, rel=1e-12)
+        assert magnitude == pytest.approx(expected, rel=1e-12)
 
     def test_round_trip_recovers_sector_norm(self):
         r = rad.stability_radius_lure(SYS_B, SECTOR_B, PERT_B).radius
-        refined = rad.refine_upper_sector(SYS_B, PERT_B, r)
-        assert refined.magnitude == pytest.approx(0.91, abs=1e-6)
+        assert rad.refine_upper_sector(SYS_B, PERT_B, r) == pytest.approx(0.91, abs=1e-6)
 
 
 class TestZeroTransfer:
