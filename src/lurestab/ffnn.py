@@ -130,7 +130,11 @@ class Ffnn:
 
 
 def ffnn_eval(net: Ffnn, z) -> np.ndarray:
-    """Forward pass.  ``z`` may be a single input (p,) or a batch (p, k)."""
+    """Forward pass.  ``z`` may be a single input (p,) or a batch (p, k).
+
+    A batch is evaluated as a stack of k matrix-vector products per layer, so
+    each of its columns is bit-identical to that input evaluated alone.
+    """
     z = np.asarray(z, dtype=float)
     single = z.ndim == 1
     x = z.reshape(-1, 1) if single else z
@@ -141,10 +145,11 @@ def ffnn_eval(net: Ffnn, z) -> np.ndarray:
     act = net.activation
     if net.hidden and act.fn is None:
         raise InputError(f"activation {act.name!r} has no callable for evaluation")
+    x = x.T[..., None]
     for layer in net.hidden:
-        x = act.fn(layer.w @ x + layer.b[:, None])
-    x = net.output.w @ x + net.output.b[:, None]
-    return x[:, 0] if single else x
+        x = act.fn(np.matmul(layer.w, x) + layer.b[:, None])
+    x = np.matmul(net.output.w, x) + net.output.b[:, None]
+    return x[0, :, 0] if single else x[..., 0].T
 
 
 def sector_bound_ffnn(net: Ffnn) -> SectorBound:

@@ -1,8 +1,13 @@
 """Fixed-step integration of perturbed feedback loops and threshold search.
 
 The loop is ``x' = (A + D delta E) x + B phi(C x)`` with a static
-nonlinearity ``phi``.  Classification of finite trajectories uses the
-ratio of final to initial state magnitude; the critical-perturbation
+nonlinearity ``phi``.  One RK4 engine integrates a single trajectory, with
+its state history, or a block of columns, one per (delta, initial state)
+pair, keeping each column's initial and final magnitude and blow-up time.
+A sweep integrates all its (delta, trial) columns as one block; the
+critical-perturbation search integrates its geometric levels as one block
+and then several bisection steps' candidate deltas per block.
+Classification uses the ratio of final to initial state magnitude; the
 search brackets the smallest delta at which any trial trajectory is
 classified unstable.
 """
@@ -34,6 +39,7 @@ BLOWUP_BOUND = 1e9
 DEFAULT_TRIALS = 10
 DEFAULT_SEED = 42
 GEOMETRIC_LEVELS = 8
+SPECULATIVE_DEPTH = 3  # bisection steps resolved by one search block
 
 
 class Nonlinearity:
@@ -71,15 +77,22 @@ class Nonlinearity:
             return self.mat @ y
         if self.kind == "network":
             return ffnn_eval(self.net, y)
-        out = np.empty_like(y)
-        for i, yi in enumerate(y):
-            try:
-                out[i] = self.fn(float(yi))
-            except OverflowError:
-                out[i] = math.copysign(math.inf, yi)
-            except ValueError as exc:
-                raise InputError(f"nonlinearity {self.name!r} is undefined at y = {yi:g} ({exc})") from None
-        return out
+        entries = y.ravel().tolist()
+        # guard each call only once some entry raises: the guard costs a
+        # fifth of a cubic_sine search
+        try:
+            out = [self.fn(yi) for yi in entries]
+        except (OverflowError, ValueError):
+            out = [self._at(yi) for yi in entries]
+        return np.array(out, dtype=float).reshape(y.shape)
+
+    def _at(self, y: float) -> float:
+        try:
+            return self.fn(y)
+        except OverflowError:
+            return math.copysign(math.inf, y)
+        except ValueError as exc:
+            raise InputError(f"nonlinearity {self.name!r} is undefined at y = {y:g} ({exc})") from None
 
 
 def _cubic_sine(y: float) -> float:
@@ -127,6 +140,37 @@ class Trajectory:
     states: np.ndarray
     blowup_time: float | None = None
 
+    @property
+    def initial_peak(self) -> float:
+        return float(np.abs(self.states[0]).max())
+
+    @property
+    def final_peak(self) -> float:
+        return float(np.abs(self.states[-1]).max())
+
+
+@dataclass(frozen=True)
+class ColumnPeaks:
+    """What classification reads of one block column: the largest state
+    entry magnitude at the start and at the last step, and the blow-up time."""
+
+    initial_peak: float
+    final_peak: float
+    blowup_time: float | None = None
+
+
+@dataclass(frozen=True)
+class TrajectoryBlock:
+    """Columns integrated together, kept without state histories.
+
+    Column ``i * T + t`` starts from the t-th of T initial states under the
+    i-th delta.  ``times`` runs to the horizon, or to the step at which the
+    last live column blew up.
+    """
+
+    times: np.ndarray
+    columns: tuple[ColumnPeaks, ...]
+
 
 @dataclass(frozen=True)
 class StabilityVerdict:
@@ -142,79 +186,115 @@ def simulate_lure(
     delta,
     cfg: SimConfig,
     x0,
-) -> Trajectory:
+) -> Trajectory | TrajectoryBlock:
     """Integrate ``x' = (A + D delta E) x + B phi(C x)`` from ``x0`` with classical RK4.
 
-    Integration halts early once the state magnitude is infinite or exceeds
-    the blowup bound; a NaN state raises NonFiniteStateError.
+    ``delta`` is one ``k1 x k2`` matrix or an array of shape ``(D, k1, k2)``,
+    and ``x0`` is one state or an array of shape ``(T, n)``.  One matrix and
+    one state give a Trajectory with its full state history.  Otherwise each
+    (delta, state) pair is a column of one block, integrated together, and
+    the result is a TrajectoryBlock, whose columns are each bit-identical to
+    that delta and state run alone.
+
+    A column halts, and leaves the block, once its state magnitude is
+    infinite or exceeds the blowup bound.  A NaN state in any live column
+    raises NonFiniteStateError at the earliest time it appears, even where
+    a run of the block's other columns alone would not have reached it.
     """
     pert.check_dims(sys.n)
-    delta = as_matrix(delta, "delta")
-    if delta.shape != (pert.k1, pert.k2):
+    stacked = isinstance(delta, np.ndarray) and delta.ndim == 3
+    deltas = [as_matrix(d, "delta") for d in delta] if stacked else [as_matrix(delta, "delta")]
+    shape = delta.shape[1:] if stacked else deltas[0].shape
+    if shape != (pert.k1, pert.k2):
+        raise DimensionMismatchError(f"delta must be {pert.k1}x{pert.k2}, got {shape}")
+    single = not stacked and np.ndim(x0) < 2
+    x0s = np.atleast_2d(np.asarray(x0, dtype=float))
+    if x0s.ndim != 2 or x0s.shape[1] != sys.n:
         raise DimensionMismatchError(
-            f"delta must be {pert.k1}x{pert.k2}, got {delta.shape}"
+            f"x0 must hold states of {sys.n} entries, got shape {np.shape(x0)}"
         )
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != sys.n:
-        raise DimensionMismatchError(f"x0 must have {sys.n} entries, got {x0.shape[0]}")
-    if not np.isfinite(x0).all():
+    if not np.isfinite(x0s).all():
         raise InputError("x0 must be finite")
     if phi.kind == "scalar" and sys.m != sys.p:
         raise DimensionMismatchError(
             "an elementwise scalar nonlinearity needs matching input/output counts"
         )
 
-    drift = sys.a + pert.d @ delta @ pert.e
     dt = cfg.dt
     steps = int(round(cfg.horizon / dt))
+    drifts = [sys.a + pert.d @ d @ pert.e for d in deltas]
     if phi.kind == "gain":
         # For a linear field the four RK4 stages telescope into one constant
         # step matrix: the degree-4 Taylor polynomial of expm(h).
-        h = dt * (drift + sys.b @ phi.mat @ sys.c)
-        step = np.eye(sys.n) + h + h @ h / 2.0 + h @ h @ h / 6.0 + h @ h @ h @ h / 24.0
-        advance = step.__matmul__
+        mats = []
+        for drift in drifts:
+            h = dt * (drift + sys.b @ phi.mat @ sys.c)
+            mats.append(np.eye(sys.n) + h + h @ h / 2.0 + h @ h @ h / 6.0 + h @ h @ h @ h / 24.0)
+
+        def advance(x, m):
+            return np.matmul(m, x[..., None])[..., 0]
     else:
+        mats = drifts
         b = sys.b
         c = sys.c
 
-        def deriv(x):
-            return drift @ x + b @ phi(c @ x)
+        def deriv(x, m):
+            u = phi(np.matmul(c, x[..., None])[..., 0].T)
+            return np.matmul(m, x[..., None])[..., 0] + np.matmul(b, u.T[..., None])[..., 0]
 
-        def advance(x):
-            k1 = deriv(x)
-            k2 = deriv(x + 0.5 * dt * k1)
-            k3 = deriv(x + 0.5 * dt * k2)
-            k4 = deriv(x + dt * k3)
+        def advance(x, m):
+            k1 = deriv(x, m)
+            k2 = deriv(x + 0.5 * dt * k1, m)
+            k3 = deriv(x + 0.5 * dt * k2, m)
+            k4 = deriv(x + dt * k3, m)
             return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    times = np.arange(steps + 1) * dt
-    states = np.empty((steps + 1, sys.n))
-    states[0] = x0
-    x = x0
-    for k in range(1, steps + 1):
-        x = advance(x)
-        states[k] = x
-        peak = np.abs(x).max()
-        if math.isnan(peak):
-            raise NonFiniteStateError(f"state became NaN at t = {k * dt:g}")
-        if peak > BLOWUP_BOUND:
-            return Trajectory(times[: k + 1], states[: k + 1], blowup_time=k * dt)
-    return Trajectory(times, states)
+    # Column i * T + t runs delta i from state t.  The products are stacked
+    # matrix-vector products, ``np.matmul(m, x[..., None])``: one (n, K)
+    # matrix product would differ from a column's run alone in the last bits.
+    x = np.tile(x0s, (len(mats), 1))
+    m = np.repeat(np.array(mats).reshape(-1, sys.n, sys.n), len(x0s), axis=0)
+    live = np.arange(len(x))
+    initial = np.abs(x).max(axis=1)
+    final = np.empty(len(x))
+    blowup = [None] * len(x)
+    if single:
+        states = np.empty((steps + 1, sys.n))
+        states[0] = x[0]
+    last = 0
+    while live.size and last < steps:
+        last += 1
+        x = advance(x, m)
+        if single:
+            states[last] = x[0]
+        if np.abs(x).max() <= BLOWUP_BOUND:
+            continue
+        peaks = np.abs(x).max(axis=1)
+        if np.isnan(peaks).any():
+            raise NonFiniteStateError(f"state became NaN at t = {last * dt:g}")
+        out = peaks > BLOWUP_BOUND
+        final[live[out]] = peaks[out]
+        for col in live[out]:
+            blowup[col] = last * dt
+        live, x, m = live[~out], x[~out], m[~out]
+    final[live] = np.abs(x).max(axis=1)
+    times = np.arange(last + 1) * dt
+    if single:
+        return Trajectory(times, states[: last + 1], blowup_time=blowup[0])
+    return TrajectoryBlock(times, tuple(map(ColumnPeaks, initial.tolist(), final.tolist(), blowup)))
 
 
-def classify_stability(traj: Trajectory) -> StabilityVerdict:
-    """Label a finite trajectory by its final-to-initial magnitude ratio.
+def classify_stability(traj: Trajectory | ColumnPeaks) -> StabilityVerdict:
+    """Label a trajectory, or a block column, by its final-to-initial magnitude ratio.
 
     Blowup or a ratio above ``GROWTH_THRESHOLD`` is Unstable; a ratio below
     ``DECAY_THRESHOLD`` is Stable; anything between is Inconclusive (the
     horizon was too short to tell).
     """
-    x0 = traj.states[0]
-    initial = float(np.abs(x0).max())
+    initial = traj.initial_peak
     if initial == 0.0:
         raise ZeroInitialStateError("cannot classify a trajectory started at the origin")
-    final = float(np.abs(traj.states[-1]).max())
-    ratio = final / initial
+    ratio = traj.final_peak / initial
     if traj.blowup_time is not None or ratio >= GROWTH_THRESHOLD:
         return StabilityVerdict("Unstable", ratio, traj.blowup_time)
     if ratio <= DECAY_THRESHOLD:
@@ -228,8 +308,9 @@ def _trial_batch(sys, phi, pert, cfg, trials: int, seed: int):
     The batch is ``trials`` states drawn uniformly from the unit box, and
     the perturbation runs along the all-ones pattern normalized in the
     structure's norm (nonnegative directions are extremal for positive
-    structures).  The returned function yields one verdict per trial,
-    lazily, so a caller may stop at the first Unstable trial.
+    structures).  The returned function integrates every (delta, trial)
+    pair of a list of deltas as one block and yields, per delta, the list
+    of its trials' verdicts.
     """
     if seed < 0 or trials < 0:
         raise InputError(f"seed and trials must be nonnegative; got seed={seed}, trials={trials}")
@@ -238,11 +319,21 @@ def _trial_batch(sys, phi, pert, cfg, trials: int, seed: int):
     direction = ones / operator_norm(ones, pert.norm)
     cfg = cfg or SimConfig()
 
-    def verdicts(delta: float):
-        for x0 in x0s:
-            yield classify_stability(simulate_lure(sys, phi, pert, delta * direction, cfg, x0))
+    def verdicts(deltas: list[float]) -> list[list[StabilityVerdict]]:
+        stack = np.multiply.outer(np.array(deltas, dtype=float), direction)
+        block = simulate_lure(sys, phi, pert, stack, cfg, x0s)
+        labels = [classify_stability(column) for column in block.columns]
+        return [labels[i * trials : (i + 1) * trials] for i in range(len(deltas))]
 
     return verdicts
+
+
+def _midpoints(lo: float, hi: float, tol: float, depth: int) -> list[float]:
+    """Every midpoint that the next ``depth`` bisection steps of ``[lo, hi]`` can visit."""
+    if depth == 0 or not hi - lo > tol:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid] + _midpoints(lo, mid, tol, depth - 1) + _midpoints(mid, hi, tol, depth - 1)
 
 
 @dataclass(frozen=True)
@@ -263,36 +354,44 @@ def find_critical_delta(
 ) -> CriticalDelta:
     """Smallest perturbation magnitude at which some trial goes unstable.
 
-    Phase 1 sweeps ``delta_max * 2**-j`` ascending until a trial is
-    classified Unstable; phase 2 bisects the bracket down to ``tol``.
-    Inconclusive verdicts count as not-unstable, so the result
-    upper-bounds the true threshold.  The same seeded batch of nonnegative
-    initial states is reused at every delta.
+    Phase 1 probes delta = 0 and ``delta_max * 2**-j``, j = 8, ..., 0, as one
+    block and takes the first level at which a trial is classified Unstable;
+    phase 2 bisects the bracket down to ``tol``.  When a bisection step
+    needs a midpoint not yet integrated, one block integrates every midpoint
+    that the next ``SPECULATIVE_DEPTH`` steps can visit, so the bracket is
+    the one plain bisection finds.  Inconclusive verdicts count as not-unstable, so
+    the result upper-bounds the true threshold.  The same seeded batch of
+    nonnegative initial states is reused at every delta.
     """
-    if delta_max <= 0:
-        raise InputError("delta_max must be positive")
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    if not 0 < delta_max < math.inf:
+        raise InputError(f"delta_max must be positive and finite; got {delta_max!r}")
+    if not tol > 0:
+        raise InputError(f"tol must be positive; got {tol!r}")
     verdicts = _trial_batch(sys, phi, pert, cfg, trials, seed)
 
-    def any_unstable(delta: float) -> bool:
-        return any(verdict.label == "Unstable" for verdict in verdicts(delta))
+    def unstable(deltas: list[float]) -> list[bool]:
+        return [any(v.label == "Unstable" for v in batch) for batch in verdicts(deltas)]
 
-    if any_unstable(0.0):
+    levels = [delta_max * 2.0**-j for j in range(GEOMETRIC_LEVELS, -1, -1)]
+    at_zero, *rising = unstable([0.0] + levels)
+    if at_zero:
         raise UnstableAtZeroError("a trial trajectory is unstable at delta = 0")
     lo = 0.0
     hi = None
-    for j in range(GEOMETRIC_LEVELS, -1, -1):
-        delta = delta_max * 2.0**-j
-        if any_unstable(delta):
+    for delta, is_unstable in zip(levels, rising):
+        if is_unstable:
             hi = delta
             break
         lo = delta
     if hi is None:
         raise NoInstabilityError(largest_delta=delta_max)
+    outcome = {}
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if any_unstable(mid):
+        if mid not in outcome:
+            mids = _midpoints(lo, hi, tol, SPECULATIVE_DEPTH)
+            outcome = dict(zip(mids, unstable(mids)))
+        if outcome[mid]:
             hi = mid
         else:
             lo = mid
@@ -324,10 +423,11 @@ def sweep(
     writer; identical seeds and configs reproduce them exactly.
     """
     verdicts = _trial_batch(sys, phi, pert, cfg, trials, seed)
+    deltas = [float(delta) for delta in deltas]
     return [
-        SweepRow(float(delta), trial, seed, verdict.label, verdict.decay_ratio, verdict.blowup_time)
-        for delta in deltas
-        for trial, verdict in enumerate(verdicts(float(delta)))
+        SweepRow(delta, trial, seed, verdict.label, verdict.decay_ratio, verdict.blowup_time)
+        for delta, batch in zip(deltas, verdicts(deltas))
+        for trial, verdict in enumerate(batch)
     ]
 
 

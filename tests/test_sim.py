@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,11 +9,12 @@ from lurestab.errors import (
     DimensionMismatchError,
     InputError,
     NoInstabilityError,
+    NonFiniteEntriesError,
     NonFiniteStateError,
     UnstableAtZeroError,
     ZeroInitialStateError,
 )
-from lurestab.linalg import NormKind, spectral_abscissa
+from lurestab.linalg import NormKind, operator_norm, spectral_abscissa
 from lurestab.radius import LtiSystem, PerturbationStructure, stability_radius_lure
 from lurestab.sim import Nonlinearity, SimConfig, Trajectory
 
@@ -51,6 +54,19 @@ class TestNonlinearity:
         phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].make()
         with pytest.raises(InputError, match="undefined at y = inf"):
             phi(np.array([np.inf]))
+
+    def test_scalar_maps_every_entry_of_a_block(self):
+        phi = Nonlinearity.scalar(math.sinh, name="sinh")
+        y = np.array([[1000.0, -1000.0, 0.5], [-0.25, 2.0, -800.0]])
+        out = phi(y)
+        assert out.shape == (2, 3)
+        assert out[0, 0] == math.inf and out[0, 1] == -math.inf and out[1, 2] == -math.inf
+        assert [out[0, 2], out[1, 0], out[1, 1]] == [math.sinh(0.5), math.sinh(-0.25), math.sinh(2.0)]
+
+    def test_undefined_value_in_a_block_is_input_error(self):
+        phi = Nonlinearity.scalar(math.sqrt, name="sqrt")
+        with pytest.raises(InputError, match=r"'sqrt' is undefined at y = -2 "):
+            phi(np.array([[4.0, 1.0], [-2.0, 9.0]]))
 
     def test_builtin_registry(self):
         builtin = sim.BUILTIN_NONLINEARITIES["cubic_sine"]
@@ -245,6 +261,243 @@ class TestFindCriticalDelta:
                 sys, ZERO_PHI, identity_pert(2), delta_max=0.1, cfg=cfg, trials=3
             )
         assert exc_info.value.largest_delta == pytest.approx(0.1)
+
+
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -0.1])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(InputError, match="tol must be positive"):
+            sim.find_critical_delta(two_state_system(), ZERO_PHI, identity_pert(2), tol=tol)
+
+    @pytest.mark.parametrize("delta_max", [np.nan, np.inf, 0.0, -1.0])
+    def test_delta_max_must_be_positive_and_finite(self, delta_max):
+        with pytest.raises(InputError, match="delta_max must be positive and finite"):
+            sim.find_critical_delta(
+                two_state_system(), ZERO_PHI, identity_pert(2), delta_max=delta_max
+            )
+
+    def test_no_trials_find_no_instability(self):
+        cfg = SimConfig(dt=0.05, horizon=1.0)
+        with pytest.raises(NoInstabilityError):
+            sim.find_critical_delta(
+                two_state_system(), ZERO_PHI, identity_pert(2), cfg=cfg, trials=0
+            )
+
+
+def reference_search(sys, phi, pert, delta_max, tol, cfg, trials, seed):
+    """Plain sequential bisection, one single-trajectory run per (delta, trial)."""
+    x0s = np.random.default_rng(seed).uniform(0.0, 1.0, size=(trials, sys.n))
+    ones = np.ones((pert.k1, pert.k2))
+    direction = ones / operator_norm(ones, pert.norm)
+
+    def any_unstable(delta):
+        return any(
+            sim.classify_stability(
+                sim.simulate_lure(sys, phi, pert, delta * direction, cfg, x0)
+            ).label == "Unstable"
+            for x0 in x0s
+        )
+
+    assert not any_unstable(0.0)
+    lo, hi = 0.0, None
+    for j in range(sim.GEOMETRIC_LEVELS, -1, -1):
+        if any_unstable(delta_max * 2.0**-j):
+            hi = delta_max * 2.0**-j
+            break
+        lo = delta_max * 2.0**-j
+    assert hi is not None
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if any_unstable(mid):
+            hi = mid
+        else:
+            lo = mid
+    return sim.CriticalDelta(delta_star=0.5 * (lo + hi), bracket=(lo, hi))
+
+
+def random_gain_loop():
+    """TestFormulaConsistency's seeded loop, closed by its upper gain."""
+    from generators import random_metzler_hurwitz
+
+    a = random_metzler_hurwitz(np.random.default_rng(42), 3)
+    sys = LtiSystem(a=a, b=np.ones((3, 1)), c=np.ones((1, 3)))
+    return sys, Nonlinearity.gain([[0.0]]), scalar_pert(3)
+
+
+class TestSpeculativeBisection:
+    """The search's blocks of candidate deltas reproduce plain bisection exactly."""
+
+    @pytest.mark.parametrize("case", ["network", "cubic_sine", "random_gain"])
+    def test_same_result_as_sequential_bisection(self, case, example_a, example_b):
+        cfg = SimConfig(dt=0.02, horizon=10.0)
+        if case == "network":
+            loop = (example_b.system, example_b.loop_nonlinearity(), example_b.pert)
+            delta_max, tol = 4.0, 0.01
+        elif case == "cubic_sine":
+            phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].make()
+            loop = (example_a.system, phi, example_a.pert)
+            delta_max, tol = 2.0, 0.005
+        else:
+            loop = random_gain_loop()
+            delta_max, tol = 2.0, 0.003
+        found = sim.find_critical_delta(
+            *loop, delta_max=delta_max, tol=tol, cfg=cfg, trials=2, seed=7
+        )
+        assert found == reference_search(*loop, delta_max, tol, cfg, trials=2, seed=7)
+
+    def test_midpoints_are_the_bisection_tree(self):
+        assert sim._midpoints(0.0, 8.0, 0.5, 3) == [4.0, 2.0, 1.0, 3.0, 6.0, 5.0, 7.0]
+        assert sim._midpoints(0.0, 8.0, 3.0, 3) == [4.0, 2.0, 6.0]
+        assert sim._midpoints(0.0, 8.0, 8.0, 3) == []
+
+
+def assert_columns_match_single_runs(sys, phi, pert, deltas, cfg, x0s):
+    """Every block column equals its own single-trajectory run, bit for bit."""
+    block = sim.simulate_lure(sys, phi, pert, np.array(deltas, dtype=float), cfg, x0s)
+    assert len(block.columns) == len(deltas) * len(x0s)
+    for i, delta in enumerate(deltas):
+        for t, x0 in enumerate(x0s):
+            traj = sim.simulate_lure(sys, phi, pert, delta, cfg, x0)
+            column = block.columns[i * len(x0s) + t]
+            assert (column.initial_peak, column.final_peak, column.blowup_time) == (
+                traj.initial_peak, traj.final_peak, traj.blowup_time,
+            )
+            assert sim.classify_stability(column) == sim.classify_stability(traj)
+    return block
+
+
+# x' = (1 + delta) x: at delta = 0 the state crosses the blowup bound near
+# t = 20.7, and at delta = -3 it decays
+GROWING_GAIN = (LtiSystem(a=[[-1.0]], b=[[1.0]], c=[[1.0]]), Nonlinearity.gain([[2.0]]))
+GROWING_STAGES = (
+    LtiSystem(a=[[-1.0]], b=[[1.0]], c=[[1.0]]),
+    Nonlinearity.scalar(lambda y: 2.0 * y, name="double"),
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestBlockEngine:
+    """One RK4 block for many (delta, initial state) columns."""
+
+    def test_gain_loop_columns(self, example_a):
+        phi = Nonlinearity.gain(example_a.analysis_sector().upper)
+        x0s = np.random.default_rng(1).uniform(0.0, 1.0, size=(3, 3))
+        cfg = SimConfig(dt=0.01, horizon=40.0)
+        block = assert_columns_match_single_runs(
+            example_a.system, phi, example_a.pert, [[[0.2]], [[0.26]], [[0.4]]], cfg, x0s
+        )
+        assert [c.blowup_time is None for c in block.columns] == [True] * 6 + [False] * 3
+
+    def test_network_columns(self, example_b):
+        x0s = np.random.default_rng(2).uniform(0.0, 1.0, size=(2, 3))
+        cfg = SimConfig(dt=0.02, horizon=20.0)
+        assert_columns_match_single_runs(
+            example_b.system, example_b.loop_nonlinearity(), example_b.pert,
+            [[[1.0]], [[2.04]], [[3.0]]], cfg, x0s,
+        )
+
+    def test_cubic_sine_columns(self, example_a):
+        phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].make()
+        x0s = np.random.default_rng(3).uniform(0.0, 1.0, size=(3, 3))
+        cfg = SimConfig(dt=0.02, horizon=20.0)
+        assert_columns_match_single_runs(
+            example_a.system, phi, example_a.pert, [[[0.2]], [[0.4]], [[2.0]]], cfg, x0s
+        )
+
+    @pytest.mark.parametrize("loop", [GROWING_GAIN, GROWING_STAGES], ids=["gain", "stages"])
+    def test_column_blows_up_mid_run_beside_stable_columns(self, loop):
+        sys, phi = loop
+        cfg = SimConfig(dt=0.02, horizon=30.0)
+        x0s = np.array([[1.0], [0.5]])
+        block = assert_columns_match_single_runs(
+            sys, phi, scalar_pert(1), [[[-3.0]], [[0.0]], [[-2.5]]], cfg, x0s
+        )
+        blowups = [c.blowup_time for c in block.columns]
+        assert blowups[0] is None and blowups[1] is None and blowups[4:] == [None, None]
+        assert 20.0 < blowups[2] < blowups[3] < 22.0
+        assert block.times[-1] == pytest.approx(30.0)
+
+    @pytest.mark.parametrize("loop", [GROWING_GAIN, GROWING_STAGES], ids=["gain", "stages"])
+    def test_block_ends_when_every_column_blew_up(self, loop):
+        sys, phi = loop
+        cfg = SimConfig(dt=0.01, horizon=30.0)
+        block = sim.simulate_lure(
+            sys, phi, scalar_pert(1), np.array([[[0.0]], [[0.5]]]), cfg, np.array([[1.0]])
+        )
+        last = max(c.blowup_time for c in block.columns)
+        assert last < 30.0
+        assert block.times[-1] == pytest.approx(last)
+
+    def test_no_state_history_for_a_block(self):
+        sys, phi = GROWING_GAIN
+        block = sim.simulate_lure(
+            sys, phi, scalar_pert(1), np.array([[[-3.0]]]), SimConfig(0.1, 1.0), np.array([[1.0]])
+        )
+        assert isinstance(block, sim.TrajectoryBlock)
+        assert not hasattr(block, "states")
+
+    def test_nan_reports_the_earliest_column(self):
+        # x' = x until phi turns NaN at x > 0.5: a larger start gets there first
+        sys = LtiSystem(a=[[1.0]], b=[[1.0]], c=[[1.0]])
+        bad = Nonlinearity.scalar(lambda y: float("nan") if y > 0.5 else 0.0)
+        cfg = SimConfig(dt=0.1, horizon=10.0)
+        with pytest.raises(NonFiniteStateError) as first:
+            sim.simulate_lure(sys, bad, scalar_pert(1), [[0.0]], cfg, np.array([0.1]))
+        with pytest.raises(NonFiniteStateError) as block:
+            sim.simulate_lure(sys, bad, scalar_pert(1), [[0.0]], cfg, np.array([[0.01], [0.1]]))
+        assert str(block.value) == str(first.value)
+
+
+class TestBlockInputChecks:
+    """The block path validates its inputs as the single-trajectory path does."""
+
+    def test_stacked_delta_shape(self):
+        with pytest.raises(DimensionMismatchError, match="delta must be 2x2"):
+            sim.simulate_lure(
+                two_state_system(), ZERO_PHI, identity_pert(2), np.zeros((3, 1, 1)),
+                SimConfig(), np.ones((2, 2)),
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_stacked_delta_finite(self, bad):
+        with pytest.raises(NonFiniteEntriesError, match="delta: contains NaN or infinite"):
+            sim.simulate_lure(
+                two_state_system(), ZERO_PHI, scalar_pert(2), np.array([[[0.1]], [[bad]]]),
+                SimConfig(), np.ones((2, 2)),
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_sweep_delta_finite(self, bad):
+        cfg = SimConfig(dt=0.05, horizon=1.0)
+        with pytest.raises(NonFiniteEntriesError, match="delta: contains NaN or infinite"):
+            sim.sweep(two_state_system(), ZERO_PHI, identity_pert(2), [0.1, bad], cfg=cfg, trials=2)
+
+    def test_block_initial_states_need_n_finite_entries(self):
+        args = (two_state_system(), ZERO_PHI, identity_pert(2), np.zeros((1, 2, 2)), SimConfig())
+        with pytest.raises(DimensionMismatchError, match="x0 must hold states of 2 entries"):
+            sim.simulate_lure(*args, np.ones((3, 1)))
+        with pytest.raises(InputError, match="x0 must be finite"):
+            sim.simulate_lure(*args, np.array([[1.0, 1.0], [1.0, np.nan]]))
+
+    def test_scalar_nonlinearity_needs_square_io_on_a_block(self):
+        sys = LtiSystem(a=-np.eye(2), b=[[1.0], [0.0]], c=np.eye(2))
+        with pytest.raises(DimensionMismatchError, match="matching input/output counts"):
+            sim.simulate_lure(
+                sys, ZERO_PHI, identity_pert(2), np.zeros((2, 2, 2)), SimConfig(), np.ones((2, 2))
+            )
+
+    @pytest.mark.parametrize("deltas, x0s", [((0, 2, 2), (3, 2)), ((2, 2, 2), (0, 2))],
+                             ids=["no_deltas", "no_states"])
+    def test_empty_block(self, deltas, x0s):
+        cfg = SimConfig(dt=0.05, horizon=1.0)
+        block = sim.simulate_lure(
+            two_state_system(), ZERO_PHI, identity_pert(2), np.zeros(deltas), cfg, np.ones(x0s)
+        )
+        assert block.columns == ()
+        assert block.times.tolist() == [0.0]
+
+    def test_sweep_without_trials(self):
+        cfg = SimConfig(dt=0.05, horizon=1.0)
+        assert sim.sweep(two_state_system(), ZERO_PHI, identity_pert(2), [0.1], cfg=cfg, trials=0) == []
 
 
 class TestSweep:
