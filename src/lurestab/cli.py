@@ -262,7 +262,7 @@ def cmd_refine(args) -> int:
         cfg = problem.sim_config(dt=args.dt, horizon=args.horizon)
         try:
             found = sim.find_critical_delta(
-                problem.system, sim.Nonlinearity.network(net), problem.pert,
+                problem.system, problem.loop_nonlinearity(), problem.pert,
                 delta_max=max(10.0 * base.radius, 1.0), tol=0.01, cfg=cfg,
                 trials=args.trials, seed=args.seed,
             )

@@ -90,10 +90,6 @@ class Problem:
             return sector_bound_ffnn(self.network)
         if self.builtin is not None:
             spec = BUILTIN_NONLINEARITIES[self.builtin]
-            if self.system.m != self.system.p:
-                raise DimensionMismatchError(
-                    "an elementwise nonlinearity needs matching input/output counts"
-                )
             eye = np.eye(self.system.m)
             return SectorBound(spec.sector_lower * eye, spec.sector_upper * eye)
         return None
@@ -108,7 +104,7 @@ class Problem:
         if self.network is not None:
             return Nonlinearity.network(self.network)
         if self.builtin is not None:
-            return BUILTIN_NONLINEARITIES[self.builtin].make()
+            return BUILTIN_NONLINEARITIES[self.builtin].phi
         if self.sector is not None:
             return Nonlinearity.gain(self.sector.upper)
         return None
@@ -217,6 +213,10 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
             sector = SectorBound(lower, upper)
         except Exception as exc:
             raise ProblemFormatError(f"sector: {exc}", path=resolved) from None
+        if not (sector.lower <= sector.upper).all():
+            raise ProblemFormatError(
+                "sector: sector lower bound must be <= upper bound elementwise", path=resolved
+            )
         if sector.lower.shape != (system.m, system.p):
             raise ProblemFormatError(
                 f"sector: must be {system.m}x{system.p}, got {sector.lower.shape}",
@@ -239,6 +239,12 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
             raise ProblemFormatError(
                 f"unknown builtin nonlinearity {builtin!r}; available: "
                 + ", ".join(sorted(BUILTIN_NONLINEARITIES)),
+                path=resolved,
+            )
+        if system.m != system.p:
+            raise ProblemFormatError(
+                f"builtin_nonlinearity: {builtin!r} acts elementwise, so the plant needs as many "
+                f"inputs as outputs; got {system.m} inputs and {system.p} outputs",
                 path=resolved,
             )
 

@@ -23,7 +23,6 @@ from .errors import (
     MissingSchurScaleError,
     NotHurwitzError,
     NotMetzlerError,
-    OrderViolationError,
     ZeroSpectralRadiusError,
 )
 from .linalg import NormKind, as_matrix
@@ -67,7 +66,8 @@ class LtiSystem:
 
 @dataclass(frozen=True)
 class SectorBound:
-    """Elementwise pair of gain matrices sandwiching a nonlinearity."""
+    """Elementwise pair of gain matrices sandwiching a nonlinearity; whether
+    ``lower <= upper`` holds is the certificate's ``sector_ordered`` gate."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -79,8 +79,6 @@ class SectorBound:
             raise DimensionMismatchError(
                 f"sector bounds must share a shape: {lower.shape} vs {upper.shape}"
             )
-        if not (lower <= upper).all():
-            raise OrderViolationError("sector lower bound must be <= upper bound elementwise")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 

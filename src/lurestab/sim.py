@@ -42,57 +42,53 @@ GEOMETRIC_LEVELS = 8
 SPECULATIVE_DEPTH = 3  # bisection steps resolved by one search block
 
 
+@dataclass(frozen=True, eq=False)
 class Nonlinearity:
-    """Static feedback ``u = phi(y)`` in one of three flavors.
+    """Static feedback ``u = phi(y)``: ``block`` maps a ``(p, K)`` block to an
+    ``(m, K)`` block.  ``mat`` is a linear feedback's gain matrix, else None."""
 
-    * ``scalar``: a real function applied elementwise (needs m == p);
-    * ``network``: a feedforward network;
-    * ``gain``: a constant matrix (the linear special case).
-    """
-
-    def __init__(self, kind: str, *, fn=None, net=None, mat=None, name: str | None = None):
-        self.kind = kind
-        self.fn = fn
-        self.net = net
-        self.mat = mat
-        self.name = name or kind
+    block: Callable[[np.ndarray], np.ndarray]
+    mat: np.ndarray | None = None
 
     @classmethod
-    def scalar(cls, fn: Callable[[float], float], name: str | None = None) -> "Nonlinearity":
+    def scalar(cls, fn: Callable[[float], float], name: str = "scalar") -> "Nonlinearity":
         at_zero = float(fn(0.0))
         if abs(at_zero) > 1e-12:
             raise InputError(f"scalar nonlinearity must fix the origin; f(0) = {at_zero:g}")
-        return cls("scalar", fn=fn, name=name)
+
+        def at(y: float) -> float:
+            try:
+                return fn(y)
+            except OverflowError:
+                return math.copysign(math.inf, y)
+            except ValueError as exc:
+                raise InputError(f"nonlinearity {name!r} is undefined at y = {y:g} ({exc})") from None
+
+        def block(y: np.ndarray) -> np.ndarray:
+            entries = y.ravel().tolist()
+            # guard each call only once some entry raises: the guard costs a
+            # fifth of a cubic_sine search
+            try:
+                out = [fn(yi) for yi in entries]
+            except (OverflowError, ValueError):
+                out = [at(yi) for yi in entries]
+            return np.array(out, dtype=float).reshape(y.shape)
+
+        return cls(block)
 
     @classmethod
     def network(cls, net: Ffnn) -> "Nonlinearity":
-        return cls("network", net=net)
+        # ffnn_eval is looked up at call time, so a wrapper installed on this
+        # module after the loop was built still sees every evaluation
+        return cls(lambda y: ffnn_eval(net, y))
 
     @classmethod
     def gain(cls, mat) -> "Nonlinearity":
-        return cls("gain", mat=as_matrix(mat, "gain"))
+        mat = as_matrix(mat, "gain")
+        return cls(lambda y: mat @ y, mat)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        if self.kind == "gain":
-            return self.mat @ y
-        if self.kind == "network":
-            return ffnn_eval(self.net, y)
-        entries = y.ravel().tolist()
-        # guard each call only once some entry raises: the guard costs a
-        # fifth of a cubic_sine search
-        try:
-            out = [self.fn(yi) for yi in entries]
-        except (OverflowError, ValueError):
-            out = [self._at(yi) for yi in entries]
-        return np.array(out, dtype=float).reshape(y.shape)
-
-    def _at(self, y: float) -> float:
-        try:
-            return self.fn(y)
-        except OverflowError:
-            return math.copysign(math.inf, y)
-        except ValueError as exc:
-            raise InputError(f"nonlinearity {self.name!r} is undefined at y = {y:g} ({exc})") from None
+        return self.block(y)
 
 
 def _cubic_sine(y: float) -> float:
@@ -101,19 +97,15 @@ def _cubic_sine(y: float) -> float:
 
 @dataclass(frozen=True)
 class BuiltinNonlinearity:
-    """A named scalar feedback with its declared design sector."""
+    """A scalar feedback with its declared design sector."""
 
-    name: str
-    fn: Callable[[float], float]
+    phi: Nonlinearity
     sector_lower: float
     sector_upper: float
 
-    def make(self) -> Nonlinearity:
-        return Nonlinearity.scalar(self.fn, name=self.name)
-
 
 BUILTIN_NONLINEARITIES = {
-    "cubic_sine": BuiltinNonlinearity("cubic_sine", _cubic_sine, -2.0, -0.48),
+    "cubic_sine": BuiltinNonlinearity(Nonlinearity.scalar(_cubic_sine, "cubic_sine"), -2.0, -0.48),
 }
 
 
@@ -215,15 +207,18 @@ def simulate_lure(
         )
     if not np.isfinite(x0s).all():
         raise InputError("x0 must be finite")
-    if phi.kind == "scalar" and sys.m != sys.p:
+    # phi maps p outputs to m inputs; a gain shows it by its matrix, with no call
+    maps = phi.mat.shape[::-1] if phi.mat is not None else (sys.p, len(phi(np.zeros((sys.p, 1)))))
+    if maps != (sys.p, sys.m):
         raise DimensionMismatchError(
-            "an elementwise scalar nonlinearity needs matching input/output counts"
+            "the nonlinearity and the plant need matching input/output counts: "
+            f"phi maps {maps[0]} -> {maps[1]}, the plant needs {sys.p} -> {sys.m}"
         )
 
     dt = cfg.dt
     steps = int(round(cfg.horizon / dt))
     drifts = [sys.a + pert.d @ d @ pert.e for d in deltas]
-    if phi.kind == "gain":
+    if phi.mat is not None:
         # For a linear field the four RK4 stages telescope into one constant
         # step matrix: the degree-4 Taylor polynomial of expm(h).
         mats = []
@@ -330,9 +325,9 @@ def _trial_batch(sys, phi, pert, cfg, trials: int, seed: int):
 
 def _midpoints(lo: float, hi: float, tol: float, depth: int) -> list[float]:
     """Every midpoint that the next ``depth`` bisection steps of ``[lo, hi]`` can visit."""
-    if depth == 0 or not hi - lo > tol:
-        return []
     mid = 0.5 * (lo + hi)
+    if depth == 0 or not (hi - lo > tol and lo < mid < hi):
+        return []
     return [mid] + _midpoints(lo, mid, tol, depth - 1) + _midpoints(mid, hi, tol, depth - 1)
 
 
@@ -356,10 +351,10 @@ def find_critical_delta(
 
     Phase 1 probes delta = 0 and ``delta_max * 2**-j``, j = 8, ..., 0, as one
     block and takes the first level at which a trial is classified Unstable;
-    phase 2 bisects the bracket down to ``tol``.  When a bisection step
-    needs a midpoint not yet integrated, one block integrates every midpoint
-    that the next ``SPECULATIVE_DEPTH`` steps can visit, so the bracket is
-    the one plain bisection finds.  Inconclusive verdicts count as not-unstable, so
+    phase 2 bisects the bracket down to ``tol``, or to adjacent floats.  When
+    a bisection step needs a midpoint not yet integrated, one block integrates
+    every midpoint that the next ``SPECULATIVE_DEPTH`` steps can visit, so the
+    bracket is the one plain bisection finds.  Inconclusive verdicts count as not-unstable, so
     the result upper-bounds the true threshold.  The same seeded batch of
     nonnegative initial states is reused at every delta.
     """
@@ -386,8 +381,8 @@ def find_critical_delta(
     if hi is None:
         raise NoInstabilityError(largest_delta=delta_max)
     outcome = {}
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    # adjacent floats end the bisection too: no midpoint lies strictly between them
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if mid not in outcome:
             mids = _midpoints(lo, hi, tol, SPECULATIVE_DEPTH)
             outcome = dict(zip(mids, unstable(mids)))

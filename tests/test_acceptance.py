@@ -233,7 +233,7 @@ def test_criterion_09_simulation_analysis_consistency(example_a):
         seed=42,
     )
 
-    builtin = sim.BUILTIN_NONLINEARITIES["cubic_sine"].make()
+    builtin = sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi
     nonlinear_cfg = SimConfig(dt=0.01, horizon=60.0)
     nonlinear = sim.find_critical_delta(
         example_a.system,

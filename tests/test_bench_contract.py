@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import lurestab.cli
+from lurestab import sim
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -54,4 +55,23 @@ def test_traced_run_counts_every_layer(tracing, capsys, tmp_path):
     assert metrics["radius.certify_calls"] > 0
     assert metrics["sim.simulate_calls"] > 0
     assert metrics["sim.rk4_steps"] > 0
+    assert metrics["sim.phi_calls"] > 0
+
+
+def test_traced_run_counts_network_loops_built_before_install(tracing, example_b):
+    # the benchmark builds its loops at set-up, before the tracer installs,
+    # so a loop must reach the network evaluation through the traced name
+    phi = example_b.loop_nonlinearity()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        first = tracer.mark()
+        sim.sweep(
+            example_b.system, phi, example_b.pert, [1.0],
+            cfg=sim.SimConfig(dt=0.05, horizon=2.0), trials=1,
+        )
+        metrics = tracer.layer_metrics(first, tracer.mark())
+    finally:
+        tracer.uninstall()
+    assert metrics["ffnn.eval_calls"] > 0
     assert metrics["sim.phi_calls"] > 0

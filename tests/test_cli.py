@@ -176,6 +176,34 @@ class TestProblemLoading:
         assert code == 1
         assert err == f"error: {path}: sector: must be an object\n"
 
+    def test_unordered_sector_exits_one(self, capsys, tmp_path, sector_problem):
+        doc = json.loads(sector_problem.read_text())
+        doc["sector"] = {"Sigma1": [[1.0]], "Sigma2": [[0.5]]}
+        path = tmp_path / "unordered.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", "--problem", str(path))
+        assert code == 1
+        assert err == (
+            f"error: {path}: sector: sector lower bound must be <= upper bound elementwise\n"
+        )
+
+    @pytest.mark.parametrize("command", ["check", "sweep"])
+    def test_builtin_on_a_non_square_plant_exits_one(self, capsys, tmp_path, command):
+        doc = {
+            "system": {"A": [[-2.0, 0.0], [0.0, -2.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
+                       "C": [[1.0, 1.0]]},
+            "perturbation": {"D": [[1.0], [1.0]], "E": [[1.0, 1.0]]},
+            "builtin_nonlinearity": "cubic_sine",
+            "sweep": {"deltas": [0.1]},
+        }
+        path = tmp_path / "two_in_one_out.json"
+        path.write_text(json.dumps(doc))
+        extra = ["--out", str(tmp_path / "s.csv"), "--trials", "1"] if command == "sweep" else []
+        code, out, err = run_cli(capsys, command, "--problem", str(path), *extra)
+        assert code == 1
+        assert err.startswith(f"error: {path}: builtin_nonlinearity: 'cubic_sine' acts elementwise")
+        assert "2 inputs and 1 outputs" in err
+
     def test_simulation_x0_is_not_a_problem_field(self, capsys, tmp_path):
         # sweeps and searches draw their own initial states, so a file x0
         # would be silently ignored

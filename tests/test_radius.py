@@ -52,8 +52,13 @@ class TestTypes:
             LtiSystem(a=np.eye(2), b=np.ones((2, 1)), c=np.ones((1, 3)))
 
     def test_sector_ordering_enforced(self):
-        with pytest.raises(OrderViolationError):
-            SectorBound.scalar(1.0, -1.0)
+        # the order is the certificate's gate, so an unordered sector fails it
+        unordered = SectorBound.scalar(1.0, -1.0)
+        cert = rad.certify_positive_lure(SYS_B, unordered)
+        assert cert.sector_ordered is False and cert.verdict is False
+        assert "sector_ordered" in cert.failed_gates()
+        with pytest.raises(CertificationError, match="sector_ordered"):
+            rad.stability_radius_lure(SYS_B, unordered, PERT_B)
 
     def test_perturbation_requires_nonnegative_scalings(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from lurestab.errors import (
     UnstableAtZeroError,
     ZeroInitialStateError,
 )
+from lurestab.ffnn import RELU, Ffnn, Layer
 from lurestab.linalg import NormKind, operator_norm, spectral_abscissa
 from lurestab.radius import LtiSystem, PerturbationStructure, stability_radius_lure
 from lurestab.sim import Nonlinearity, SimConfig, Trajectory
@@ -51,7 +57,7 @@ class TestNonlinearity:
         assert phi(np.array([1.0, -2.0])) == pytest.approx([-1.0, 2.0])
 
     def test_undefined_value_is_input_error(self):
-        phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].make()
+        phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi
         with pytest.raises(InputError, match="undefined at y = inf"):
             phi(np.array([np.inf]))
 
@@ -71,7 +77,7 @@ class TestNonlinearity:
     def test_builtin_registry(self):
         builtin = sim.BUILTIN_NONLINEARITIES["cubic_sine"]
         assert builtin.sector_lower == -2.0 and builtin.sector_upper == -0.48
-        phi = builtin.make()
+        phi = builtin.phi
         assert phi(np.array([0.0])) == pytest.approx([0.0])
         y = 1.3
         assert phi(np.array([y]))[0] == pytest.approx(-1.5 * y + 0.01 * y**3 + np.sin(2 * y))
@@ -333,7 +339,7 @@ class TestSpeculativeBisection:
             loop = (example_b.system, example_b.loop_nonlinearity(), example_b.pert)
             delta_max, tol = 4.0, 0.01
         elif case == "cubic_sine":
-            phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].make()
+            phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi
             loop = (example_a.system, phi, example_a.pert)
             delta_max, tol = 2.0, 0.005
         else:
@@ -348,6 +354,31 @@ class TestSpeculativeBisection:
         assert sim._midpoints(0.0, 8.0, 0.5, 3) == [4.0, 2.0, 1.0, 3.0, 6.0, 5.0, 7.0]
         assert sim._midpoints(0.0, 8.0, 3.0, 3) == [4.0, 2.0, 6.0]
         assert sim._midpoints(0.0, 8.0, 8.0, 3) == []
+
+    def test_stops_once_the_bracket_ends_are_adjacent_floats(self):
+        # below the bracket's float spacing no midpoint lies strictly inside
+        # it; the search runs in a subprocess so that a regression fails
+        # within the timeout instead of hanging the suite
+        script = textwrap.dedent("""
+            import numpy as np
+            from lurestab import sim
+            from lurestab.radius import LtiSystem, PerturbationStructure
+            sys = LtiSystem(a=[[-1.0]], b=[[1.0]], c=[[1.0]])
+            pert = PerturbationStructure(d=[[1.0]], e=[[1.0]])
+            cfg = sim.SimConfig(dt=0.1, horizon=5.0)
+            phi = sim.Nonlinearity.gain([[0.0]])
+            lo, hi = sim.find_critical_delta(
+                sys, phi, pert, delta_max=4.0, tol=1e-17, cfg=cfg, trials=1
+            ).bracket
+            print(lo < hi == np.nextafter(lo, np.inf))
+        """)
+        src = str(Path(sim.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.stdout == "True\n", done.stderr
 
 
 def assert_columns_match_single_runs(sys, phi, pert, deltas, cfg, x0s):
@@ -396,7 +427,7 @@ class TestBlockEngine:
         )
 
     def test_cubic_sine_columns(self, example_a):
-        phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].make()
+        phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi
         x0s = np.random.default_rng(3).uniform(0.0, 1.0, size=(3, 3))
         cfg = SimConfig(dt=0.02, horizon=20.0)
         assert_columns_match_single_runs(
@@ -477,6 +508,24 @@ class TestBlockInputChecks:
             sim.simulate_lure(*args, np.ones((3, 1)))
         with pytest.raises(InputError, match="x0 must be finite"):
             sim.simulate_lure(*args, np.array([[1.0, 1.0], [1.0, np.nan]]))
+
+    @pytest.mark.parametrize("phi, maps", [
+        (Nonlinearity.gain([[1.0, 2.0]]), "2 -> 1"),
+        (Nonlinearity.network(Ffnn((), Layer.linear([[1.0], [1.0]]), RELU)), "1 -> 2"),
+    ], ids=["gain_1x2", "network_1_to_2"])
+    def test_phi_must_map_plant_outputs_to_plant_inputs(self, phi, maps):
+        with pytest.raises(DimensionMismatchError, match=f"phi maps {maps}, the plant needs 1 -> 1"):
+            sim.simulate_lure(
+                two_state_system(), phi, scalar_pert(2), [[0.1]], SimConfig(), np.ones(2)
+            )
+
+    def test_gain_loop_is_checked_without_calling_phi(self):
+        def uncalled(y):
+            raise AssertionError("a gain loop called its block")
+
+        phi = Nonlinearity(uncalled, np.array([[0.5]]))
+        cfg = SimConfig(dt=0.1, horizon=1.0)
+        sim.simulate_lure(two_state_system(), phi, scalar_pert(2), [[0.1]], cfg, np.ones(2))
 
     def test_scalar_nonlinearity_needs_square_io_on_a_block(self):
         sys = LtiSystem(a=-np.eye(2), b=[[1.0], [0.0]], c=np.eye(2))
@@ -563,7 +612,7 @@ class TestWorkedExampleLoop:
     def test_builtin_nonlinearity_stays_bounded_below_threshold(self, example_a):
         # the bundled feedback holds trajectories in a bounded band rather
         # than driving them to zero, so "not unstable" is the honest claim
-        phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].make()
+        phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi
         cfg = SimConfig(dt=0.01, horizon=30.0)
         rows = sim.sweep(
             example_a.system, phi, example_a.pert, [0.2], cfg=cfg, trials=3, seed=42
@@ -572,7 +621,7 @@ class TestWorkedExampleLoop:
         assert all(r.decay_ratio < 10.0 for r in rows)
 
     def test_builtin_nonlinearity_blows_up_at_large_delta(self, example_a):
-        phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].make()
+        phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi
         cfg = SimConfig(dt=0.01, horizon=30.0)
         rows = sim.sweep(
             example_a.system, phi, example_a.pert, [2.0], cfg=cfg, trials=3, seed=42
