@@ -5,8 +5,10 @@ nonlinearity ``phi``.  One RK4 engine integrates a single trajectory, with
 its state history, or a block of columns, one per (delta, initial state)
 pair, keeping each column's initial and final magnitude and blow-up time.
 A sweep integrates all its (delta, trial) columns as one block; the
-critical-perturbation search integrates its geometric levels as one block
-and then several bisection steps' candidate deltas per block.
+critical-perturbation search integrates its geometric levels as one block,
+then splits the bisection steps left evenly into the fewest blocks of at
+most ``SPECULATIVE_DEPTH`` steps, each holding every midpoint its steps can
+visit.
 Classification uses the ratio of final to initial state magnitude; the
 search brackets the smallest delta at which any trial trajectory is
 classified unstable.
@@ -39,7 +41,7 @@ BLOWUP_BOUND = 1e9
 DEFAULT_TRIALS = 10
 DEFAULT_SEED = 42
 GEOMETRIC_LEVELS = 8
-SPECULATIVE_DEPTH = 3  # bisection steps resolved by one search block
+SPECULATIVE_DEPTH = 4  # most bisection steps that one search block resolves
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +54,13 @@ class Nonlinearity:
 
     @classmethod
     def scalar(cls, fn: Callable[[float], float], name: str = "scalar") -> "Nonlinearity":
-        at_zero = float(fn(0.0))
-        if abs(at_zero) > 1e-12:
+        try:
+            at_zero = float(fn(0.0))
+        except (ArithmeticError, ValueError) as exc:
+            raise InputError(
+                f"scalar nonlinearity must fix the origin; f(0) raised {type(exc).__name__} ({exc})"
+            ) from None
+        if not abs(at_zero) <= 1e-12:  # a NaN fails too
             raise InputError(f"scalar nonlinearity must fix the origin; f(0) = {at_zero:g}")
 
         def at(y: float) -> float:
@@ -225,46 +232,51 @@ def simulate_lure(
         for drift in drifts:
             h = dt * (drift + sys.b @ phi.mat @ sys.c)
             mats.append(np.eye(sys.n) + h + h @ h / 2.0 + h @ h @ h / 6.0 + h @ h @ h @ h / 24.0)
-
-        def advance(x, m):
-            return np.matmul(m, x[..., None])[..., 0]
+        advance = np.matmul  # (m, x) -> the state one step on
     else:
         mats = drifts
         b = sys.b
         c = sys.c
+        half, sixth = 0.5 * dt, dt / 6.0
 
         def deriv(x, m):
-            u = phi(np.matmul(c, x[..., None])[..., 0].T)
-            return np.matmul(m, x[..., None])[..., 0] + np.matmul(b, u.T[..., None])[..., 0]
+            u = phi(np.matmul(c, x)[..., 0].T)
+            return np.matmul(m, x) + np.matmul(b, u.T[..., None])
 
-        def advance(x, m):
+        def advance(m, x):
             k1 = deriv(x, m)
-            k2 = deriv(x + 0.5 * dt * k1, m)
-            k3 = deriv(x + 0.5 * dt * k2, m)
+            k2 = deriv(x + half * k1, m)
+            k3 = deriv(x + half * k2, m)
             k4 = deriv(x + dt * k3, m)
-            return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            return x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    # Column i * T + t runs delta i from state t.  The products are stacked
-    # matrix-vector products, ``np.matmul(m, x[..., None])``: one (n, K)
-    # matrix product would differ from a column's run alone in the last bits.
+    # Column i * T + t runs delta i from state t, held as a (K, n, 1) stack.
+    # The products are stacked matrix-vector products, ``np.matmul(m, x)``:
+    # one (n, K) matrix product would differ from a column's run alone in the
+    # last bits.
     x = np.tile(x0s, (len(mats), 1))
+    initial = np.abs(x).max(axis=1)
+    x = x.reshape(-1, sys.n, 1)
     m = np.repeat(np.array(mats).reshape(-1, sys.n, sys.n), len(x0s), axis=0)
     live = np.arange(len(x))
-    initial = np.abs(x).max(axis=1)
     final = np.empty(len(x))
     blowup = [None] * len(x)
     if single:
         states = np.empty((steps + 1, sys.n))
-        states[0] = x[0]
+        states[0] = x[0, :, 0]
+    bound_sq = BLOWUP_BOUND**2  # 1e18, exact
     last = 0
     while live.size and last < steps:
         last += 1
-        x = advance(x, m)
+        x = advance(m, x)
         if single:
-            states[last] = x[0]
-        if np.abs(x).max() <= BLOWUP_BOUND:
+            states[last] = x[0, :, 0]
+        # one call instead of abs and max: a sum of squares within the
+        # bound's square leaves every entry within the bound, and a NaN, an
+        # infinity or an overflow takes the exact check below
+        if np.vdot(x, x) <= bound_sq:
             continue
-        peaks = np.abs(x).max(axis=1)
+        peaks = np.abs(x).max(axis=(1, 2))
         if np.isnan(peaks).any():
             raise NonFiniteStateError(f"state became NaN at t = {last * dt:g}")
         out = peaks > BLOWUP_BOUND
@@ -272,7 +284,7 @@ def simulate_lure(
         for col in live[out]:
             blowup[col] = last * dt
         live, x, m = live[~out], x[~out], m[~out]
-    final[live] = np.abs(x).max(axis=1)
+    final[live] = np.abs(x).max(axis=(1, 2))
     times = np.arange(last + 1) * dt
     if single:
         return Trajectory(times, states[: last + 1], blowup_time=blowup[0])
@@ -331,6 +343,18 @@ def _midpoints(lo: float, hi: float, tol: float, depth: int) -> list[float]:
     return [mid] + _midpoints(lo, mid, tol, depth - 1) + _midpoints(mid, hi, tol, depth - 1)
 
 
+def _block_depth(lo: float, hi: float, tol: float) -> int:
+    """Bisection steps for the next search block: the steps left until the
+    bracket is within ``tol``, split evenly into the fewest blocks of at
+    most ``SPECULATIVE_DEPTH`` steps."""
+    steps, width = 0, hi - lo
+    while width > tol:  # halving, not log2(width / tol), which overflows for a subnormal tol
+        steps += 1
+        width *= 0.5
+    blocks = -(-steps // SPECULATIVE_DEPTH)
+    return -(-steps // blocks)
+
+
 @dataclass(frozen=True)
 class CriticalDelta:
     delta_star: float
@@ -353,10 +377,14 @@ def find_critical_delta(
     block and takes the first level at which a trial is classified Unstable;
     phase 2 bisects the bracket down to ``tol``, or to adjacent floats.  When
     a bisection step needs a midpoint not yet integrated, one block integrates
-    every midpoint that the next ``SPECULATIVE_DEPTH`` steps can visit, so the
-    bracket is the one plain bisection finds.  Inconclusive verdicts count as not-unstable, so
-    the result upper-bounds the true threshold.  The same seeded batch of
-    nonnegative initial states is reused at every delta.
+    every midpoint that the next ``depth`` steps can visit, so the bracket is
+    the one plain bisection finds.  With S steps left until the bracket is
+    within ``tol``, ``blocks = ceil(S / SPECULATIVE_DEPTH)`` and
+    ``depth = ceil(S / blocks)``: 8 steps take two blocks of depth 4 (15
+    deltas each), 9 steps three blocks of depth 3.  Inconclusive verdicts
+    count as not-unstable, so the result upper-bounds the true threshold.
+    The same seeded batch of nonnegative initial states is reused at every
+    delta.
     """
     if not 0 < delta_max < math.inf:
         raise InputError(f"delta_max must be positive and finite; got {delta_max!r}")
@@ -384,7 +412,7 @@ def find_critical_delta(
     # adjacent floats end the bisection too: no midpoint lies strictly between them
     while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if mid not in outcome:
-            mids = _midpoints(lo, hi, tol, SPECULATIVE_DEPTH)
+            mids = _midpoints(lo, hi, tol, _block_depth(lo, hi, tol))
             outcome = dict(zip(mids, unstable(mids)))
         if outcome[mid]:
             hi = mid

@@ -42,6 +42,7 @@ CASES = {
     "refine_b_delta_crit": ("refine", "--problem", "example_b.json", "--delta-crit", "3.15"),
     "sweep_a": ("sweep", "--problem", "example_a.json", *SWEEP),
     "sweep_b": ("sweep", "--problem", "example_b.json", *SWEEP),
+    "sweep_sector": ("sweep", "--problem", "{problems}/sector.json", *SWEEP),
     "refine_b_search": (
         "refine", "--problem", "example_b.json", "--trials", "1", "--horizon", "10", "--dt", "0.02",
     ),

@@ -48,6 +48,14 @@ class TestNonlinearity:
         with pytest.raises(ValueError):
             Nonlinearity.scalar(lambda y: y + 1.0)
 
+    def test_scalar_nan_at_origin_is_input_error(self):
+        with pytest.raises(InputError, match=r"must fix the origin; f\(0\) = nan"):
+            Nonlinearity.scalar(lambda y: float("nan"))
+
+    def test_scalar_raising_at_origin_is_input_error(self):
+        with pytest.raises(InputError, match=r"must fix the origin; f\(0\) raised ValueError"):
+            Nonlinearity.scalar(math.log)
+
     def test_gain_applies_matrix(self):
         phi = Nonlinearity.gain([[2.0, 0.0]])
         assert phi(np.array([3.0, 5.0])) == pytest.approx([6.0])
@@ -173,6 +181,18 @@ class TestBlowupRule:
         verdict = sim.classify_stability(traj)
         assert verdict.label == "Unstable"
         assert verdict.blowup_time == traj.blowup_time
+
+    @pytest.mark.parametrize("phi", [Nonlinearity.gain([[0.0]]), ZERO_PHI], ids=["gain", "stages"])
+    def test_halting_looks_at_entries_not_at_the_state_norm(self, phi):
+        # the state's 2-norm exceeds the bound and no entry does; from the
+        # bound on, an entry halts its column at the step it crosses
+        sys = LtiSystem(a=[[0.0, 0.0], [0.0, 1e-4]], b=[[0.0], [0.0]], c=[[1.0, 0.0]])
+        cfg = SimConfig(dt=0.5, horizon=4.0)
+        x0 = [[8e8, 8e8], [8e8, 0.99995e9]]
+        block = sim.simulate_lure(sys, phi, identity_pert(2), np.zeros((1, 2, 2)), cfg, x0)
+        assert block.columns[0].blowup_time is None
+        assert block.columns[0].final_peak == pytest.approx(8e8 * math.exp(4e-4))
+        assert block.columns[1].blowup_time == 1.0
 
     @pytest.mark.parametrize("loop", [GAIN_INF, STAGES_INF], ids=["gain", "stages"])
     def test_infinite_state_is_a_blowup(self, loop):
@@ -357,8 +377,9 @@ class TestSpeculativeBisection:
 
     def test_stops_once_the_bracket_ends_are_adjacent_floats(self):
         # below the bracket's float spacing no midpoint lies strictly inside
-        # it; the search runs in a subprocess so that a regression fails
-        # within the timeout instead of hanging the suite
+        # it, also for the smallest subnormal tol, whose step count must not
+        # overflow; the search runs in a subprocess so that a regression
+        # fails within the timeout instead of hanging the suite
         script = textwrap.dedent("""
             import numpy as np
             from lurestab import sim
@@ -367,10 +388,11 @@ class TestSpeculativeBisection:
             pert = PerturbationStructure(d=[[1.0]], e=[[1.0]])
             cfg = sim.SimConfig(dt=0.1, horizon=5.0)
             phi = sim.Nonlinearity.gain([[0.0]])
-            lo, hi = sim.find_critical_delta(
-                sys, phi, pert, delta_max=4.0, tol=1e-17, cfg=cfg, trials=1
-            ).bracket
-            print(lo < hi == np.nextafter(lo, np.inf))
+            for tol in (1e-17, 5e-324):
+                lo, hi = sim.find_critical_delta(
+                    sys, phi, pert, delta_max=4.0, tol=tol, cfg=cfg, trials=1
+                ).bracket
+                print(lo < hi == np.nextafter(lo, np.inf))
         """)
         src = str(Path(sim.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -378,7 +400,33 @@ class TestSpeculativeBisection:
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=30,
             env={**os.environ, "PYTHONPATH": path},
         )
-        assert done.stdout == "True\n", done.stderr
+        assert done.stdout == "True\nTrue\n", done.stderr
+
+    def test_network_search_takes_three_blocks_of_at_most_fifteen_deltas(self, example_b, monkeypatch):
+        # the levels' block, then the 8 bisection steps of [2, 4] down to
+        # tol 0.01 as two blocks of depth 4 (depth 3 took three)
+        widths = []
+        simulate = sim.simulate_lure
+
+        def counted(sys, phi, pert, delta, cfg, x0):
+            widths.append(len(delta) * len(x0))
+            return simulate(sys, phi, pert, delta, cfg, x0)
+
+        monkeypatch.setattr(sim, "simulate_lure", counted)
+        sim.find_critical_delta(
+            example_b.system, example_b.loop_nonlinearity(), example_b.pert,
+            delta_max=4.0, tol=0.01, cfg=SimConfig(dt=0.02, horizon=20.0), trials=1,
+        )
+        assert len(widths) == 3
+        assert max(widths) <= 15
+
+    def test_block_depth_splits_the_steps_left_evenly(self):
+        # 8 steps: 4 + 4; 9: 3 + 3 + 3; 10: 4, then 3 + 3; 3: one block of 3
+        assert sim._block_depth(2.0, 4.0, 0.01) == 4
+        assert sim._block_depth(0.0, 512.0, 1.0) == 3
+        assert sim._block_depth(0.0, 1024.0, 1.0) == 4
+        assert sim._block_depth(0.0, 8.0, 1.0) == 3
+        assert sim._block_depth(0.0, 4.0, 5e-324) == 4
 
 
 def assert_columns_match_single_runs(sys, phi, pert, deltas, cfg, x0s):
