@@ -10,7 +10,7 @@ drive the sign selection for refined bounds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -104,8 +104,6 @@ class Ffnn:
     hidden: tuple[Layer, ...]
     output: Layer
     activation: ActivationSpec
-    # every layer as (w, b as a column), hidden layers first: what ffnn_eval reads
-    _pairs: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         hidden = tuple(self.hidden)
@@ -116,8 +114,6 @@ class Ffnn:
                 raise DimensionMismatchError(
                     f"layer dimensions do not chain: {prev} feeds {nxt}"
                 )
-        pairs = tuple((layer.w, layer.b[:, None]) for layer in hidden + (self.output,))
-        object.__setattr__(self, "_pairs", pairs)
 
     @property
     def q(self) -> int:
@@ -125,7 +121,8 @@ class Ffnn:
 
     @property
     def input_dim(self) -> int:
-        return self._pairs[0][0].shape[1]
+        first = self.hidden[0] if self.hidden else self.output
+        return first.w.shape[1]
 
     @property
     def output_dim(self) -> int:
@@ -149,10 +146,9 @@ def ffnn_eval(net: Ffnn, z) -> np.ndarray:
     if net.hidden and act.fn is None:
         raise InputError(f"activation {act.name!r} has no callable for evaluation")
     x = x.T[..., None]
-    for w, b in net._pairs[:-1]:
-        x = act.fn(np.matmul(w, x) + b)
-    w, b = net._pairs[-1]
-    x = np.matmul(w, x) + b
+    for layer in net.hidden:
+        x = act.fn(np.matmul(layer.w, x) + layer.b[:, None])
+    x = np.matmul(net.output.w, x) + net.output.b[:, None]
     return x[0, :, 0] if single else x[..., 0].T
 
 

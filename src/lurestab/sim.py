@@ -7,7 +7,8 @@ pair, keeping each column's initial and final magnitude and blow-up time.
 A sweep integrates all its (delta, trial) columns as one block; the
 critical-perturbation search integrates its geometric levels as one block,
 then splits the bisection steps left evenly into the fewest blocks of at
-most ``SPECULATIVE_DEPTH`` steps, each holding every midpoint its steps can
+most ``SPECULATIVE_DEPTH`` steps (``NARROW_SPECULATIVE_DEPTH`` for a
+single-trial nonlinear search), each holding every midpoint its steps can
 visit.
 Classification uses the ratio of final to initial state magnitude; the
 search brackets the smallest delta at which any trial trajectory is
@@ -41,7 +42,8 @@ BLOWUP_BOUND = 1e9
 DEFAULT_TRIALS = 10
 DEFAULT_SEED = 42
 GEOMETRIC_LEVELS = 8
-SPECULATIVE_DEPTH = 4  # most bisection steps that one search block resolves
+SPECULATIVE_DEPTH = 3  # most bisection steps that one search block resolves
+NARROW_SPECULATIVE_DEPTH = 4  # the same for a single-trial nonlinear search
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,14 +274,18 @@ def simulate_lure(
         if single:
             states[last] = x[0, :, 0]
         # one call instead of abs and max: a sum of squares within the
-        # bound's square leaves every entry within the bound, and a NaN, an
-        # infinity or an overflow takes the exact check below
+        # bound's square leaves every entry within the bound; a NaN, an
+        # infinity, an overflow, or columns whose squares add past the
+        # bound's square without any entry past the bound, take the exact
+        # check below
         if np.vdot(x, x) <= bound_sq:
             continue
         peaks = np.abs(x).max(axis=(1, 2))
         if np.isnan(peaks).any():
             raise NonFiniteStateError(f"state became NaN at t = {last * dt:g}")
         out = peaks > BLOWUP_BOUND
+        if not out.any():
+            continue
         final[live[out]] = peaks[out]
         for col in live[out]:
             blowup[col] = last * dt
@@ -343,15 +349,15 @@ def _midpoints(lo: float, hi: float, tol: float, depth: int) -> list[float]:
     return [mid] + _midpoints(lo, mid, tol, depth - 1) + _midpoints(mid, hi, tol, depth - 1)
 
 
-def _block_depth(lo: float, hi: float, tol: float) -> int:
+def _block_depth(lo: float, hi: float, tol: float, cap: int) -> int:
     """Bisection steps for the next search block: the steps left until the
     bracket is within ``tol``, split evenly into the fewest blocks of at
-    most ``SPECULATIVE_DEPTH`` steps."""
+    most ``cap`` steps."""
     steps, width = 0, hi - lo
     while width > tol:  # halving, not log2(width / tol), which overflows for a subnormal tol
         steps += 1
         width *= 0.5
-    blocks = -(-steps // SPECULATIVE_DEPTH)
+    blocks = -(-steps // cap)
     return -(-steps // blocks)
 
 
@@ -379,12 +385,13 @@ def find_critical_delta(
     a bisection step needs a midpoint not yet integrated, one block integrates
     every midpoint that the next ``depth`` steps can visit, so the bracket is
     the one plain bisection finds.  With S steps left until the bracket is
-    within ``tol``, ``blocks = ceil(S / SPECULATIVE_DEPTH)`` and
-    ``depth = ceil(S / blocks)``: 8 steps take two blocks of depth 4 (15
-    deltas each), 9 steps three blocks of depth 3.  Inconclusive verdicts
-    count as not-unstable, so the result upper-bounds the true threshold.
-    The same seeded batch of nonnegative initial states is reused at every
-    delta.
+    within ``tol`` and a cap of ``SPECULATIVE_DEPTH`` steps per block,
+    ``blocks = ceil(S / cap)`` and ``depth = ceil(S / blocks)``: 8 steps take
+    blocks of depth 3, 3 and 2.  A single-trial search of a nonlinear loop
+    has the cap ``NARROW_SPECULATIVE_DEPTH``, so 8 steps take two blocks of
+    depth 4 (15 deltas each).  Inconclusive verdicts count as not-unstable,
+    so the result upper-bounds the true threshold.  The same seeded batch of
+    nonnegative initial states is reused at every delta.
     """
     if not 0 < delta_max < math.inf:
         raise InputError(f"delta_max must be positive and finite; got {delta_max!r}")
@@ -408,11 +415,16 @@ def find_critical_delta(
         lo = delta
     if hi is None:
         raise NoInstabilityError(largest_delta=delta_max)
+    # A block step costs a fixed overhead plus a share per column.  A fourth
+    # step per block saves blocks for 8 more deltas each, which pays only
+    # where the overhead, the phi calls of a nonlinear loop, outweighs one
+    # trial's columns: a gain loop's step and a wide block's grow with width.
+    cap = NARROW_SPECULATIVE_DEPTH if trials == 1 and phi.mat is None else SPECULATIVE_DEPTH
     outcome = {}
     # adjacent floats end the bisection too: no midpoint lies strictly between them
     while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if mid not in outcome:
-            mids = _midpoints(lo, hi, tol, _block_depth(lo, hi, tol))
+            mids = _midpoints(lo, hi, tol, _block_depth(lo, hi, tol, cap))
             outcome = dict(zip(mids, unstable(mids)))
         if outcome[mid]:
             hi = mid

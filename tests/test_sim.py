@@ -402,31 +402,50 @@ class TestSpeculativeBisection:
         )
         assert done.stdout == "True\nTrue\n", done.stderr
 
-    def test_network_search_takes_three_blocks_of_at_most_fifteen_deltas(self, example_b, monkeypatch):
-        # the levels' block, then the 8 bisection steps of [2, 4] down to
-        # tol 0.01 as two blocks of depth 4 (depth 3 took three)
+    @pytest.mark.parametrize(
+        "case, deltas",
+        [
+            ("network, one trial", [10, 15, 15]),
+            ("network, two trials", [10, 7, 7, 3]),
+            ("gain, one trial", [10, 7, 7, 3]),
+        ],
+    )
+    def test_search_block_widths(self, case, deltas, example_a, example_b, monkeypatch):
+        # delta 0 and the 9 levels, then 8 bisection steps: two blocks of
+        # depth 4 for a single-trial nonlinear search, else depths 3, 3, 2
+        if case.startswith("network"):
+            loop = (example_b.system, example_b.loop_nonlinearity(), example_b.pert)
+            delta_max, tol = 4.0, 0.01
+        else:
+            loop = (example_a.system, Nonlinearity.gain(example_a.analysis_sector().upper),
+                    example_a.pert)
+            delta_max, tol = 1.0, 0.001
+        trials = 2 if case.endswith("two trials") else 1
         widths = []
         simulate = sim.simulate_lure
 
         def counted(sys, phi, pert, delta, cfg, x0):
-            widths.append(len(delta) * len(x0))
+            widths.append(len(delta))
             return simulate(sys, phi, pert, delta, cfg, x0)
 
         monkeypatch.setattr(sim, "simulate_lure", counted)
         sim.find_critical_delta(
-            example_b.system, example_b.loop_nonlinearity(), example_b.pert,
-            delta_max=4.0, tol=0.01, cfg=SimConfig(dt=0.02, horizon=20.0), trials=1,
+            *loop, delta_max=delta_max, tol=tol, cfg=SimConfig(dt=0.02, horizon=20.0),
+            trials=trials,
         )
-        assert len(widths) == 3
-        assert max(widths) <= 15
+        assert widths == deltas
 
     def test_block_depth_splits_the_steps_left_evenly(self):
-        # 8 steps: 4 + 4; 9: 3 + 3 + 3; 10: 4, then 3 + 3; 3: one block of 3
-        assert sim._block_depth(2.0, 4.0, 0.01) == 4
-        assert sim._block_depth(0.0, 512.0, 1.0) == 3
-        assert sim._block_depth(0.0, 1024.0, 1.0) == 4
-        assert sim._block_depth(0.0, 8.0, 1.0) == 3
-        assert sim._block_depth(0.0, 4.0, 5e-324) == 4
+        # cap 4: 8 steps 4 + 4; 9: 3 + 3 + 3; 10: 4, then 3 + 3; 3: one block of 3
+        assert sim._block_depth(2.0, 4.0, 0.01, 4) == 4
+        assert sim._block_depth(0.0, 512.0, 1.0, 4) == 3
+        assert sim._block_depth(0.0, 1024.0, 1.0, 4) == 4
+        assert sim._block_depth(0.0, 8.0, 1.0, 4) == 3
+        assert sim._block_depth(0.0, 4.0, 5e-324, 4) == 4
+        # cap 3: 8 steps 3 + 3 + 2; 7: 3, then 2 + 2 (a fixed depth 3 took 3 + 3 + 1)
+        assert sim._block_depth(2.0, 4.0, 0.01, 3) == 3
+        assert sim._block_depth(0.0, 128.0, 1.0, 3) == 3
+        assert sim._block_depth(0.0, 16.0, 1.0, 3) == 2
 
 
 def assert_columns_match_single_runs(sys, phi, pert, deltas, cfg, x0s):
