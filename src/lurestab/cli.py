@@ -165,13 +165,11 @@ def cmd_nn_bound(args) -> int:
     report.set("activation", net.activation.name)
     report.set("activation_sector", [net.activation.a1, net.activation.a2])
     report.set("activation_gain_c", float(net.activation.slope_gain))
-    trace = []
-    product = np.abs(net.output.w)
-    trace.append({"layer": "output", "abs_weight_product": _mat(product)})
-    for i in range(net.q - 1, -1, -1):
-        product = product @ np.abs(net.hidden[i].w)
-        trace.append({"layer": f"hidden_{i + 1}", "abs_weight_product": _mat(product)})
-    report.set("product_trace", trace)
+    layers = ["output"] + [f"hidden_{i}" for i in range(net.q, 0, -1)]
+    report.set("product_trace", [
+        {"layer": layer, "abs_weight_product": _mat(product)}
+        for layer, product in zip(layers, ffnn.weight_products(net))
+    ])
     report.set("gamma1", _mat(bound.lower))
     report.set("gamma2", _mat(bound.upper))
     report.emit(args.format)
@@ -235,7 +233,7 @@ def cmd_sweep(args) -> int:
     if formula_radius is not None:
         report.set("formula_radius", float(formula_radius))
         beyond = [s for s in summary if s["delta"] > formula_radius]
-        if beyond and all(s["unstable"] == 0 for s in beyond):
+        if args.trials > 0 and beyond and all(s["unstable"] == 0 for s in beyond):
             report.warn(
                 "analytic radius conservative: no instability observed at any "
                 "tested delta beyond the formula radius"

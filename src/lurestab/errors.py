@@ -64,10 +64,6 @@ class CertificationError(LureStabError):
         self.certificate = certificate
 
 
-class OrderViolationError(LureStabError):
-    """An elementwise matrix ordering precondition (P >= Q) does not hold."""
-
-
 class NonzeroBiasError(LureStabError):
     """Sector bounds require all network biases to be exactly zero."""
 

@@ -165,12 +165,16 @@ def sector_bound_ffnn(net: Ffnn) -> SectorBound:
     ]
     if bad:
         raise NonzeroBiasError(bad)
-    c = net.activation.slope_gain
-    product = np.abs(net.output.w)
-    for layer in reversed(net.hidden):
-        product = product @ np.abs(layer.w)
-    upper = (c ** net.q) * product
+    upper = (net.activation.slope_gain ** net.q) * weight_products(net)[-1]
     return SectorBound(-upper, upper)
+
+
+def weight_products(net: Ffnn) -> list[np.ndarray]:
+    """The partial products ``|W_out|``, ``|W_out| |W_q|``, ..., ``|W_out| |W_q| ... |W_1|``."""
+    products = [np.abs(net.output.w)]
+    for layer in reversed(net.hidden):
+        products.append(products[-1] @ np.abs(layer.w))
+    return products
 
 
 @dataclass(frozen=True)

@@ -92,8 +92,9 @@ def is_metzler(m, tol: float = 0.0) -> bool:
     """True iff every off-diagonal entry is >= -tol; the diagonal is free."""
     m = as_matrix(m)
     _require_square(m)
-    off = m - np.diag(np.diag(m))
-    return bool((off >= -tol).all())
+    ok = m >= -tol
+    np.fill_diagonal(ok, True)
+    return bool(ok.all())
 
 
 def spectral_abscissa(m) -> float:
@@ -138,18 +139,17 @@ def operator_norm(m, kind: NormKind = NormKind.TWO) -> float:
 def _solver(m):
     """``rhs -> m^{-1} @ rhs`` from one LU of ``m``, the factorization behind every solve.
 
+    ``m`` must be a finite, square float matrix; its callers have checked it.
     Raises SingularMatrixError for a pivot below ``PIVOT_RTOL * max|entry|``.
     """
     import scipy.linalg  # deferred: keeps CLI start-up light
 
-    m = as_matrix(m)
-    _require_square(m)
     scale = float(np.abs(m).max())
     if scale == 0.0:
         raise SingularMatrixError("cannot invert the zero matrix")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        factors = scipy.linalg.lu_factor(m)
+        factors = scipy.linalg.lu_factor(m, check_finite=False)
     if np.abs(np.diag(factors[0])).min() < PIVOT_RTOL * scale:
         raise SingularMatrixError(
             f"pivot below {PIVOT_RTOL:g} * max|entry|; matrix is numerically singular"
@@ -159,6 +159,8 @@ def _solver(m):
 
 def inverse(m, rhs) -> np.ndarray:
     """``m^{-1} @ rhs`` (a vector or a block of columns) from one LU of ``m``."""
+    m = as_matrix(m)
+    _require_square(m)
     return _solver(m)(rhs)
 
 
@@ -170,12 +172,11 @@ def metzler_solve(m, rhs=None) -> tuple[np.ndarray | None, np.ndarray | None]:
     Hurwitz; a singular ``m`` (pivot below ``PIVOT_RTOL``) gives no witness
     and no solve.  ``ones`` and ``rhs`` are two solves against the one
     factor: a ``[ones | rhs]`` block would move the last bits of both.
+
+    Precondition, unchecked: ``m`` is a finite, square float array that passed
+    ``is_metzler(m, tol=FLOAT_SLACK)``, whose slack admits float noise in computed
+    loops; the witness is checked on the Metzler majorant, which bounds m's abscissa.
     """
-    m = as_matrix(m)
-    # slack admits float noise in computed closed loops; the witness is checked
-    # on the Metzler majorant, whose spectral abscissa bounds that of m
-    if not is_metzler(m, tol=FLOAT_SLACK):
-        raise NotMetzlerError("certificate construction requires a Metzler matrix")
     try:
         solve = _solver(-m)
     except SingularMatrixError:
@@ -190,7 +191,9 @@ def metzler_solve(m, rhs=None) -> tuple[np.ndarray | None, np.ndarray | None]:
 
 def metzler_hurwitz_certificate(m) -> np.ndarray:
     """Positive ``v`` with ``m @ v < 0`` for a Metzler ``m``; NotHurwitzError if none exists."""
-    v, _ = metzler_solve(m)
+    if not is_metzler(m, tol=FLOAT_SLACK):
+        raise NotMetzlerError("certificate construction requires a Metzler matrix")
+    v, _ = metzler_solve(np.asarray(m, dtype=float))
     if v is None:
         raise NotHurwitzError("no positive vector v with m @ v < 0 exists")
     return v

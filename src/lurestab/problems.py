@@ -65,49 +65,32 @@ def resolve_problem_path(path) -> Path:
 
 @dataclass(frozen=True)
 class Problem:
-    """A parsed problem file plus the digest of its raw bytes."""
+    """A parsed problem file plus the digest of its raw bytes.
+
+    The loader resolves the problem kind once.  ``feedback`` is what a
+    simulation feeds back: a sector's upper gain (the worst case), the
+    network, or the builtin function; ``sector`` holds a sector problem's
+    sector or a builtin's declared design sector.
+    """
 
     system: LtiSystem
     pert: PerturbationStructure
     sector: SectorBound | None
     network: Ffnn | None
-    builtin: str | None
+    feedback: Nonlinearity | None
     simulation: SimConfig
     sweep_deltas: list[float] | None
     path: Path
     digest: str
 
     def analysis_sector(self) -> SectorBound | None:
-        """The sector driving radius/certification for this problem.
-
-        Sector problems carry it explicitly; network problems derive it
-        from the weight-product bound; builtin nonlinearities carry a
-        declared design sector.
-        """
-        if self.sector is not None:
-            return self.sector
-        if self.network is not None:
-            return sector_bound_ffnn(self.network)
-        if self.builtin is not None:
-            spec = BUILTIN_NONLINEARITIES[self.builtin]
-            eye = np.eye(self.system.m)
-            return SectorBound(spec.sector_lower * eye, spec.sector_upper * eye)
-        return None
+        """The sector driving radius/certification: a network's weight-product
+        bound (computed on each call; a biased network raises), else ``sector``."""
+        return sector_bound_ffnn(self.network) if self.network is not None else self.sector
 
     def loop_nonlinearity(self) -> Nonlinearity | None:
-        """The feedback used in simulations.
-
-        Sector problems simulate the worst case, i.e. the constant upper
-        gain; network problems evaluate the network; builtin problems call
-        the named function.
-        """
-        if self.network is not None:
-            return Nonlinearity.network(self.network)
-        if self.builtin is not None:
-            return BUILTIN_NONLINEARITIES[self.builtin].phi
-        if self.sector is not None:
-            return Nonlinearity.gain(self.sector.upper)
-        return None
+        """The feedback used in simulations, or None for a linear problem."""
+        return self.feedback
 
     def radius(self, override_gates: bool = False) -> RadiusReport:
         """The stability radius by the formula that fits this problem.
@@ -200,9 +183,7 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
             path=resolved,
         )
 
-    sector = None
-    network = None
-    builtin = None
+    sector = network = feedback = None
     if "sector" in data:
         sec = data["sector"]
         if not isinstance(sec, dict):
@@ -222,6 +203,7 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
                 f"sector: must be {system.m}x{system.p}, got {sector.lower.shape}",
                 path=resolved,
             )
+        feedback = Nonlinearity.gain(sector.upper)
     elif "network" in data:
         net_file = Path(str(data["network"]))
         if not net_file.is_absolute():
@@ -233,6 +215,7 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
                 f"but the plant needs {system.p} -> {system.m}",
                 path=resolved,
             )
+        feedback = Nonlinearity.network(network)
     elif "builtin_nonlinearity" in data:
         builtin = str(data["builtin_nonlinearity"])
         if builtin not in BUILTIN_NONLINEARITIES:
@@ -247,6 +230,10 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
                 f"inputs as outputs; got {system.m} inputs and {system.p} outputs",
                 path=resolved,
             )
+        spec = BUILTIN_NONLINEARITIES[builtin]
+        eye = np.eye(system.m)
+        sector = SectorBound(spec.sector_lower * eye, spec.sector_upper * eye)
+        feedback = spec.phi
 
     sim = data.get("simulation", {})
     if not isinstance(sim, dict):
@@ -275,7 +262,7 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
         pert=pert,
         sector=sector,
         network=network,
-        builtin=builtin,
+        feedback=feedback,
         simulation=sim_config,
         sweep_deltas=sweep_deltas,
         path=resolved,

@@ -255,10 +255,9 @@ def _require_monotone_norm(norm: NormKind) -> None:
 
 def _metzler_hurwitz_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``(-a)^{-1} rhs`` for the linear formulas, gated by the witness of the same LU."""
-    try:
-        v, solution = linalg.metzler_solve(a, rhs)
-    except NotMetzlerError:
-        raise NotMetzlerError("stability radius formula requires a Metzler matrix") from None
+    if not linalg.is_metzler(a, tol=linalg.FLOAT_SLACK):
+        raise NotMetzlerError("stability radius formula requires a Metzler matrix")
+    v, solution = linalg.metzler_solve(a, rhs)
     if v is None:
         raise NotHurwitzError("stability radius formula requires a Hurwitz matrix")
     return solution
@@ -379,8 +378,8 @@ def refine_upper_sector(
     identity pattern (the scalar 1 for a scalar structure).  For a scalar
     loop the sign of ``+-magnitude`` is selected empirically against the network.
     """
-    if delta_crit < 0:
-        raise InputError("delta_crit must be nonnegative")
+    if not 0 <= delta_crit < np.inf:  # a NaN fails too
+        raise InputError(f"delta_crit must be nonnegative and finite; got {delta_crit!r}")
     pert.check_dims(sys.n)
     perturbed = sys.a + delta_crit * (pert.d @ np.eye(pert.k1, pert.k2) @ pert.e)
     transfer = sys.c @ linalg.inverse(perturbed, sys.b)

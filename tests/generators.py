@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lurestab.errors import DimensionMismatchError, OrderViolationError
+from lurestab.errors import DimensionMismatchError
 from lurestab.ffnn import RELU, TANH, Ffnn, Layer
 from lurestab.linalg import as_matrix, spectral_radius
 from lurestab.radius import PerturbationStructure, stability_radius_linear
@@ -54,7 +54,7 @@ def monotonicity_gap(p, q, pert: PerturbationStructure) -> RadiusPair:
     if p.shape != q.shape:
         raise DimensionMismatchError(f"shape mismatch: {p.shape} vs {q.shape}")
     if not (p >= q).all():
-        raise OrderViolationError("P >= Q must hold elementwise")
+        raise ValueError("P >= Q must hold elementwise")
     r_p = stability_radius_linear(p, pert).radius
     r_q = stability_radius_linear(q, pert).radius
     return RadiusPair(r_p=r_p, r_q=r_q)

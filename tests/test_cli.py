@@ -52,6 +52,24 @@ def zero_transfer_problem(tmp_path):
     return path
 
 
+@pytest.fixture
+def biased_network_problem(tmp_path):
+    """example_b with a network whose hidden layer has a nonzero bias."""
+    net = {
+        "activation": {"name": "relu"},
+        "layers": [
+            {"rows": 1, "cols": 1, "weights": [1.0], "bias": [0.5]},
+            {"rows": 1, "cols": 1, "weights": [0.5], "bias": [0.0]},
+        ],
+    }
+    (tmp_path / "biased_net.json").write_text(json.dumps(net))
+    doc = json.loads(fixture_path("example_b.json").read_text())
+    doc["network"] = "biased_net.json"
+    path = tmp_path / "biased.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def counting(monkeypatch, module, name, calls=None):
     """Replace ``module.name`` by a wrapper; returns the list its calls append to."""
     calls = [] if calls is None else calls
@@ -203,6 +221,23 @@ class TestProblemLoading:
         assert code == 1
         assert err.startswith(f"error: {path}: builtin_nonlinearity: 'cubic_sine' acts elementwise")
         assert "2 inputs and 1 outputs" in err
+
+    @pytest.mark.parametrize("kind", ["sector", "network", "builtin"])
+    def test_feedback_is_resolved_once_at_load(self, tmp_path, sector_problem, kind):
+        builtin = tmp_path / "builtin.json"
+        builtin.write_text(json.dumps({
+            "system": {"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]]},
+            "perturbation": {"D": [[1.0]], "E": [[1.0]]},
+            "builtin_nonlinearity": "cubic_sine",
+        }))
+        path = {"sector": sector_problem, "network": "example_b.json", "builtin": builtin}[kind]
+        problem = load_problem(path)
+        assert problem.loop_nonlinearity() is not None
+        assert problem.loop_nonlinearity() is problem.loop_nonlinearity()
+        if kind == "builtin":
+            assert problem.analysis_sector() is problem.sector
+            assert problem.sector.lower.tolist() == [[-2.0]]
+            assert problem.sector.upper.tolist() == [[-0.48]]
 
     def test_simulation_x0_is_not_a_problem_field(self, capsys, tmp_path):
         # sweeps and searches draw their own initial states, so a file x0
@@ -443,6 +478,13 @@ class TestNnBoundCommand:
         assert code == 2
         assert any("layer(s) 1" in w for w in data["warnings"])
 
+    def test_biased_problem_network_reports_at_command_time(self, capsys, biased_network_problem):
+        code, data = run_json(capsys, "nn-bound", "--problem", str(biased_network_problem))
+        assert code == 2
+        assert data["warnings"] == [
+            "sector bound requires zero biases; nonzero bias in layer(s) 1"
+        ]
+
     def test_needs_some_source(self, capsys):
         code, out, err = run_cli(capsys, "nn-bound")
         assert code == 1
@@ -473,6 +515,27 @@ class TestSweepCommand:
         )
         assert code == 0
         assert any("conservative" in w for w in data["warnings"])
+
+    def test_no_conservatism_flag_without_trials(self, capsys, tmp_path):
+        code, data = run_json(
+            capsys, "sweep", "--problem", "example_b.json",
+            "--out", str(tmp_path / "b.csv"), "--trials", "0",
+        )
+        assert code == 0
+        assert all(s["unstable"] == 0 for s in data["results"]["per_delta"])
+        assert data["warnings"] == []
+
+    def test_biased_network_sweeps_without_a_radius(self, capsys, biased_network_problem, tmp_path):
+        code, data = run_json(
+            capsys, "sweep", "--problem", str(biased_network_problem),
+            "--out", str(tmp_path / "n.csv"), "--trials", "1", "--dt", "0.05", "--horizon", "2",
+        )
+        assert code == 0
+        assert data["warnings"] == [
+            "no analytic radius available (sector bound requires zero biases; "
+            "nonzero bias in layer(s) 1)"
+        ]
+        assert "formula_radius" not in data["results"]
 
     def test_derives_deltas_from_radius(self, capsys, tmp_path):
         doc = {
@@ -611,6 +674,16 @@ class TestRefineCommand:
         assert code == 0
         assert len(calls) == 2
         assert data["results"]["empirical_violations"] > 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_critical_delta_exits_one(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "refine", "--problem", "example_b.json", "--delta-crit", value
+        )
+        assert code == 1
+        assert err == f"error: delta_crit must be nonnegative and finite; got {value}\n"
+        assert out == ""
 
     def test_without_network_is_usage_error(self, capsys, sector_problem):
         code, out, err = run_cli(capsys, "refine", "--problem", str(sector_problem))

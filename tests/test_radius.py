@@ -6,10 +6,10 @@ from lurestab import linalg, radius as rad
 from lurestab.errors import (
     CertificationError,
     DimensionMismatchError,
+    InputError,
     MissingSchurScaleError,
     NotHurwitzError,
     NotMetzlerError,
-    OrderViolationError,
     ZeroSpectralRadiusError,
 )
 from lurestab.linalg import NormKind
@@ -271,18 +271,35 @@ class TestOneFactorizationPerClosedLoop:
         ),
     }
 
+    # one Metzler test per closed loop: the lower and upper loops of a sector
+    # formula, the plant of a linear one; it also makes the one finiteness check
+    METZLER_TESTS = {"certify": 2, "lure": 2, "lure-override": 2, "linear": 1, "schur": 1}
+
     @pytest.mark.parametrize("call", sorted(CALLS))
     def test_one_lu(self, monkeypatch, call):
         factor = scipy.linalg.lu_factor
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            calls.append(kwargs)
             return factor(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
         self.CALLS[call]()
-        assert len(calls) == 1
+        assert calls == [{"check_finite": False}]
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_one_metzler_test_per_closed_loop(self, monkeypatch, call):
+        is_metzler = linalg.is_metzler
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return is_metzler(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "is_metzler", counted)
+        self.CALLS[call]()
+        assert len(calls) == self.METZLER_TESTS[call]
 
     def test_transfer_matches_the_inverse_bit_for_bit(self):
         upper = rad.closed_loop_matrix(SYS_B, SECTOR_B.upper)
@@ -488,6 +505,11 @@ class TestRefineUpperSector:
         r = rad.stability_radius_lure(SYS_B, SECTOR_B, PERT_B).radius
         assert rad.refine_upper_sector(SYS_B, PERT_B, r) == pytest.approx(0.91, abs=1e-6)
 
+    @pytest.mark.parametrize("delta_crit", [-1.0, float("nan"), float("inf")])
+    def test_rejects_a_negative_or_non_finite_delta(self, delta_crit):
+        with pytest.raises(InputError, match="delta_crit must be nonnegative and finite"):
+            rad.refine_upper_sector(SYS_B, PERT_B, delta_crit)
+
 
 class TestZeroTransfer:
     """A transfer with zero norm has no finite reciprocal: each formula raises."""
@@ -527,7 +549,7 @@ class TestMonotonicity:
 
     def test_order_violation_raises(self):
         pert = PerturbationStructure(d=np.eye(2), e=np.eye(2), norm=NormKind.TWO)
-        with pytest.raises(OrderViolationError):
+        with pytest.raises(ValueError, match="P >= Q"):
             monotonicity_gap(-2.0 * np.eye(2), -np.eye(2), pert)
 
     def test_random_ordered_pairs(self, rng):
