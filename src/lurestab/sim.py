@@ -3,16 +3,23 @@
 The loop is ``x' = (A + D delta E) x + B phi(C x)`` with a static
 nonlinearity ``phi``.  One RK4 engine integrates a single trajectory, with
 its state history, or a block of columns, one per (delta, initial state)
-pair, keeping each column's initial and final magnitude and blow-up time.
-A sweep integrates all its (delta, trial) columns as one block; the
-critical-perturbation search integrates its geometric levels as one block,
-then splits the bisection steps left evenly into the fewest blocks of at
-most ``SPECULATIVE_DEPTH`` steps (``NARROW_SPECULATIVE_DEPTH`` for a
-single-trial nonlinear search), each holding every midpoint its steps can
-visit.
-Classification uses the ratio of final to initial state magnitude; the
-search brackets the smallest delta at which any trial trajectory is
-classified unstable.
+pair, keeping each column's initial, halfway and final magnitude and its
+blow-up time.  Classification reads a column's growth rate: the log of its
+final over its halfway magnitude per unit time, or of its blow-up magnitude
+over its initial one per unit time up to the blow-up.  A blow-up or a rate
+above ``RES`` is Unstable, a rate below ``-RES`` Stable, anything between
+Inconclusive.
+
+A sweep integrates all its (delta, trial) columns as one block.  The
+critical-perturbation search integrates delta 0 and its geometric levels as
+one block; where the largest trial rate rises by more than ``RES`` from
+point to point over the three points that end at the first unstable level,
+it fits a quadratic through them and integrates ``PREDICTION_PROBES`` deltas just under ``tol`` apart
+around the delta at which the fit reaches ``RES``.  Whatever bracket is
+still wider than ``tol`` is bisected: the steps left are split evenly into
+the fewest blocks of at most ``SPECULATIVE_DEPTH`` steps
+(``NARROW_SPECULATIVE_DEPTH`` for a single-trial nonlinear search), each
+holding every midpoint its steps can visit.
 """
 
 from __future__ import annotations
@@ -36,14 +43,14 @@ from .ffnn import Ffnn, ffnn_eval
 from .linalg import as_matrix, operator_norm
 from .radius import LtiSystem, PerturbationStructure
 
-DECAY_THRESHOLD = 1e-3
-GROWTH_THRESHOLD = 1e3
+RES = 0.003  # growth rates within +-RES per unit time are Inconclusive
 BLOWUP_BOUND = 1e9
 DEFAULT_TRIALS = 10
 DEFAULT_SEED = 42
 GEOMETRIC_LEVELS = 8
 SPECULATIVE_DEPTH = 3  # most bisection steps that one search block resolves
 NARROW_SPECULATIVE_DEPTH = 4  # the same for a single-trial nonlinear search
+PREDICTION_PROBES = 5  # deltas integrated around a predicted crossing
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,14 +156,37 @@ class Trajectory:
     def final_peak(self) -> float:
         return float(np.abs(self.states[-1]).max())
 
+    @property
+    def rate(self) -> float:
+        """Growth rate, read from the history as a block column reads it."""
+        half = (len(self.times) - 1) // 2
+        return _growth_rate(
+            self.initial_peak, float(np.abs(self.states[half]).max()), self.final_peak,
+            float(self.times[half]), float(self.times[-1]), self.blowup_time,
+        )
+
+
+def _growth_rate(initial, mid, final, t_mid, t_end, blowup_time) -> float:
+    """``ln(final / mid) / (t_end - t_mid)``, or ``ln(final / initial) /
+    blowup_time`` for a blown-up state.  A state that underflowed to the
+    origin has the rate ``-inf``; one that blew up to ``inf``, ``+inf``."""
+    start, span = (initial, blowup_time) if blowup_time is not None else (mid, t_end - t_mid)
+    if final == 0.0:
+        return -math.inf
+    if start == 0.0:
+        return math.inf
+    return (math.log(final) - math.log(start)) / span
+
 
 @dataclass(frozen=True)
 class ColumnPeaks:
     """What classification reads of one block column: the largest state
-    entry magnitude at the start and at the last step, and the blow-up time."""
+    entry magnitude at the start and at the last step, the growth rate, and
+    the blow-up time."""
 
     initial_peak: float
     final_peak: float
+    rate: float
     blowup_time: float | None = None
 
 
@@ -177,6 +207,7 @@ class TrajectoryBlock:
 class StabilityVerdict:
     label: str  # "Stable" | "Unstable" | "Inconclusive"
     decay_ratio: float
+    rate: float
     blowup_time: float | None = None
 
 
@@ -267,12 +298,16 @@ def simulate_lure(
         states = np.empty((steps + 1, sys.n))
         states[0] = x[0, :, 0]
     bound_sq = BLOWUP_BOUND**2  # 1e18, exact
+    midway = steps // 2
+    mid = initial.copy()  # each column's peak at step ``midway``
     last = 0
     while live.size and last < steps:
         last += 1
         x = advance(m, x)
         if single:
             states[last] = x[0, :, 0]
+        if last == midway:
+            mid[live] = np.abs(x).max(axis=(1, 2))
         # one call instead of abs and max: a sum of squares within the
         # bound's square leaves every entry within the bound; a NaN, an
         # infinity, an overflow, or columns whose squares add past the
@@ -294,25 +329,34 @@ def simulate_lure(
     times = np.arange(last + 1) * dt
     if single:
         return Trajectory(times, states[: last + 1], blowup_time=blowup[0])
-    return TrajectoryBlock(times, tuple(map(ColumnPeaks, initial.tolist(), final.tolist(), blowup)))
+    t_mid, t_end = midway * dt, steps * dt
+    return TrajectoryBlock(times, tuple(
+        ColumnPeaks(i, f, _growth_rate(i, h, f, t_mid, t_end, b), b)
+        for i, h, f, b in zip(initial.tolist(), mid.tolist(), final.tolist(), blowup)
+    ))
 
 
 def classify_stability(traj: Trajectory | ColumnPeaks) -> StabilityVerdict:
-    """Label a trajectory, or a block column, by its final-to-initial magnitude ratio.
+    """Label a trajectory, or a block column, by its growth rate.
 
-    Blowup or a ratio above ``GROWTH_THRESHOLD`` is Unstable; a ratio below
-    ``DECAY_THRESHOLD`` is Stable; anything between is Inconclusive (the
-    horizon was too short to tell).
+    The rate is ``ln(final / halfway peak)`` per unit time over the second
+    half of the horizon, or ``ln(final / initial peak) / blowup_time`` for a
+    state that blew up.  A blow-up or a rate above ``RES`` is Unstable; a
+    rate below ``-RES`` is Stable; anything between is Inconclusive (the
+    loop sits too close to the stability boundary to tell at this
+    resolution).  The verdict also carries the final-to-initial magnitude
+    ratio as ``decay_ratio``.
     """
     initial = traj.initial_peak
     if initial == 0.0:
         raise ZeroInitialStateError("cannot classify a trajectory started at the origin")
     ratio = traj.final_peak / initial
-    if traj.blowup_time is not None or ratio >= GROWTH_THRESHOLD:
-        return StabilityVerdict("Unstable", ratio, traj.blowup_time)
-    if ratio <= DECAY_THRESHOLD:
-        return StabilityVerdict("Stable", ratio, None)
-    return StabilityVerdict("Inconclusive", ratio, None)
+    rate = traj.rate
+    if traj.blowup_time is not None or rate > RES:
+        return StabilityVerdict("Unstable", ratio, rate, traj.blowup_time)
+    if rate < -RES:
+        return StabilityVerdict("Stable", ratio, rate, None)
+    return StabilityVerdict("Inconclusive", ratio, rate, None)
 
 
 def _trial_batch(sys, phi, pert, cfg, trials: int, seed: int):
@@ -361,6 +405,21 @@ def _block_depth(lo: float, hi: float, tol: float, cap: int) -> int:
     return -(-steps // blocks)
 
 
+def _rate_crossing(deltas, rates, lo: float, hi: float) -> float | None:
+    """Where the quadratic through three (delta, rate) points reaches ``RES``
+    inside ``(lo, hi)``.  None unless the rates are finite and each rises by
+    more than ``RES``, the resolution of a rate, over the one before: a loop
+    that settles to a nonzero equilibrium has rates of about 0 until it
+    blows up, and no fit of them says where."""
+    if not (all(map(math.isfinite, rates))
+            and rates[0] + RES < rates[1] and rates[1] + RES < rates[2]):
+        return None
+    coef = np.polyfit(deltas, rates, 2)
+    coef[-1] -= RES
+    roots = [float(z.real) for z in np.roots(coef) if z.imag == 0 and lo < z.real < hi]
+    return min(roots, default=None)
+
+
 @dataclass(frozen=True)
 class CriticalDelta:
     delta_star: float
@@ -379,19 +438,31 @@ def find_critical_delta(
 ) -> CriticalDelta:
     """Smallest perturbation magnitude at which some trial goes unstable.
 
+    The result is a bracket ``(lo, hi)`` with ``hi - lo <= tol`` (or ``lo``
+    and ``hi`` adjacent floats), no trial Unstable at ``lo`` and some trial
+    Unstable at ``hi``; ``delta_star`` is its midpoint.  Inconclusive
+    verdicts count as not-unstable, so the bracket sits where the largest
+    trial growth rate passes ``RES``, just above the true threshold.
+
     Phase 1 probes delta = 0 and ``delta_max * 2**-j``, j = 8, ..., 0, as one
-    block and takes the first level at which a trial is classified Unstable;
-    phase 2 bisects the bracket down to ``tol``, or to adjacent floats.  When
-    a bisection step needs a midpoint not yet integrated, one block integrates
+    block and takes the first level at which a trial is Unstable.  Phase 2
+    predicts: when the largest trial rates at the three points that end at
+    that level are finite and each rises by more than ``RES``, the quadratic
+    through them reaches ``RES`` at some delta inside the bracket, and one
+    block integrates ``PREDICTION_PROBES`` deltas just under ``tol`` apart
+    centred on it.  The bracket narrows to the smallest unstable probe and the probe
+    (or bracket end) just below it, which is within ``tol`` whenever the
+    probes straddle the crossing.  Phase 3 bisects whatever bracket is still
+    wider than ``tol``, down to ``tol`` or to adjacent floats.  When a
+    bisection step needs a midpoint not yet integrated, one block integrates
     every midpoint that the next ``depth`` steps can visit, so the bracket is
-    the one plain bisection finds.  With S steps left until the bracket is
-    within ``tol`` and a cap of ``SPECULATIVE_DEPTH`` steps per block,
+    the one plain bisection of the phase 3 bracket finds.  With S steps left
+    and a cap of ``SPECULATIVE_DEPTH`` steps per block,
     ``blocks = ceil(S / cap)`` and ``depth = ceil(S / blocks)``: 8 steps take
     blocks of depth 3, 3 and 2.  A single-trial search of a nonlinear loop
     has the cap ``NARROW_SPECULATIVE_DEPTH``, so 8 steps take two blocks of
-    depth 4 (15 deltas each).  Inconclusive verdicts count as not-unstable,
-    so the result upper-bounds the true threshold.  The same seeded batch of
-    nonnegative initial states is reused at every delta.
+    depth 4 (15 deltas each).  The same seeded batch of nonnegative initial
+    states is reused at every delta.
     """
     if not 0 < delta_max < math.inf:
         raise InputError(f"delta_max must be positive and finite; got {delta_max!r}")
@@ -399,22 +470,34 @@ def find_critical_delta(
         raise InputError(f"tol must be positive; got {tol!r}")
     verdicts = _trial_batch(sys, phi, pert, cfg, trials, seed)
 
-    def unstable(deltas: list[float]) -> list[bool]:
-        return [any(v.label == "Unstable" for v in batch) for batch in verdicts(deltas)]
+    def probe(deltas: list[float]) -> tuple[list[bool], list[float]]:
+        """Per delta: whether any trial is Unstable, and the largest trial rate."""
+        batches = verdicts(deltas)
+        return ([any(v.label == "Unstable" for v in batch) for batch in batches],
+                [max((v.rate for v in batch), default=-math.inf) for batch in batches])
 
-    levels = [delta_max * 2.0**-j for j in range(GEOMETRIC_LEVELS, -1, -1)]
-    at_zero, *rising = unstable([0.0] + levels)
-    if at_zero:
+    levels = [0.0] + [delta_max * 2.0**-j for j in range(GEOMETRIC_LEVELS, -1, -1)]
+    unstable, rates = probe(levels)
+    if unstable[0]:
         raise UnstableAtZeroError("a trial trajectory is unstable at delta = 0")
-    lo = 0.0
-    hi = None
-    for delta, is_unstable in zip(levels, rising):
-        if is_unstable:
-            hi = delta
-            break
-        lo = delta
-    if hi is None:
+    if True not in unstable:
         raise NoInstabilityError(largest_delta=delta_max)
+    first = unstable.index(True)
+    lo, hi = levels[first - 1], levels[first]
+    # Probes ``step`` apart differ by at most ``step`` plus an ulp of ``hi``
+    # once rounded, so any two neighbours bracket within ``tol``.
+    step = tol - 2.0 * math.ulp(hi)
+    guess = None if first < 2 or step <= 0 else _rate_crossing(
+        levels[first - 2 : first + 1], rates[first - 2 : first + 1], lo, hi
+    )
+    if guess is not None:
+        offsets = range(-(PREDICTION_PROBES // 2), PREDICTION_PROBES // 2 + 1)
+        probes = sorted({p for k in offsets if lo < (p := guess + k * step) < hi})
+        for delta, is_unstable in zip(probes, probe(probes)[0]):
+            if is_unstable:
+                hi = delta
+                break
+            lo = delta
     # A block step costs a fixed overhead plus a share per column.  A fourth
     # step per block saves blocks for 8 more deltas each, which pays only
     # where the overhead, the phi calls of a nonlinear loop, outweighs one
@@ -425,11 +508,12 @@ def find_critical_delta(
     while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if mid not in outcome:
             mids = _midpoints(lo, hi, tol, _block_depth(lo, hi, tol, cap))
-            outcome = dict(zip(mids, unstable(mids)))
+            outcome = dict(zip(mids, probe(mids)[0]))
         if outcome[mid]:
             hi = mid
         else:
             lo = mid
+    lo, hi = float(lo), float(hi)
     return CriticalDelta(delta_star=0.5 * (lo + hi), bracket=(lo, hi))
 
 

@@ -508,12 +508,27 @@ class TestSweepCommand:
     def test_conservatism_flag_when_nothing_destabilizes_beyond_radius(
         self, capsys, tmp_path
     ):
+        # example_b's loop closed by a mixed-sign network: its gain on the
+        # nonnegative orthant, 0.6 - 0.3 = 0.3, lies below its weight product
+        # 0.9, so its radius is conservative and delta 2.24 stays stable
+        net = {
+            "activation": {"name": "relu"},
+            "layers": [
+                {"rows": 2, "cols": 1, "weights": [1.0, 1.0], "bias": [0.0, 0.0]},
+                {"rows": 1, "cols": 2, "weights": [0.6, -0.3], "bias": [0.0]},
+            ],
+        }
+        (tmp_path / "mixed_net.json").write_text(json.dumps(net))
+        doc = json.loads(fixture_path("example_b.json").read_text())
+        doc["network"] = "mixed_net.json"
+        (tmp_path / "mixed.json").write_text(json.dumps(doc))
         code, data = run_json(
-            capsys, "sweep", "--problem", "example_b.json",
+            capsys, "sweep", "--problem", str(tmp_path / "mixed.json"),
             "--out", str(tmp_path / "b.csv"), "--trials", "2",
             "--dt", "0.01", "--horizon", "10",
         )
         assert code == 0
+        assert data["results"]["formula_radius"] < 2.24
         assert any("conservative" in w for w in data["warnings"])
 
     def test_no_conservatism_flag_without_trials(self, capsys, tmp_path):

@@ -228,6 +228,22 @@ class TestClassify:
         assert verdict.label == "Inconclusive"
         assert verdict.decay_ratio == pytest.approx(1.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rate_of_a_state_that_underflowed_or_blew_up_to_inf(self):
+        # x' = -100 x decays to exactly 0 within the horizon: Stable at rate
+        # -inf, not a log of 0; a state that blew up to inf is Unstable at
+        # rate +inf, not NaN
+        decaying = (LtiSystem(a=[[-100.0]], b=[[0.0]], c=[[1.0]]), Nonlinearity.gain([[0.0]]))
+        cases = [(decaying, 20.0, "Stable", -math.inf), (GAIN_INF, 1.0, "Unstable", math.inf)]
+        for (sys, phi), horizon, label, rate in cases:
+            cfg = SimConfig(dt=0.01, horizon=horizon)
+            traj = sim.simulate_lure(sys, phi, scalar_pert(1), [[0.0]], cfg, np.array([1.0]))
+            block = sim.simulate_lure(sys, phi, scalar_pert(1), np.zeros((1, 1, 1)), cfg, [[1.0]])
+            assert traj.final_peak in (0.0, math.inf)
+            for run in (traj, block.columns[0]):
+                verdict = sim.classify_stability(run)
+                assert (verdict.label, verdict.rate) == (label, rate)
+
     def test_zero_initial_state_rejected(self):
         times = np.array([0.0, 1.0])
         states = np.zeros((2, 2))
@@ -309,19 +325,24 @@ class TestFindCriticalDelta:
             )
 
 
-def reference_search(sys, phi, pert, delta_max, tol, cfg, trials, seed):
-    """Plain sequential bisection, one single-trajectory run per (delta, trial)."""
+def any_unstable_alone(sys, phi, pert, delta, cfg, trials, seed):
+    """Whether a single-trajectory run of some trial is Unstable at ``delta``."""
     x0s = np.random.default_rng(seed).uniform(0.0, 1.0, size=(trials, sys.n))
     ones = np.ones((pert.k1, pert.k2))
     direction = ones / operator_norm(ones, pert.norm)
+    return any(
+        sim.classify_stability(
+            sim.simulate_lure(sys, phi, pert, delta * direction, cfg, x0)
+        ).label == "Unstable"
+        for x0 in x0s
+    )
+
+
+def reference_search(sys, phi, pert, delta_max, tol, cfg, trials, seed):
+    """Plain sequential bisection, one single-trajectory run per (delta, trial)."""
 
     def any_unstable(delta):
-        return any(
-            sim.classify_stability(
-                sim.simulate_lure(sys, phi, pert, delta * direction, cfg, x0)
-            ).label == "Unstable"
-            for x0 in x0s
-        )
+        return any_unstable_alone(sys, phi, pert, delta, cfg, trials, seed)
 
     assert not any_unstable(0.0)
     lo, hi = 0.0, None
@@ -350,7 +371,8 @@ def random_gain_loop():
 
 
 class TestSpeculativeBisection:
-    """The search's blocks of candidate deltas reproduce plain bisection exactly."""
+    """A search that bisects reproduces plain bisection exactly; a predicted
+    search keeps the bracket's meaning."""
 
     @pytest.mark.parametrize("case", ["network", "cubic_sine", "random_gain"])
     def test_same_result_as_sequential_bisection(self, case, example_a, example_b):
@@ -368,7 +390,16 @@ class TestSpeculativeBisection:
         found = sim.find_critical_delta(
             *loop, delta_max=delta_max, tol=tol, cfg=cfg, trials=2, seed=7
         )
-        assert found == reference_search(*loop, delta_max, tol, cfg, trials=2, seed=7)
+        if case == "cubic_sine":
+            # its level rates do not rise, so the search bisects
+            assert found == reference_search(*loop, delta_max, tol, cfg, trials=2, seed=7)
+            return
+        # the search predicted the crossing; single runs confirm the bracket
+        lo, hi = found.bracket
+        assert type(lo) is float and type(hi) is float
+        assert 0.0 < hi - lo <= tol and lo <= found.delta_star <= hi
+        assert not any_unstable_alone(*loop, lo, cfg, trials=2, seed=7)
+        assert any_unstable_alone(*loop, hi, cfg, trials=2, seed=7)
 
     def test_midpoints_are_the_bisection_tree(self):
         assert sim._midpoints(0.0, 8.0, 0.5, 3) == [4.0, 2.0, 1.0, 3.0, 6.0, 5.0, 7.0]
@@ -405,17 +436,24 @@ class TestSpeculativeBisection:
     @pytest.mark.parametrize(
         "case, deltas",
         [
-            ("network, one trial", [10, 15, 15]),
-            ("network, two trials", [10, 7, 7, 3]),
-            ("gain, one trial", [10, 7, 7, 3]),
+            ("network, one trial", [10, 5]),
+            ("network, two trials", [10, 5]),
+            ("gain, one trial", [10, 5]),
+            ("cubic_sine, one trial", [10, 15, 7]),
         ],
     )
     def test_search_block_widths(self, case, deltas, example_a, example_b, monkeypatch):
-        # delta 0 and the 9 levels, then 8 bisection steps: two blocks of
-        # depth 4 for a single-trial nonlinear search, else depths 3, 3, 2
+        # delta 0 and the 9 levels, then five probes around the predicted
+        # crossing, which bracket it within tol.  cubic_sine's level rates
+        # do not rise, so it bisects its 8 steps: two blocks of depth 4 for a
+        # single-trial nonlinear search (else depths 3, 3, 2)
         if case.startswith("network"):
             loop = (example_b.system, example_b.loop_nonlinearity(), example_b.pert)
             delta_max, tol = 4.0, 0.01
+        elif case.startswith("cubic_sine"):
+            loop = (example_a.system, sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi,
+                    example_a.pert)
+            delta_max, tol = 2.0, 0.01
         else:
             loop = (example_a.system, Nonlinearity.gain(example_a.analysis_sector().upper),
                     example_a.pert)
@@ -456,8 +494,8 @@ def assert_columns_match_single_runs(sys, phi, pert, deltas, cfg, x0s):
         for t, x0 in enumerate(x0s):
             traj = sim.simulate_lure(sys, phi, pert, delta, cfg, x0)
             column = block.columns[i * len(x0s) + t]
-            assert (column.initial_peak, column.final_peak, column.blowup_time) == (
-                traj.initial_peak, traj.final_peak, traj.blowup_time,
+            assert (column.initial_peak, column.final_peak, column.rate, column.blowup_time) == (
+                traj.initial_peak, traj.final_peak, traj.rate, traj.blowup_time,
             )
             assert sim.classify_stability(column) == sim.classify_stability(traj)
     return block
@@ -500,6 +538,24 @@ class TestBlockEngine:
         assert_columns_match_single_runs(
             example_a.system, phi, example_a.pert, [[[0.2]], [[0.4]], [[2.0]]], cfg, x0s
         )
+
+    def test_gain_loop_rate_is_the_step_matrix_growth(self, example_a):
+        # the second half of a gain loop's run grows by the step matrix's
+        # spectral radius per step
+        k = example_a.analysis_sector().upper
+        phi = Nonlinearity.gain(k)
+        sys, pert = example_a.system, example_a.pert
+        cfg = SimConfig(dt=0.01, horizon=40.0)
+        deltas = [0.0, 0.2, 0.2596, 0.3]
+        x0s = np.random.default_rng(4).uniform(0.0, 1.0, size=(2, 3))
+        block = sim.simulate_lure(sys, phi, pert, np.array(deltas)[:, None, None], cfg, x0s)
+        for i, delta in enumerate(deltas):
+            h = cfg.dt * (sys.a + sys.b @ k @ sys.c + delta * pert.d @ pert.e)
+            step = np.eye(3) + h + h @ h / 2 + h @ h @ h / 6 + h @ h @ h @ h / 24
+            growth = math.log(np.abs(np.linalg.eigvals(step)).max()) / cfg.dt
+            for column in block.columns[2 * i : 2 * i + 2]:
+                assert column.blowup_time is None
+                assert column.rate == pytest.approx(growth, abs=sim.RES)
 
     @pytest.mark.parametrize("loop", [GROWING_GAIN, GROWING_STAGES], ids=["gain", "stages"])
     def test_column_blows_up_mid_run_beside_stable_columns(self, loop):
