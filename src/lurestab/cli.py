@@ -268,7 +268,7 @@ def cmd_refine(args) -> int:
             report.warn(str(exc))
             report.emit(args.format)
             return EXIT_NEGATIVE
-        delta_crit = found.delta_star
+        delta_crit = found.bracket[0]  # no trial was unstable here
         report.set("delta_crit_bracket", [found.bracket[0], found.bracket[1]])
     report.set("delta_crit", float(delta_crit))
 

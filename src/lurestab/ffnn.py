@@ -130,26 +130,32 @@ class Ffnn:
 
 
 def ffnn_eval(net: Ffnn, z) -> np.ndarray:
-    """Forward pass.  ``z`` may be a single input (p,) or a batch (p, k).
+    """Forward pass.  ``z`` may be a single input (p,), a batch (p, k), or a
+    stack (k, p, 1), which gives a stack (k, m, 1).
 
-    A batch is evaluated as a stack of k matrix-vector products per layer, so
-    each of its columns is bit-identical to that input evaluated alone.
+    A batch or a stack is evaluated as a stack of k matrix-vector products
+    per layer, so each of its inputs is bit-identical to that input evaluated
+    alone.  Each layer adds its bias even when it is zero: the ``+ 0.0``
+    turns a ``-0.0`` sum into ``+0.0``.
     """
     z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    x = z.reshape(-1, 1) if single else z
-    if x.shape[0] != net.input_dim:
+    if z.ndim == 3:
+        x = z
+    else:
+        x = (z.reshape(-1, 1) if z.ndim == 1 else z).T[..., None]
+    if x.shape[1] != net.input_dim:
         raise DimensionMismatchError(
-            f"input dimension {x.shape[0]} does not match network input {net.input_dim}"
+            f"input dimension {x.shape[1]} does not match network input {net.input_dim}"
         )
     act = net.activation
     if net.hidden and act.fn is None:
         raise InputError(f"activation {act.name!r} has no callable for evaluation")
-    x = x.T[..., None]
     for layer in net.hidden:
         x = act.fn(np.matmul(layer.w, x) + layer.b[:, None])
     x = np.matmul(net.output.w, x) + net.output.b[:, None]
-    return x[0, :, 0] if single else x[..., 0].T
+    if z.ndim == 3:
+        return x
+    return x[0, :, 0] if z.ndim == 1 else x[..., 0].T
 
 
 def sector_bound_ffnn(net: Ffnn) -> SectorBound:

@@ -10,6 +10,24 @@ over its initial one per unit time up to the blow-up.  A blow-up or a rate
 above ``RES`` is Unstable, a rate below ``-RES`` Stable, anything between
 Inconclusive.
 
+Each RK4 step is telescoped into matrices computed once per delta, so that
+a step costs a few stacked products rather than a dozen small numpy calls
+per stage.  A gain loop's step is one matrix, ``P = _taylor4(h)`` for ``h =
+dt (A + D delta E + B K C)``.  A nonlinear loop keeps its four phi calls;
+for ``h = dt M`` with the drift ``M = A + D delta E``, stage j's phi input
+is ``R_j x + G_j [u_1; ...; u_{j-1}]`` and the step is ``P x + Q [u_1; ...;
+u_4]``, where
+
+    R = [C; C + Ch/2; C + Ch/2 + Ch^2/4; C + Ch + Ch^2/2 + Ch^3/4],
+    G_2 = (dt/2) CB,  G_3 = [(dt/4) ChB, (dt/2) CB],
+    G_4 = [(dt/4) Ch^2B, (dt/2) ChB, dt CB],  P = _taylor4(h),
+    Q = (dt/6) [B + hB + h^2B/2 + h^3B/4, 2B + hB + h^2B/2, 2B + hB, B]
+
+(``_stage_matrices``).  That is five stacked products per step, ``[R; P]
+x``, ``G_2``, ``G_3``, ``G_4`` and ``Q``, against twelve stage by stage, and
+phi takes the engine's ``(K, p, 1)`` stack with no transposes.  It agrees
+with stage-by-stage RK4 up to rounding in the last bits.
+
 A sweep integrates all its (delta, trial) columns as one block.  The
 critical-perturbation search integrates delta 0 and its geometric levels as
 one block; where the largest trial rate rises by more than ``RES`` from
@@ -25,6 +43,7 @@ holding every midpoint its steps can visit.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -55,8 +74,13 @@ PREDICTION_PROBES = 5  # deltas integrated around a predicted crossing
 
 @dataclass(frozen=True, eq=False)
 class Nonlinearity:
-    """Static feedback ``u = phi(y)``: ``block`` maps a ``(p, K)`` block to an
-    ``(m, K)`` block.  ``mat`` is a linear feedback's gain matrix, else None."""
+    """Static feedback ``u = phi(y)``.
+
+    ``block`` maps a ``(p, K)`` block to an ``(m, K)`` block, and a ``(K, p,
+    1)`` stack, the form the RK4 engine holds its stage outputs in, to a ``(K,
+    m, 1)`` stack; column (or stack entry) k of the result depends only on
+    column k of ``y``.  ``mat`` is a linear feedback's gain matrix, else None.
+    """
 
     block: Callable[[np.ndarray], np.ndarray]
     mat: np.ndarray | None = None
@@ -211,6 +235,33 @@ class StabilityVerdict:
     blowup_time: float | None = None
 
 
+def _taylor4(h: np.ndarray) -> np.ndarray:
+    """``I + h + h^2/2 + h^3/6 + h^4/24``, the degree-4 Taylor polynomial of
+    ``expm(h)``: the RK4 step matrix of ``x' = (h / dt) x``."""
+    return np.eye(len(h)) + h + h @ h / 2.0 + h @ h @ h / 6.0 + h @ h @ h @ h / 24.0
+
+
+def _stage_matrices(h, b, c, dt: float) -> tuple[np.ndarray, ...]:
+    """``(W, G_2, G_3, G_4, Q)`` of one telescoped RK4 step of ``x' = M x + b
+    phi(c x)``, for ``h = dt M`` (see the module docstring); ``W`` stacks
+    ``R`` over ``P``, so that one product gives both."""
+    hb = h @ b
+    h2b = h @ hb
+    ch = c @ h
+    ch2 = ch @ h
+    cb, chb = c @ b, ch @ b
+    w = np.vstack([
+        c, c + ch / 2.0, c + ch / 2.0 + ch2 / 4.0, c + ch + ch2 / 2.0 + ch2 @ h / 4.0, _taylor4(h),
+    ])
+    g2 = dt / 2.0 * cb
+    g3 = np.hstack([dt / 4.0 * chb, dt / 2.0 * cb])
+    g4 = np.hstack([dt / 4.0 * (ch2 @ b), dt / 2.0 * chb, dt * cb])
+    q = dt / 6.0 * np.hstack([
+        b + hb + h2b / 2.0 + h @ h2b / 4.0, 2.0 * b + hb + h2b / 2.0, 2.0 * b + hb, b,
+    ])
+    return w, g2, g3, g4, q
+
+
 def simulate_lure(
     sys: LtiSystem,
     phi: Nonlinearity,
@@ -248,7 +299,10 @@ def simulate_lure(
     if not np.isfinite(x0s).all():
         raise InputError("x0 must be finite")
     # phi maps p outputs to m inputs; a gain shows it by its matrix, with no call
-    maps = phi.mat.shape[::-1] if phi.mat is not None else (sys.p, len(phi(np.zeros((sys.p, 1)))))
+    if phi.mat is not None:
+        maps = phi.mat.shape[::-1]
+    else:
+        maps = (sys.p, phi(np.zeros((1, sys.p, 1))).shape[1])
     if maps != (sys.p, sys.m):
         raise DimensionMismatchError(
             "the nonlinearity and the plant need matching input/output counts: "
@@ -257,40 +311,42 @@ def simulate_lure(
 
     dt = cfg.dt
     steps = int(round(cfg.horizon / dt))
-    drifts = [sys.a + pert.d @ d @ pert.e for d in deltas]
     if phi.mat is not None:
         # For a linear field the four RK4 stages telescope into one constant
-        # step matrix: the degree-4 Taylor polynomial of expm(h).
-        mats = []
-        for drift in drifts:
-            h = dt * (drift + sys.b @ phi.mat @ sys.c)
-            mats.append(np.eye(sys.n) + h + h @ h / 2.0 + h @ h @ h / 6.0 + h @ h @ h @ h / 24.0)
-        advance = np.matmul  # (m, x) -> the state one step on
+        # step matrix.
+        def matrices(drift):
+            return (_taylor4(dt * (drift + sys.b @ phi.mat @ sys.c)),)
+
+        advance = np.matmul  # (P, x) -> the state one step on
     else:
-        mats = drifts
-        b = sys.b
-        c = sys.c
-        half, sixth = 0.5 * dt, dt / 6.0
+        def matrices(drift):
+            return _stage_matrices(dt * drift, sys.b, sys.c, dt)
 
-        def deriv(x, m):
-            u = phi(np.matmul(c, x)[..., 0].T)
-            return np.matmul(m, x) + np.matmul(b, u.T[..., None])
+        p = sys.p
+        s1, s2, s3, s4 = (slice(j * p, (j + 1) * p) for j in range(4))
+        s5 = slice(4 * p, None)
 
-        def advance(m, x):
-            k1 = deriv(x, m)
-            k2 = deriv(x + half * k1, m)
-            k3 = deriv(x + half * k2, m)
-            k4 = deriv(x + dt * k3, m)
-            return x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        def advance(w, g2, g3, g4, q, x):
+            z = np.matmul(w, x)  # R x, the stage inputs before the couplings, over P x
+            u = phi(z[:, s1])  # grows to [u_1; ...; u_4]
+            u = np.concatenate((u, phi(z[:, s2] + np.matmul(g2, u))), axis=1)
+            u = np.concatenate((u, phi(z[:, s3] + np.matmul(g3, u))), axis=1)
+            u = np.concatenate((u, phi(z[:, s4] + np.matmul(g4, u))), axis=1)
+            return z[:, s5] + np.matmul(q, u)
 
-    # Column i * T + t runs delta i from state t, held as a (K, n, 1) stack.
-    # The products are stacked matrix-vector products, ``np.matmul(m, x)``:
-    # one (n, K) matrix product would differ from a column's run alone in the
-    # last bits.
-    x = np.tile(x0s, (len(mats), 1))
+    # An overflow in the matrices shows in the state at the first step, where
+    # the blow-up and NaN rules below take it; it need not warn here too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_delta = [matrices(sys.a + pert.d @ d @ pert.e) for d in deltas]
+
+    # Column i * T + t runs delta i from state t, held as a (K, n, 1) stack,
+    # with its own copy of delta i's matrices.  The products are stacked
+    # matrix-vector products: one (n, K) matrix product would differ from a
+    # column's run alone in the last bits.
+    x = np.tile(x0s, (len(per_delta), 1))
     initial = np.abs(x).max(axis=1)
     x = x.reshape(-1, sys.n, 1)
-    m = np.repeat(np.array(mats).reshape(-1, sys.n, sys.n), len(x0s), axis=0)
+    mats = tuple(np.repeat(np.array(group), len(x0s), axis=0) for group in zip(*per_delta))
     live = np.arange(len(x))
     final = np.empty(len(x))
     blowup = [None] * len(x)
@@ -301,9 +357,11 @@ def simulate_lure(
     midway = steps // 2
     mid = initial.copy()  # each column's peak at step ``midway``
     last = 0
+    # the matrices are bound once, not unpacked at every step
+    step = functools.partial(advance, *mats)
     while live.size and last < steps:
         last += 1
-        x = advance(m, x)
+        x = step(x)
         if single:
             states[last] = x[0, :, 0]
         if last == midway:
@@ -324,7 +382,9 @@ def simulate_lure(
         final[live[out]] = peaks[out]
         for col in live[out]:
             blowup[col] = last * dt
-        live, x, m = live[~out], x[~out], m[~out]
+        live, x = live[~out], x[~out]
+        mats = tuple(mat[~out] for mat in mats)
+        step = functools.partial(advance, *mats)
     final[live] = np.abs(x).max(axis=(1, 2))
     times = np.arange(last + 1) * dt
     if single:

@@ -610,7 +610,6 @@ class TestSweepCommand:
         assert "formula_radius" not in data["results"]
         assert (tmp_path / "z.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_undefined_nonlinearity_value_exits_one(self, capsys, tmp_path):
         # a huge delta drives cubic_sine's input to inf, where sin is undefined
         doc = json.loads(fixture_path("example_a.json").read_text())

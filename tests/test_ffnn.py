@@ -62,11 +62,16 @@ class TestEval:
             batch = ffnn.ffnn_eval(net, z)
             for j in range(7):
                 assert np.array_equal(batch[:, j], ffnn.ffnn_eval(net, z[:, j]))
+            stack = ffnn.ffnn_eval(net, z.T[..., None])
+            assert stack.shape == (7, net.output_dim, 1)
+            assert np.array_equal(stack[..., 0].T, batch)
 
     def test_dimension_mismatch(self):
         net = scalar_net([[2.0]], [[1.0]])
         with pytest.raises(DimensionMismatchError):
             ffnn.ffnn_eval(net, np.zeros(3))
+        with pytest.raises(DimensionMismatchError, match="input dimension 3 does not match"):
+            ffnn.ffnn_eval(net, np.zeros((4, 3, 1)))
 
     def test_tanh_activation_applied(self):
         net = scalar_net([[2.0]], [[1.0]], activation=TANH)

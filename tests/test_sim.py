@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from lurestab.errors import (
     UnstableAtZeroError,
     ZeroInitialStateError,
 )
-from lurestab.ffnn import RELU, Ffnn, Layer
+from lurestab.ffnn import RELU, TANH, Ffnn, Layer
 from lurestab.linalg import NormKind, operator_norm, spectral_abscissa
 from lurestab.radius import LtiSystem, PerturbationStructure, stability_radius_lure
 from lurestab.sim import Nonlinearity, SimConfig, Trajectory
@@ -41,6 +42,18 @@ def scalar_pert(n):
 
 
 ZERO_PHI = Nonlinearity.scalar(lambda y: 0.0, name="zero")
+
+# a loop with two plant inputs and two outputs, closed by a biased tanh network
+MIMO_SYSTEM = LtiSystem(
+    a=[[-2.0, 0.5, 0.3], [0.4, -1.5, 0.2], [0.1, 0.3, -1.8]],
+    b=[[1.0, -0.2], [0.3, 1.0], [0.5, 0.4]],
+    c=[[1.0, 0.0, 0.5], [-0.2, 1.0, 0.3]],
+)
+MIMO_NET = Ffnn(
+    (Layer([[0.8, -0.5], [0.3, 0.9], [-0.7, 0.4]], [0.1, -0.2, 0.05]),),
+    Layer([[0.6, -0.4, 0.5], [-0.3, 0.7, 0.2]], [0.02, -0.01]),
+    TANH,
+)
 
 
 class TestNonlinearity:
@@ -81,6 +94,19 @@ class TestNonlinearity:
         phi = Nonlinearity.scalar(math.sqrt, name="sqrt")
         with pytest.raises(InputError, match=r"'sqrt' is undefined at y = -2 "):
             phi(np.array([[4.0, 1.0], [-2.0, 9.0]]))
+
+    @pytest.mark.parametrize("phi, atol", [
+        (sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi, 0.0),
+        # one (2, 2) x (2, K) product may round apart from K stacked ones
+        (Nonlinearity.gain([[0.3, -1.7], [2.1, 0.4]]), 1e-14),
+        (Nonlinearity.network(MIMO_NET), 0.0),
+    ], ids=["scalar", "gain", "network"])
+    def test_stack_form_matches_the_block_form(self, phi, atol):
+        # the engine passes (K, p, 1) stacks; each stack entry is the block's column
+        y = np.random.default_rng(5).uniform(-3.0, 3.0, size=(2, 7))
+        stack = phi(y.T[..., None])
+        assert stack.shape == (7, 2, 1)
+        np.testing.assert_allclose(stack[..., 0].T, phi(y), rtol=0.0, atol=atol)
 
     def test_builtin_registry(self):
         builtin = sim.BUILTIN_NONLINEARITIES["cubic_sine"]
@@ -155,9 +181,14 @@ class TestSimulate:
 
 
 # one-state loops whose first step overflows: with A = 1e200 the gain loop's
-# step matrix is inf, with A = -1e200 its Taylor terms add to inf - inf = NaN
+# step matrix is inf, with A = -1e200 its Taylor terms add to inf - inf = NaN.
+# The same plants closed by phi = 0 take the RK4 stages, whose stage matrices
+# overflow the same way: A = 1e200 blows up at the first step as the gain loop
+# does, and A = -1e200 raises at it as the gain loop does.
 GAIN_INF = (LtiSystem(a=[[1e200]], b=[[0.0]], c=[[1.0]]), Nonlinearity.gain([[0.0]]))
 GAIN_NAN = (LtiSystem(a=[[-1e200]], b=[[0.0]], c=[[1.0]]), Nonlinearity.gain([[0.0]]))
+STAGES_OVERFLOW_INF = (GAIN_INF[0], ZERO_PHI)
+STAGES_OVERFLOW_NAN = (GAIN_NAN[0], ZERO_PHI)
 STAGES_INF = (
     LtiSystem(a=[[1.0]], b=[[1.0]], c=[[1.0]]),
     Nonlinearity.scalar(lambda y: np.inf if y > 0.5 else 0.0),
@@ -194,7 +225,8 @@ class TestBlowupRule:
         assert block.columns[0].final_peak == pytest.approx(8e8 * math.exp(4e-4))
         assert block.columns[1].blowup_time == 1.0
 
-    @pytest.mark.parametrize("loop", [GAIN_INF, STAGES_INF], ids=["gain", "stages"])
+    @pytest.mark.parametrize("loop", [GAIN_INF, STAGES_INF, STAGES_OVERFLOW_INF],
+                             ids=["gain", "stages", "stages_overflow"])
     def test_infinite_state_is_a_blowup(self, loop):
         sys, phi = loop
         cfg = SimConfig(dt=0.01, horizon=1.0)
@@ -209,6 +241,28 @@ class TestBlowupRule:
         cfg = SimConfig(dt=0.01, horizon=1.0)
         with pytest.raises(NonFiniteStateError, match="NaN"):
             sim.simulate_lure(sys, phi, scalar_pert(1), [[0.0]], cfg, np.array([1.0]))
+
+    def test_overflowing_stage_matrices_raise_as_the_gain_loop_does(self):
+        cfg = SimConfig(dt=0.01, horizon=1.0)
+        messages = []
+        for sys, phi in (GAIN_NAN, STAGES_OVERFLOW_NAN):
+            with pytest.raises(NonFiniteStateError) as exc:
+                sim.simulate_lure(sys, phi, scalar_pert(1), [[0.0]], cfg, np.array([1.0]))
+            messages.append(str(exc.value))
+        assert messages == ["state became NaN at t = 0.01"] * 2
+
+    @pytest.mark.parametrize("loop", [GAIN_INF, GAIN_NAN, STAGES_OVERFLOW_INF, STAGES_OVERFLOW_NAN],
+                             ids=["gain_inf", "gain_nan", "stages_inf", "stages_nan"])
+    def test_overflowing_matrices_do_not_warn(self, loop):
+        # the overflow shows in the state at the first step, and only there
+        sys, phi = loop
+        cfg = SimConfig(dt=0.01, horizon=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                sim.simulate_lure(sys, phi, scalar_pert(1), [[0.0]], cfg, np.array([1.0]))
+            except NonFiniteStateError:
+                pass
 
 
 class TestClassify:
@@ -599,6 +653,49 @@ class TestBlockEngine:
         with pytest.raises(NonFiniteStateError) as block:
             sim.simulate_lure(sys, bad, scalar_pert(1), [[0.0]], cfg, np.array([[0.01], [0.1]]))
         assert str(block.value) == str(first.value)
+
+
+def staged_rk4(sys, phi, pert, delta, cfg, x0):
+    """Reference: classical RK4 stage by stage, ``k_j = M x_j + B phi(C x_j)``,
+    with phi on its ``(p, 1)`` block form.  The engine telescopes the same
+    step into precomputed stage matrices."""
+    m = sys.a + pert.d @ np.asarray(delta, dtype=float) @ pert.e
+    dt = cfg.dt
+
+    def field(x):
+        return m @ x + sys.b @ phi(sys.c @ x)
+
+    x = np.asarray(x0, dtype=float)[:, None]
+    states = [x[:, 0]]
+    for _ in range(int(round(cfg.horizon / dt))):
+        k1 = field(x)
+        k2 = field(x + dt / 2.0 * k1)
+        k3 = field(x + dt / 2.0 * k2)
+        k4 = field(x + dt * k3)
+        x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(x[:, 0])
+    return np.array(states)
+
+
+class TestTelescopedStages:
+    """The engine's stage matrices reproduce stage-by-stage RK4."""
+
+    @pytest.mark.parametrize("loop", ["mimo_network", "mimo_cubic_sine", "example_b", "cubic_sine"])
+    def test_matches_stage_by_stage_rk4(self, loop, example_a, example_b):
+        cfg = SimConfig(dt=0.02, horizon=2.0)
+        if loop.startswith("mimo"):
+            sys, pert, delta = MIMO_SYSTEM, identity_pert(3), np.full((3, 3), 0.1)
+            phi = (Nonlinearity.network(MIMO_NET) if loop == "mimo_network"
+                   else sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi)
+            x0 = [0.5, -0.3, 0.8]
+        else:
+            problem = example_b if loop == "example_b" else example_a
+            sys, pert, phi = problem.system, problem.pert, problem.loop_nonlinearity()
+            delta, x0 = [[2.04 if loop == "example_b" else 0.4]], [0.3, 0.8, 0.1]
+        traj = sim.simulate_lure(sys, phi, pert, delta, cfg, np.array(x0))
+        reference = staged_rk4(sys, phi, pert, delta, cfg, x0)
+        assert traj.states.shape == reference.shape
+        assert np.abs(traj.states - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 class TestBlockInputChecks:
