@@ -32,7 +32,7 @@ class NonFiniteEntriesError(LureStabError):
 
 
 class SingularMatrixError(LureStabError):
-    """A matrix inversion hit a pivot below the singularity threshold."""
+    """A solve met an exactly singular matrix or a condition number above ``linalg.COND_MAX``."""
 
 
 class NotMetzlerError(LureStabError):

@@ -1,4 +1,4 @@
-"""Dense real-matrix predicates, norms, LU solves, and spectral quantities.
+"""Dense real-matrix predicates, norms, LAPACK solves, and spectral quantities.
 
 Everything here works on plain dense 2-D numpy arrays (n up to about a
 thousand).  Vectors are carried as (n, 1) or (1, n) matrices by the
@@ -8,7 +8,6 @@ natural numpy shape.
 
 from __future__ import annotations
 
-import warnings
 from enum import Enum
 
 import numpy as np
@@ -27,8 +26,8 @@ from .errors import (
 # a matrix counts as Hurwitz only if its spectral abscissa is below -HURWITZ_TOL.
 HURWITZ_TOL = 1e-9
 
-# A pivot below this fraction of the largest entry magnitude is treated as zero.
-PIVOT_RTOL = 1e-12
+# A solve whose condition number exceeds this bound is refused as numerically singular.
+COND_MAX = 1e12
 
 # Slack used when checking sign conditions on *computed* (as opposed to
 # user-supplied) matrices.
@@ -136,57 +135,54 @@ def operator_norm(m, kind: NormKind = NormKind.TWO) -> float:
     raise InputError(f"unknown norm kind {kind!r}")
 
 
-def _solver(m):
-    """``rhs -> m^{-1} @ rhs`` from one LU of ``m``, the factorization behind every solve.
-
-    ``m`` must be a finite, square float matrix; its callers have checked it.
-    Raises SingularMatrixError for a pivot below ``PIVOT_RTOL * max|entry|``.
-    """
-    import scipy.linalg  # deferred: keeps CLI start-up light
-
-    scale = float(np.abs(m).max())
-    if scale == 0.0:
-        raise SingularMatrixError("cannot invert the zero matrix")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        factors = scipy.linalg.lu_factor(m, check_finite=False)
-    if np.abs(np.diag(factors[0])).min() < PIVOT_RTOL * scale:
-        raise SingularMatrixError(
-            f"pivot below {PIVOT_RTOL:g} * max|entry|; matrix is numerically singular"
-        )
-    return lambda rhs: scipy.linalg.lu_solve(factors, rhs)
-
-
 def inverse(m, rhs) -> np.ndarray:
-    """``m^{-1} @ rhs`` (a vector or a block of columns) from one LU of ``m``."""
+    """``m^{-1} @ rhs`` (a vector or a block of columns) by LAPACK ``gesv``.
+
+    It serves the non-Metzler override path and ``refine``, both of small n,
+    so the 1-norm condition number may come from an explicit inverse
+    (``np.linalg.cond``).  Raises SingularMatrixError when ``m`` is exactly
+    singular or that number exceeds ``COND_MAX``.
+    """
     m = as_matrix(m)
     _require_square(m)
-    return _solver(m)(rhs)
+    if np.linalg.cond(m, 1) > COND_MAX:  # inf for an exactly singular m
+        raise SingularMatrixError(
+            f"condition number above {COND_MAX:g}; matrix is numerically singular"
+        )
+    return np.linalg.solve(m, rhs)
 
 
 def metzler_solve(m, rhs=None) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Hurwitz witness of a Metzler ``m`` and ``(-m)^{-1} @ rhs``, from one LU of ``-m``.
+    """Hurwitz witness of a Metzler ``m`` and ``(-m)^{-1} @ rhs``, from one ``gesv`` of ``-m``.
 
-    The witness ``v = (-m)^{-1} @ ones`` is kept when ``v > 0`` and the
-    Metzler majorant of ``m`` maps it below zero, i.e. exactly when ``m`` is
-    Hurwitz; a singular ``m`` (pivot below ``PIVOT_RTOL``) gives no witness
-    and no solve.  ``ones`` and ``rhs`` are two solves against the one
-    factor: a ``[ones | rhs]`` block would move the last bits of both.
+    One ``np.linalg.solve`` takes the block ``[ones | rhs]``, ``rhs`` a block
+    of columns (the column ``ones`` alone without ``rhs``).  The witness
+    ``v = (-m)^{-1} @ ones`` is kept when ``v > 0`` and the Metzler majorant
+    of ``m`` maps it below zero, i.e. exactly when ``m`` is Hurwitz.  Then
+    ``(-m)^{-1} >= 0``, so its inf-norm is ``max(v)`` and
+    ``kappa_inf(m) = ||m||_inf * ||v||_inf`` exactly; for any other ``m``
+    that product is a lower bound.  A loop that is exactly singular, or
+    whose product exceeds ``COND_MAX``, gives no witness and no solve.
 
     Precondition, unchecked: ``m`` is a finite, square float array that passed
     ``is_metzler(m, tol=FLOAT_SLACK)``, whose slack admits float noise in computed
     loops; the witness is checked on the Metzler majorant, which bounds m's abscissa.
     """
+    ones = np.ones((m.shape[0], 1))
     try:
-        solve = _solver(-m)
-    except SingularMatrixError:
+        # m against the negated block gives the bits of -m against the block
+        # (IEEE rounding is odd), without an n x n negated copy of m
+        x = np.linalg.solve(m, -(ones if rhs is None else np.hstack((ones, rhs))))
+    except np.linalg.LinAlgError:  # an exactly zero pivot
         return None, None
-    v = solve(np.ones(m.shape[0]))
+    v = x[:, 0]
     majorant = np.abs(m)
+    if not majorant.sum(axis=1).max() * np.abs(v).max() <= COND_MAX:  # NaN fails too
+        return None, None
     np.fill_diagonal(majorant, np.diag(m))
     if not (v > 0).all() or not ((majorant @ v) < 0).all():
         v = None
-    return v, None if rhs is None else solve(rhs)
+    return v, None if rhs is None else x[:, 1:]
 
 
 def metzler_hurwitz_certificate(m) -> np.ndarray:

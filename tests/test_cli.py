@@ -2,8 +2,8 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
-import scipy.linalg
 
 from lurestab import ffnn, problems, radius
 from lurestab.cli import main
@@ -391,7 +391,7 @@ class TestRadiusCommand:
         ids=["check-a", "check-b", "radius-a-override", "radius-b"],
     )
     def test_one_factorization_per_closed_loop(self, capsys, monkeypatch, argv):
-        calls = counting(monkeypatch, scipy.linalg, "lu_factor")
+        calls = counting(monkeypatch, np.linalg, "solve")
         run_cli(capsys, *argv)
         assert len(calls) == 1
 
@@ -404,7 +404,23 @@ class TestRadiusCommand:
         code, out, err = run_cli(capsys, "radius", "--problem", str(path), "--override-gates")
         assert code == 2
         assert out == ""
-        assert err == "error: pivot below 1e-12 * max|entry|; matrix is numerically singular\n"
+        assert err == "error: condition number above 1e+12; matrix is numerically singular\n"
+
+    def test_override_gates_on_singular_non_metzler_upper_loop_exits_two(self, capsys, tmp_path):
+        # upper loop [[-0.5, -1], [-2, -4]] is not Metzler and has determinant 0,
+        # so the override solves it through linalg.inverse
+        doc = {
+            "system": {"A": [[-1.0, -1.0], [-2.0, -4.0]], "B": [[1.0], [0.0]], "C": [[1.0, 0.0]]},
+            "perturbation": {"D": [[1.0], [1.0]], "E": [[1.0, 1.0]], "norm": "two"},
+            "sector": {"Sigma1": [[0.0]], "Sigma2": [[0.5]]},
+        }
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "radius", "--problem", str(path), "--override-gates")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "numerically singular" in err and "Traceback" not in err
 
     def test_override_gates_on_unstable_metzler_upper_loop_evaluates_formula(
         self, capsys, tmp_path
@@ -714,3 +730,28 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "verdict: pass" in proc.stdout
+
+    def test_no_command_imports_scipy(self, tmp_path):
+        # scipy's import alone costs more than a whole command: every
+        # subcommand must run on numpy, in a fresh interpreter
+        script = f"""
+import contextlib, io, sys
+from lurestab.cli import main
+runs = [
+    (2, ["check", "--problem", "example_a.json"]),
+    (0, ["check", "--problem", "example_b.json"]),
+    (0, ["radius", "--problem", "example_a.json", "--override-gates"]),
+    (0, ["radius", "--problem", "example_b.json"]),
+    (0, ["nn-bound", "--problem", "example_b.json"]),
+    (0, ["refine", "--problem", "example_b.json", "--delta-crit", "3.15"]),
+    (0, ["sweep", "--problem", "example_b.json", "--trials", "1", "--horizon", "5",
+         "--out", {str(tmp_path / "sweep.csv")!r}]),
+]
+for code, argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == code, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

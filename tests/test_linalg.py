@@ -149,8 +149,22 @@ class TestInverse:
                 assert got.shape == rhs.shape
                 assert np.allclose(got, np.linalg.solve(m, rhs), rtol=1e-12, atol=1e-14)
 
+    def test_singular_non_metzler_raises_singular_matrix_error(self):
+        # numpy's LinAlgError must not escape: an exact zero pivot and a 1-norm
+        # condition number above COND_MAX both raise the package's own error
+        singular = np.array([[1.0, -2.0], [-2.0, 4.0]])
+        ill = np.array([[1.0, -1.0], [-1.0, 1.0 + 1e-13]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(singular, np.ones(2))
+        assert np.isfinite(np.linalg.solve(ill, np.ones(2))).all()
+        assert np.linalg.cond(ill, 1) > linalg.COND_MAX
+        for m in (singular, ill):
+            assert not linalg.is_metzler(m)
+            with pytest.raises(SingularMatrixError, match="numerically singular"):
+                linalg.inverse(m, np.ones(2))
+
     def test_pivot_check_is_scale_relative(self):
-        # the threshold is PIVOT_RTOL times the largest entry, whatever the scale
+        # the bound is on the condition number, which no scaling of m changes
         for scale in (1e-6, 1.0, 1e6):
             with pytest.raises(SingularMatrixError):
                 linalg.inverse(scale * np.diag([1.0, 1e-13]), np.ones(2))
@@ -210,6 +224,38 @@ class TestCertificate:
             else:
                 assert abs(linalg.spectral_abscissa(m)) < 1e-7
         assert agree >= 0.99 * total
+
+
+class TestMetzlerSolve:
+    @staticmethod
+    def near_singular(eps):
+        # Metzler and Hurwitz, with kappa_inf = (2 + eps)^2 / eps
+        return np.array([[-1.0, 1.0], [1.0, -1.0 - eps]])
+
+    def test_witness_gives_the_exact_condition_number(self, rng):
+        # (-m)^{-1} >= 0 for a Metzler Hurwitz m, so ||(-m)^{-1}||_inf = max(v)
+        cases = [random_metzler_hurwitz(rng, int(rng.integers(2, 9))) for _ in range(50)]
+        for m in cases + [self.near_singular(1e-11)]:
+            v, _ = linalg.metzler_solve(m)
+            kappa = np.abs(m).sum(axis=1).max() * v.max()
+            assert kappa == pytest.approx(np.linalg.cond(m, np.inf), rel=1e-6)
+        assert kappa == pytest.approx(4e11, rel=1e-6)
+
+    def test_refuses_a_condition_number_above_the_bound(self):
+        # kappa_inf is 4e11 for eps = 1e-11 and 4e12 for eps = 1e-12
+        rhs = np.ones((2, 1))
+        v, solution = linalg.metzler_solve(self.near_singular(1e-11), rhs)
+        assert (v > 0).all() and solution is not None
+        for args in [(rhs,), ()]:
+            v, solution = linalg.metzler_solve(self.near_singular(1e-12), *args)
+            assert v is None and solution is None
+
+    def test_exactly_singular_gives_no_witness_and_no_solve(self):
+        m = np.array([[-0.5, 1.0], [1.0, -2.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(-m, np.ones(2))
+        v, solution = linalg.metzler_solve(m, np.ones((2, 1)))
+        assert v is None and solution is None
 
 
 class TestElementwise:

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from lurestab import linalg, radius as rad
 from lurestab.errors import (
@@ -199,7 +198,7 @@ class TestCertify:
 
 
 class TestMetzlerPathsUseNoEigenvalues:
-    """Gates, formulas and refinement on Metzler loops run on LU solves only."""
+    """Gates, formulas and refinement on Metzler loops run on LAPACK solves only."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -208,17 +207,17 @@ class TestMetzlerPathsUseNoEigenvalues:
         def refuse(m):
             raise AssertionError("spectral_abscissa called on a Metzler path")
 
-        solve = scipy.linalg.lu_solve
+        solve = np.linalg.solve
         shapes = []
 
-        def column_solve(factors, rhs):
+        def column_solve(m, rhs):
             # a right-hand side with n columns would be an explicit inverse
-            assert np.ndim(rhs) == 1 or np.shape(rhs)[1] < len(factors[1])
+            assert np.ndim(rhs) == 1 or np.shape(rhs)[1] < len(m)
             shapes.append(np.shape(rhs))
-            return solve(factors, rhs)
+            return solve(m, rhs)
 
         monkeypatch.setattr(linalg, "spectral_abscissa", refuse)
-        monkeypatch.setattr(scipy.linalg, "lu_solve", column_solve)
+        monkeypatch.setattr(np.linalg, "solve", column_solve)
         return shapes
 
     @staticmethod
@@ -256,7 +255,7 @@ class TestMetzlerPathsUseNoEigenvalues:
 
 
 class TestOneFactorizationPerClosedLoop:
-    """Gate, certificate and transfer of a Metzler loop share one LU."""
+    """Gate, certificate and transfer of a Metzler loop share one LAPACK solve."""
 
     CALLS = {
         "certify": lambda: rad.certify_positive_lure(SYS_B, SECTOR_B),
@@ -275,18 +274,25 @@ class TestOneFactorizationPerClosedLoop:
     # formula, the plant of a linear one; it also makes the one finiteness check
     METZLER_TESTS = {"certify": 2, "lure": 2, "lure-override": 2, "linear": 1, "schur": 1}
 
+    # the one solve's right-hand side: the column of ones to certify, the
+    # block [ones | D] (D has k1 = 1 column) for a formula
+    RHS_SHAPES = {
+        "certify": (3, 1),
+        "lure": (3, 2), "lure-override": (3, 2), "linear": (3, 2), "schur": (3, 2),
+    }
+
     @pytest.mark.parametrize("call", sorted(CALLS))
     def test_one_lu(self, monkeypatch, call):
-        factor = scipy.linalg.lu_factor
+        solve = np.linalg.solve
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs)
-            return factor(*args, **kwargs)
+        def counted(m, rhs):
+            calls.append((np.shape(m), np.shape(rhs)))
+            return solve(m, rhs)
 
-        monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+        monkeypatch.setattr(np.linalg, "solve", counted)
         self.CALLS[call]()
-        assert calls == [{"check_finite": False}]
+        assert calls == [((3, 3), self.RHS_SHAPES[call])]
 
     @pytest.mark.parametrize("call", sorted(CALLS))
     def test_one_metzler_test_per_closed_loop(self, monkeypatch, call):
@@ -304,9 +310,13 @@ class TestOneFactorizationPerClosedLoop:
     def test_transfer_matches_the_inverse_bit_for_bit(self):
         upper = rad.closed_loop_matrix(SYS_B, SECTOR_B.upper)
         v, solution = linalg.metzler_solve(upper, PERT_B.d)
-        assert np.array_equal(v, linalg.inverse(-upper, np.ones(3)))
-        assert np.array_equal(solution, -linalg.inverse(upper, PERT_B.d))
-        assert linalg.metzler_solve(upper)[1] is None
+        block = np.linalg.solve(-upper, np.column_stack((np.ones(3), PERT_B.d)))
+        assert np.array_equal(v, block[:, 0])
+        assert np.array_equal(solution, block[:, 1:])
+        v_alone, none = linalg.metzler_solve(upper)
+        assert np.array_equal(v_alone, np.linalg.solve(-upper, np.ones((3, 1)))[:, 0])
+        assert np.array_equal(v_alone, np.linalg.solve(-upper, np.ones(3)))
+        assert none is None
 
 
 class TestLinearRadius:
