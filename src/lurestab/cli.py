@@ -12,6 +12,7 @@ in a report come from library operations; the CLI only formats them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -215,14 +216,14 @@ def cmd_sweep(args) -> int:
         raise InputError(f"cannot write {out_path}: {exc}") from None
 
     summary = []
-    for delta in deltas:
-        group = [r for r in rows if r.delta == float(delta)]
+    for i, delta in enumerate(deltas):  # rows come in delta order, `trials` per delta
+        verdicts = [r.verdict for r in rows[i * args.trials:(i + 1) * args.trials]]
         summary.append(
             {
                 "delta": float(delta),
-                "stable": sum(r.verdict == "Stable" for r in group),
-                "unstable": sum(r.verdict == "Unstable" for r in group),
-                "inconclusive": sum(r.verdict == "Inconclusive" for r in group),
+                "stable": verdicts.count("Stable"),
+                "unstable": verdicts.count("Unstable"),
+                "inconclusive": verdicts.count("Inconclusive"),
             }
         )
     report.set("deltas", [float(d) for d in deltas])
@@ -290,7 +291,12 @@ def cmd_refine(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process, on the first call.
+
+    Every ``main`` call shares it, so it must not be mutated; each
+    ``parse_args`` fills a fresh namespace, so no flag carries over."""
     parser = argparse.ArgumentParser(
         prog="lurestab",
         description="Stability radii and sector certification for positive feedback loops",
@@ -342,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except LureStabError as exc:

@@ -154,7 +154,10 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
     ``--norm`` flag).
     """
     resolved = resolve_problem_path(path)
-    raw = resolved.read_bytes()
+    try:
+        raw = resolved.read_bytes()
+    except OSError as exc:
+        raise ProblemFormatError(f"cannot read problem file ({exc})", path=resolved) from None
     digest = hashlib.sha256(raw).hexdigest()
     try:
         data = json.loads(raw)

@@ -598,8 +598,9 @@ def sweep(
 ) -> list[SweepRow]:
     """Classify a seeded batch of trajectories at each perturbation size.
 
-    Rows come out sorted by delta then trial index, ready for the CSV
-    writer; identical seeds and configs reproduce them exactly.
+    Rows come out in the order of ``deltas``, ``trials`` rows per delta in
+    trial order, ready for the CSV writer; identical seeds and configs
+    reproduce them exactly.
     """
     verdicts = _trial_batch(sys, phi, pert, cfg, trials, seed)
     deltas = [float(delta) for delta in deltas]

@@ -9,6 +9,7 @@ from lurestab import ffnn, problems, radius
 from lurestab.cli import main
 from lurestab.problems import fixture_path, load_problem, resolve_problem_path
 from lurestab.errors import ProblemFormatError
+from test_golden import CASES, GOLDEN, PROBLEMS, transcript
 
 
 def run_cli(capsys, *argv):
@@ -290,6 +291,13 @@ class TestCheckCommand:
         assert code == 1
         assert err.startswith(f"error: {bad}: ")
 
+    def test_unreadable_problem_exits_one(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "check", "--problem", str(tmp_path))
+        assert code == 1
+        assert err.startswith(f"error: {tmp_path}: cannot read problem file (")
+        assert err.count("\n") == 1
+        assert out == ""
+
 
 class TestRadiusCommand:
     def test_example_a_needs_override(self, capsys):
@@ -507,6 +515,21 @@ class TestNnBoundCommand:
 
 
 class TestSweepCommand:
+    def test_repeated_deltas_are_counted_once_each(self, capsys, tmp_path):
+        doc = json.loads((PROBLEMS / "sector.json").read_text())
+        doc["sweep"] = {"deltas": [0.1, 0.1]}
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(doc))
+        code, data = run_json(
+            capsys, "sweep", "--problem", str(path), "--out", str(tmp_path / "rows.csv"),
+            "--trials", "2", "--horizon", "2",
+        )
+        assert code == 0
+        summary = data["results"]["per_delta"]
+        assert [s["delta"] for s in summary] == [0.1, 0.1]
+        for s in summary:
+            assert s["stable"] + s["unstable"] + s["inconclusive"] == 2
+
     def test_writes_csv_and_summary(self, capsys, sector_problem, tmp_path):
         out_csv = tmp_path / "rows.csv"
         code, data = run_json(
@@ -755,3 +778,60 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+
+class TestSharedParser:
+    def test_parser_is_built_on_the_first_call_only(self, tmp_path):
+        script = f"""
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counted(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counted
+from lurestab.cli import main
+runs = [
+    ["check", "--problem", "example_b.json"],
+    ["radius", "--problem", "example_a.json", "--override-gates"],
+    ["nn-bound", "--problem", "example_b.json"],
+    ["refine", "--problem", "example_b.json", "--delta-crit", "3.15"],
+    ["check", "--problem", "example_a.json"],
+]
+counts = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+    counts.append(len(built))
+print(counts)
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(proc.stdout)
+        assert counts[0] > 0
+        assert counts == [counts[0]] * len(counts)
+
+    def test_override_gates_does_not_carry_over(self, capsys):
+        code, _, _ = run_cli(capsys, "radius", "--problem", "example_a.json", "--override-gates")
+        assert code == 0
+        code, out, _ = run_cli(capsys, "radius", "--problem", "example_a.json")
+        assert code == 2
+        assert "pass --override-gates" in out
+
+    def test_norm_does_not_carry_over(self, capsys):
+        code, data = run_json(capsys, "radius", "--problem", "example_b.json", "--norm", "one")
+        assert code == 0
+        assert data["results"]["norm"] == "one"
+        code, data = run_json(capsys, "radius", "--problem", "example_b.json")
+        assert code == 0
+        assert data["results"]["norm"] == "two"
+
+    def test_usage_error_leaves_no_state(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["radius", "--problem", "example_a.json", "--override-gates", "--no-such-flag"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+        expected = (GOLDEN / "radius_a.txt").read_bytes().decode()
+        assert transcript(CASES["radius_a"], tmp_path) == expected
