@@ -90,8 +90,7 @@ class Layer:
 
     @classmethod
     def linear(cls, w) -> "Layer":
-        w = as_matrix(w, "layer weight")
-        return cls(w, np.zeros(w.shape[0]))
+        return cls(w, np.zeros(np.shape(w)[:1]))
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,10 @@ def sector_bound_ffnn(net: Ffnn) -> SectorBound:
     ]
     if bad:
         raise NonzeroBiasError(bad)
-    upper = (net.activation.slope_gain ** net.q) * weight_products(net)[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # the test below names an overflow
+        upper = (net.activation.slope_gain ** net.q) * weight_products(net)[-1]
+    if not np.isfinite(upper).all():
+        raise NonFiniteEntriesError("the network's weight product overflows")
     return SectorBound(-upper, upper)
 
 
@@ -274,7 +276,8 @@ def load_ffnn(path) -> Ffnn:
         return ffnn_from_dict(data)
     except ProblemFormatError:
         raise
-    except (KeyError, TypeError, ValueError, DimensionMismatchError, NonFiniteEntriesError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DimensionMismatchError,
+            NonFiniteEntriesError) as exc:
         raise ProblemFormatError(f"invalid network description: {exc}", path=path) from None
 
 

@@ -65,7 +65,7 @@ def as_matrix(obj, name: str = "matrix") -> np.ndarray:
     """
     try:
         m = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float
         raise DimensionMismatchError(f"{name}: not a rectangular numeric array ({exc})") from None
     if m.ndim != 2:
         raise DimensionMismatchError(f"{name}: expected a 2-D matrix, got shape {m.shape}")
@@ -82,14 +82,18 @@ def _require_square(m: np.ndarray, name: str = "matrix") -> None:
 
 
 def is_nonnegative(m) -> bool:
-    """True iff every entry is >= 0 (an exact sign test)."""
-    m = as_matrix(m)
-    return bool((m >= 0).all())
+    """True iff every entry is >= 0 (an exact sign test; NaN fails).
+
+    Like ``is_metzler`` it does not validate ``m``: its callers pass
+    matrices already checked, by a typed constructor or where computed.
+    """
+    return bool((np.asarray(m) >= 0).all())
 
 
 def is_metzler(m, tol: float = 0.0) -> bool:
-    """True iff every off-diagonal entry is >= -tol; the diagonal is free."""
-    m = as_matrix(m)
+    """True iff every off-diagonal entry is >= -tol; the diagonal is free
+    (a NaN entry fails).  ``m`` is not validated, as for ``is_nonnegative``."""
+    m = np.asarray(m, dtype=float)
     _require_square(m)
     ok = m >= -tol
     np.fill_diagonal(ok, True)
@@ -177,7 +181,9 @@ def metzler_solve(m, rhs=None) -> tuple[np.ndarray | None, np.ndarray | None]:
         return None, None
     v = x[:, 0]
     majorant = np.abs(m)
-    if not majorant.sum(axis=1).max() * np.abs(v).max() <= COND_MAX:  # NaN fails too
+    with np.errstate(over="ignore"):  # an overflow fails the bound, as NaN does
+        kappa = majorant.sum(axis=1).max() * np.abs(v).max()
+    if not kappa <= COND_MAX:
         return None, None
     np.fill_diagonal(majorant, np.diag(m))
     if not (v > 0).all() or not ((majorant @ v) < 0).all():
@@ -187,18 +193,11 @@ def metzler_solve(m, rhs=None) -> tuple[np.ndarray | None, np.ndarray | None]:
 
 def metzler_hurwitz_certificate(m) -> np.ndarray:
     """Positive ``v`` with ``m @ v < 0`` for a Metzler ``m``; NotHurwitzError if none exists."""
+    m = as_matrix(m)
     if not is_metzler(m, tol=FLOAT_SLACK):
         raise NotMetzlerError("certificate construction requires a Metzler matrix")
-    v, _ = metzler_solve(np.asarray(m, dtype=float))
+    v, _ = metzler_solve(m)
     if v is None:
         raise NotHurwitzError("no positive vector v with m @ v < 0 exists")
     return v
 
-
-def elementwise_leq(a, b) -> bool:
-    """True iff ``a[i, j] <= b[i, j]`` for all entries."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return bool((a <= b).all())

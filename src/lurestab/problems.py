@@ -21,16 +21,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InputError, NonFiniteEntriesError, ProblemFormatError
+from .errors import InputError, LureStabError, ProblemFormatError
 from .ffnn import Ffnn, load_ffnn, sector_bound_ffnn
-from .linalg import NormKind, as_matrix
+from .linalg import NormKind
 from .radius import (
     LtiSystem,
     PerturbationStructure,
@@ -119,39 +120,59 @@ class Problem:
         return replace(self.simulation, **changes)
 
 
-def _get(data: dict, key: str, context: str, path) -> object:
+@contextmanager
+def _section(context: str, path):
+    """Build one section of a problem file: a ProblemFormatError passes
+    untouched, and any other package error becomes one that names ``context``."""
+    try:
+        yield
+    except ProblemFormatError:
+        raise
+    except LureStabError as exc:
+        raise ProblemFormatError(f"{context}: {exc}", path=path) from None
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise InputError("must be an object")
+    return value
+
+
+def _get(data: dict, key: str) -> object:
     if key not in data:
-        raise ProblemFormatError(f"{context}: missing required field {key!r}", path=path)
+        raise InputError(f"missing required field {key!r}")
     return data[key]
 
 
-def _number(value, context: str, path) -> float:
+def _number(value, key: str) -> float:
     numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not numeric or not math.isfinite(value):
-        raise ProblemFormatError(f"{context}: expected a finite number, got {value!r}", path=path)
+    if not numeric or not abs(value) <= sys.float_info.max:  # NaN, inf or an int past float
+        raise InputError(f"{key}: expected a finite number, got {value!r}")
     return float(value)
 
 
-def _matrix(data: dict, key: str, context: str, path) -> np.ndarray:
-    raw = _get(data, key, context, path)
-    rows = raw if isinstance(raw, list) else None
-    if rows is not None and rows and all(isinstance(r, list) for r in rows):
-        lengths = {len(r) for r in rows}
+def _matrix(data: dict, key: str) -> object:
+    """A matrix field's raw value, for its typed constructor to check.
+
+    Two faults are named here: ragged rows, which the gate would only call
+    an inhomogeneous shape, and null, which a constructor reads as an absent
+    optional matrix.
+    """
+    raw = _get(data, key)
+    if raw is None:
+        raise InputError(f"{key}: expected a 2-D matrix, got null")
+    if isinstance(raw, list) and raw and all(isinstance(r, list) for r in raw):
+        lengths = {len(r) for r in raw}
         if len(lengths) > 1:
-            raise ProblemFormatError(
-                f"{context}.{key}: ragged rows (lengths {sorted(lengths)})", path=path
-            )
-    try:
-        return as_matrix(raw, f"{context}.{key}")
-    except (DimensionMismatchError, NonFiniteEntriesError) as exc:
-        raise ProblemFormatError(str(exc), path=path) from None
+            raise InputError(f"{key}: ragged rows (lengths {sorted(lengths)})")
+    return raw
 
 
 def load_problem(path, norm_override: str | None = None) -> Problem:
     """Parse and validate a problem file.
 
     ``norm_override`` replaces the file's perturbation norm (the CLI's
-    ``--norm`` flag).
+    ``--norm`` flag).  A fault in a section reads ``<path>: <section>: ...``.
     """
     resolved = resolve_problem_path(path)
     try:
@@ -168,15 +189,14 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
     if not isinstance(data, dict):
         raise ProblemFormatError("top level must be a JSON object", path=resolved)
 
-    sys_data = _get(data, "system", "problem", resolved)
-    system = _build_system(sys_data, resolved)
-    pert = _build_perturbation(
-        _get(data, "perturbation", "problem", resolved), resolved, norm_override
-    )
-    try:
+    with _section("problem", resolved):
+        sys_data, pert_data = _get(data, "system"), _get(data, "perturbation")
+    with _section("system", resolved):
+        sys_data = _object(sys_data)
+        system = LtiSystem(_matrix(sys_data, "A"), _matrix(sys_data, "B"), _matrix(sys_data, "C"))
+    with _section("perturbation", resolved):
+        pert = _build_perturbation(_object(pert_data), norm_override)
         pert.check_dims(system.n)
-    except DimensionMismatchError as exc:
-        raise ProblemFormatError(str(exc), path=resolved) from None
 
     present = [k for k in ("sector", "network", "builtin_nonlinearity") if k in data]
     if len(present) > 1:
@@ -188,24 +208,13 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
 
     sector = network = feedback = None
     if "sector" in data:
-        sec = data["sector"]
-        if not isinstance(sec, dict):
-            raise ProblemFormatError("sector: must be an object", path=resolved)
-        lower = _matrix(sec, "Sigma1", "sector", resolved)
-        upper = _matrix(sec, "Sigma2", "sector", resolved)
-        try:
-            sector = SectorBound(lower, upper)
-        except Exception as exc:
-            raise ProblemFormatError(f"sector: {exc}", path=resolved) from None
-        if not (sector.lower <= sector.upper).all():
-            raise ProblemFormatError(
-                "sector: sector lower bound must be <= upper bound elementwise", path=resolved
-            )
-        if sector.lower.shape != (system.m, system.p):
-            raise ProblemFormatError(
-                f"sector: must be {system.m}x{system.p}, got {sector.lower.shape}",
-                path=resolved,
-            )
+        with _section("sector", resolved):
+            sec = _object(data["sector"])
+            sector = SectorBound(_matrix(sec, "Sigma1"), _matrix(sec, "Sigma2"))
+            if not sector.ordered:
+                raise InputError("sector lower bound must be <= upper bound elementwise")
+            if sector.lower.shape != (system.m, system.p):
+                raise InputError(f"must be {system.m}x{system.p}, got {sector.lower.shape}")
         feedback = Nonlinearity.gain(sector.upper)
     elif "network" in data:
         net_file = Path(str(data["network"]))
@@ -238,27 +247,20 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
         sector = SectorBound(spec.sector_lower * eye, spec.sector_upper * eye)
         feedback = spec.phi
 
-    sim = data.get("simulation", {})
-    if not isinstance(sim, dict):
-        raise ProblemFormatError("simulation: must be an object", path=resolved)
-    unknown = set(sim) - {"dt", "horizon"}
-    if unknown:
-        raise ProblemFormatError(
-            f"simulation: unknown field(s) {sorted(unknown)}", path=resolved
-        )
-    try:
-        sim_config = SimConfig(
-            **{key: _number(value, f"simulation.{key}", resolved) for key, value in sim.items()}
-        )
-    except InputError as exc:
-        raise ProblemFormatError(f"simulation: {exc}", path=resolved) from None
+    with _section("simulation", resolved):
+        sim = _object(data.get("simulation", {}))
+        unknown = set(sim) - {"dt", "horizon"}
+        if unknown:
+            raise InputError(f"unknown field(s) {sorted(unknown)}")
+        sim_config = SimConfig(**{key: _number(value, key) for key, value in sim.items()})
 
     sweep_deltas = None
     if "sweep" in data:
-        sw = data["sweep"]
-        if not isinstance(sw, dict) or not isinstance(sw.get("deltas"), list):
-            raise ProblemFormatError("sweep: must be an object with a 'deltas' list", path=resolved)
-        sweep_deltas = [_number(d, "sweep.deltas", resolved) for d in sw["deltas"]]
+        with _section("sweep", resolved):
+            sw = data["sweep"]
+            if not isinstance(sw, dict) or not isinstance(sw.get("deltas"), list):
+                raise InputError("must be an object with a 'deltas' list")
+            sweep_deltas = [_number(d, "deltas") for d in sw["deltas"]]
 
     return Problem(
         system=system,
@@ -273,35 +275,13 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
     )
 
 
-def _build_system(data, path) -> LtiSystem:
-    if not isinstance(data, dict):
-        raise ProblemFormatError("system: must be an object", path=path)
-    a = _matrix(data, "A", "system", path)
-    b = _matrix(data, "B", "system", path)
-    c = _matrix(data, "C", "system", path)
-    try:
-        return LtiSystem(a, b, c)
-    except DimensionMismatchError as exc:
-        raise ProblemFormatError(f"system: {exc}", path=path) from None
-
-
-def _build_perturbation(data, path, norm_override) -> PerturbationStructure:
-    if not isinstance(data, dict):
-        raise ProblemFormatError("perturbation: must be an object", path=path)
-    d = _matrix(data, "D", "perturbation", path)
-    e = _matrix(data, "E", "perturbation", path)
-    norm_name = norm_override or data.get("norm", "two")
-    try:
-        norm = NormKind.from_name(norm_name)
-    except InputError as exc:
-        raise ProblemFormatError(f"perturbation: {exc}", path=path) from None
+def _build_perturbation(data: dict, norm_override) -> PerturbationStructure:
+    d, e = _matrix(data, "D"), _matrix(data, "E")
+    norm = NormKind.from_name(norm_override or data.get("norm", "two"))
     schur = None
     if "S" in data:
-        schur = _matrix(data, "S", "perturbation", path)
+        schur = _matrix(data, "S")
         norm = NormKind.MAX_ABS if norm_override is None else norm
     elif norm is NormKind.MAX_ABS:
-        raise ProblemFormatError("perturbation: the maxabs norm needs a scale pattern S", path=path)
-    try:
-        return PerturbationStructure(d=d, e=e, norm=norm, schur_scale=schur)
-    except (InputError, DimensionMismatchError) as exc:
-        raise ProblemFormatError(f"perturbation: {exc}", path=path) from None
+        raise InputError("the maxabs norm needs a scale pattern S")
+    return PerturbationStructure(d=d, e=e, norm=norm, schur_scale=schur)

@@ -66,21 +66,27 @@ class LtiSystem:
 
 @dataclass(frozen=True)
 class SectorBound:
-    """Elementwise pair of gain matrices sandwiching a nonlinearity; whether
-    ``lower <= upper`` holds is the certificate's ``sector_ordered`` gate."""
+    """Elementwise pair of gain matrices, ``lower`` (Sigma1) and ``upper``
+    (Sigma2), sandwiching a nonlinearity; whether ``lower <= upper`` holds
+    (``ordered``) is the certificate's ``sector_ordered`` gate."""
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = as_matrix(self.lower, "sector lower")
-        upper = as_matrix(self.upper, "sector upper")
+        lower = as_matrix(self.lower, "Sigma1")
+        upper = as_matrix(self.upper, "Sigma2")
         if lower.shape != upper.shape:
             raise DimensionMismatchError(
                 f"sector bounds must share a shape: {lower.shape} vs {upper.shape}"
             )
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+
+    @property
+    def ordered(self) -> bool:
+        """Whether ``lower <= upper`` holds elementwise."""
+        return bool((self.lower <= self.upper).all())
 
     @classmethod
     def scalar(cls, lower: float, upper: float) -> "SectorBound":
@@ -191,13 +197,12 @@ class RadiusReport:
 
 
 def closed_loop_matrix(sys: LtiSystem, gain) -> np.ndarray:
-    """``A + B @ gain @ C`` for a constant feedback gain (m x p)."""
-    gain = as_matrix(gain, "gain")
-    if gain.shape != (sys.m, sys.p):
-        raise DimensionMismatchError(
-            f"gain must be {sys.m}x{sys.p}, got {gain.shape}"
-        )
-    return sys.a + sys.b @ gain @ sys.c
+    """``A + B @ gain @ C`` for a constant feedback gain (m x p), through the
+    gate once: a loop that overflows raises, naming the loop, and does not warn."""
+    if np.shape(gain) != (sys.m, sys.p):
+        raise DimensionMismatchError(f"gain must be {sys.m}x{sys.p}, got {np.shape(gain)}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return as_matrix(sys.a + sys.b @ gain @ sys.c, "the closed loop A + B K C")
 
 
 def certify_positive_lure(sys: LtiSystem, sector: SectorBound) -> AizermanCertificate:
@@ -213,13 +218,9 @@ def certify_positive_lure(sys: LtiSystem, sector: SectorBound) -> AizermanCertif
 
 def _certify(sys: LtiSystem, sector: SectorBound, rhs=None) -> tuple:
     """The certificate, the upper loop ``M`` and ``(-M)^{-1} rhs`` (or None), by one LU."""
-    if sector.lower.shape != (sys.m, sys.p):
-        raise DimensionMismatchError(
-            f"sector must be {sys.m}x{sys.p}, got {sector.lower.shape}"
-        )
     b_nonneg = linalg.is_nonnegative(sys.b)
     c_nonneg = linalg.is_nonnegative(sys.c)
-    sector_ordered = linalg.elementwise_leq(sector.lower, sector.upper)
+    sector_ordered = sector.ordered
     lower_loop = closed_loop_matrix(sys, sector.lower)
     upper_loop = closed_loop_matrix(sys, sector.upper)
     metzler_at_lower = linalg.is_metzler(lower_loop, tol=linalg.FLOAT_SLACK)
@@ -281,9 +282,11 @@ def stability_radius_linear(a, pert: PerturbationStructure) -> RadiusReport:
     a = as_matrix(a, "A")
     pert.check_dims(a.shape[0])
     _require_monotone_norm(pert.norm)
-    transfer = pert.e @ _metzler_hurwitz_solve(a, pert.d)
+    what = "the transfer E A^-1 D"
+    with np.errstate(over="ignore", invalid="ignore"):  # as_matrix names an overflow
+        transfer = as_matrix(pert.e @ _metzler_hurwitz_solve(a, pert.d), what)
     return RadiusReport(
-        radius=_reciprocal(linalg.operator_norm(transfer, pert.norm), "the transfer E A^-1 D"),
+        radius=_reciprocal(linalg.operator_norm(transfer, pert.norm), what),
         norm=pert.norm,
         formula="linear_norm",
         closed_loop=a,
@@ -298,7 +301,11 @@ def stability_radius_schur(a, pert: PerturbationStructure) -> RadiusReport:
     pert.check_dims(a.shape[0])
     if pert.schur_scale is None:
         raise MissingSchurScaleError("the Schur-scaled radius needs a scale pattern S")
-    product = pert.e @ _metzler_hurwitz_solve(a, pert.d) @ pert.schur_scale
+    with np.errstate(over="ignore", invalid="ignore"):  # as_matrix names an overflow
+        product = as_matrix(
+            pert.e @ _metzler_hurwitz_solve(a, pert.d) @ pert.schur_scale,
+            "the scaled transfer E A^-1 D S",
+        )
     return RadiusReport(
         radius=_reciprocal(
             linalg.spectral_radius(product), "spectral radius of the scaled transfer"
@@ -334,11 +341,11 @@ def stability_radius_lure(
     if solution is None:
         # reached by override only: a non-Metzler upper loop, or a singular one (this raises)
         solution = linalg.inverse(-upper_loop, pert.d)
-    transfer = pert.e @ solution
+    what = "the transfer E (A + B S2 C)^-1 D"
+    with np.errstate(over="ignore", invalid="ignore"):  # as_matrix names an overflow
+        transfer = as_matrix(pert.e @ solution, what)
     return RadiusReport(
-        radius=_reciprocal(
-            linalg.operator_norm(transfer, pert.norm), "the transfer E (A + B S2 C)^-1 D"
-        ),
+        radius=_reciprocal(linalg.operator_norm(transfer, pert.norm), what),
         norm=pert.norm,
         formula="lure_upper_sector",
         closed_loop=upper_loop,
@@ -381,8 +388,10 @@ def refine_upper_sector(
     if not 0 <= delta_crit < np.inf:  # a NaN fails too
         raise InputError(f"delta_crit must be nonnegative and finite; got {delta_crit!r}")
     pert.check_dims(sys.n)
-    perturbed = sys.a + delta_crit * (pert.d @ np.eye(pert.k1, pert.k2) @ pert.e)
-    transfer = sys.c @ linalg.inverse(perturbed, sys.b)
-    return _reciprocal(
-        linalg.operator_norm(transfer, pert.norm), "the transfer C (A + delta_crit D E)^-1 B"
-    )
+    what = "the transfer C (A + delta_crit D E)^-1 B"
+    with np.errstate(over="ignore", invalid="ignore"):  # as_matrix names an overflow
+        perturbed = as_matrix(
+            sys.a + delta_crit * (pert.d @ np.eye(pert.k1, pert.k2) @ pert.e), "A + delta_crit D E"
+        )
+        transfer = as_matrix(sys.c @ linalg.inverse(perturbed, sys.b), what)
+    return _reciprocal(linalg.operator_norm(transfer, pert.norm), what)

@@ -262,6 +262,9 @@ def _stage_matrices(h, b, c, dt: float) -> tuple[np.ndarray, ...]:
     return w, g2, g3, g4, q
 
 
+# An overflow in the step matrices or in a step shows in the state, where the
+# blow-up and NaN rules take it; it need not warn too.
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_lure(
     sys: LtiSystem,
     phi: Nonlinearity,
@@ -334,10 +337,7 @@ def simulate_lure(
             u = np.concatenate((u, phi(z[:, s4] + np.matmul(g4, u))), axis=1)
             return z[:, s5] + np.matmul(q, u)
 
-    # An overflow in the matrices shows in the state at the first step, where
-    # the blow-up and NaN rules below take it; it need not warn here too.
-    with np.errstate(over="ignore", invalid="ignore"):
-        per_delta = [matrices(sys.a + pert.d @ d @ pert.e) for d in deltas]
+    per_delta = [matrices(sys.a + pert.d @ d @ pert.e) for d in deltas]
 
     # Column i * T + t runs delta i from state t, held as a (K, n, 1) stack,
     # with its own copy of delta i's matrices.  The products are stacked

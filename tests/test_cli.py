@@ -84,6 +84,15 @@ def counting(monkeypatch, module, name, calls=None):
     return calls
 
 
+def gate_calls(monkeypatch):
+    """Count ``as_matrix`` calls made through any lurestab module that holds the name."""
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lurestab") and hasattr(module, "as_matrix"):
+            counting(monkeypatch, module, "as_matrix", calls)
+    return calls
+
+
 def upper_loop_problem(tmp_path, upper):
     """Metzler lower loop ``A``; the sector's upper edge sets the upper loop."""
     doc = {
@@ -172,8 +181,9 @@ class TestProblemLoading:
             ("simulation", "dt", [1]),
             ("simulation", "dt", "x"),
             ("simulation", "dt", -1),
+            ("simulation", "horizon", True),
         ],
-        ids=["deltas-number", "deltas-string", "dt-list", "dt-string", "dt-negative"],
+        ids=["deltas-number", "deltas-string", "dt-list", "dt-string", "dt-negative", "horizon-bool"],
     )
     def test_malformed_simulation_fields_exit_one(self, capsys, tmp_path, section, field, value):
         doc = json.loads(fixture_path("example_a.json").read_text())
@@ -182,8 +192,92 @@ class TestProblemLoading:
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "sweep", "--problem", str(path), "--trials", "1")
         assert code == 1
-        assert err.startswith(f"error: {path}: ")
+        assert err.startswith(f"error: {path}: {section}: ")
+        assert err.count(str(path)) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fixture", ["example_a.json", "example_b.json"])
+    @pytest.mark.parametrize("field", ["A", "B", "C", "D", "E"])
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), "x", 3, None, [], [[]], [1.0, 2.0], [[1.0], [1.0, 2.0]], [[[1.0]]]],
+        ids=["nan", "string", "number", "null", "empty", "empty-row", "flat", "ragged", "3d"],
+    )
+    def test_malformed_matrix_field_names_its_section_and_field(
+        self, capsys, tmp_path, fixture, field, value
+    ):
+        doc = json.loads(fixture_path(fixture).read_text())
+        section = "system" if field in "ABC" else "perturbation"
+        if isinstance(value, float):
+            doc[section][field][0][0] = value
+        else:
+            doc[section][field] = value
+        if "network" in doc:
+            doc["network"] = str(fixture_path(doc["network"]))
+        path = tmp_path / "bad_matrix.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", "--problem", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: {section}: {field}: ")
+        assert err.count(str(path)) == 1
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("where", ["matrix", "number", "network"])
+    def test_integer_past_float_range_exits_one(self, capsys, tmp_path, where):
+        # json reads 10**400 as an int, which no float holds
+        doc = json.loads(fixture_path("example_b.json").read_text())
+        net = json.loads(fixture_path("gain_network.json").read_text())
+        if where == "matrix":
+            doc["system"]["A"][0][0] = 10**400
+        elif where == "number":
+            doc["simulation"]["dt"] = 10**400
+        else:
+            net["layers"][0]["weights"][0] = 10**400
+        (tmp_path / "net.json").write_text(json.dumps(net))
+        doc["network"] = "net.json"
+        path = tmp_path / "big_int.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", "--problem", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("norm", [[], ["--norm", "two"]], ids=["file-norm", "norm-two"])
+    def test_null_scale_pattern_exits_one(self, capsys, tmp_path, norm):
+        # a null S is a malformed matrix, not an absent one
+        doc = json.loads((PROBLEMS / "schur.json").read_text())
+        doc["perturbation"]["S"] = None
+        path = tmp_path / "null_s.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "radius", "--problem", str(path), *norm)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: perturbation") and err.count("\n") == 1
+        assert "S: expected a 2-D matrix" in err
+
+    @pytest.mark.parametrize(
+        "problem, fields",
+        [
+            ("example_a.json", ["A", "B", "C", "D", "E", "Sigma1", "Sigma2"]),
+            ("example_b.json", ["A", "B", "C", "D", "E", "layer weight", "layer weight"]),
+            (str(PROBLEMS / "schur.json"), ["A", "B", "C", "D", "E", "S"]),
+        ],
+        ids=["example_a", "example_b", "schur"],
+    )
+    def test_each_matrix_field_passes_the_gate_once(self, monkeypatch, problem, fields):
+        # example_a's builtin sector is built at load time; example_b's two
+        # network layers are its last two matrices
+        calls = gate_calls(monkeypatch)
+        load_problem(problem)
+        assert sorted(args[1] for args in calls) == sorted(fields)
+
+    def test_check_gates_each_matrix_once(self, capsys, monkeypatch):
+        # the 7 input matrices, the network sector's 2, and each closed loop
+        # where it is computed
+        calls = gate_calls(monkeypatch)
+        code, out, err = run_cli(capsys, "check", "--problem", "example_b.json")
+        assert code == 0
+        loops = ["the closed loop A + B K C"] * 2
+        fields = ["A", "B", "C", "D", "E", "layer weight", "layer weight", "Sigma1", "Sigma2"]
+        assert sorted(args[1] for args in calls) == sorted(fields + loops)
 
     @pytest.mark.parametrize("value", [5, [[1.0]], "x"], ids=["number", "list", "string"])
     def test_non_object_sector_exits_one(self, capsys, tmp_path, sector_problem, value):
@@ -251,6 +345,49 @@ class TestProblemLoading:
         assert code == 1
         assert err.startswith(f"error: {path}: ")
         assert "unknown field(s) ['x0']" in err
+
+
+class TestOverflowingInputs:
+    """One finite 1e308 entry makes a computed matrix overflow.  The check that
+    follows each overflow decides the outcome; numpy does not warn."""
+
+    @pytest.mark.parametrize(
+        "fixture, section, field, argv, code, err",
+        [
+            ("example_a.json", "system", "B", ["check"], 2,
+             "error: the closed loop A + B K C: contains NaN or infinite entries\n"),
+            ("example_a.json", "perturbation", "E", ["radius", "--override-gates"], 2,
+             "error: the transfer E (A + B S2 C)^-1 D: contains NaN or infinite entries\n"),
+            # the kappa bound of the upper loop's solve fails, so its gate does
+            ("example_b.json", "system", "B", ["check"], 2, ""),
+            # the RK4 steps overflow; the blow-up rule halts the column
+            ("example_b.json", "system", "B",
+             ["sweep", "--trials", "1", "--horizon", "1", "--dt", "0.05"], 0, ""),
+        ],
+        ids=["loop", "transfer", "kappa", "rk4"],
+    )
+    def test_overflow_is_named_not_warned(
+        self, capsys, tmp_path, fixture, section, field, argv, code, err
+    ):
+        doc = json.loads(fixture_path(fixture).read_text())
+        doc[section][field][0][0] = 1e308
+        if "network" in doc:
+            doc["network"] = str(fixture_path(doc["network"]))
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        extra = ["--out", str(tmp_path / "sweep.csv")] if argv[0] == "sweep" else []
+        result = run_cli(capsys, *argv, "--problem", str(path), *extra)
+        assert (result[0], result[2]) == (code, err)
+
+    def test_network_weight_product_overflow_is_named(self, capsys, tmp_path):
+        net = json.loads(fixture_path("gain_network.json").read_text())
+        for layer in net["layers"]:
+            layer["weights"] = [1e308] * len(layer["weights"])
+        path = tmp_path / "big_net.json"
+        path.write_text(json.dumps(net))
+        code, out, err = run_cli(capsys, "nn-bound", "--network", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: the network's weight product overflows\n"
 
 
 class TestCheckCommand:

@@ -258,18 +258,6 @@ class TestMetzlerSolve:
         assert v is None and solution is None
 
 
-class TestElementwise:
-    def test_leq(self):
-        a = np.array([[1.0, 0.0]])
-        assert linalg.elementwise_leq(a, a)
-        assert linalg.elementwise_leq([[-2.0]], [[-0.48]])
-        assert not linalg.elementwise_leq([[1.0, 0.0]], [[0.0, 1.0]])
-
-    def test_leq_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            linalg.elementwise_leq(np.ones((1, 2)), np.ones((2, 1)))
-
-
 def test_norm_kind_parsing():
     assert NormKind.from_name("TWO") is NormKind.TWO
     assert NormKind.from_name(" one ") is NormKind.ONE

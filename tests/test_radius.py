@@ -59,6 +59,13 @@ class TestTypes:
         with pytest.raises(CertificationError, match="sector_ordered"):
             rad.stability_radius_lure(SYS_B, unordered, PERT_B)
 
+    def test_sector_bounds_share_a_shape(self):
+        with pytest.raises(DimensionMismatchError, match="sector bounds must share a shape"):
+            SectorBound(np.zeros((1, 2)), np.ones((2, 1)))
+        # a sector of the wrong shape for the plant is refused by the loop it would close
+        with pytest.raises(DimensionMismatchError, match="gain must be 1x1"):
+            rad.certify_positive_lure(SYS_B, SectorBound(np.zeros((1, 2)), np.ones((1, 2))))
+
     def test_perturbation_requires_nonnegative_scalings(self):
         with pytest.raises(ValueError):
             PerturbationStructure(d=[[-1.0]], e=[[1.0]])

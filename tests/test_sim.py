@@ -195,7 +195,6 @@ STAGES_INF = (
 )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestBlowupRule:
     """The gain loop's step matrix and the RK4 stages share one halting rule."""
 
@@ -282,7 +281,6 @@ class TestClassify:
         assert verdict.label == "Inconclusive"
         assert verdict.decay_ratio == pytest.approx(1.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_rate_of_a_state_that_underflowed_or_blew_up_to_inf(self):
         # x' = -100 x decays to exactly 0 within the horizon: Stable at rate
         # -inf, not a log of 0; a state that blew up to inf is Unstable at
@@ -564,7 +562,6 @@ GROWING_STAGES = (
 )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestBlockEngine:
     """One RK4 block for many (delta, initial state) columns."""
 
