@@ -9,7 +9,6 @@ drive the sign selection for refined bounds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,7 +20,6 @@ from .errors import (
     NonFiniteEntriesError,
     NonzeroBiasError,
     NotSisoError,
-    ProblemFormatError,
 )
 from .linalg import as_matrix
 from .radius import SectorBound
@@ -59,14 +57,13 @@ _BUILTIN_ACTIVATIONS = {"relu": RELU, "tanh": TANH}
 def activation_from_name(name: str, a1: float | None = None, a2: float | None = None) -> ActivationSpec:
     """Resolve a built-in activation, or build a custom one from explicit slopes."""
     key = str(name).strip().lower()
-    if key in _BUILTIN_ACTIVATIONS:
-        spec = _BUILTIN_ACTIVATIONS[key]
-        if a1 is not None or a2 is not None:
-            spec = ActivationSpec(spec.name, float(a1), float(a2), spec.fn)
+    spec = _BUILTIN_ACTIVATIONS.get(key)
+    if spec is not None and a1 is None and a2 is None:
         return spec
     if a1 is None or a2 is None:
-        raise InputError(f"activation {name!r} is not built in; explicit a1/a2 required")
-    return ActivationSpec(key, float(a1), float(a2), None)
+        fault = "only one of a1/a2 given" if spec else "not built in"
+        raise InputError(f"activation {name!r}: {fault}; explicit a1 and a2 required")
+    return ActivationSpec(key, float(a1), float(a2), spec and spec.fn)
 
 
 @dataclass(frozen=True)
@@ -78,13 +75,16 @@ class Layer:
 
     def __post_init__(self):
         w = as_matrix(self.w, "layer weight")
-        b = np.asarray(self.b, dtype=float).reshape(-1)
+        try:
+            b = np.asarray(self.b, dtype=float).reshape(-1)
+        except (TypeError, ValueError, OverflowError):  # as in as_matrix
+            raise DimensionMismatchError("layer bias: not a numeric vector") from None
         if b.shape[0] != w.shape[0]:
             raise DimensionMismatchError(
                 f"bias length {b.shape[0]} does not match {w.shape[0]} layer outputs"
             )
         if not np.isfinite(b).all():
-            raise ProblemFormatError("layer bias contains non-finite entries")
+            raise NonFiniteEntriesError("layer bias: contains NaN or infinite entries")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "b", b)
 
@@ -261,49 +261,3 @@ def select_refined_sign(
     else:
         pick_plus = plus_check.count != 0
     return (plus, plus_check) if pick_plus else (minus, minus_check)
-
-
-def load_ffnn(path) -> Ffnn:
-    """Load a network from its JSON file (see ``ffnn_from_dict`` for the schema)."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
-        raise ProblemFormatError(f"cannot read network file ({exc})", path=path) from None
-    try:
-        return ffnn_from_dict(data)
-    except ProblemFormatError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError, DimensionMismatchError,
-            NonFiniteEntriesError) as exc:
-        raise ProblemFormatError(f"invalid network description: {exc}", path=path) from None
-
-
-def ffnn_from_dict(data: dict) -> Ffnn:
-    """Build a network from the JSON schema.
-
-    Expected fields: ``activation: {name, a1, a2}`` and ``layers``, a list
-    of ``{rows, cols, weights, bias}`` with row-major flat weights; the
-    final entry is the affine output layer.
-    """
-    act_spec = data["activation"]
-    activation = activation_from_name(
-        act_spec["name"], act_spec.get("a1"), act_spec.get("a2")
-    )
-    raw_layers = data["layers"]
-    if not raw_layers:
-        raise InputError("a network needs at least an output layer")
-    layers = []
-    for i, entry in enumerate(raw_layers):
-        rows, cols = int(entry["rows"]), int(entry["cols"])
-        weights = np.asarray(entry["weights"], dtype=float)
-        if weights.size != rows * cols:
-            raise InputError(
-                f"layer {i + 1}: {weights.size} weights for declared {rows}x{cols}"
-            )
-        w = weights.reshape(rows, cols)
-        b = np.asarray(entry.get("bias", np.zeros(rows)), dtype=float)
-        layers.append(Layer(w, b))
-    return Ffnn(hidden=tuple(layers[:-1]), output=layers[-1], activation=activation)

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, LureStabError, ProblemFormatError
-from .ffnn import Ffnn, load_ffnn, sector_bound_ffnn
+from .ffnn import Ffnn, Layer, activation_from_name, sector_bound_ffnn
 from .linalg import NormKind
 from .radius import (
     LtiSystem,
@@ -122,7 +122,7 @@ class Problem:
 
 @contextmanager
 def _section(context: str, path):
-    """Build one section of a problem file: a ProblemFormatError passes
+    """Build one section of a problem or network file: a ProblemFormatError passes
     untouched, and any other package error becomes one that names ``context``."""
     try:
         yield
@@ -168,6 +168,29 @@ def _matrix(data: dict, key: str) -> object:
     return raw
 
 
+def _read_json(path, kind: str) -> tuple[dict, bytes]:
+    """Read and decode a ``kind`` file whose top level is an object; returns
+    the document and the raw bytes it came from."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ProblemFormatError(f"cannot read {kind} file ({exc})", path=path) from None
+    try:
+        data = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ProblemFormatError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"not UTF-8 text ({exc.reason})", path=path) from None
+    except RecursionError:
+        raise ProblemFormatError("invalid JSON: nested too deeply", path=path) from None
+    except ValueError:  # the rest: Python caps an integer literal at 4300 digits
+        raise ProblemFormatError("invalid JSON: an integer over 4300 digits", path=path) from None
+    if not isinstance(data, dict):
+        raise ProblemFormatError("top level must be a JSON object", path=path)
+    return data, raw
+
+
 def load_problem(path, norm_override: str | None = None) -> Problem:
     """Parse and validate a problem file.
 
@@ -175,19 +198,7 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
     ``--norm`` flag).  A fault in a section reads ``<path>: <section>: ...``.
     """
     resolved = resolve_problem_path(path)
-    try:
-        raw = resolved.read_bytes()
-    except OSError as exc:
-        raise ProblemFormatError(f"cannot read problem file ({exc})", path=resolved) from None
-    digest = hashlib.sha256(raw).hexdigest()
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(f"invalid JSON: {exc.msg}", path=resolved, line=exc.lineno) from None
-    except UnicodeDecodeError as exc:
-        raise ProblemFormatError(f"not UTF-8 text ({exc.reason})", path=resolved) from None
-    if not isinstance(data, dict):
-        raise ProblemFormatError("top level must be a JSON object", path=resolved)
+    data, raw = _read_json(resolved, "problem")
 
     with _section("problem", resolved):
         sys_data, pert_data = _get(data, "system"), _get(data, "perturbation")
@@ -217,31 +228,28 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
                 raise InputError(f"must be {system.m}x{system.p}, got {sector.lower.shape}")
         feedback = Nonlinearity.gain(sector.upper)
     elif "network" in data:
-        net_file = Path(str(data["network"]))
-        if not net_file.is_absolute():
-            net_file = resolved.parent / net_file
-        network = load_ffnn(net_file)
-        if network.input_dim != system.p or network.output_dim != system.m:
-            raise ProblemFormatError(
-                f"network maps {network.input_dim} -> {network.output_dim}, "
-                f"but the plant needs {system.p} -> {system.m}",
-                path=resolved,
-            )
+        with _section("network", resolved):  # the network file's own faults name that file
+            if not isinstance(data["network"], str):
+                raise InputError(f"expected a file path, got {data['network']!r}")
+            network = load_ffnn(resolved.parent / data["network"])
+            if network.input_dim != system.p or network.output_dim != system.m:
+                raise InputError(
+                    f"maps {network.input_dim} -> {network.output_dim}, "
+                    f"but the plant needs {system.p} -> {system.m}"
+                )
         feedback = Nonlinearity.network(network)
     elif "builtin_nonlinearity" in data:
-        builtin = str(data["builtin_nonlinearity"])
-        if builtin not in BUILTIN_NONLINEARITIES:
-            raise ProblemFormatError(
-                f"unknown builtin nonlinearity {builtin!r}; available: "
-                + ", ".join(sorted(BUILTIN_NONLINEARITIES)),
-                path=resolved,
-            )
-        if system.m != system.p:
-            raise ProblemFormatError(
-                f"builtin_nonlinearity: {builtin!r} acts elementwise, so the plant needs as many "
-                f"inputs as outputs; got {system.m} inputs and {system.p} outputs",
-                path=resolved,
-            )
+        with _section("builtin_nonlinearity", resolved):
+            builtin = str(data["builtin_nonlinearity"])
+            if builtin not in BUILTIN_NONLINEARITIES:
+                raise InputError(
+                    f"unknown {builtin!r}; available: " + ", ".join(sorted(BUILTIN_NONLINEARITIES))
+                )
+            if system.m != system.p:
+                raise InputError(
+                    f"{builtin!r} acts elementwise, so the plant needs as many inputs as "
+                    f"outputs; got {system.m} inputs and {system.p} outputs"
+                )
         spec = BUILTIN_NONLINEARITIES[builtin]
         eye = np.eye(system.m)
         sector = SectorBound(spec.sector_lower * eye, spec.sector_upper * eye)
@@ -271,7 +279,7 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
         simulation=sim_config,
         sweep_deltas=sweep_deltas,
         path=resolved,
-        digest=digest,
+        digest=hashlib.sha256(raw).hexdigest(),
     )
 
 
@@ -285,3 +293,35 @@ def _build_perturbation(data: dict, norm_override) -> PerturbationStructure:
     elif norm is NormKind.MAX_ABS:
         raise InputError("the maxabs norm needs a scale pattern S")
     return PerturbationStructure(d=d, e=e, norm=norm, schur_scale=schur)
+
+
+def load_ffnn(path) -> Ffnn:
+    """Parse and validate a network file: ``activation: {name, a1, a2}`` (a
+    built-in may omit the slopes) and ``layers``, a list of ``{rows, cols,
+    weights, bias}`` with flat row-major weights and an optional bias; the
+    last is the affine output layer.  A fault reads ``<path>: <section>: ...``
+    with section ``network``, ``activation`` or ``layer <i>`` (from 1)."""
+    data, _ = _read_json(path, "network")
+    with _section("network", path):
+        act, raw_layers = _get(data, "activation"), _get(data, "layers")
+        if not isinstance(raw_layers, list) or not raw_layers:
+            raise InputError("layers: expected a nonempty list (the last is the output layer)")
+    with _section("activation", path):
+        act = _object(act)
+        a1, a2 = (None if act.get(k) is None else _number(act[k], k) for k in ("a1", "a2"))
+        activation = activation_from_name(_get(act, "name"), a1, a2)
+    layers = []
+    for i, entry in enumerate(raw_layers, 1):
+        with _section(f"layer {i}", path):
+            entry = _object(entry)
+            rows, cols = _get(entry, "rows"), _get(entry, "cols")
+            if type(rows) is not int or type(cols) is not int or min(rows, cols) < 1:
+                raise InputError(f"rows, cols: expected positive integers, got {rows!r}, {cols!r}")
+            weights = _get(entry, "weights")
+            try:  # Layer checks that the entries are finite
+                w = np.asarray(weights, dtype=float).reshape(rows, cols)
+            except (TypeError, ValueError, OverflowError):  # not numbers, or not rows x cols
+                raise InputError(f"weights: expected {rows}x{cols} numbers") from None
+            layers.append(Layer(w, entry.get("bias", np.zeros(rows))))
+    with _section("network", path):
+        return Ffnn(hidden=tuple(layers[:-1]), output=layers[-1], activation=activation)

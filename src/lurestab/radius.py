@@ -11,7 +11,7 @@ in any norm monotone on nonnegative matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -192,7 +192,6 @@ class RadiusReport:
     formula: str
     closed_loop: np.ndarray
     certificate: AizermanCertificate | None = None
-    gates: dict = field(default_factory=dict)
     sector: SectorBound | None = None
 
 
@@ -290,7 +289,6 @@ def stability_radius_linear(a, pert: PerturbationStructure) -> RadiusReport:
         norm=pert.norm,
         formula="linear_norm",
         closed_loop=a,
-        gates={"metzler": True, "hurwitz": True},
     )
 
 
@@ -313,7 +311,6 @@ def stability_radius_schur(a, pert: PerturbationStructure) -> RadiusReport:
         norm=NormKind.MAX_ABS,
         formula="schur_spectral",
         closed_loop=a,
-        gates={"metzler": True, "hurwitz": True},
     )
 
 

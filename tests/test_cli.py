@@ -168,6 +168,16 @@ class TestProblemLoading:
         with pytest.raises(ProblemFormatError):
             load_problem(path)
 
+    @pytest.mark.parametrize("value", [None, 5, ["net.json"]], ids=["null", "number", "list"])
+    def test_network_field_must_be_a_path(self, capsys, tmp_path, value):
+        doc = json.loads(fixture_path("example_b.json").read_text())
+        doc["network"] = value
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", "--problem", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: network: expected a file path, got {value!r}\n"
+
     def test_digest_is_stable(self):
         a = load_problem("example_a.json")
         b = load_problem("example_a.json")
@@ -345,6 +355,71 @@ class TestProblemLoading:
         assert code == 1
         assert err.startswith(f"error: {path}: ")
         assert "unknown field(s) ['x0']" in err
+
+    @pytest.mark.parametrize(
+        "where, value, fault",
+        [
+            (("layers", 0, "bias"), ["BIG", 0.0], "layer 1: layer bias: contains NaN or infinite"),
+            (("layers", 0, "bias"), [[1, 2], [3]], "layer 1: layer bias: not a numeric vector"),
+            (("layers", 0, "weights"), ["BIG", 0.7], "layer 1: layer weight: contains NaN or inf"),
+            (("activation",), "relu", "activation: must be an object"),
+            (("layers",), [], "network: layers: expected a nonempty list"),
+            ((), [], "top level must be a JSON object"),
+            (("activation",), {"name": "swish"}, "activation: activation 'swish': not built in"),
+            (("activation",), {"name": "relu", "a1": 1.0, "a2": 0.5},
+             "activation: activation sector needs a1 < a2"),
+            (("layers", 0, "rows"), -1, "layer 1: rows, cols: expected positive integers"),
+            (("activation",), {"name": "relu", "a1": 0.0},
+             "activation: activation 'relu': only one of a1/a2 given"),
+        ],
+        ids=["bias-inf", "bias-ragged", "weight-inf", "activation-string", "no-layers", "top-list",
+             "unknown-activation", "unordered-slopes", "negative-rows", "one-slope"],
+    )
+    @pytest.mark.parametrize("route", ["nn-bound", "problem"])
+    def test_malformed_network_file_names_its_path_and_section(
+        self, capsys, tmp_path, route, where, value, fault
+    ):
+        # set the field at ``where`` (the whole file if empty); "BIG" stands
+        # for the literal 1e999, which json reads as inf but cannot write
+        net = json.loads(fixture_path("gain_network.json").read_text())
+        if where:
+            parent = net
+            for key in where[:-1]:
+                parent = parent[key]
+            parent[where[-1]] = value
+        else:
+            net = value
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(net).replace('"BIG"', "1e999"))
+        if route == "nn-bound":
+            argv = ["nn-bound", "--network", str(net_path)]
+        else:
+            doc = json.loads(fixture_path("example_b.json").read_text())
+            doc["network"] = "net.json"
+            (tmp_path / "p.json").write_text(json.dumps(doc))
+            argv = ["check", "--problem", str(tmp_path / "p.json")]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {net_path}: {fault}")
+        assert err.count(str(net_path)) == 1
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize(
+        "text, fault",
+        [
+            ("[" * 200_000 + "]" * 200_000, "nested too deeply"),
+            ('{"A": ' + "1" * 5000 + "}", "an integer over 4300 digits"),
+        ],
+        ids=["deep", "long-int"],
+    )
+    @pytest.mark.parametrize("kind", ["problem", "network"])
+    def test_json_past_the_decoder_limits_exits_one(self, capsys, tmp_path, kind, text, fault):
+        path = tmp_path / "limit.json"
+        path.write_text(text)
+        argv = ["check", "--problem"] if kind == "problem" else ["nn-bound", "--network"]
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: invalid JSON: {fault}\n"
 
 
 class TestOverflowingInputs:
@@ -890,6 +965,13 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "verdict: pass" in proc.stdout
+
+    def test_every_public_name_resolves(self):
+        # guards the re-exports, e.g. load_ffnn, which lives in problems
+        import lurestab
+
+        assert [name for name in lurestab.__all__ if not hasattr(lurestab, name)] == []
+        assert lurestab.load_ffnn is problems.load_ffnn
 
     def test_no_command_imports_scipy(self, tmp_path):
         # scipy's import alone costs more than a whole command: every

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lurestab import ffnn
+from lurestab import ffnn, problems
 from lurestab.errors import (
     DimensionMismatchError,
     InputError,
@@ -211,7 +211,7 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         with pytest.raises(ProblemFormatError):
-            ffnn.load_ffnn(path)
+            problems.load_ffnn(path)
 
     def test_dimension_chain_mismatch(self, tmp_path):
         bad = {
@@ -224,13 +224,13 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         with pytest.raises(ProblemFormatError):
-            ffnn.load_ffnn(path)
+            problems.load_ffnn(path)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ProblemFormatError):
-            ffnn.load_ffnn(path)
+            problems.load_ffnn(path)
 
     def test_non_finite_weights(self, tmp_path):
         bad = {
@@ -240,7 +240,7 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad).replace("NaN", "NaN"))
         with pytest.raises(ProblemFormatError):
-            ffnn.load_ffnn(path)
+            problems.load_ffnn(path)
 
     def test_custom_activation_needs_slopes(self, tmp_path):
         bad = {
@@ -250,11 +250,11 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         with pytest.raises(ProblemFormatError):
-            ffnn.load_ffnn(path)
+            problems.load_ffnn(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProblemFormatError):
-            ffnn.load_ffnn(tmp_path / "nope.json")
+            problems.load_ffnn(tmp_path / "nope.json")
 
 
 class TestActivationSpec:
