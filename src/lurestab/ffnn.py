@@ -68,7 +68,8 @@ def activation_from_name(name: str, a1: float | None = None, a2: float | None = 
 
 @dataclass(frozen=True)
 class Layer:
-    """One affine layer ``w @ x + b`` with ``b`` stored as a 1-D vector."""
+    """One affine layer ``w @ x + b`` with ``b`` stored as a ``(rows, 1)``
+    column, the shape that a stacked product adds."""
 
     w: np.ndarray
     b: np.ndarray
@@ -76,7 +77,7 @@ class Layer:
     def __post_init__(self):
         w = as_matrix(self.w, "layer weight")
         try:
-            b = np.asarray(self.b, dtype=float).reshape(-1)
+            b = np.asarray(self.b, dtype=float).reshape(-1, 1)
         except (TypeError, ValueError, OverflowError):  # as in as_matrix
             raise DimensionMismatchError("layer bias: not a numeric vector") from None
         if b.shape[0] != w.shape[0]:
@@ -129,32 +130,23 @@ class Ffnn:
 
 
 def ffnn_eval(net: Ffnn, z) -> np.ndarray:
-    """Forward pass.  ``z`` may be a single input (p,), a batch (p, k), or a
-    stack (k, p, 1), which gives a stack (k, m, 1).
+    """Forward pass of a ``(K, p, 1)`` stack of inputs to a ``(K, m, 1)`` stack.
 
-    A batch or a stack is evaluated as a stack of k matrix-vector products
-    per layer, so each of its inputs is bit-identical to that input evaluated
-    alone.  Each layer adds its bias even when it is zero: the ``+ 0.0``
-    turns a ``-0.0`` sum into ``+0.0``.
+    Each layer is K stacked matrix-vector products, so each stack entry is
+    bit-identical to that entry evaluated alone.  Each layer adds its bias
+    even when it is zero: the ``+ 0.0`` turns a ``-0.0`` sum into ``+0.0``.
     """
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 3:
-        x = z
-    else:
-        x = (z.reshape(-1, 1) if z.ndim == 1 else z).T[..., None]
-    if x.shape[1] != net.input_dim:
+    x = np.asarray(z, dtype=float)
+    if x.ndim != 3 or x.shape[1:] != (net.input_dim, 1):
         raise DimensionMismatchError(
-            f"input dimension {x.shape[1]} does not match network input {net.input_dim}"
+            f"network input must be a (K, {net.input_dim}, 1) stack, got shape {x.shape}"
         )
     act = net.activation
     if net.hidden and act.fn is None:
         raise InputError(f"activation {act.name!r} has no callable for evaluation")
     for layer in net.hidden:
-        x = act.fn(np.matmul(layer.w, x) + layer.b[:, None])
-    x = np.matmul(net.output.w, x) + net.output.b[:, None]
-    if z.ndim == 3:
-        return x
-    return x[0, :, 0] if z.ndim == 1 else x[..., 0].T
+        x = act.fn(np.matmul(layer.w, x) + layer.b)
+    return np.matmul(net.output.w, x) + net.output.b
 
 
 def sector_bound_ffnn(net: Ffnn) -> SectorBound:
@@ -220,13 +212,13 @@ def empirical_sector_check(
             f"sector has {sector.lower.shape[1]} input columns, network expects {p}"
         )
     rng = np.random.default_rng(seed)
-    z = rng.uniform(0.0, 10.0, size=(p, samples))
+    z = rng.uniform(0.0, 10.0, size=(samples, p, 1))
     out = ffnn_eval(net, z)
-    lower = sector.lower @ z
-    upper = sector.upper @ z
+    lower = np.matmul(sector.lower, z)
+    upper = np.matmul(sector.upper, z)
     slack = 1e-9 * np.maximum(1.0, np.abs(upper))
     bad = (out > upper + slack) | (out < lower - slack)
-    count = int(bad.any(axis=0).sum())
+    count = int(bad.any(axis=(1, 2)).sum())
     positive = upper > 0
     max_ratio = float((out[positive] / upper[positive]).max()) if positive.any() else 0.0
     return SectorCheck(samples=samples, count=count, max_ratio=max_ratio)

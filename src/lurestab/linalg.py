@@ -142,8 +142,8 @@ def operator_norm(m, kind: NormKind = NormKind.TWO) -> float:
 def inverse(m, rhs) -> np.ndarray:
     """``m^{-1} @ rhs`` (a vector or a block of columns) by LAPACK ``gesv``.
 
-    It serves the non-Metzler override path and ``refine``, both of small n,
-    so the 1-norm condition number may come from an explicit inverse
+    It serves only the non-Metzler override path, of small n, so the
+    1-norm condition number may come from an explicit inverse
     (``np.linalg.cond``).  Raises SingularMatrixError when ``m`` is exactly
     singular or that number exceeds ``COND_MAX``.
     """

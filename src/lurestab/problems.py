@@ -66,7 +66,8 @@ def resolve_problem_path(path) -> Path:
 
 @dataclass(frozen=True)
 class Problem:
-    """A parsed problem file plus the digest of its raw bytes.
+    """A parsed problem file plus the digest of its raw bytes, followed by
+    those of its network file if it names one.
 
     The loader resolves the problem kind once.  ``feedback`` is what a
     simulation feeds back: a sector's upper gain (the worst case), the
@@ -231,7 +232,8 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
         with _section("network", resolved):  # the network file's own faults name that file
             if not isinstance(data["network"], str):
                 raise InputError(f"expected a file path, got {data['network']!r}")
-            network = load_ffnn(resolved.parent / data["network"])
+            network, network_raw = _read_ffnn(resolved.parent / data["network"])
+            raw += network_raw  # the digest covers the network's weights too
             if network.input_dim != system.p or network.output_dim != system.m:
                 raise InputError(
                     f"maps {network.input_dim} -> {network.output_dim}, "
@@ -301,7 +303,12 @@ def load_ffnn(path) -> Ffnn:
     weights, bias}`` with flat row-major weights and an optional bias; the
     last is the affine output layer.  A fault reads ``<path>: <section>: ...``
     with section ``network``, ``activation`` or ``layer <i>`` (from 1)."""
-    data, _ = _read_json(path, "network")
+    return _read_ffnn(path)[0]
+
+
+def _read_ffnn(path) -> tuple[Ffnn, bytes]:
+    """``load_ffnn``'s network and the raw bytes it came from, by one read."""
+    data, raw = _read_json(path, "network")
     with _section("network", path):
         act, raw_layers = _get(data, "activation"), _get(data, "layers")
         if not isinstance(raw_layers, list) or not raw_layers:
@@ -324,4 +331,4 @@ def load_ffnn(path) -> Ffnn:
                 raise InputError(f"weights: expected {rows}x{cols} numbers") from None
             layers.append(Layer(w, entry.get("bias", np.zeros(rows))))
     with _section("network", path):
-        return Ffnn(hidden=tuple(layers[:-1]), output=layers[-1], activation=activation)
+        return Ffnn(hidden=tuple(layers[:-1]), output=layers[-1], activation=activation), raw

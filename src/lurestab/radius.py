@@ -379,8 +379,10 @@ def refine_upper_sector(
     Given the perturbation size ``delta_crit`` at which the loop was seen
     to destabilize, the tightest consistent sector magnitude is
     ``1 / ||C (A + delta_crit * D @ I @ E)^{-1} B||``, with ``I`` the
-    identity pattern (the scalar 1 for a scalar structure).  For a scalar
-    loop the sign of ``+-magnitude`` is selected empirically against the network.
+    identity pattern (the scalar 1 for a scalar structure).  The perturbed
+    plant must be Metzler and Hurwitz, else no nonnegative sector exists and
+    this raises.  For a scalar loop the sign of ``+-magnitude`` is selected
+    empirically against the network.
     """
     if not 0 <= delta_crit < np.inf:  # a NaN fails too
         raise InputError(f"delta_crit must be nonnegative and finite; got {delta_crit!r}")
@@ -390,5 +392,5 @@ def refine_upper_sector(
         perturbed = as_matrix(
             sys.a + delta_crit * (pert.d @ np.eye(pert.k1, pert.k2) @ pert.e), "A + delta_crit D E"
         )
-        transfer = as_matrix(sys.c @ linalg.inverse(perturbed, sys.b), what)
+        transfer = as_matrix(sys.c @ _metzler_hurwitz_solve(perturbed, sys.b), what)
     return _reciprocal(linalg.operator_norm(transfer, pert.norm), what)

@@ -28,16 +28,9 @@ x``, ``G_2``, ``G_3``, ``G_4`` and ``Q``, against twelve stage by stage, and
 phi takes the engine's ``(K, p, 1)`` stack with no transposes.  It agrees
 with stage-by-stage RK4 up to rounding in the last bits.
 
-A sweep integrates all its (delta, trial) columns as one block.  The
-critical-perturbation search integrates delta 0 and its geometric levels as
-one block; where the largest trial rate rises by more than ``RES`` from
-point to point over the three points that end at the first unstable level,
-it fits a quadratic through them and integrates ``PREDICTION_PROBES`` deltas just under ``tol`` apart
-around the delta at which the fit reaches ``RES``.  Whatever bracket is
-still wider than ``tol`` is bisected: the steps left are split evenly into
-the fewest blocks of at most ``SPECULATIVE_DEPTH`` steps
-(``NARROW_SPECULATIVE_DEPTH`` for a single-trial nonlinear search), each
-holding every midpoint its steps can visit.
+A sweep integrates all its (delta, trial) columns as one block, and the
+critical-perturbation search integrates each of its probe sets as one block
+(``find_critical_delta`` describes the search).
 """
 
 from __future__ import annotations
@@ -76,10 +69,10 @@ PREDICTION_PROBES = 5  # deltas integrated around a predicted crossing
 class Nonlinearity:
     """Static feedback ``u = phi(y)``.
 
-    ``block`` maps a ``(p, K)`` block to an ``(m, K)`` block, and a ``(K, p,
-    1)`` stack, the form the RK4 engine holds its stage outputs in, to a ``(K,
-    m, 1)`` stack; column (or stack entry) k of the result depends only on
-    column k of ``y``.  ``mat`` is a linear feedback's gain matrix, else None.
+    ``block`` maps a ``(K, p, 1)`` stack, the form the RK4 engine holds its
+    stage outputs in, to a ``(K, m, 1)`` stack; entry k of the result depends
+    only on entry k of ``y``.  ``mat`` is a linear feedback's gain matrix,
+    else None.
     """
 
     block: Callable[[np.ndarray], np.ndarray]
@@ -157,9 +150,10 @@ class SimConfig:
     horizon: float = 20.0
 
     def __post_init__(self):
-        if not 0 < self.dt <= self.horizon < math.inf:
+        # a dt so small that horizon / dt overflows leaves no step count
+        if not (0 < self.dt <= self.horizon < math.inf and self.horizon / self.dt < math.inf):
             raise InputError(
-                "dt and horizon must satisfy 0 < dt <= horizon < inf; "
+                "dt and horizon must satisfy 0 < dt <= horizon < inf and horizon / dt < inf; "
                 f"got dt={self.dt!r}, horizon={self.horizon!r}"
             )
 

@@ -2,8 +2,8 @@
 
 The benchmark's traced mode wraps functions by module attribute and counts
 ``sim.Nonlinearity.__call__``.  Deleting or renaming one of them breaks that
-mode, so this test installs the tracer over the package and runs a check
-and a one-trial network sweep through ``cli.main``.
+mode, so this test installs the tracer over the package and runs a check,
+a one-trial network sweep and a given-delta refine through ``cli.main``.
 """
 
 from __future__ import annotations
@@ -56,6 +56,21 @@ def test_traced_run_counts_every_layer(tracing, capsys, tmp_path):
     assert metrics["sim.simulate_calls"] > 0
     assert metrics["sim.rk4_steps"] > 0
     assert metrics["sim.phi_calls"] > 0
+
+
+def test_traced_refine_reaches_its_layers(tracing, capsys):
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        first = tracer.mark()
+        argv = ["refine", "--problem", "example_b.json", "--delta-crit", "3.15"]
+        assert lurestab.cli.main(argv) == 0
+        metrics = tracer.layer_metrics(first, tracer.mark())
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert metrics["radius.refine_upper_sector_s"] > 0
+    assert metrics["ffnn.empirical_check_calls"] == 2
 
 
 def test_traced_run_counts_network_loops_built_before_install(tracing, example_b):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +183,37 @@ class TestProblemLoading:
         a = load_problem("example_a.json")
         b = load_problem("example_a.json")
         assert a.digest == b.digest and len(a.digest) == 64
+
+    def test_digest_covers_the_network_file(self, capsys, tmp_path):
+        net = json.loads(fixture_path("gain_network.json").read_text())
+        (tmp_path / "net.json").write_text(json.dumps(net))
+        doc = json.loads(fixture_path("example_b.json").read_text())
+        doc["network"] = "net.json"
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        before = run_json(capsys, "check", "--problem", str(path))[1]
+        net["layers"][-1]["weights"] = [0.5, 0.5]
+        (tmp_path / "net.json").write_text(json.dumps(net))
+        after = run_json(capsys, "check", "--problem", str(path))[1]
+        assert after["results"]["positive_vector"] != before["results"]["positive_vector"]
+        assert after["inputs_digest"] != before["inputs_digest"]
+
+    def test_network_file_is_read_once(self, monkeypatch):
+        reads = counting(monkeypatch, problems, "_read_json")
+        load_problem("example_b.json")
+        assert [Path(args[0]).name for args in reads] == ["example_b.json", "gain_network.json"]
+
+    @pytest.mark.parametrize("command", ["check", "sweep"])
+    def test_file_dt_whose_step_count_overflows_exits_one(self, capsys, tmp_path, command):
+        doc = json.loads(fixture_path("example_b.json").read_text())
+        doc["simulation"] = {"dt": 1e-320}
+        doc["network"] = str(fixture_path("gain_network.json"))
+        path = tmp_path / "tiny_dt.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, "--problem", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: simulation: dt and horizon must satisfy")
+        assert "horizon / dt < inf" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "section, field, value",
@@ -885,6 +917,18 @@ class TestSweepCommand:
         assert err.startswith("error: dt and horizon must satisfy 0 < dt <= horizon < inf")
         assert out == ""
 
+    def test_dt_whose_step_count_overflows_exits_one(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "sweep", "--problem", "example_b.json", "--out", str(tmp_path / "b.csv"),
+            "--trials", "1", "--dt", "1e-320",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: dt and horizon must satisfy 0 < dt <= horizon < inf and horizon / dt < inf; "
+            "got dt=1e-320, horizon=20.0\n"
+        )
+        assert not (tmp_path / "b.csv").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -949,6 +993,15 @@ class TestRefineCommand:
         assert code == 1
         assert err == f"error: delta_crit must be nonnegative and finite; got {value}\n"
         assert out == ""
+
+    def test_critical_delta_beyond_the_plant_radius_exits_two(self, capsys):
+        # A + 10 D E is unstable by itself (the plant's radius is 3.46), so
+        # no nonnegative sector is consistent with it
+        code, out, err = run_cli(
+            capsys, "refine", "--problem", "example_b.json", "--delta-crit", "10"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: stability radius formula requires a Hurwitz matrix\n"
 
     def test_without_network_is_usage_error(self, capsys, sector_problem):
         code, out, err = run_cli(capsys, "refine", "--problem", str(sector_problem))

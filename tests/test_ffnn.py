@@ -30,6 +30,11 @@ def reference_net(example_b):
     return example_b.network
 
 
+def stack(*inputs) -> np.ndarray:
+    """The ``(K, p, 1)`` stack of K inputs of p entries each."""
+    return np.array(inputs, dtype=float)[..., None]
+
+
 class TestEval:
     def test_zero_weights_return_output_bias(self):
         net = Ffnn(
@@ -37,7 +42,7 @@ class TestEval:
             output=Layer(np.zeros((1, 2)), np.array([0.7])),
             activation=RELU,
         )
-        assert ffnn.ffnn_eval(net, np.zeros(3)) == pytest.approx([0.7])
+        assert ffnn.ffnn_eval(net, stack(np.zeros(3)))[0, :, 0] == pytest.approx([0.7])
 
     def test_relu_identity_chain_on_nonnegative_input(self):
         net = Ffnn(
@@ -46,36 +51,40 @@ class TestEval:
             activation=RELU,
         )
         z = np.array([0.5, 2.0, 0.0])
-        assert ffnn.ffnn_eval(net, z) == pytest.approx(z)
+        assert ffnn.ffnn_eval(net, stack(z))[0, :, 0] == pytest.approx(z)
 
     def test_origin_is_fixed_for_zero_bias(self, rng):
         for _ in range(20):
             net = random_zero_bias_net(rng)
-            out = ffnn.ffnn_eval(net, np.zeros(net.input_dim))
-            assert np.array_equal(out, np.zeros(net.output_dim))
+            out = ffnn.ffnn_eval(net, stack(np.zeros(net.input_dim)))
+            assert np.array_equal(out, np.zeros((1, net.output_dim, 1)))
 
     def test_batch_matches_single(self, rng):
         # bit for bit: a simulated block's columns must equal their runs alone
         for _ in range(20):
             net = random_zero_bias_net(rng)
-            z = rng.uniform(0.0, 5.0, size=(net.input_dim, 7))
-            batch = ffnn.ffnn_eval(net, z)
-            for j in range(7):
-                assert np.array_equal(batch[:, j], ffnn.ffnn_eval(net, z[:, j]))
-            stack = ffnn.ffnn_eval(net, z.T[..., None])
-            assert stack.shape == (7, net.output_dim, 1)
-            assert np.array_equal(stack[..., 0].T, batch)
+            z = rng.uniform(0.0, 5.0, size=(7, net.input_dim, 1))
+            out = ffnn.ffnn_eval(net, z)
+            assert out.shape == (7, net.output_dim, 1)
+            for k in range(7):
+                assert np.array_equal(out[k : k + 1], ffnn.ffnn_eval(net, z[k : k + 1]))
+
+    def test_layer_bias_is_a_column(self):
+        assert Layer(np.ones((3, 2)), [0.1, 0.2, 0.3]).b.shape == (3, 1)
+        assert Layer.linear(np.ones((2, 4))).b.shape == (2, 1)
 
     def test_dimension_mismatch(self):
         net = scalar_net([[2.0]], [[1.0]])
-        with pytest.raises(DimensionMismatchError):
-            ffnn.ffnn_eval(net, np.zeros(3))
-        with pytest.raises(DimensionMismatchError, match="input dimension 3 does not match"):
-            ffnn.ffnn_eval(net, np.zeros((4, 3, 1)))
+        with pytest.raises(DimensionMismatchError, match=r"must be a \(K, 1, 1\) stack"):
+            ffnn.ffnn_eval(net, stack(np.zeros(3)))
+        # a single input or a (p, K) batch is not a stack
+        for z in (np.zeros(1), np.zeros((1, 4)), np.zeros((4, 1, 2))):
+            with pytest.raises(DimensionMismatchError, match=r"\(K, 1, 1\) stack, got shape"):
+                ffnn.ffnn_eval(net, z)
 
     def test_tanh_activation_applied(self):
         net = scalar_net([[2.0]], [[1.0]], activation=TANH)
-        assert ffnn.ffnn_eval(net, np.array([1.0])) == pytest.approx([np.tanh(2.0)])
+        assert ffnn.ffnn_eval(net, stack([1.0]))[0, :, 0] == pytest.approx([np.tanh(2.0)])
 
 
 class TestSectorBound:
@@ -273,4 +282,4 @@ class TestActivationSpec:
         custom = ActivationSpec("mystery", -1.0, 1.0)
         net = scalar_net([[1.0]], [[1.0]], activation=custom)
         with pytest.raises(ValueError):
-            ffnn.ffnn_eval(net, np.zeros(1))
+            ffnn.ffnn_eval(net, np.zeros((1, 1, 1)))

@@ -275,17 +275,22 @@ class TestOneFactorizationPerClosedLoop:
             SYS_B.a,
             PerturbationStructure(d=PERT_B.d, e=PERT_B.e, norm=NormKind.MAX_ABS, schur_scale=[[1.0]]),
         ),
+        "refine": lambda: rad.refine_upper_sector(SYS_B, PERT_B, 3.15),
     }
 
     # one Metzler test per closed loop: the lower and upper loops of a sector
-    # formula, the plant of a linear one; it also makes the one finiteness check
-    METZLER_TESTS = {"certify": 2, "lure": 2, "lure-override": 2, "linear": 1, "schur": 1}
+    # formula, the plant of a linear one, the perturbed plant of refine; it
+    # also makes the one finiteness check
+    METZLER_TESTS = {
+        "certify": 2, "lure": 2, "lure-override": 2, "linear": 1, "schur": 1, "refine": 1,
+    }
 
     # the one solve's right-hand side: the column of ones to certify, the
-    # block [ones | D] (D has k1 = 1 column) for a formula
+    # block [ones | D] (D has k1 = 1 column) for a formula, [ones | B] for refine
     RHS_SHAPES = {
         "certify": (3, 1),
         "lure": (3, 2), "lure-override": (3, 2), "linear": (3, 2), "schur": (3, 2),
+        "refine": (3, 2),
     }
 
     @pytest.mark.parametrize("call", sorted(CALLS))

@@ -71,50 +71,51 @@ class TestNonlinearity:
 
     def test_gain_applies_matrix(self):
         phi = Nonlinearity.gain([[2.0, 0.0]])
-        assert phi(np.array([3.0, 5.0])) == pytest.approx([6.0])
+        assert phi(np.array([[[3.0], [5.0]]])) == pytest.approx(np.array([[[6.0]]]))
 
     def test_scalar_applies_elementwise(self):
         phi = Nonlinearity.scalar(lambda y: -y)
-        assert phi(np.array([1.0, -2.0])) == pytest.approx([-1.0, 2.0])
+        assert phi(np.array([[[1.0], [-2.0]]])) == pytest.approx(np.array([[[-1.0], [2.0]]]))
 
     def test_undefined_value_is_input_error(self):
         phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi
         with pytest.raises(InputError, match="undefined at y = inf"):
-            phi(np.array([np.inf]))
+            phi(np.array([[[np.inf]]]))
 
-    def test_scalar_maps_every_entry_of_a_block(self):
+    def test_scalar_maps_every_entry_of_a_stack(self):
         phi = Nonlinearity.scalar(math.sinh, name="sinh")
-        y = np.array([[1000.0, -1000.0, 0.5], [-0.25, 2.0, -800.0]])
+        y = np.array([[1000.0, -1000.0, 0.5], [-0.25, 2.0, -800.0]])[..., None]
         out = phi(y)
-        assert out.shape == (2, 3)
+        assert out.shape == (2, 3, 1)
+        out = out[..., 0]
         assert out[0, 0] == math.inf and out[0, 1] == -math.inf and out[1, 2] == -math.inf
         assert [out[0, 2], out[1, 0], out[1, 1]] == [math.sinh(0.5), math.sinh(-0.25), math.sinh(2.0)]
 
-    def test_undefined_value_in_a_block_is_input_error(self):
+    def test_undefined_value_in_a_stack_is_input_error(self):
         phi = Nonlinearity.scalar(math.sqrt, name="sqrt")
         with pytest.raises(InputError, match=r"'sqrt' is undefined at y = -2 "):
-            phi(np.array([[4.0, 1.0], [-2.0, 9.0]]))
+            phi(np.array([[[4.0], [1.0]], [[-2.0], [9.0]]]))
 
-    @pytest.mark.parametrize("phi, atol", [
-        (sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi, 0.0),
-        # one (2, 2) x (2, K) product may round apart from K stacked ones
-        (Nonlinearity.gain([[0.3, -1.7], [2.1, 0.4]]), 1e-14),
-        (Nonlinearity.network(MIMO_NET), 0.0),
+    @pytest.mark.parametrize("phi", [
+        sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi,
+        Nonlinearity.gain([[0.3, -1.7], [2.1, 0.4]]),
+        Nonlinearity.network(MIMO_NET),
     ], ids=["scalar", "gain", "network"])
-    def test_stack_form_matches_the_block_form(self, phi, atol):
-        # the engine passes (K, p, 1) stacks; each stack entry is the block's column
-        y = np.random.default_rng(5).uniform(-3.0, 3.0, size=(2, 7))
-        stack = phi(y.T[..., None])
+    def test_stack_entries_match_their_evaluation_alone(self, phi):
+        # the engine passes (K, p, 1) stacks; a block column must equal its run alone
+        y = np.random.default_rng(5).uniform(-3.0, 3.0, size=(7, 2, 1))
+        stack = phi(y)
         assert stack.shape == (7, 2, 1)
-        np.testing.assert_allclose(stack[..., 0].T, phi(y), rtol=0.0, atol=atol)
+        for k in range(7):
+            assert np.array_equal(stack[k : k + 1], phi(y[k : k + 1]))
 
     def test_builtin_registry(self):
         builtin = sim.BUILTIN_NONLINEARITIES["cubic_sine"]
         assert builtin.sector_lower == -2.0 and builtin.sector_upper == -0.48
         phi = builtin.phi
-        assert phi(np.array([0.0])) == pytest.approx([0.0])
+        assert phi(np.zeros((1, 1, 1))) == pytest.approx(np.zeros((1, 1, 1)))
         y = 1.3
-        assert phi(np.array([y]))[0] == pytest.approx(-1.5 * y + 0.01 * y**3 + np.sin(2 * y))
+        assert phi(np.array([[[y]]]))[0, 0, 0] == pytest.approx(-1.5 * y + 0.01 * y**3 + np.sin(2 * y))
 
 
 class TestSimulate:
@@ -654,13 +655,13 @@ class TestBlockEngine:
 
 def staged_rk4(sys, phi, pert, delta, cfg, x0):
     """Reference: classical RK4 stage by stage, ``k_j = M x_j + B phi(C x_j)``,
-    with phi on its ``(p, 1)`` block form.  The engine telescopes the same
-    step into precomputed stage matrices."""
+    with phi on a ``(1, p, 1)`` stack.  The engine telescopes the same step
+    into precomputed stage matrices."""
     m = sys.a + pert.d @ np.asarray(delta, dtype=float) @ pert.e
     dt = cfg.dt
 
     def field(x):
-        return m @ x + sys.b @ phi(sys.c @ x)
+        return m @ x + sys.b @ phi((sys.c @ x)[None])[0]
 
     x = np.asarray(x0, dtype=float)[:, None]
     states = [x[:, 0]]
