@@ -140,20 +140,25 @@ def operator_norm(m, kind: NormKind = NormKind.TWO) -> float:
 
 
 def inverse(m, rhs) -> np.ndarray:
-    """``m^{-1} @ rhs`` (a vector or a block of columns) by LAPACK ``gesv``.
+    """``m^{-1} @ rhs`` (a vector or a block of columns) from one explicit inverse.
 
-    It serves only the non-Metzler override path, of small n, so the
-    1-norm condition number may come from an explicit inverse
-    (``np.linalg.cond``).  Raises SingularMatrixError when ``m`` is exactly
-    singular or that number exceeds ``COND_MAX``.
+    It serves only the non-Metzler override path, of small n, so one LAPACK
+    inverse gives both the product and the 1-norm condition number
+    ``||m||_1 ||m^{-1}||_1``.  Raises SingularMatrixError when ``m`` is
+    exactly singular or that number exceeds ``COND_MAX``.
     """
     m = as_matrix(m)
     _require_square(m)
-    if np.linalg.cond(m, 1) > COND_MAX:  # inf for an exactly singular m
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:  # an exact zero pivot
+        inv = None
+    # not <=: an inverse that overflowed to inf - inf has a NaN norm
+    if inv is None or not np.linalg.norm(m, 1) * np.linalg.norm(inv, 1) <= COND_MAX:
         raise SingularMatrixError(
             f"condition number above {COND_MAX:g}; matrix is numerically singular"
         )
-    return np.linalg.solve(m, rhs)
+    return inv @ rhs
 
 
 def metzler_solve(m, rhs=None) -> tuple[np.ndarray | None, np.ndarray | None]:

@@ -253,13 +253,17 @@ def _require_monotone_norm(norm: NormKind) -> None:
         )
 
 
-def _metzler_hurwitz_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``(-a)^{-1} rhs`` for the linear formulas, gated by the witness of the same LU."""
+def _metzler_hurwitz_solve(
+    a: np.ndarray, rhs: np.ndarray, what: str = "stability radius formula requires a {} matrix"
+) -> np.ndarray:
+    """``(-a)^{-1} rhs`` for the linear formulas and refine, gated by the
+    witness of the same LU.  ``what`` words the refusal, with ``{}`` for
+    the property that ``a`` lacks."""
     if not linalg.is_metzler(a, tol=linalg.FLOAT_SLACK):
-        raise NotMetzlerError("stability radius formula requires a Metzler matrix")
+        raise NotMetzlerError(what.format("Metzler"))
     v, solution = linalg.metzler_solve(a, rhs)
     if v is None:
-        raise NotHurwitzError("stability radius formula requires a Hurwitz matrix")
+        raise NotHurwitzError(what.format("Hurwitz"))
     return solution
 
 
@@ -392,5 +396,8 @@ def refine_upper_sector(
         perturbed = as_matrix(
             sys.a + delta_crit * (pert.d @ np.eye(pert.k1, pert.k2) @ pert.e), "A + delta_crit D E"
         )
-        transfer = as_matrix(sys.c @ _metzler_hurwitz_solve(perturbed, sys.b), what)
+        solution = _metzler_hurwitz_solve(
+            perturbed, sys.b, "refine requires a {} A + delta_crit D E"
+        )
+        transfer = as_matrix(sys.c @ solution, what)
     return _reciprocal(linalg.operator_norm(transfer, pert.norm), what)

@@ -13,10 +13,25 @@ Inconclusive.
 Each RK4 step is telescoped into matrices computed once per delta, so that
 a step costs a few stacked products rather than a dozen small numpy calls
 per stage.  A gain loop's step is one matrix, ``P = _taylor4(h)`` for ``h =
-dt (A + D delta E + B K C)``.  A nonlinear loop keeps its four phi calls;
-for ``h = dt M`` with the drift ``M = A + D delta E``, stage j's phi input
-is ``R_j x + G_j [u_1; ...; u_{j-1}]`` and the step is ``P x + Q [u_1; ...;
-u_4]``, where
+dt (A + D delta E + B K C)``, so its state after k steps is ``P^k x0``.  A
+single trajectory steps by ``P`` to keep its history.  A block builds, for
+one delta at a time, the ladder ``P^(2^j)`` by repeated squaring, with the
+bounds ``N_0 = ||P||``, ``N_{j+1} = N_j max(1, ||P^(2^j)||)`` (inf-norms),
+so that ``N_j >= ||P^k||`` for every ``k <= 2^j``.  Each column then jumps
+greedily toward the halfway step and then toward the end: by the largest
+``2^j`` steps that fit, provided ``N_j ||x|| <= JUMP_BOUND``, just under
+``BLOWUP_BOUND``.  No step inside such a jump can pass the bound.  Where no
+jump qualifies, the column takes one step of ``P`` under the blow-up and
+NaN rules of stepping, so it blows up, or raises, at the step stepping
+does.  A column of 4,000 steps that stays well under the bound takes 14
+products, two per set bit of 2,000, instead of 4,000.  Its peaks, and so
+its rate and ``decay_ratio``, agree with stepping up to rounding in the
+last bits.  A column's jumps depend on that column alone, so it is
+bit-identical to its run as a one-column block.
+
+A nonlinear loop keeps its four phi calls; for ``h = dt M`` with the drift
+``M = A + D delta E``, stage j's phi input is ``R_j x + G_j [u_1; ...;
+u_{j-1}]`` and the step is ``P x + Q [u_1; ...; u_4]``, where
 
     R = [C; C + Ch/2; C + Ch/2 + Ch^2/4; C + Ch + Ch^2/2 + Ch^3/4],
     G_2 = (dt/2) CB,  G_3 = [(dt/4) ChB, (dt/2) CB],
@@ -57,6 +72,10 @@ from .radius import LtiSystem, PerturbationStructure
 
 RES = 0.003  # growth rates within +-RES per unit time are Inconclusive
 BLOWUP_BOUND = 1e9
+# a gain-loop jump needs its norm bound times the state's peak within this;
+# the margin under BLOWUP_BOUND covers the rounding gap between jumped and
+# stepped states
+JUMP_BOUND = BLOWUP_BOUND * (1.0 - 1e-9)
 DEFAULT_TRIALS = 10
 DEFAULT_SEED = 42
 GEOMETRIC_LEVELS = 8
@@ -272,9 +291,13 @@ def simulate_lure(
     ``delta`` is one ``k1 x k2`` matrix or an array of shape ``(D, k1, k2)``,
     and ``x0`` is one state or an array of shape ``(T, n)``.  One matrix and
     one state give a Trajectory with its full state history.  Otherwise each
-    (delta, state) pair is a column of one block, integrated together, and
-    the result is a TrajectoryBlock, whose columns are each bit-identical to
-    that delta and state run alone.
+    (delta, state) pair is a column of one block, and the result is a
+    TrajectoryBlock.  A nonlinear loop's block steps its columns together,
+    each bit-identical to that delta and state run alone.  A gain loop's
+    block jumps by powers of the step matrix (see the module docstring):
+    each column is bit-identical to its run as a one-column block, and
+    agrees with the stepping run alone in its blow-up time and verdict, and
+    in its peaks up to rounding in the last bits.
 
     A column halts, and leaves the block, once its state magnitude is
     infinite or exceeds the blowup bound.  A NaN state in any live column
@@ -308,20 +331,23 @@ def simulate_lure(
 
     dt = cfg.dt
     steps = int(round(cfg.horizon / dt))
+    # Column i * T + t runs delta i from state t.
+    initial = np.tile(np.abs(x0s).max(axis=1), len(deltas))
+    drifts = (sys.a + pert.d @ d @ pert.e for d in deltas)
     if phi.mat is not None:
         # For a linear field the four RK4 stages telescope into one constant
         # step matrix.
-        def matrices(drift):
-            return (_taylor4(dt * (drift + sys.b @ phi.mat @ sys.c)),)
-
+        bkc = sys.b @ phi.mat @ sys.c
+        step_matrices = (_taylor4(dt * (drift + bkc)) for drift in drifts)
+        if not single:
+            return _powered_block(step_matrices, x0s, initial, steps, dt)
+        per_delta = ((p,) for p in step_matrices)
         advance = np.matmul  # (P, x) -> the state one step on
     else:
-        def matrices(drift):
-            return _stage_matrices(dt * drift, sys.b, sys.c, dt)
-
         p = sys.p
         s1, s2, s3, s4 = (slice(j * p, (j + 1) * p) for j in range(4))
         s5 = slice(4 * p, None)
+        per_delta = (_stage_matrices(dt * drift, sys.b, sys.c, dt) for drift in drifts)
 
         def advance(w, g2, g3, g4, q, x):
             z = np.matmul(w, x)  # R x, the stage inputs before the couplings, over P x
@@ -331,15 +357,11 @@ def simulate_lure(
             u = np.concatenate((u, phi(z[:, s4] + np.matmul(g4, u))), axis=1)
             return z[:, s5] + np.matmul(q, u)
 
-    per_delta = [matrices(sys.a + pert.d @ d @ pert.e) for d in deltas]
-
-    # Column i * T + t runs delta i from state t, held as a (K, n, 1) stack,
-    # with its own copy of delta i's matrices.  The products are stacked
-    # matrix-vector products: one (n, K) matrix product would differ from a
-    # column's run alone in the last bits.
-    x = np.tile(x0s, (len(per_delta), 1))
-    initial = np.abs(x).max(axis=1)
-    x = x.reshape(-1, sys.n, 1)
+    # The columns are held as a (K, n, 1) stack, each with its own copy of
+    # its delta's matrices.  The products are stacked matrix-vector
+    # products: one (n, K) matrix product would differ from a column's run
+    # alone in the last bits.
+    x = np.tile(x0s, (len(deltas), 1)).reshape(-1, sys.n, 1)
     mats = tuple(np.repeat(np.array(group), len(x0s), axis=0) for group in zip(*per_delta))
     live = np.arange(len(x))
     final = np.empty(len(x))
@@ -380,14 +402,69 @@ def simulate_lure(
         mats = tuple(mat[~out] for mat in mats)
         step = functools.partial(advance, *mats)
     final[live] = np.abs(x).max(axis=(1, 2))
-    times = np.arange(last + 1) * dt
     if single:
+        times = np.arange(last + 1) * dt
         return Trajectory(times, states[: last + 1], blowup_time=blowup[0])
-    t_mid, t_end = midway * dt, steps * dt
-    return TrajectoryBlock(times, tuple(
+    return _block(initial, mid, final, blowup, last, steps, dt)
+
+
+def _block(initial, mid, final, blowup, last: int, steps: int, dt: float) -> TrajectoryBlock:
+    """The TrajectoryBlock of columns with these peaks at steps 0, ``steps //
+    2`` and their last step, and these blow-up times, whose last live column
+    halted at step ``last``."""
+    t_mid, t_end = steps // 2 * dt, steps * dt
+    return TrajectoryBlock(np.arange(last + 1) * dt, tuple(
         ColumnPeaks(i, f, _growth_rate(i, h, f, t_mid, t_end, b), b)
         for i, h, f, b in zip(initial.tolist(), mid.tolist(), final.tolist(), blowup)
     ))
+
+
+def _powered_block(step_matrices, x0s: np.ndarray, initial: np.ndarray, steps: int,
+                   dt: float) -> TrajectoryBlock:
+    """A gain loop's block: the columns of each delta in turn, advanced by
+    powers of that delta's step matrix ``P`` (see the module docstring);
+    ``initial`` holds every column's initial peak."""
+    trials, n = x0s.shape
+    midway = steps // 2
+    levels = max(midway, steps - midway).bit_length()
+    ladder = np.empty((levels, n, n))  # P^(2^j) of one delta, reused for the next
+    mid, final, blowup = initial.copy(), np.empty(len(initial)), [None] * len(initial)
+    last, nan_step = 0, math.inf
+    for i, p in enumerate(step_matrices):
+        ladder[0] = p
+        for j in range(1, levels):
+            np.matmul(ladder[j - 1], ladder[j - 1], out=ladder[j])
+        norms = np.abs(ladder).sum(axis=2).max(axis=1)
+        # N_0 = ||P||, N_{j+1} = N_j max(1, ||P^(2^j)||) bounds ||P^k|| for
+        # 1 <= k <= 2^j, since P^(2^j + r) = P^(2^j) P^r; the maximum with
+        # ||P^(2^j)|| never takes a level whose own matrix overflowed
+        bounds = norms[0] * np.cumprod(np.concatenate(([1.0], np.maximum(1.0, norms[:-1]))))
+        reach = np.maximum(norms, bounds).tolist()
+        for t, x in enumerate(x0s[:, :, None]):
+            col = i * trials + t
+            peak, done = initial[col], 0
+            while done < steps:
+                # the largest jump that fits the steps left to midway or to
+                # the end and cannot pass the bound, else one step of P
+                j = ((midway if done < midway else steps) - done).bit_length() - 1
+                while j and not reach[j] * peak <= JUMP_BOUND:
+                    j -= 1
+                x = np.matmul(ladder[j], x)
+                done += 1 << j
+                peak = float(np.abs(x).max())
+                if done == midway:
+                    mid[col] = peak
+                if not peak <= BLOWUP_BOUND:
+                    if math.isnan(peak):
+                        nan_step = min(nan_step, done)
+                    else:
+                        blowup[col] = done * dt
+                    break
+            final[col] = peak
+            last = max(last, done)
+    if nan_step < math.inf:
+        raise NonFiniteStateError(f"state became NaN at t = {nan_step * dt:g}")
+    return _block(initial, mid, final, blowup, last, steps, dt)
 
 
 def classify_stability(traj: Trajectory | ColumnPeaks) -> StabilityVerdict:
@@ -552,10 +629,15 @@ def find_critical_delta(
                 hi = delta
                 break
             lo = delta
-    # A block step costs a fixed overhead plus a share per column.  A fourth
-    # step per block saves blocks for 8 more deltas each, which pays only
-    # where the overhead, the phi calls of a nonlinear loop, outweighs one
-    # trial's columns: a gain loop's step and a wide block's grow with width.
+    # A nonlinear block step costs a fixed overhead plus a share per column.
+    # A fourth step per block saves blocks for 8 more deltas each, which pays
+    # only where the overhead, the phi calls of a nonlinear loop, outweighs
+    # one trial's columns; a wide block's step grows with width.  A gain
+    # block costs one ladder per delta and a few products per column, so
+    # its cost grows with width too.  The benchmark's two gain searches end
+    # in the prediction phase, before any bisection block; caps 1 to 4 gave
+    # the same brackets and times within noise there, so gain loops keep the
+    # cap of three.
     cap = NARROW_SPECULATIVE_DEPTH if trials == 1 and phi.mat is None else SPECULATIVE_DEPTH
     outcome = {}
     # adjacent floats end the bisection too: no midpoint lies strictly between them

@@ -1001,7 +1001,7 @@ class TestRefineCommand:
             capsys, "refine", "--problem", "example_b.json", "--delta-crit", "10"
         )
         assert (code, out) == (2, "")
-        assert err == "error: stability radius formula requires a Hurwitz matrix\n"
+        assert err == "error: refine requires a Hurwitz A + delta_crit D E\n"
 
     def test_without_network_is_usage_error(self, capsys, sector_problem):
         code, out, err = run_cli(capsys, "refine", "--problem", str(sector_problem))

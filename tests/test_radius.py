@@ -319,6 +319,29 @@ class TestOneFactorizationPerClosedLoop:
         self.CALLS[call]()
         assert len(calls) == self.METZLER_TESTS[call]
 
+    def test_override_on_a_non_metzler_loop_inverts_once(self, monkeypatch):
+        # a non-Metzler upper loop takes linalg.inverse: one LAPACK inverse
+        # gives the product and the condition number, and nothing else factors
+        inv = np.linalg.inv
+        calls = []
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return inv(m)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a second factorization")
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "cond", refuse)
+        sys = LtiSystem(a=[[-1.0, -1.0], [-1.0, -4.0]], b=[[1.0], [0.0]], c=[[1.0, 0.0]])
+        pert = PerturbationStructure(d=[[1.0], [1.0]], e=[[1.0, 1.0]], norm=NormKind.TWO)
+        report = rad.stability_radius_lure(sys, SectorBound.scalar(0.0, 0.5), pert,
+                                           override_gates=True)
+        assert calls == [(2, 2)]
+        assert np.isfinite(report.radius)
+
     def test_transfer_matches_the_inverse_bit_for_bit(self):
         upper = rad.closed_loop_matrix(SYS_B, SECTOR_B.upper)
         v, solution = linalg.metzler_solve(upper, PERT_B.d)
@@ -531,6 +554,16 @@ class TestRefineUpperSector:
     def test_rejects_a_negative_or_non_finite_delta(self, delta_crit):
         with pytest.raises(InputError, match="delta_crit must be nonnegative and finite"):
             rad.refine_upper_sector(SYS_B, PERT_B, delta_crit)
+
+    def test_refusal_names_the_perturbed_plant(self):
+        # past the plant's own radius (3.46) A + delta_crit D E is not Hurwitz;
+        # with D, E >= 0 it is Metzler exactly when A is
+        with pytest.raises(NotHurwitzError, match=r"^refine requires a Hurwitz A \+ delta_crit D E$"):
+            rad.refine_upper_sector(SYS_B, PERT_B, 10.0)
+        sys = LtiSystem(a=[[-2.0, -1.0], [0.0, -2.0]], b=[[1.0], [0.0]], c=[[1.0, 0.0]])
+        pert = PerturbationStructure(d=[[1.0], [0.0]], e=[[1.0, 0.0]], norm=NormKind.TWO)
+        with pytest.raises(NotMetzlerError, match=r"^refine requires a Metzler A \+ delta_crit D E$"):
+            rad.refine_upper_sector(sys, pert, 1.0)
 
 
 class TestZeroTransfer:

@@ -540,17 +540,37 @@ class TestSpeculativeBisection:
 
 
 def assert_columns_match_single_runs(sys, phi, pert, deltas, cfg, x0s):
-    """Every block column equals its own single-trajectory run, bit for bit."""
+    """Every block column matches its own single-trajectory run.
+
+    A nonlinear loop's column equals that run bit for bit.  A gain loop's
+    block jumps by powers of the step matrix where the single run steps, so
+    its column equals its run as a one-column block bit for bit, and the
+    stepping run in its blow-up time and verdict, with the rate to 1e-12.
+    """
     block = sim.simulate_lure(sys, phi, pert, np.array(deltas, dtype=float), cfg, x0s)
     assert len(block.columns) == len(deltas) * len(x0s)
     for i, delta in enumerate(deltas):
         for t, x0 in enumerate(x0s):
             traj = sim.simulate_lure(sys, phi, pert, delta, cfg, x0)
             column = block.columns[i * len(x0s) + t]
-            assert (column.initial_peak, column.final_peak, column.rate, column.blowup_time) == (
-                traj.initial_peak, traj.final_peak, traj.rate, traj.blowup_time,
-            )
-            assert sim.classify_stability(column) == sim.classify_stability(traj)
+            verdict, stepped = sim.classify_stability(column), sim.classify_stability(traj)
+            if phi.mat is None:
+                assert (column.initial_peak, column.final_peak, column.rate,
+                        column.blowup_time) == (
+                    traj.initial_peak, traj.final_peak, traj.rate, traj.blowup_time,
+                )
+                assert verdict == stepped
+                continue
+            alone = sim.simulate_lure(
+                sys, phi, pert, np.array([delta], dtype=float), cfg, x0[None]
+            ).columns
+            assert alone == (column,)
+            assert (column.initial_peak, column.blowup_time) == (traj.initial_peak, traj.blowup_time)
+            assert (verdict.label, verdict.blowup_time) == (stepped.label, stepped.blowup_time)
+            if math.isfinite(traj.rate):
+                assert abs(column.rate - traj.rate) <= 1e-12
+            else:
+                assert column.rate == traj.rate
     return block
 
 
@@ -632,6 +652,101 @@ class TestBlockEngine:
         last = max(c.blowup_time for c in block.columns)
         assert last < 30.0
         assert block.times[-1] == pytest.approx(last)
+
+    @pytest.mark.parametrize("dt", [0.02, 0.01, 0.005])
+    def test_gain_crossing_inside_a_jump_is_found_by_single_steps(self, dt):
+        # from t = 15 the powers would jump past t = 20.7, where x' = x
+        # crosses the bound; the jump rule steps singly there instead
+        sys, phi = GROWING_GAIN
+        cfg = SimConfig(dt=dt, horizon=30.0)
+        x0s = np.array([[1.0], [0.5], [0.3]])
+        block = assert_columns_match_single_runs(sys, phi, scalar_pert(1), [[[0.0]]], cfg, x0s)
+        blowups = [c.blowup_time for c in block.columns]
+        assert all(20.0 < t < 22.0 for t in blowups)
+        assert all(type(t) is float for t in blowups)
+
+    def test_gain_transient_peak_inside_a_jump(self):
+        # x_1 = 100 t e^-t x_2(0) peaks near 36.8 x_2(0) at t = 1 and decays
+        # after: a jump whose end state lies far below the bound would pass
+        # over the peak, so the bound covers every power up to the jump's
+        sys = LtiSystem(a=[[-1.0, 100.0], [0.0, -1.0]], b=[[0.0], [0.0]], c=[[1.0, 0.0]])
+        cfg = SimConfig(dt=0.01, horizon=20.0)
+        x0s = np.array([[0.0, 3e7], [0.0, 2e7]])
+        block = assert_columns_match_single_runs(
+            sys, Nonlinearity.gain([[0.0]]), scalar_pert(2), [[[0.0]]], cfg, x0s
+        )
+        assert block.columns[0].blowup_time is not None and block.columns[0].blowup_time < 1.0
+        assert block.columns[1].blowup_time is None
+
+    def test_infinite_step_matrix_blows_up_or_raises_as_stepping_does(self):
+        # GAIN_INF's step matrix is inf, so stepping blows up at the first
+        # step; GAIN_NAN's is NaN, so stepping raises there
+        cfg = SimConfig(dt=0.01, horizon=1.0)
+        sys, phi = GAIN_INF
+        traj = sim.simulate_lure(sys, phi, scalar_pert(1), [[0.0]], cfg, np.array([1.0]))
+        block = assert_columns_match_single_runs(
+            sys, phi, scalar_pert(1), [[[0.0]]], cfg, np.array([[1.0], [2.0]])
+        )
+        assert [c.blowup_time for c in block.columns] == [traj.blowup_time] * 2 == [0.01] * 2
+        sys, phi = GAIN_NAN
+        with pytest.raises(NonFiniteStateError) as stepped:
+            sim.simulate_lure(sys, phi, scalar_pert(1), [[0.0]], cfg, np.array([1.0]))
+        with pytest.raises(NonFiniteStateError) as jumped:
+            sim.simulate_lure(sys, phi, scalar_pert(1), np.zeros((1, 1, 1)), cfg, [[1.0]])
+        assert str(jumped.value) == str(stepped.value) == "state became NaN at t = 0.01"
+
+    def test_infinite_step_matrix_beside_a_finite_one(self):
+        # delta 1e200 overflows its step matrix to inf: that column blows up
+        # at the first step, while delta -0.5's columns decay to the horizon
+        sys = LtiSystem(a=[[0.0]], b=[[0.0]], c=[[1.0]])
+        cfg = SimConfig(dt=0.01, horizon=10.0)
+        block = assert_columns_match_single_runs(
+            sys, Nonlinearity.gain([[0.0]]), scalar_pert(1), [[[-0.5]], [[1e200]]], cfg,
+            np.array([[1.0], [3.0]]),
+        )
+        assert [c.blowup_time for c in block.columns] == [None, None, 0.01, 0.01]
+        assert block.times[-1] == pytest.approx(10.0)
+
+    def test_random_metzler_gain_loops(self):
+        from generators import random_metzler_hurwitz
+
+        rng = np.random.default_rng(18)
+        blown = 0
+        for _ in range(30):
+            n = int(rng.integers(2, 6))
+            sys = LtiSystem(a=random_metzler_hurwitz(rng, n), b=rng.uniform(0.0, 1.0, (n, 1)),
+                            c=rng.uniform(0.0, 1.0, (1, n)))
+            pert = PerturbationStructure(d=rng.uniform(0.0, 1.0, (n, 1)),
+                                         e=rng.uniform(0.0, 1.0, (1, n)))
+            phi = Nonlinearity.gain([[rng.uniform(0.0, 0.5)]])
+            deltas = rng.uniform(0.0, 8.0, size=(3, 1, 1))
+            cfg = SimConfig(dt=float(rng.choice([0.01, 0.02, 0.05])), horizon=20.0)
+            x0s = rng.uniform(0.0, 1.0, size=(2, n))
+            block = assert_columns_match_single_runs(sys, phi, pert, deltas, cfg, x0s)
+            blown += sum(c.blowup_time is not None for c in block.columns)
+        assert blown > 0
+
+    def test_gain_column_jumps_logarithmically(self, example_a, monkeypatch):
+        # a stable column of 4,000 steps takes a power of P per set bit of
+        # its 2,000 steps to midway and of its 2,000 steps on, and no single step
+        phi = Nonlinearity.gain(example_a.analysis_sector().upper)
+        cfg = SimConfig(dt=0.005, horizon=20.0)
+        steps = 4000
+        matmul = np.matmul
+        jumps = []
+
+        def counted(a, b, *args, **kwargs):
+            if np.shape(b) == (3, 1):  # a product with the state
+                jumps.append(b)
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        block = sim.simulate_lure(
+            example_a.system, phi, example_a.pert, np.array([[[0.2]]]), cfg, [[0.5, 0.2, 0.9]]
+        )
+        assert block.columns[0].blowup_time is None and block.columns[0].rate < -sim.RES
+        assert len(jumps) <= 2 * steps.bit_length()
+        assert len(jumps) == 2 * bin(steps // 2).count("1")
 
     def test_no_state_history_for_a_block(self):
         sys, phi = GROWING_GAIN
@@ -758,6 +873,17 @@ class TestBlockInputChecks:
         cfg = SimConfig(dt=0.05, horizon=1.0)
         block = sim.simulate_lure(
             two_state_system(), ZERO_PHI, identity_pert(2), np.zeros(deltas), cfg, np.ones(x0s)
+        )
+        assert block.columns == ()
+        assert block.times.tolist() == [0.0]
+
+    @pytest.mark.parametrize("deltas, x0s", [((0, 2, 2), (3, 2)), ((2, 2, 2), (0, 2))],
+                             ids=["no_deltas", "no_states"])
+    def test_empty_gain_block(self, deltas, x0s):
+        cfg = SimConfig(dt=0.05, horizon=1.0)
+        phi = Nonlinearity.gain([[0.5]])
+        block = sim.simulate_lure(
+            two_state_system(), phi, identity_pert(2), np.zeros(deltas), cfg, np.ones(x0s)
         )
         assert block.columns == ()
         assert block.times.tolist() == [0.0]
