@@ -29,9 +29,15 @@ its rate and ``decay_ratio``, agree with stepping up to rounding in the
 last bits.  A column's jumps depend on that column alone, so it is
 bit-identical to its run as a one-column block.
 
-A nonlinear loop keeps its four phi calls; for ``h = dt M`` with the drift
-``M = A + D delta E``, stage j's phi input is ``R_j x + G_j [u_1; ...;
-u_{j-1}]`` and the step is ``P x + Q [u_1; ...; u_4]``, where
+A nonlinear loop steps the folded form ``x' = M x + B' core(C' x)`` of its
+field (``Nonlinearity.folded``), with the drift ``M = A + D delta E``.  For
+a network, ``C' = W_1 C`` and ``B' = B W_out`` take its first and output
+weights into the loop, as the Lur'e form of a network controller does, and
+``core`` is only what lies between them; the shape check alone evaluates
+the whole network.  For any other phi, ``B' = B``, ``C' = C`` and ``core =
+phi``.  A step makes four calls of ``core``; for ``h = dt M``, stage j's
+input to it is ``R_j x + G_j [u_1; ...; u_{j-1}]`` and the step is ``P x +
+Q [u_1; ...; u_4]``, where, with B and C standing for B' and C',
 
     R = [C; C + Ch/2; C + Ch/2 + Ch^2/4; C + Ch + Ch^2/2 + Ch^3/4],
     G_2 = (dt/2) CB,  G_3 = [(dt/4) ChB, (dt/2) CB],
@@ -40,8 +46,9 @@ u_{j-1}]`` and the step is ``P x + Q [u_1; ...; u_4]``, where
 
 (``_stage_matrices``).  That is five stacked products per step, ``[R; P]
 x``, ``G_2``, ``G_3``, ``G_4`` and ``Q``, against twelve stage by stage, and
-phi takes the engine's ``(K, p, 1)`` stack with no transposes.  It agrees
-with stage-by-stage RK4 up to rounding in the last bits.
+``core`` takes the engine's ``(K, p', 1)`` stack, ``p'`` the rows of
+``C'``, with no transposes.  It agrees with stage-by-stage RK4 of the
+unfolded loop up to rounding in the last bits.
 
 A sweep integrates all its (delta, trial) columns as one block, and the
 critical-perturbation search integrates each of its probe sets as one block
@@ -91,11 +98,15 @@ class Nonlinearity:
     ``block`` maps a ``(K, p, 1)`` stack, the form the RK4 engine holds its
     stage outputs in, to a ``(K, m, 1)`` stack; entry k of the result depends
     only on entry k of ``y``.  ``mat`` is a linear feedback's gain matrix,
-    else None.
+    else None.  ``fold`` is None, or ``(w_in, core, w_out)`` with ``phi(y) =
+    w_out core(w_in y)``, where a weight of None is the identity: the
+    weights that a nonlinear step folds into ``C`` and ``B`` (``folded``),
+    so that its stages call only the Nonlinearity ``core``.
     """
 
     block: Callable[[np.ndarray], np.ndarray]
     mat: np.ndarray | None = None
+    fold: tuple[np.ndarray | None, "Nonlinearity", np.ndarray | None] | None = None
 
     @classmethod
     def scalar(cls, fn: Callable[[float], float], name: str = "scalar") -> "Nonlinearity":
@@ -130,14 +141,53 @@ class Nonlinearity:
 
     @classmethod
     def network(cls, net: Ffnn) -> "Nonlinearity":
+        """The network ``pi`` as feedback.  Its first and output weights fold
+        into the loop, ``W_1 C`` and ``B W_out``, and ``core`` keeps the first
+        bias and activation and any further hidden layers.  A network with no
+        hidden layer, or with a nonzero output bias, keeps its output layer
+        in ``core``, with the identity on that side."""
+        act, hidden, out = net.activation.fn, net.hidden, net.output
+        keep_out = not hidden or out.b.any()
+        # a zero first bias is left out: its broadcast add took a sixth of a
+        # folded step
+        first_bias = hidden[0].b if hidden and hidden[0].b.any() else None
+
+        def core(y: np.ndarray) -> np.ndarray:
+            if first_bias is not None:
+                y = y + first_bias
+            if hidden:
+                y = act(y)
+            for layer in hidden[1:]:
+                y = act(np.matmul(layer.w, y) + layer.b)
+            if keep_out:
+                y = np.matmul(out.w, y) + out.b
+            return y
+
+        w_in = hidden[0].w if hidden else None
         # ffnn_eval is looked up at call time, so a wrapper installed on this
-        # module after the loop was built still sees every evaluation
-        return cls(lambda y: ffnn_eval(net, y))
+        # module after the loop was built still sees the full evaluations:
+        # the shape check's, and any outside the engine's step
+        return cls(lambda y: ffnn_eval(net, y),
+                   fold=(w_in, cls(core), None if keep_out else out.w))
 
     @classmethod
     def gain(cls, mat) -> "Nonlinearity":
         mat = as_matrix(mat, "gain")
         return cls(lambda y: mat @ y, mat)
+
+    def folded(self, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, "Nonlinearity", np.ndarray]:
+        """``(B', core, C')`` with ``B phi(C x) = B' core(C' x)``; without a
+        fold, or where ``B'`` or ``C'`` overflows, ``(B, phi, C)``."""
+        if self.fold is None:
+            return b, self, c
+        w_in, core, w_out = self.fold
+        b_core = b if w_out is None else b @ w_out
+        c_core = c if w_in is None else w_in @ c
+        # an infinite entry would reach every stage matrix, where it times a
+        # zero activation is NaN; unfolded, the loop runs as it is
+        if not (np.isfinite(b_core).all() and np.isfinite(c_core).all()):
+            return b, self, c
+        return b_core, core, c_core
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         return self.block(y)
@@ -344,17 +394,18 @@ def simulate_lure(
         per_delta = ((p,) for p in step_matrices)
         advance = np.matmul  # (P, x) -> the state one step on
     else:
-        p = sys.p
+        b, core, c = phi.folded(sys.b, sys.c)
+        p = len(c)
         s1, s2, s3, s4 = (slice(j * p, (j + 1) * p) for j in range(4))
         s5 = slice(4 * p, None)
-        per_delta = (_stage_matrices(dt * drift, sys.b, sys.c, dt) for drift in drifts)
+        per_delta = (_stage_matrices(dt * drift, b, c, dt) for drift in drifts)
 
         def advance(w, g2, g3, g4, q, x):
             z = np.matmul(w, x)  # R x, the stage inputs before the couplings, over P x
-            u = phi(z[:, s1])  # grows to [u_1; ...; u_4]
-            u = np.concatenate((u, phi(z[:, s2] + np.matmul(g2, u))), axis=1)
-            u = np.concatenate((u, phi(z[:, s3] + np.matmul(g3, u))), axis=1)
-            u = np.concatenate((u, phi(z[:, s4] + np.matmul(g4, u))), axis=1)
+            u = core(z[:, s1])  # grows to [u_1; ...; u_4]
+            u = np.concatenate((u, core(z[:, s2] + np.matmul(g2, u))), axis=1)
+            u = np.concatenate((u, core(z[:, s3] + np.matmul(g3, u))), axis=1)
+            u = np.concatenate((u, core(z[:, s4] + np.matmul(g4, u))), axis=1)
             return z[:, s5] + np.matmul(q, u)
 
     # The columns are held as a (K, n, 1) stack, each with its own copy of
@@ -367,7 +418,13 @@ def simulate_lure(
     final = np.empty(len(x))
     blowup = [None] * len(x)
     if single:
-        states = np.empty((steps + 1, sys.n))
+        try:
+            states = np.empty((steps + 1, sys.n))
+        except (ValueError, MemoryError):  # past numpy's largest array, or the memory
+            raise InputError(
+                f"dt={dt!r} and horizon={cfg.horizon!r} take {steps:.3g} steps, too many "
+                "to keep a trajectory's state history"
+            ) from None
         states[0] = x[0, :, 0]
     bound_sq = BLOWUP_BOUND**2  # 1e18, exact
     midway = steps // 2

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -54,6 +55,29 @@ MIMO_NET = Ffnn(
     Layer([[0.6, -0.4, 0.5], [-0.3, 0.7, 0.2]], [0.02, -0.01]),
     TANH,
 )
+# networks at the edges of the fold of their first and output weights into
+# the loop (Nonlinearity.network), each closing MIMO_SYSTEM
+FOLD_NETS = {
+    "deep_relu": Ffnn(
+        (Layer([[0.5, -0.3], [0.2, 0.8], [-0.6, 0.4]], [0.0, 0.0, 0.0]),
+         Layer([[0.7, -0.2, 0.3], [0.1, 0.5, -0.4]], [0.0, 0.0])),
+        Layer([[0.9, -0.3], [0.4, 0.6]], [0.0, 0.0]),
+        RELU,
+    ),
+    "tanh": Ffnn(
+        (Layer([[0.8, 0.1], [-0.4, 0.6], [0.3, -0.9]], [0.0, 0.0, 0.0]),),
+        Layer([[0.5, -0.2, 0.7], [-0.6, 0.4, 0.1]], [0.0, 0.0]),
+        TANH,
+    ),
+    "biased": Ffnn(
+        (Layer([[0.6, -0.4], [0.3, 0.7], [-0.5, 0.2]], [0.1, -0.3, 0.2]),
+         Layer([[0.4, 0.2, -0.6], [-0.3, 0.5, 0.4]], [-0.1, 0.25])),
+        Layer([[0.7, -0.5], [0.2, 0.8]], [0.05, -0.15]),
+        RELU,
+    ),
+    "no_hidden": Ffnn((), Layer([[0.6, -0.3], [0.4, 0.5]], [0.1, -0.2]), RELU),
+    "mimo_network": MIMO_NET,
+}
 
 
 class TestNonlinearity:
@@ -250,6 +274,19 @@ class TestBlowupRule:
                 sim.simulate_lure(sys, phi, scalar_pert(1), [[0.0]], cfg, np.array([1.0]))
             messages.append(str(exc.value))
         assert messages == ["state became NaN at t = 0.01"] * 2
+
+    def test_network_whose_folded_weights_overflow_steps_unfolded(self):
+        # B W_out overflows, and relu(-y) stays 0 on this decaying state
+        net = Ffnn((Layer([[-1.0]], [0.0]),), Layer([[1e200]], [0.0]), RELU)
+        sys = LtiSystem(a=[[-1.0]], b=[[1e200]], c=[[1.0]])
+        cfg = SimConfig(dt=0.01, horizon=1.0)
+        phi = Nonlinearity.network(net)
+        traj = sim.simulate_lure(sys, phi, scalar_pert(1), [[0.0]], cfg, np.array([1.0]))
+        unfolded = sim.simulate_lure(
+            sys, Nonlinearity(phi.block), scalar_pert(1), [[0.0]], cfg, np.array([1.0])
+        )
+        assert traj.blowup_time is None
+        assert np.array_equal(traj.states, unfolded.states)
 
     @pytest.mark.parametrize("loop", [GAIN_INF, GAIN_NAN, STAGES_OVERFLOW_INF, STAGES_OVERFLOW_NAN],
                              ids=["gain_inf", "gain_nan", "stages_inf", "stages_nan"])
@@ -603,6 +640,32 @@ class TestBlockEngine:
             [[[1.0]], [[2.04]], [[3.0]]], cfg, x0s,
         )
 
+    @pytest.mark.parametrize("net", sorted(FOLD_NETS))
+    def test_folded_network_columns(self, net):
+        x0s = np.random.default_rng(4).uniform(-1.0, 1.0, size=(2, 3))
+        cfg = SimConfig(dt=0.05, horizon=10.0)
+        assert_columns_match_single_runs(
+            MIMO_SYSTEM, Nonlinearity.network(FOLD_NETS[net]), identity_pert(3),
+            [np.full((3, 3), d) for d in (0.0, 0.3, 1.0)], cfg, x0s,
+        )
+
+    @pytest.mark.parametrize("net", sorted(FOLD_NETS))
+    def test_network_block_evaluates_the_network_once(self, net, monkeypatch):
+        # the shape check evaluates the whole network; the RK4 stages call
+        # only the fold's core, four times a step
+        evals, calls = [], []
+        evaluate, call = sim.ffnn_eval, Nonlinearity.__call__
+        monkeypatch.setattr(sim, "ffnn_eval", lambda n, y: evals.append(y.shape) or evaluate(n, y))
+        monkeypatch.setattr(Nonlinearity, "__call__", lambda phi, y: calls.append(phi) or call(phi, y))
+        phi = Nonlinearity.network(FOLD_NETS[net])
+        cfg = SimConfig(dt=0.05, horizon=1.0)
+        sim.simulate_lure(MIMO_SYSTEM, phi, identity_pert(3), np.zeros((2, 3, 3)), cfg, np.ones((3, 3)))
+        w_in, core, w_out = phi.fold
+        assert evals == [(1, 2, 1)]
+        assert calls == [phi] + [core] * 4 * 20
+        # a nonzero output bias, or no hidden layer, keeps the output layer in core
+        assert (w_out is None) == (net in {"biased", "no_hidden", "mimo_network"})
+
     def test_cubic_sine_columns(self, example_a):
         phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi
         x0s = np.random.default_rng(3).uniform(0.0, 1.0, size=(3, 3))
@@ -793,12 +856,13 @@ def staged_rk4(sys, phi, pert, delta, cfg, x0):
 class TestTelescopedStages:
     """The engine's stage matrices reproduce stage-by-stage RK4."""
 
-    @pytest.mark.parametrize("loop", ["mimo_network", "mimo_cubic_sine", "example_b", "cubic_sine"])
+    @pytest.mark.parametrize("loop", [*FOLD_NETS, "mimo_cubic_sine", "example_b", "cubic_sine"])
     def test_matches_stage_by_stage_rk4(self, loop, example_a, example_b):
+        # a network's reference evaluates it whole, unfolded
         cfg = SimConfig(dt=0.02, horizon=2.0)
-        if loop.startswith("mimo"):
+        if loop in FOLD_NETS or loop == "mimo_cubic_sine":
             sys, pert, delta = MIMO_SYSTEM, identity_pert(3), np.full((3, 3), 0.1)
-            phi = (Nonlinearity.network(MIMO_NET) if loop == "mimo_network"
+            phi = (Nonlinearity.network(FOLD_NETS[loop]) if loop in FOLD_NETS
                    else sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi)
             x0 = [0.5, -0.3, 0.8]
         else:
@@ -984,6 +1048,17 @@ class TestSimConfig:
                 SimConfig(horizon=value)
             with pytest.raises(InputError):
                 SimConfig(dt=value)
+
+    @pytest.mark.parametrize("dt", [1e-300, 1e-15])
+    def test_history_too_long_to_keep_is_input_error(self, dt):
+        # 2e301 steps pass numpy's largest dimension; 2e16 steps of two
+        # entries pass any memory
+        message = f"dt={dt!r} and horizon=20.0 take {20.0 / dt:.3g} steps, too many"
+        with pytest.raises(InputError, match=re.escape(message)):
+            sim.simulate_lure(
+                two_state_system(), ZERO_PHI, identity_pert(2), np.zeros((2, 2)),
+                SimConfig(dt=dt), np.ones(2),
+            )
 
 
 class TestFormulaConsistency:
