@@ -34,10 +34,15 @@ field (``Nonlinearity.folded``), with the drift ``M = A + D delta E``.  For
 a network, ``C' = W_1 C`` and ``B' = B W_out`` take its first and output
 weights into the loop, as the Lur'e form of a network controller does, and
 ``core`` is only what lies between them; the shape check alone evaluates
-the whole network.  For any other phi, ``B' = B``, ``C' = C`` and ``core =
-phi``.  A step makes four calls of ``core``; for ``h = dt M``, stage j's
-input to it is ``R_j x + G_j [u_1; ...; u_{j-1}]`` and the step is ``P x +
-Q [u_1; ...; u_4]``, where, with B and C standing for B' and C',
+the whole network.  The couplings below grow from ``p x m`` to ``h_1 x
+h_q``, the widths of the first and last hidden layers, and each column
+multiplies through its own copy: so a network folds only where that at most
+doubles the products of a step, and where its folded stage matrices are
+finite for every delta of the run.  Otherwise, and for any other phi,
+``B' = B``, ``C' = C`` and ``core = phi``.  A step makes four calls of
+``core``; for ``h = dt M``, stage j's input to it is ``R_j x + G_j [u_1;
+...; u_{j-1}]`` and the step is ``P x + Q [u_1; ...; u_4]``, where, with B
+and C standing for B' and C',
 
     R = [C; C + Ch/2; C + Ch/2 + Ch^2/4; C + Ch + Ch^2/2 + Ch^3/4],
     G_2 = (dt/2) CB,  G_3 = [(dt/4) ChB, (dt/2) CB],
@@ -60,7 +65,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -73,7 +78,7 @@ from .errors import (
     NoInstabilityError,
     ZeroInitialStateError,
 )
-from .ffnn import Ffnn, ffnn_eval
+from .ffnn import Ffnn, ffnn_eval, ffnn_split
 from .linalg import as_matrix, operator_norm
 from .radius import LtiSystem, PerturbationStructure
 
@@ -98,15 +103,18 @@ class Nonlinearity:
     ``block`` maps a ``(K, p, 1)`` stack, the form the RK4 engine holds its
     stage outputs in, to a ``(K, m, 1)`` stack; entry k of the result depends
     only on entry k of ``y``.  ``mat`` is a linear feedback's gain matrix,
-    else None.  ``fold`` is None, or ``(w_in, core, w_out)`` with ``phi(y) =
-    w_out core(w_in y)``, where a weight of None is the identity: the
-    weights that a nonlinear step folds into ``C`` and ``B`` (``folded``),
-    so that its stages call only the Nonlinearity ``core``.
+    else None.  ``fold`` is None, or, set by ``network`` alone, ``(w_in,
+    core, w_out)`` with ``phi(y) = w_out core(w_in y)``, where a weight of
+    None is the identity: the weights that a nonlinear step may fold into
+    ``C`` and ``B`` (``folded``), so that its stages call only the
+    Nonlinearity ``core``.
     """
 
     block: Callable[[np.ndarray], np.ndarray]
     mat: np.ndarray | None = None
-    fold: tuple[np.ndarray | None, "Nonlinearity", np.ndarray | None] | None = None
+    fold: tuple[np.ndarray | None, "Nonlinearity", np.ndarray | None] | None = field(
+        default=None, init=False
+    )
 
     @classmethod
     def scalar(cls, fn: Callable[[float], float], name: str = "scalar") -> "Nonlinearity":
@@ -141,34 +149,16 @@ class Nonlinearity:
 
     @classmethod
     def network(cls, net: Ffnn) -> "Nonlinearity":
-        """The network ``pi`` as feedback.  Its first and output weights fold
-        into the loop, ``W_1 C`` and ``B W_out``, and ``core`` keeps the first
-        bias and activation and any further hidden layers.  A network with no
-        hidden layer, or with a nonzero output bias, keeps its output layer
-        in ``core``, with the identity on that side."""
-        act, hidden, out = net.activation.fn, net.hidden, net.output
-        keep_out = not hidden or out.b.any()
-        # a zero first bias is left out: its broadcast add took a sixth of a
-        # folded step
-        first_bias = hidden[0].b if hidden and hidden[0].b.any() else None
-
-        def core(y: np.ndarray) -> np.ndarray:
-            if first_bias is not None:
-                y = y + first_bias
-            if hidden:
-                y = act(y)
-            for layer in hidden[1:]:
-                y = act(np.matmul(layer.w, y) + layer.b)
-            if keep_out:
-                y = np.matmul(out.w, y) + out.b
-            return y
-
-        w_in = hidden[0].w if hidden else None
+        """The network ``pi`` as feedback, with the fold ``ffnn_split``
+        gives: its first and output weights may fold into the loop, ``W_1
+        C`` and ``B W_out``, around a ``core`` of what lies between them."""
+        w_in, core, w_out = ffnn_split(net)
         # ffnn_eval is looked up at call time, so a wrapper installed on this
         # module after the loop was built still sees the full evaluations:
-        # the shape check's, and any outside the engine's step
-        return cls(lambda y: ffnn_eval(net, y),
-                   fold=(w_in, cls(core), None if keep_out else out.w))
+        # the shape check's, and every stage's where the loop steps unfolded
+        phi = cls(lambda y: ffnn_eval(net, y))
+        object.__setattr__(phi, "fold", (w_in, cls(core), w_out))
+        return phi
 
     @classmethod
     def gain(cls, mat) -> "Nonlinearity":
@@ -177,17 +167,24 @@ class Nonlinearity:
 
     def folded(self, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, "Nonlinearity", np.ndarray]:
         """``(B', core, C')`` with ``B phi(C x) = B' core(C' x)``; without a
-        fold, or where ``B'`` or ``C'`` overflows, ``(B, phi, C)``."""
+        fold, or where the fold would more than double the products of a
+        step, ``(B, phi, C)``."""
         if self.fold is None:
             return b, self, c
         w_in, core, w_out = self.fold
-        b_core = b if w_out is None else b @ w_out
-        c_core = c if w_in is None else w_in @ c
-        # an infinite entry would reach every stage matrix, where it times a
-        # zero activation is NaN; unfolded, the loop runs as it is
-        if not (np.isfinite(b_core).all() and np.isfinite(c_core).all()):
+        (n, m), p = b.shape, len(c)
+        p_core = p if w_in is None else len(w_in)
+        m_core = m if w_out is None else w_out.shape[1]
+        absorbed = sum(w.size for w in (w_in, w_out) if w is not None)
+        # The fold saves a step four products each by w_in and w_out and
+        # about eight numpy calls, but widens the stage couplings, which each
+        # column multiplies through, from p x m to p_core x m_core.  On a
+        # 2-core machine, at 1.5 times the products (example_b) a folded step
+        # ran about even with the unfolded one at 300 columns, and at 5.7
+        # times (16 hidden units, two plant outputs) 1.1-1.3 times slower.
+        if _step_products(n, p_core, m_core) > 2 * (_step_products(n, p, m) + 4 * absorbed):
             return b, self, c
-        return b_core, core, c_core
+        return b if w_out is None else b @ w_out, core, c if w_in is None else w_in @ c
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         return self.block(y)
@@ -304,6 +301,13 @@ def _taylor4(h: np.ndarray) -> np.ndarray:
     return np.eye(len(h)) + h + h @ h / 2.0 + h @ h @ h / 6.0 + h @ h @ h @ h / 24.0
 
 
+def _step_products(n: int, p: int, m: int) -> int:
+    """Multiply-adds per column of one telescoped step of ``n`` states, ``p``
+    phi inputs and ``m`` phi outputs: ``W`` is ``(4p + n) x n``, ``G_2``,
+    ``G_3`` and ``G_4`` hold ``6pm`` entries, and ``Q`` is ``n x 4m``."""
+    return (4 * p + n) * n + 6 * p * m + 4 * n * m
+
+
 def _stage_matrices(h, b, c, dt: float) -> tuple[np.ndarray, ...]:
     """``(W, G_2, G_3, G_4, Q)`` of one telescoped RK4 step of ``x' = M x + b
     phi(c x)``, for ``h = dt M`` (see the module docstring); ``W`` stacks
@@ -343,7 +347,9 @@ def simulate_lure(
     one state give a Trajectory with its full state history.  Otherwise each
     (delta, state) pair is a column of one block, and the result is a
     TrajectoryBlock.  A nonlinear loop's block steps its columns together,
-    each bit-identical to that delta and state run alone.  A gain loop's
+    each bit-identical to that delta and state run alone; where the block
+    steps a network unfolded because another delta's folded stage matrices
+    overflow, only up to rounding in the last bits.  A gain loop's
     block jumps by powers of the step matrix (see the module docstring):
     each column is bit-identical to its run as a one-column block, and
     agrees with the stepping run alone in its blow-up time and verdict, and
@@ -391,14 +397,25 @@ def simulate_lure(
         step_matrices = (_taylor4(dt * (drift + bkc)) for drift in drifts)
         if not single:
             return _powered_block(step_matrices, x0s, initial, steps, dt)
-        per_delta = ((p,) for p in step_matrices)
+        stacks = (np.array(list(step_matrices)),)
         advance = np.matmul  # (P, x) -> the state one step on
     else:
+        drifts = list(drifts)
+
+        def stage_stacks(b, c):  # each of W, G_2, G_3, G_4 and Q over the deltas
+            return [np.array(group) for group in zip(*(
+                _stage_matrices(dt * drift, b, c, dt) for drift in drifts))]
+
         b, core, c = phi.folded(sys.b, sys.c)
+        stacks = stage_stacks(b, c)
+        # a folded product that overflows times a zero activation is NaN at
+        # every step; unfolded, the loop runs as it is
+        if core is not phi and not all(np.isfinite(stack).all() for stack in stacks):
+            b, core, c = sys.b, phi, sys.c
+            stacks = stage_stacks(b, c)
         p = len(c)
         s1, s2, s3, s4 = (slice(j * p, (j + 1) * p) for j in range(4))
         s5 = slice(4 * p, None)
-        per_delta = (_stage_matrices(dt * drift, b, c, dt) for drift in drifts)
 
         def advance(w, g2, g3, g4, q, x):
             z = np.matmul(w, x)  # R x, the stage inputs before the couplings, over P x
@@ -413,7 +430,7 @@ def simulate_lure(
     # products: one (n, K) matrix product would differ from a column's run
     # alone in the last bits.
     x = np.tile(x0s, (len(deltas), 1)).reshape(-1, sys.n, 1)
-    mats = tuple(np.repeat(np.array(group), len(x0s), axis=0) for group in zip(*per_delta))
+    mats = tuple(np.repeat(stack, len(x0s), axis=0) for stack in stacks)
     live = np.arange(len(x))
     final = np.empty(len(x))
     blowup = [None] * len(x)

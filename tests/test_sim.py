@@ -78,9 +78,24 @@ FOLD_NETS = {
     "no_hidden": Ffnn((), Layer([[0.6, -0.3], [0.4, 0.5]], [0.1, -0.2]), RELU),
     "mimo_network": MIMO_NET,
 }
+# a 16-unit hidden layer: folded, a step would make about six times the
+# products of the unfolded one (Nonlinearity.folded), so it steps unfolded
+_wide = np.random.default_rng(7)
+WIDE_NET = Ffnn(
+    (Layer(_wide.uniform(-0.5, 0.5, size=(16, 2)), _wide.uniform(-0.1, 0.1, size=16)),),
+    Layer(_wide.uniform(-0.1, 0.1, size=(2, 16)), [0.0, 0.0]),
+    TANH,
+)
 
 
 class TestNonlinearity:
+    def test_only_network_attaches_a_fold(self):
+        # a fold is derived from the network; no constructor takes one
+        with pytest.raises(TypeError):
+            Nonlinearity(lambda y: y, fold=(None, Nonlinearity(lambda y: y), None))
+        assert Nonlinearity(lambda y: y).fold is None
+        assert Nonlinearity.network(MIMO_NET).fold is not None
+
     def test_scalar_must_fix_origin(self):
         with pytest.raises(ValueError):
             Nonlinearity.scalar(lambda y: y + 1.0)
@@ -275,9 +290,12 @@ class TestBlowupRule:
             messages.append(str(exc.value))
         assert messages == ["state became NaN at t = 0.01"] * 2
 
-    def test_network_whose_folded_weights_overflow_steps_unfolded(self):
-        # B W_out overflows, and relu(-y) stays 0 on this decaying state
-        net = Ffnn((Layer([[-1.0]], [0.0]),), Layer([[1e200]], [0.0]), RELU)
+    @pytest.mark.parametrize("w_1, w_out", [(-1.0, 1e200), (-1e200, 1.0)],
+                             ids=["output_weight", "first_weight"])
+    def test_network_whose_folded_weights_overflow_steps_unfolded(self, w_1, w_out):
+        # B W_out, or W_1 C B W_out in the couplings, overflows, and relu(W_1 y)
+        # stays 0 on this decaying state
+        net = Ffnn((Layer([[w_1]], [0.0]),), Layer([[w_out]], [0.0]), RELU)
         sys = LtiSystem(a=[[-1.0]], b=[[1e200]], c=[[1.0]])
         cfg = SimConfig(dt=0.01, horizon=1.0)
         phi = Nonlinearity.network(net)
@@ -665,6 +683,25 @@ class TestBlockEngine:
         assert calls == [phi] + [core] * 4 * 20
         # a nonzero output bias, or no hidden layer, keeps the output layer in core
         assert (w_out is None) == (net in {"biased", "no_hidden", "mimo_network"})
+
+    def test_wide_network_steps_unfolded(self, monkeypatch):
+        # the shape check and every stage evaluate the whole network
+        evals = []
+        evaluate = sim.ffnn_eval
+        monkeypatch.setattr(sim, "ffnn_eval", lambda n, y: evals.append(y.shape) or evaluate(n, y))
+        phi = Nonlinearity.network(WIDE_NET)
+        assert phi.folded(MIMO_SYSTEM.b, MIMO_SYSTEM.c)[1] is phi
+        cfg = SimConfig(dt=0.05, horizon=1.0)
+        sim.simulate_lure(MIMO_SYSTEM, phi, identity_pert(3), np.zeros((2, 3, 3)), cfg, np.ones((3, 3)))
+        assert evals == [(1, 2, 1)] + [(6, 2, 1)] * 4 * 20
+
+    def test_wide_network_columns(self):
+        x0s = np.random.default_rng(4).uniform(-1.0, 1.0, size=(2, 3))
+        cfg = SimConfig(dt=0.05, horizon=10.0)
+        assert_columns_match_single_runs(
+            MIMO_SYSTEM, Nonlinearity.network(WIDE_NET), identity_pert(3),
+            [np.full((3, 3), d) for d in (0.0, 0.3, 1.0)], cfg, x0s,
+        )
 
     def test_cubic_sine_columns(self, example_a):
         phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi
