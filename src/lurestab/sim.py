@@ -55,6 +55,22 @@ x``, ``G_2``, ``G_3``, ``G_4`` and ``Q``, against twelve stage by stage, and
 ``C'``, with no transposes.  It agrees with stage-by-stage RK4 of the
 unfolded loop up to rounding in the last bits.
 
+A network block whose stages stay in the nonnegative orthant jumps as a gain
+block does.  A zero-bias ReLU network with one input, or with nonnegative
+weights, is one matrix K there: ``pi(y) = K y`` for every ``y >= 0``
+(``Nonlinearity.orthant``).  Take ``W = [R; P]`` of the gain loop of K, ``h
+= dt (A + D delta E + B K C)``.  Where every initial state is ``>= 0`` and W
+is finite and ``>= 0`` for every delta of the block, the block runs
+``_powered_block`` on P.  For one step from ``x >= 0``, by induction over
+the stages: where stages 1 to j-1 of the network loop equal those of the
+gain loop, stage j's input is the gain loop's, ``R_j x >= 0``, where ``pi``
+is K, so stage j equals the gain loop's too.  The step is then ``P x >= 0``,
+and the next starts in the orthant again.  So the network loop's RK4
+recursion is the gain loop's, and each column keeps the gain block's
+contract: it is bit-identical to its run as a one-column block, and agrees
+with the stepping run in its blow-up time and verdict, and in its peaks and
+rate up to rounding.  Any other network block steps.
+
 A sweep integrates all its (delta, trial) columns as one block, and the
 critical-perturbation search integrates each of its probe sets as one block
 (``find_critical_delta`` describes the search).
@@ -78,7 +94,7 @@ from .errors import (
     NoInstabilityError,
     ZeroInitialStateError,
 )
-from .ffnn import Ffnn, ffnn_eval, ffnn_split
+from .ffnn import RELU, Ffnn, ffnn_eval, ffnn_split
 from .linalg import as_matrix, operator_norm
 from .radius import LtiSystem, PerturbationStructure
 
@@ -107,7 +123,8 @@ class Nonlinearity:
     core, w_out)`` with ``phi(y) = w_out core(w_in y)``, where a weight of
     None is the identity: the weights that a nonlinear step may fold into
     ``C`` and ``B`` (``folded``), so that its stages call only the
-    Nonlinearity ``core``.
+    Nonlinearity ``core``.  ``net`` is None, or, set by ``network`` alone,
+    the network that ``phi`` evaluates.
     """
 
     block: Callable[[np.ndarray], np.ndarray]
@@ -115,6 +132,7 @@ class Nonlinearity:
     fold: tuple[np.ndarray | None, "Nonlinearity", np.ndarray | None] | None = field(
         default=None, init=False
     )
+    net: Ffnn | None = field(default=None, init=False)
 
     @classmethod
     def scalar(cls, fn: Callable[[float], float], name: str = "scalar") -> "Nonlinearity":
@@ -151,13 +169,15 @@ class Nonlinearity:
     def network(cls, net: Ffnn) -> "Nonlinearity":
         """The network ``pi`` as feedback, with the fold ``ffnn_split``
         gives: its first and output weights may fold into the loop, ``W_1
-        C`` and ``B W_out``, around a ``core`` of what lies between them."""
+        C`` and ``B W_out``, around a ``core`` of what lies between them;
+        and with the network itself, for ``orthant``."""
         w_in, core, w_out = ffnn_split(net)
         # ffnn_eval is looked up at call time, so a wrapper installed on this
         # module after the loop was built still sees the full evaluations:
         # the shape check's, and every stage's where the loop steps unfolded
         phi = cls(lambda y: ffnn_eval(net, y))
         object.__setattr__(phi, "fold", (w_in, cls(core), w_out))
+        object.__setattr__(phi, "net", net)
         return phi
 
     @classmethod
@@ -185,6 +205,30 @@ class Nonlinearity:
         if _step_products(n, p_core, m_core) > 2 * (_step_products(n, p, m) + 4 * absorbed):
             return b, self, c
         return b if w_out is None else b @ w_out, core, c if w_in is None else w_in @ c
+
+    @functools.cached_property
+    def orthant(self) -> np.ndarray | None:
+        """The ``m x p`` matrix K with ``phi(y) = K y`` for every ``y >= 0``,
+        where positivity shows one, else None: a block whose stages stay in
+        the orthant integrates the gain loop of K (``simulate_lure``).
+
+        A zero-bias ReLU network is positively homogeneous, so with one
+        input ``pi(y) = y pi(1)``; with nonnegative weights, every
+        pre-activation of a nonnegative input is nonnegative, so each ReLU
+        is the identity and ``pi`` is linear there.  K's columns are
+        ``pi(e_j)``; a K that is not finite is None.  Only a block asks for
+        K, so loading a network problem does not compute it.
+        """
+        net = self.net
+        if net is None:
+            return None
+        layers = (*net.hidden, net.output)
+        if (net.activation.fn is not RELU.fn or any(layer.b.any() for layer in layers)
+                or not (net.input_dim == 1 or all((layer.w >= 0).all() for layer in layers))):
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = ffnn_eval(net, np.eye(net.input_dim)[:, :, None])[:, :, 0].T
+        return k if np.isfinite(k).all() else None
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         return self.block(y)
@@ -353,7 +397,10 @@ def simulate_lure(
     block jumps by powers of the step matrix (see the module docstring):
     each column is bit-identical to its run as a one-column block, and
     agrees with the stepping run alone in its blow-up time and verdict, and
-    in its peaks up to rounding in the last bits.
+    in its peaks up to rounding in the last bits.  So does a network loop's
+    block whose stages the module docstring shows to stay in the orthant,
+    where the network is ``phi.orthant``: the whole block, for all its
+    deltas and states, jumps as the gain loop of that matrix, or steps.
 
     A column halts, and leaves the block, once its state magnitude is
     infinite or exceeds the blowup bound.  A NaN state in any live column
@@ -401,6 +448,14 @@ def simulate_lure(
         advance = np.matmul  # (P, x) -> the state one step on
     else:
         drifts = list(drifts)
+        if not single and phi.orthant is not None and (x0s >= 0).all():
+            # W = [R; P] of the gain loop of K: where it is finite and
+            # nonnegative for every delta, the block's stages stay in the
+            # orthant, where phi is K (see the module docstring)
+            bkc = sys.b @ phi.orthant @ sys.c
+            ws = [_stage_matrices(dt * (drift + bkc), sys.b, sys.c, dt)[0] for drift in drifts]
+            if all((w >= 0).all() and np.isfinite(w).all() for w in ws):
+                return _powered_block((w[4 * sys.p:] for w in ws), x0s, initial, steps, dt)
 
         def stage_stacks(b, c):  # each of W, G_2, G_3, G_4 and Q over the deltas
             return [np.array(group) for group in zip(*(
@@ -413,17 +468,31 @@ def simulate_lure(
         if core is not phi and not all(np.isfinite(stack).all() for stack in stacks):
             b, core, c = sys.b, phi, sys.c
             stacks = stage_stacks(b, c)
-        p = len(c)
+        p, m = len(c), b.shape[1]
         s1, s2, s3, s4 = (slice(j * p, (j + 1) * p) for j in range(4))
         s5 = slice(4 * p, None)
+        o1, o2, o3, o4 = (slice(j * m, (j + 1) * m) for j in range(4))
+        # each column's buffer for [u_1; ...; u_4], the core outputs of its
+        # stages, which leaves the block with the column as its matrices do
+        stacks.append(np.empty((len(deltas), 4 * m, 1)))
 
-        def advance(w, g2, g3, g4, q, x):
+        def advance(w, g2, g3, g4, q, u, x):
+            # the sums add the couplings' products to the stage inputs in
+            # place; IEEE addition commutes, so each is z + G u bit for bit
             z = np.matmul(w, x)  # R x, the stage inputs before the couplings, over P x
-            u = core(z[:, s1])  # grows to [u_1; ...; u_4]
-            u = np.concatenate((u, core(z[:, s2] + np.matmul(g2, u))), axis=1)
-            u = np.concatenate((u, core(z[:, s3] + np.matmul(g3, u))), axis=1)
-            u = np.concatenate((u, core(z[:, s4] + np.matmul(g4, u))), axis=1)
-            return z[:, s5] + np.matmul(q, u)
+            u[:, o1] = core(z[:, s1])
+            v = np.matmul(g2, u[:, o1])
+            v += z[:, s2]
+            u[:, o2] = core(v)
+            v = np.matmul(g3, u[:, :2 * m])
+            v += z[:, s3]
+            u[:, o3] = core(v)
+            v = np.matmul(g4, u[:, :3 * m])
+            v += z[:, s4]
+            u[:, o4] = core(v)
+            x = np.matmul(q, u)
+            x += z[:, s5]
+            return x
 
     # The columns are held as a (K, n, 1) stack, each with its own copy of
     # its delta's matrices.  The products are stacked matrix-vector
@@ -495,9 +564,10 @@ def _block(initial, mid, final, blowup, last: int, steps: int, dt: float) -> Tra
 
 def _powered_block(step_matrices, x0s: np.ndarray, initial: np.ndarray, steps: int,
                    dt: float) -> TrajectoryBlock:
-    """A gain loop's block: the columns of each delta in turn, advanced by
-    powers of that delta's step matrix ``P`` (see the module docstring);
-    ``initial`` holds every column's initial peak."""
+    """A gain loop's block, or a network loop's whose stages stay in the
+    orthant: the columns of each delta in turn, advanced by powers of that
+    delta's step matrix ``P`` (see the module docstring); ``initial`` holds
+    every column's initial peak."""
     trials, n = x0s.shape
     midway = steps // 2
     levels = max(midway, steps - midway).bit_length()

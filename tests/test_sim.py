@@ -6,6 +6,7 @@ import sys
 import textwrap
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -90,10 +91,15 @@ WIDE_NET = Ffnn(
 
 class TestNonlinearity:
     def test_only_network_attaches_a_fold(self):
-        # a fold is derived from the network; no constructor takes one
+        # a fold and an orthant matrix are derived from the network; no
+        # constructor takes one, or the network
         with pytest.raises(TypeError):
             Nonlinearity(lambda y: y, fold=(None, Nonlinearity(lambda y: y), None))
+        for kwarg in ("orthant", "net"):
+            with pytest.raises(TypeError):
+                Nonlinearity(lambda y: y, **{kwarg: np.eye(1)})
         assert Nonlinearity(lambda y: y).fold is None
+        assert Nonlinearity(lambda y: y).orthant is None
         assert Nonlinearity.network(MIMO_NET).fold is not None
 
     def test_scalar_must_fix_origin(self):
@@ -594,22 +600,27 @@ class TestSpeculativeBisection:
         assert sim._block_depth(0.0, 16.0, 1.0, 3) == 2
 
 
-def assert_columns_match_single_runs(sys, phi, pert, deltas, cfg, x0s):
+def assert_columns_match_single_runs(sys, phi, pert, deltas, cfg, x0s, jumps=None):
     """Every block column matches its own single-trajectory run.
 
-    A nonlinear loop's column equals that run bit for bit.  A gain loop's
-    block jumps by powers of the step matrix where the single run steps, so
-    its column equals its run as a one-column block bit for bit, and the
-    stepping run in its blow-up time and verdict, with the rate to 1e-12.
+    A column of a block that steps equals that run bit for bit.  A block
+    that jumps by powers of a step matrix (a gain loop, or a network loop
+    whose stages stay in the orthant) where the single run steps has each
+    column equal to its run as a one-column block bit for bit, and to the
+    stepping run in its blow-up time and verdict, with its final peak to
+    1e-9 relative and its rate to 1e-12.
+    The columns are checked by the engine that ran; ``jumps``, where given,
+    is whether that engine must be the jumping one, checked last.
     """
-    block = sim.simulate_lure(sys, phi, pert, np.array(deltas, dtype=float), cfg, x0s)
+    with mock.patch.object(sim, "_powered_block", wraps=sim._powered_block) as powered:
+        block = sim.simulate_lure(sys, phi, pert, np.array(deltas, dtype=float), cfg, x0s)
     assert len(block.columns) == len(deltas) * len(x0s)
     for i, delta in enumerate(deltas):
         for t, x0 in enumerate(x0s):
             traj = sim.simulate_lure(sys, phi, pert, delta, cfg, x0)
             column = block.columns[i * len(x0s) + t]
             verdict, stepped = sim.classify_stability(column), sim.classify_stability(traj)
-            if phi.mat is None:
+            if not powered.called:
                 assert (column.initial_peak, column.final_peak, column.rate,
                         column.blowup_time) == (
                     traj.initial_peak, traj.final_peak, traj.rate, traj.blowup_time,
@@ -621,11 +632,14 @@ def assert_columns_match_single_runs(sys, phi, pert, deltas, cfg, x0s):
             ).columns
             assert alone == (column,)
             assert (column.initial_peak, column.blowup_time) == (traj.initial_peak, traj.blowup_time)
+            assert column.final_peak == pytest.approx(traj.final_peak, rel=1e-9, abs=0.0)
             assert (verdict.label, verdict.blowup_time) == (stepped.label, stepped.blowup_time)
             if math.isfinite(traj.rate):
                 assert abs(column.rate - traj.rate) <= 1e-12
             else:
                 assert column.rate == traj.rate
+    if jumps is not None:
+        assert powered.called == jumps
     return block
 
 
@@ -650,12 +664,19 @@ class TestBlockEngine:
         )
         assert [c.blowup_time is None for c in block.columns] == [True] * 6 + [False] * 3
 
-    def test_network_columns(self, example_b):
+    @pytest.mark.parametrize("case", ["orthant", "negative_state", "coarse_dt"])
+    def test_network_columns(self, case, example_b):
+        # from nonnegative states example_b's stages stay in the orthant and
+        # its block jumps; from a state with a negative entry, or at a dt
+        # whose W = [R; P] has a negative entry, it steps
         x0s = np.random.default_rng(2).uniform(0.0, 1.0, size=(2, 3))
-        cfg = SimConfig(dt=0.02, horizon=20.0)
+        dt = 0.5 if case == "coarse_dt" else 0.02
+        if case == "negative_state":
+            x0s[1, 1] = -0.8
         assert_columns_match_single_runs(
             example_b.system, example_b.loop_nonlinearity(), example_b.pert,
-            [[[1.0]], [[2.04]], [[3.0]]], cfg, x0s,
+            [[[1.0]], [[2.04]], [[3.0]]], SimConfig(dt=dt, horizon=20.0), x0s,
+            jumps=case == "orthant",
         )
 
     @pytest.mark.parametrize("net", sorted(FOLD_NETS))
@@ -866,6 +887,114 @@ class TestBlockEngine:
         with pytest.raises(NonFiniteStateError) as block:
             sim.simulate_lure(sys, bad, scalar_pert(1), [[0.0]], cfg, np.array([[0.01], [0.1]]))
         assert str(block.value) == str(first.value)
+
+
+def one_input_net(hidden=(0.7, 0.7), out=(0.65, 0.65), bias=(0.0, 0.0), activation=RELU):
+    """A 1 -> 2 -> 1 network; the defaults are example_b's weights."""
+    return Ffnn((Layer([[w] for w in hidden], bias),), Layer([out], [0.0]), activation)
+
+
+# MIMO_SYSTEM made positive (its A is Metzler), closed by a zero-bias ReLU
+# network with nonnegative weights, two inputs and two outputs
+POSITIVE_MIMO_SYSTEM = LtiSystem(a=MIMO_SYSTEM.a, b=np.abs(MIMO_SYSTEM.b), c=np.abs(MIMO_SYSTEM.c))
+NONNEGATIVE_NET = Ffnn(
+    (Layer([[0.5, 0.2], [0.1, 0.3], [0.4, 0.0]], [0.0, 0.0, 0.0]),),
+    Layer([[0.3, 0.2, 0.1], [0.0, 0.6, 0.2]], [0.0, 0.0]),
+    RELU,
+)
+# networks without an orthant matrix K, and the loops they close
+NO_ORTHANT = {
+    "signed_mimo": (MIMO_SYSTEM, FOLD_NETS["deep_relu"]),
+    "biased": ("example_b", one_input_net(bias=(0.1, 0.0))),
+    "tanh": ("example_b", one_input_net(activation=TANH)),
+}
+# pi(1) = 2e400 overflows, so this network has no K either
+OVERFLOWING_NET = one_input_net(hidden=(1e200, 1e200), out=(1e200, 1e200))
+
+
+class TestOrthantNetwork:
+    """A network loop whose RK4 stages stay in the orthant, where the network
+    is the matrix K, jumps as the gain loop of K; any other network loop steps."""
+
+    def test_orthant_matrix(self, example_b):
+        # example_b's file declares relu's slopes, which makes a new
+        # activation with relu's callable
+        assert example_b.network.activation is not RELU
+        pi_1 = sim.ffnn_eval(example_b.network, np.ones((1, 1, 1)))
+        assert example_b.loop_nonlinearity().orthant.tolist() == pi_1[0].tolist()
+        assert pi_1[0, 0, 0] == pytest.approx(0.91, rel=1e-15)
+        # one input: pi(y) = y pi(1) whatever the weights' signs
+        signed = Nonlinearity.network(one_input_net(hidden=(0.7, -0.4), out=(0.65, -0.5)))
+        assert signed.orthant == pytest.approx(np.array([[0.455]]), rel=1e-15)
+        # nonnegative weights: each ReLU is the identity on the orthant
+        phi = Nonlinearity.network(NONNEGATIVE_NET)
+        assert phi.orthant == pytest.approx(NONNEGATIVE_NET.output.w @ NONNEGATIVE_NET.hidden[0].w)
+        y = np.random.default_rng(6).uniform(0.0, 5.0, size=(20, 2, 1))
+        assert np.allclose(phi(y), np.matmul(phi.orthant, y), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("net", [*sorted(NO_ORTHANT), "overflowing"])
+    def test_no_orthant_matrix(self, net):
+        # building the overflowing network's K warns of nothing
+        ffnn = OVERFLOWING_NET if net == "overflowing" else NO_ORTHANT[net][1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Nonlinearity.network(ffnn).orthant is None
+
+    @pytest.mark.parametrize("net", sorted(NO_ORTHANT))
+    def test_network_without_orthant_matrix_steps(self, net, example_b):
+        sys, ffnn = NO_ORTHANT[net]
+        sys, pert = (example_b.system, example_b.pert) if sys == "example_b" else (sys, identity_pert(3))
+        x0s = np.random.default_rng(8).uniform(0.0, 1.0, size=(2, 3))
+        deltas = [np.full((pert.k1, pert.k2), d) for d in (0.0, 1.0)]
+        assert_columns_match_single_runs(
+            sys, Nonlinearity.network(ffnn), pert, deltas, SimConfig(dt=0.02, horizon=10.0), x0s,
+            jumps=False,
+        )
+
+    def test_overflowing_network_raises_as_stepping_does(self, example_b):
+        # pi(C x0) overflows at the first stage, and a later stage's signed
+        # coupling meets it as inf - inf
+        sys, pert, phi = example_b.system, example_b.pert, Nonlinearity.network(OVERFLOWING_NET)
+        cfg = SimConfig(dt=0.02, horizon=10.0)
+        with pytest.raises(NonFiniteStateError) as stepped:
+            sim.simulate_lure(sys, phi, pert, [[1.0]], cfg, np.full(3, 0.5))
+        with mock.patch.object(sim, "_powered_block") as powered:
+            with pytest.raises(NonFiniteStateError) as block:
+                sim.simulate_lure(sys, phi, pert, np.array([[[1.0]]]), cfg, np.full((2, 3), 0.5))
+        assert str(block.value) == str(stepped.value) == "state became NaN at t = 0.02"
+        assert not powered.called
+
+    @pytest.mark.parametrize("case", ["signed_one_input", "nonnegative_mimo"])
+    def test_orthant_columns(self, case, example_b):
+        if case == "signed_one_input":
+            sys, pert = example_b.system, example_b.pert
+            phi = Nonlinearity.network(one_input_net(hidden=(0.7, -0.4), out=(0.65, -0.5)))
+            deltas = [[[1.0]], [[3.0]], [[5.0]]]
+        else:
+            sys, pert, phi = POSITIVE_MIMO_SYSTEM, identity_pert(3), Nonlinearity.network(NONNEGATIVE_NET)
+            deltas = [np.full((3, 3), d) for d in (0.0, 0.3, 1.0)]
+        x0s = np.random.default_rng(9).uniform(0.0, 1.0, size=(2, 3))
+        block = assert_columns_match_single_runs(
+            sys, phi, pert, deltas, SimConfig(dt=0.02, horizon=20.0), x0s, jumps=True,
+        )
+        assert any(c.blowup_time is not None for c in block.columns)
+
+    def test_orthant_block_calls_no_network_per_step(self, example_b, monkeypatch):
+        # the shape check evaluates the network, and K takes one more
+        # evaluation, on the (1, 1, 1) stack of e_1, when the block first
+        # asks for it, not when phi is built; the 1,000 steps call neither
+        evals, calls = [], []
+        evaluate, call = sim.ffnn_eval, Nonlinearity.__call__
+        monkeypatch.setattr(sim, "ffnn_eval", lambda n, y: evals.append(y.shape) or evaluate(n, y))
+        monkeypatch.setattr(Nonlinearity, "__call__", lambda phi, y: calls.append(phi) or call(phi, y))
+        phi = Nonlinearity.network(example_b.network)
+        assert evals == []
+        cfg = SimConfig(dt=0.02, horizon=20.0)
+        block = sim.simulate_lure(example_b.system, phi, example_b.pert,
+                                  np.array([[[1.0]], [[2.04]]]), cfg, np.full((3, 3), 0.5))
+        assert len(block.times) == 1001
+        assert evals == [(1, 1, 1)] * 2
+        assert calls == [phi]
 
 
 def staged_rk4(sys, phi, pert, delta, cfg, x0):
