@@ -144,40 +144,9 @@ def ffnn_eval(net: Ffnn, z) -> np.ndarray:
     act = net.activation
     if net.hidden and act.fn is None:
         raise InputError(f"activation {act.name!r} has no callable for evaluation")
-    return _affine(net.output, _hidden(net.hidden, act.fn, x))
-
-
-def _affine(layer: Layer, x: np.ndarray) -> np.ndarray:
-    return np.matmul(layer.w, x) + layer.b
-
-
-def _hidden(layers, act: Callable, x: np.ndarray) -> np.ndarray:
-    for layer in layers:
-        x = act(_affine(layer, x))
-    return x
-
-
-def ffnn_split(net: Ffnn) -> tuple[np.ndarray | None, Callable, np.ndarray | None]:
-    """``(w_in, core, w_out)`` with ``ffnn_eval(net, z) = w_out core(w_in z)``
-    on a ``(K, p, 1)`` stack, where a weight of None is the identity.
-
-    ``w_in`` is the first weight and ``w_out`` the output weight; ``core`` is
-    what lies between them, the first bias and activation and any further
-    hidden layers.  A network with no hidden layer, or with a nonzero output
-    bias, keeps its output layer in ``core``.  ``core`` makes none of
-    ffnn_eval's checks, and leaves out a zero first bias: its broadcast add
-    took a sixth of a step whose stages call only ``core``.
-    """
-    act, hidden, out = net.activation.fn, net.hidden, net.output
-    keep_out = not hidden or out.b.any()
-    first_bias = hidden[0].b if hidden and hidden[0].b.any() else None
-
-    def core(y: np.ndarray) -> np.ndarray:
-        if hidden:
-            y = _hidden(hidden[1:], act, act(y if first_bias is None else y + first_bias))
-        return _affine(out, y) if keep_out else y
-
-    return hidden[0].w if hidden else None, core, None if keep_out else out.w
+    for layer in net.hidden:
+        x = act.fn(np.matmul(layer.w, x) + layer.b)
+    return np.matmul(net.output.w, x) + net.output.b
 
 
 def sector_bound_ffnn(net: Ffnn) -> SectorBound:

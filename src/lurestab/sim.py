@@ -29,20 +29,10 @@ its rate and ``decay_ratio``, agree with stepping up to rounding in the
 last bits.  A column's jumps depend on that column alone, so it is
 bit-identical to its run as a one-column block.
 
-A nonlinear loop steps the folded form ``x' = M x + B' core(C' x)`` of its
-field (``Nonlinearity.folded``), with the drift ``M = A + D delta E``.  For
-a network, ``C' = W_1 C`` and ``B' = B W_out`` take its first and output
-weights into the loop, as the Lur'e form of a network controller does, and
-``core`` is only what lies between them; the shape check alone evaluates
-the whole network.  The couplings below grow from ``p x m`` to ``h_1 x
-h_q``, the widths of the first and last hidden layers, and each column
-multiplies through its own copy: so a network folds only where that at most
-doubles the products of a step, and where its folded stage matrices are
-finite for every delta of the run.  Otherwise, and for any other phi,
-``B' = B``, ``C' = C`` and ``core = phi``.  A step makes four calls of
-``core``; for ``h = dt M``, stage j's input to it is ``R_j x + G_j [u_1;
-...; u_{j-1}]`` and the step is ``P x + Q [u_1; ...; u_4]``, where, with B
-and C standing for B' and C',
+A nonlinear loop steps ``x' = M x + B phi(C x)``, with the drift ``M = A +
+D delta E``.  A step makes four calls of ``phi``; for ``h = dt M``, stage
+j's input to it is ``R_j x + G_j [u_1; ...; u_{j-1}]`` and the step is ``P x
++ Q [u_1; ...; u_4]``, where
 
     R = [C; C + Ch/2; C + Ch/2 + Ch^2/4; C + Ch + Ch^2/2 + Ch^3/4],
     G_2 = (dt/2) CB,  G_3 = [(dt/4) ChB, (dt/2) CB],
@@ -51,25 +41,24 @@ and C standing for B' and C',
 
 (``_stage_matrices``).  That is five stacked products per step, ``[R; P]
 x``, ``G_2``, ``G_3``, ``G_4`` and ``Q``, against twelve stage by stage, and
-``core`` takes the engine's ``(K, p', 1)`` stack, ``p'`` the rows of
-``C'``, with no transposes.  It agrees with stage-by-stage RK4 of the
-unfolded loop up to rounding in the last bits.
+``phi`` takes the engine's ``(K, p, 1)`` stack with no transposes.  It
+agrees with stage-by-stage RK4 up to rounding in the last bits.
 
-A network block whose stages stay in the nonnegative orthant jumps as a gain
-block does.  A zero-bias ReLU network with one input, or with nonnegative
+A network loop whose stages stay in the nonnegative orthant jumps as a gain
+loop does.  A zero-bias ReLU network with one input, or with nonnegative
 weights, is one matrix K there: ``pi(y) = K y`` for every ``y >= 0``
 (``Nonlinearity.orthant``).  Take ``W = [R; P]`` of the gain loop of K, ``h
-= dt (A + D delta E + B K C)``.  Where every initial state is ``>= 0`` and W
-is finite and ``>= 0`` for every delta of the block, the block runs
-``_powered_block`` on P.  For one step from ``x >= 0``, by induction over
-the stages: where stages 1 to j-1 of the network loop equal those of the
-gain loop, stage j's input is the gain loop's, ``R_j x >= 0``, where ``pi``
-is K, so stage j equals the gain loop's too.  The step is then ``P x >= 0``,
-and the next starts in the orthant again.  So the network loop's RK4
-recursion is the gain loop's, and each column keeps the gain block's
-contract: it is bit-identical to its run as a one-column block, and agrees
-with the stepping run in its blow-up time and verdict, and in its peaks and
-rate up to rounding.  Any other network block steps.
+= dt (A + D delta E + B K C)``.  Where every initial state of a block is
+``>= 0``, each delta whose W is finite and ``>= 0`` runs ``_powered_block``
+on its P.  For one step from ``x >= 0``, by induction over the stages: where
+stages 1 to j-1 of the network loop equal those of the gain loop, stage j's
+input is the gain loop's, ``R_j x >= 0``, where ``pi`` is K, so stage j
+equals the gain loop's too.  The step is then ``P x >= 0``, and the next
+starts in the orthant again.  So the network loop's RK4 recursion is the
+gain loop's, and each such column keeps the gain block's contract: it is
+bit-identical to its run as a one-column block, and agrees with the
+stepping run in its blow-up time and verdict, and in its peaks and rate up
+to rounding.  The block steps the columns of every other delta.
 
 A sweep integrates all its (delta, trial) columns as one block, and the
 critical-perturbation search integrates each of its probe sets as one block
@@ -94,7 +83,7 @@ from .errors import (
     NoInstabilityError,
     ZeroInitialStateError,
 )
-from .ffnn import RELU, Ffnn, ffnn_eval, ffnn_split
+from .ffnn import RELU, Ffnn, ffnn_eval
 from .linalg import as_matrix, operator_norm
 from .radius import LtiSystem, PerturbationStructure
 
@@ -119,19 +108,12 @@ class Nonlinearity:
     ``block`` maps a ``(K, p, 1)`` stack, the form the RK4 engine holds its
     stage outputs in, to a ``(K, m, 1)`` stack; entry k of the result depends
     only on entry k of ``y``.  ``mat`` is a linear feedback's gain matrix,
-    else None.  ``fold`` is None, or, set by ``network`` alone, ``(w_in,
-    core, w_out)`` with ``phi(y) = w_out core(w_in y)``, where a weight of
-    None is the identity: the weights that a nonlinear step may fold into
-    ``C`` and ``B`` (``folded``), so that its stages call only the
-    Nonlinearity ``core``.  ``net`` is None, or, set by ``network`` alone,
-    the network that ``phi`` evaluates.
+    else None.  ``net`` is None, or, set by ``network`` alone, the network
+    that ``phi`` evaluates, from which ``orthant`` derives its matrix.
     """
 
     block: Callable[[np.ndarray], np.ndarray]
     mat: np.ndarray | None = None
-    fold: tuple[np.ndarray | None, "Nonlinearity", np.ndarray | None] | None = field(
-        default=None, init=False
-    )
     net: Ffnn | None = field(default=None, init=False)
 
     @classmethod
@@ -167,16 +149,10 @@ class Nonlinearity:
 
     @classmethod
     def network(cls, net: Ffnn) -> "Nonlinearity":
-        """The network ``pi`` as feedback, with the fold ``ffnn_split``
-        gives: its first and output weights may fold into the loop, ``W_1
-        C`` and ``B W_out``, around a ``core`` of what lies between them;
-        and with the network itself, for ``orthant``."""
-        w_in, core, w_out = ffnn_split(net)
+        """The network ``pi`` as feedback, with the network itself, for ``orthant``."""
         # ffnn_eval is looked up at call time, so a wrapper installed on this
-        # module after the loop was built still sees the full evaluations:
-        # the shape check's, and every stage's where the loop steps unfolded
+        # module after the loop was built still sees every evaluation
         phi = cls(lambda y: ffnn_eval(net, y))
-        object.__setattr__(phi, "fold", (w_in, cls(core), w_out))
         object.__setattr__(phi, "net", net)
         return phi
 
@@ -184,27 +160,6 @@ class Nonlinearity:
     def gain(cls, mat) -> "Nonlinearity":
         mat = as_matrix(mat, "gain")
         return cls(lambda y: mat @ y, mat)
-
-    def folded(self, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, "Nonlinearity", np.ndarray]:
-        """``(B', core, C')`` with ``B phi(C x) = B' core(C' x)``; without a
-        fold, or where the fold would more than double the products of a
-        step, ``(B, phi, C)``."""
-        if self.fold is None:
-            return b, self, c
-        w_in, core, w_out = self.fold
-        (n, m), p = b.shape, len(c)
-        p_core = p if w_in is None else len(w_in)
-        m_core = m if w_out is None else w_out.shape[1]
-        absorbed = sum(w.size for w in (w_in, w_out) if w is not None)
-        # The fold saves a step four products each by w_in and w_out and
-        # about eight numpy calls, but widens the stage couplings, which each
-        # column multiplies through, from p x m to p_core x m_core.  On a
-        # 2-core machine, at 1.5 times the products (example_b) a folded step
-        # ran about even with the unfolded one at 300 columns, and at 5.7
-        # times (16 hidden units, two plant outputs) 1.1-1.3 times slower.
-        if _step_products(n, p_core, m_core) > 2 * (_step_products(n, p, m) + 4 * absorbed):
-            return b, self, c
-        return b if w_out is None else b @ w_out, core, c if w_in is None else w_in @ c
 
     @functools.cached_property
     def orthant(self) -> np.ndarray | None:
@@ -323,12 +278,18 @@ class TrajectoryBlock:
     """Columns integrated together, kept without state histories.
 
     Column ``i * T + t`` starts from the t-th of T initial states under the
-    i-th delta.  ``times`` runs to the horizon, or to the step at which the
-    last live column blew up.
+    i-th delta.  The block ran to step ``last``: the horizon's, or the one at
+    which the last live column blew up.  ``times`` is built only when read,
+    so a block of many steps allocates no grid.
     """
 
-    times: np.ndarray
     columns: tuple[ColumnPeaks, ...]
+    last: int
+    dt: float
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(self.last + 1) * self.dt
 
 
 @dataclass(frozen=True)
@@ -343,13 +304,6 @@ def _taylor4(h: np.ndarray) -> np.ndarray:
     """``I + h + h^2/2 + h^3/6 + h^4/24``, the degree-4 Taylor polynomial of
     ``expm(h)``: the RK4 step matrix of ``x' = (h / dt) x``."""
     return np.eye(len(h)) + h + h @ h / 2.0 + h @ h @ h / 6.0 + h @ h @ h @ h / 24.0
-
-
-def _step_products(n: int, p: int, m: int) -> int:
-    """Multiply-adds per column of one telescoped step of ``n`` states, ``p``
-    phi inputs and ``m`` phi outputs: ``W`` is ``(4p + n) x n``, ``G_2``,
-    ``G_3`` and ``G_4`` hold ``6pm`` entries, and ``Q`` is ``n x 4m``."""
-    return (4 * p + n) * n + 6 * p * m + 4 * n * m
 
 
 def _stage_matrices(h, b, c, dt: float) -> tuple[np.ndarray, ...]:
@@ -391,16 +345,14 @@ def simulate_lure(
     one state give a Trajectory with its full state history.  Otherwise each
     (delta, state) pair is a column of one block, and the result is a
     TrajectoryBlock.  A nonlinear loop's block steps its columns together,
-    each bit-identical to that delta and state run alone; where the block
-    steps a network unfolded because another delta's folded stage matrices
-    overflow, only up to rounding in the last bits.  A gain loop's
+    each bit-identical to that delta and state run alone.  A gain loop's
     block jumps by powers of the step matrix (see the module docstring):
     each column is bit-identical to its run as a one-column block, and
     agrees with the stepping run alone in its blow-up time and verdict, and
-    in its peaks up to rounding in the last bits.  So does a network loop's
-    block whose stages the module docstring shows to stay in the orthant,
-    where the network is ``phi.orthant``: the whole block, for all its
-    deltas and states, jumps as the gain loop of that matrix, or steps.
+    in its peaks up to rounding in the last bits.  So do the columns of a
+    network loop's delta whose stages the module docstring shows to stay in
+    the orthant, where the network is ``phi.orthant``: they jump as the gain
+    loop of that matrix, and the block steps the other deltas' columns.
 
     A column halts, and leaves the block, once its state magnitude is
     infinite or exceeds the blowup bound.  A NaN state in any live column
@@ -450,29 +402,32 @@ def simulate_lure(
         drifts = list(drifts)
         if not single and phi.orthant is not None and (x0s >= 0).all():
             # W = [R; P] of the gain loop of K: where it is finite and
-            # nonnegative for every delta, the block's stages stay in the
-            # orthant, where phi is K (see the module docstring)
+            # nonnegative, that delta's stages stay in the orthant, where phi
+            # is K (see the module docstring)
             bkc = sys.b @ phi.orthant @ sys.c
             ws = [_stage_matrices(dt * (drift + bkc), sys.b, sys.c, dt)[0] for drift in drifts]
-            if all((w >= 0).all() and np.isfinite(w).all() for w in ws):
+            jumps = [(w >= 0).all() and np.isfinite(w).all() for w in ws]
+            if all(jumps):
                 return _powered_block((w[4 * sys.p:] for w in ws), x0s, initial, steps, dt)
+            if any(jumps):
+                # each column is its delta's run alone, so the jumping and the
+                # stepping deltas run apart and their columns merge in order;
+                # a jumping state stays finite and >= 0, so only the stepping
+                # part can raise NonFiniteStateError
+                jumped, stepped = (simulate_lure(sys, phi, pert, np.array(
+                    [d for d, j in zip(deltas, jumps) if j == part]), cfg, x0s) for part in (True, False))
+                parts = {True: iter(jumped.columns), False: iter(stepped.columns)}
+                return TrajectoryBlock(tuple(next(parts[j]) for j in jumps for _ in x0s),
+                                       max(jumped.last, stepped.last), dt)
 
-        def stage_stacks(b, c):  # each of W, G_2, G_3, G_4 and Q over the deltas
-            return [np.array(group) for group in zip(*(
-                _stage_matrices(dt * drift, b, c, dt) for drift in drifts))]
-
-        b, core, c = phi.folded(sys.b, sys.c)
-        stacks = stage_stacks(b, c)
-        # a folded product that overflows times a zero activation is NaN at
-        # every step; unfolded, the loop runs as it is
-        if core is not phi and not all(np.isfinite(stack).all() for stack in stacks):
-            b, core, c = sys.b, phi, sys.c
-            stacks = stage_stacks(b, c)
-        p, m = len(c), b.shape[1]
+        # each of W, G_2, G_3, G_4 and Q over the deltas
+        stacks = [np.array(group) for group in zip(*(
+            _stage_matrices(dt * drift, sys.b, sys.c, dt) for drift in drifts))]
+        p, m = sys.p, sys.m
         s1, s2, s3, s4 = (slice(j * p, (j + 1) * p) for j in range(4))
         s5 = slice(4 * p, None)
         o1, o2, o3, o4 = (slice(j * m, (j + 1) * m) for j in range(4))
-        # each column's buffer for [u_1; ...; u_4], the core outputs of its
+        # each column's buffer for [u_1; ...; u_4], the phi outputs of its
         # stages, which leaves the block with the column as its matrices do
         stacks.append(np.empty((len(deltas), 4 * m, 1)))
 
@@ -480,16 +435,16 @@ def simulate_lure(
             # the sums add the couplings' products to the stage inputs in
             # place; IEEE addition commutes, so each is z + G u bit for bit
             z = np.matmul(w, x)  # R x, the stage inputs before the couplings, over P x
-            u[:, o1] = core(z[:, s1])
+            u[:, o1] = phi(z[:, s1])
             v = np.matmul(g2, u[:, o1])
             v += z[:, s2]
-            u[:, o2] = core(v)
+            u[:, o2] = phi(v)
             v = np.matmul(g3, u[:, :2 * m])
             v += z[:, s3]
-            u[:, o3] = core(v)
+            u[:, o3] = phi(v)
             v = np.matmul(g4, u[:, :3 * m])
             v += z[:, s4]
-            u[:, o4] = core(v)
+            u[:, o4] = phi(v)
             x = np.matmul(q, u)
             x += z[:, s5]
             return x
@@ -556,10 +511,10 @@ def _block(initial, mid, final, blowup, last: int, steps: int, dt: float) -> Tra
     2`` and their last step, and these blow-up times, whose last live column
     halted at step ``last``."""
     t_mid, t_end = steps // 2 * dt, steps * dt
-    return TrajectoryBlock(np.arange(last + 1) * dt, tuple(
+    return TrajectoryBlock(tuple(
         ColumnPeaks(i, f, _growth_rate(i, h, f, t_mid, t_end, b), b)
         for i, h, f, b in zip(initial.tolist(), mid.tolist(), final.tolist(), blowup)
-    ))
+    ), last, dt)
 
 
 def _powered_block(step_matrices, x0s: np.ndarray, initial: np.ndarray, steps: int,

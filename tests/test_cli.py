@@ -929,6 +929,17 @@ class TestSweepCommand:
         )
         assert not (tmp_path / "b.csv").exists()
 
+    @pytest.mark.parametrize("dt", ["1e-7", "1e-9", "1e-12"])
+    def test_tiny_dt_sweep_builds_no_step_grid(self, capsys, tmp_path, dt):
+        # 2e8 to 2e13 steps: example_b's block jumps in a few products per
+        # column, and a grid of every step's time would not fit in memory
+        code, out, err = run_cli(
+            capsys, "sweep", "--problem", "example_b.json", "--out", str(tmp_path / "b.csv"),
+            "--trials", "1", "--dt", dt,
+        )
+        assert (code, err) == (0, "")
+        assert len((tmp_path / "b.csv").read_text().splitlines()) == 5
+
     @pytest.mark.parametrize(
         "argv",
         [

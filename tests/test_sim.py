@@ -56,9 +56,9 @@ MIMO_NET = Ffnn(
     Layer([[0.6, -0.4, 0.5], [-0.3, 0.7, 0.2]], [0.02, -0.01]),
     TANH,
 )
-# networks at the edges of the fold of their first and output weights into
-# the loop (Nonlinearity.network), each closing MIMO_SYSTEM
-FOLD_NETS = {
+# networks of each shape that a loop steps with, each closing MIMO_SYSTEM
+_wide = np.random.default_rng(7)
+STEPPING_NETS = {
     "deep_relu": Ffnn(
         (Layer([[0.5, -0.3], [0.2, 0.8], [-0.6, 0.4]], [0.0, 0.0, 0.0]),
          Layer([[0.7, -0.2, 0.3], [0.1, 0.5, -0.4]], [0.0, 0.0])),
@@ -78,29 +78,25 @@ FOLD_NETS = {
     ),
     "no_hidden": Ffnn((), Layer([[0.6, -0.3], [0.4, 0.5]], [0.1, -0.2]), RELU),
     "mimo_network": MIMO_NET,
+    # a 16-unit hidden layer
+    "wide": Ffnn(
+        (Layer(_wide.uniform(-0.5, 0.5, size=(16, 2)), _wide.uniform(-0.1, 0.1, size=16)),),
+        Layer(_wide.uniform(-0.1, 0.1, size=(2, 16)), [0.0, 0.0]),
+        TANH,
+    ),
 }
-# a 16-unit hidden layer: folded, a step would make about six times the
-# products of the unfolded one (Nonlinearity.folded), so it steps unfolded
-_wide = np.random.default_rng(7)
-WIDE_NET = Ffnn(
-    (Layer(_wide.uniform(-0.5, 0.5, size=(16, 2)), _wide.uniform(-0.1, 0.1, size=16)),),
-    Layer(_wide.uniform(-0.1, 0.1, size=(2, 16)), [0.0, 0.0]),
-    TANH,
-)
 
 
 class TestNonlinearity:
-    def test_only_network_attaches_a_fold(self):
-        # a fold and an orthant matrix are derived from the network; no
-        # constructor takes one, or the network
-        with pytest.raises(TypeError):
-            Nonlinearity(lambda y: y, fold=(None, Nonlinearity(lambda y: y), None))
+    def test_only_network_attaches_a_network(self):
+        # the network and the orthant matrix derived from it come from
+        # Nonlinearity.network alone; no constructor takes either
         for kwarg in ("orthant", "net"):
             with pytest.raises(TypeError):
                 Nonlinearity(lambda y: y, **{kwarg: np.eye(1)})
-        assert Nonlinearity(lambda y: y).fold is None
+        assert Nonlinearity(lambda y: y).net is None
         assert Nonlinearity(lambda y: y).orthant is None
-        assert Nonlinearity.network(MIMO_NET).fold is not None
+        assert Nonlinearity.network(MIMO_NET).net is MIMO_NET
 
     def test_scalar_must_fix_origin(self):
         with pytest.raises(ValueError):
@@ -298,19 +294,18 @@ class TestBlowupRule:
 
     @pytest.mark.parametrize("w_1, w_out", [(-1.0, 1e200), (-1e200, 1.0)],
                              ids=["output_weight", "first_weight"])
-    def test_network_whose_folded_weights_overflow_steps_unfolded(self, w_1, w_out):
-        # B W_out, or W_1 C B W_out in the couplings, overflows, and relu(W_1 y)
-        # stays 0 on this decaying state
+    def test_huge_weights_around_a_zero_activation_stay_finite(self, w_1, w_out):
+        # B W_out, or W_1 C B W_out, would overflow, but relu(W_1 y) stays 0
+        # on this decaying state, so the loop runs as its linear part alone
         net = Ffnn((Layer([[w_1]], [0.0]),), Layer([[w_out]], [0.0]), RELU)
         sys = LtiSystem(a=[[-1.0]], b=[[1e200]], c=[[1.0]])
         cfg = SimConfig(dt=0.01, horizon=1.0)
         phi = Nonlinearity.network(net)
         traj = sim.simulate_lure(sys, phi, scalar_pert(1), [[0.0]], cfg, np.array([1.0]))
-        unfolded = sim.simulate_lure(
-            sys, Nonlinearity(phi.block), scalar_pert(1), [[0.0]], cfg, np.array([1.0])
-        )
+        linear = sim.simulate_lure(sys, ZERO_PHI, scalar_pert(1), [[0.0]], cfg, np.array([1.0]))
         assert traj.blowup_time is None
-        assert np.array_equal(traj.states, unfolded.states)
+        assert np.isfinite(traj.states).all()
+        assert np.array_equal(traj.states, linear.states)
 
     @pytest.mark.parametrize("loop", [GAIN_INF, GAIN_NAN, STAGES_OVERFLOW_INF, STAGES_OVERFLOW_NAN],
                              ids=["gain_inf", "gain_nan", "stages_inf", "stages_nan"])
@@ -664,65 +659,52 @@ class TestBlockEngine:
         )
         assert [c.blowup_time is None for c in block.columns] == [True] * 6 + [False] * 3
 
-    @pytest.mark.parametrize("case", ["orthant", "negative_state", "coarse_dt"])
+    @pytest.mark.parametrize("case", ["orthant", "negative_state", "coarse_dt", "mixed_dt"])
     def test_network_columns(self, case, example_b):
         # from nonnegative states example_b's stages stay in the orthant and
         # its block jumps; from a state with a negative entry, or at a dt
-        # whose W = [R; P] has a negative entry, it steps
+        # whose W = [R; P] has a negative entry for every delta, it steps;
+        # at dt 0.195, W is nonnegative for delta 4 alone, so delta 4 jumps
+        # and delta 0 steps
         x0s = np.random.default_rng(2).uniform(0.0, 1.0, size=(2, 3))
-        dt = 0.5 if case == "coarse_dt" else 0.02
+        dt = {"coarse_dt": 0.5, "mixed_dt": 0.195}.get(case, 0.02)
+        deltas = [[[0.0]], [[4.0]]] if case == "mixed_dt" else [[[1.0]], [[2.04]], [[3.0]]]
         if case == "negative_state":
             x0s[1, 1] = -0.8
         assert_columns_match_single_runs(
             example_b.system, example_b.loop_nonlinearity(), example_b.pert,
-            [[[1.0]], [[2.04]], [[3.0]]], SimConfig(dt=dt, horizon=20.0), x0s,
-            jumps=case == "orthant",
+            deltas, SimConfig(dt=dt, horizon=20.0), x0s, jumps=case in {"orthant", "mixed_dt"},
         )
 
-    @pytest.mark.parametrize("net", sorted(FOLD_NETS))
-    def test_folded_network_columns(self, net):
+    def test_mixed_sweep_rows_are_their_deltas_swept_alone(self, example_b):
+        cfg = SimConfig(dt=0.195)
+        args = (example_b.system, example_b.loop_nonlinearity(), example_b.pert)
+        rows = sim.sweep(*args, [0.0, 4.0], cfg, trials=2, seed=42)
+        alone = [row for delta in (0.0, 4.0) for row in sim.sweep(*args, [delta], cfg, trials=2, seed=42)]
+        assert rows == alone
+
+    @pytest.mark.parametrize("net", sorted(STEPPING_NETS))
+    def test_stepping_network_columns(self, net):
         x0s = np.random.default_rng(4).uniform(-1.0, 1.0, size=(2, 3))
         cfg = SimConfig(dt=0.05, horizon=10.0)
         assert_columns_match_single_runs(
-            MIMO_SYSTEM, Nonlinearity.network(FOLD_NETS[net]), identity_pert(3),
+            MIMO_SYSTEM, Nonlinearity.network(STEPPING_NETS[net]), identity_pert(3),
             [np.full((3, 3), d) for d in (0.0, 0.3, 1.0)], cfg, x0s,
         )
 
-    @pytest.mark.parametrize("net", sorted(FOLD_NETS))
-    def test_network_block_evaluates_the_network_once(self, net, monkeypatch):
-        # the shape check evaluates the whole network; the RK4 stages call
-        # only the fold's core, four times a step
+    @pytest.mark.parametrize("net", sorted(STEPPING_NETS))
+    def test_network_block_evaluates_the_network_four_times_a_step(self, net, monkeypatch):
+        # the shape check evaluates the network once, and each RK4 stage
+        # once over all the block's columns
         evals, calls = [], []
         evaluate, call = sim.ffnn_eval, Nonlinearity.__call__
         monkeypatch.setattr(sim, "ffnn_eval", lambda n, y: evals.append(y.shape) or evaluate(n, y))
         monkeypatch.setattr(Nonlinearity, "__call__", lambda phi, y: calls.append(phi) or call(phi, y))
-        phi = Nonlinearity.network(FOLD_NETS[net])
-        cfg = SimConfig(dt=0.05, horizon=1.0)
-        sim.simulate_lure(MIMO_SYSTEM, phi, identity_pert(3), np.zeros((2, 3, 3)), cfg, np.ones((3, 3)))
-        w_in, core, w_out = phi.fold
-        assert evals == [(1, 2, 1)]
-        assert calls == [phi] + [core] * 4 * 20
-        # a nonzero output bias, or no hidden layer, keeps the output layer in core
-        assert (w_out is None) == (net in {"biased", "no_hidden", "mimo_network"})
-
-    def test_wide_network_steps_unfolded(self, monkeypatch):
-        # the shape check and every stage evaluate the whole network
-        evals = []
-        evaluate = sim.ffnn_eval
-        monkeypatch.setattr(sim, "ffnn_eval", lambda n, y: evals.append(y.shape) or evaluate(n, y))
-        phi = Nonlinearity.network(WIDE_NET)
-        assert phi.folded(MIMO_SYSTEM.b, MIMO_SYSTEM.c)[1] is phi
+        phi = Nonlinearity.network(STEPPING_NETS[net])
         cfg = SimConfig(dt=0.05, horizon=1.0)
         sim.simulate_lure(MIMO_SYSTEM, phi, identity_pert(3), np.zeros((2, 3, 3)), cfg, np.ones((3, 3)))
         assert evals == [(1, 2, 1)] + [(6, 2, 1)] * 4 * 20
-
-    def test_wide_network_columns(self):
-        x0s = np.random.default_rng(4).uniform(-1.0, 1.0, size=(2, 3))
-        cfg = SimConfig(dt=0.05, horizon=10.0)
-        assert_columns_match_single_runs(
-            MIMO_SYSTEM, Nonlinearity.network(WIDE_NET), identity_pert(3),
-            [np.full((3, 3), d) for d in (0.0, 0.3, 1.0)], cfg, x0s,
-        )
+        assert calls == [phi] * 81
 
     def test_cubic_sine_columns(self, example_a):
         phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi
@@ -904,7 +886,7 @@ NONNEGATIVE_NET = Ffnn(
 )
 # networks without an orthant matrix K, and the loops they close
 NO_ORTHANT = {
-    "signed_mimo": (MIMO_SYSTEM, FOLD_NETS["deep_relu"]),
+    "signed_mimo": (MIMO_SYSTEM, STEPPING_NETS["deep_relu"]),
     "biased": ("example_b", one_input_net(bias=(0.1, 0.0))),
     "tanh": ("example_b", one_input_net(activation=TANH)),
 }
@@ -1022,13 +1004,12 @@ def staged_rk4(sys, phi, pert, delta, cfg, x0):
 class TestTelescopedStages:
     """The engine's stage matrices reproduce stage-by-stage RK4."""
 
-    @pytest.mark.parametrize("loop", [*FOLD_NETS, "mimo_cubic_sine", "example_b", "cubic_sine"])
+    @pytest.mark.parametrize("loop", [*STEPPING_NETS, "mimo_cubic_sine", "example_b", "cubic_sine"])
     def test_matches_stage_by_stage_rk4(self, loop, example_a, example_b):
-        # a network's reference evaluates it whole, unfolded
         cfg = SimConfig(dt=0.02, horizon=2.0)
-        if loop in FOLD_NETS or loop == "mimo_cubic_sine":
+        if loop in STEPPING_NETS or loop == "mimo_cubic_sine":
             sys, pert, delta = MIMO_SYSTEM, identity_pert(3), np.full((3, 3), 0.1)
-            phi = (Nonlinearity.network(FOLD_NETS[loop]) if loop in FOLD_NETS
+            phi = (Nonlinearity.network(STEPPING_NETS[loop]) if loop in STEPPING_NETS
                    else sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi)
             x0 = [0.5, -0.3, 0.8]
         else:
