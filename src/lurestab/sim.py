@@ -17,17 +17,14 @@ dt (A + D delta E + B K C)``, so its state after k steps is ``P^k x0``.  A
 single trajectory steps by ``P`` to keep its history.  A block builds, for
 one delta at a time, the ladder ``P^(2^j)`` by repeated squaring, with the
 bounds ``N_0 = ||P||``, ``N_{j+1} = N_j max(1, ||P^(2^j)||)`` (inf-norms),
-so that ``N_j >= ||P^k||`` for every ``k <= 2^j``.  Each column then jumps
-greedily toward the halfway step and then toward the end: by the largest
-``2^j`` steps that fit, provided ``N_j ||x|| <= JUMP_BOUND``, just under
-``BLOWUP_BOUND``.  No step inside such a jump can pass the bound.  Where no
-jump qualifies, the column takes one step of ``P`` under the blow-up and
-NaN rules of stepping, so it blows up, or raises, at the step stepping
-does.  A column of 4,000 steps that stays well under the bound takes 14
-products, two per set bit of 2,000, instead of 4,000.  Its peaks, and so
-its rate and ``decay_ratio``, agree with stepping up to rounding in the
-last bits.  A column's jumps depend on that column alone, so it is
-bit-identical to its run as a one-column block.
+so that ``N_j >= ||P^k||`` for every ``k <= 2^j``.  Each jumping column
+then jumps greedily toward the halfway step and then toward the end: by the
+largest ``2^j`` steps that fit, provided ``N_j ||x|| <= JUMP_BOUND``, just
+under ``BLOWUP_BOUND``.  No step inside such a jump can pass the bound.
+Where no jump qualifies, the column takes one step of ``P`` under the
+blow-up and NaN rules of stepping, so it blows up, or raises, at the step
+stepping does.  A column of 4,000 steps that stays well under the bound
+takes 14 products, two per set bit of 2,000, instead of 4,000.
 
 A nonlinear loop steps ``x' = M x + B phi(C x)``, with the drift ``M = A +
 D delta E``.  A step makes four calls of ``phi``; for ``h = dt M``, stage
@@ -44,21 +41,25 @@ x``, ``G_2``, ``G_3``, ``G_4`` and ``Q``, against twelve stage by stage, and
 ``phi`` takes the engine's ``(K, p, 1)`` stack with no transposes.  It
 agrees with stage-by-stage RK4 up to rounding in the last bits.
 
-A network loop whose stages stay in the nonnegative orthant jumps as a gain
-loop does.  A zero-bias ReLU network with one input, or with nonnegative
-weights, is one matrix K there: ``pi(y) = K y`` for every ``y >= 0``
-(``Nonlinearity.orthant``).  Take ``W = [R; P]`` of the gain loop of K, ``h
-= dt (A + D delta E + B K C)``.  Where every initial state of a block is
-``>= 0``, each delta whose W is finite and ``>= 0`` runs ``_powered_block``
-on its P.  For one step from ``x >= 0``, by induction over the stages: where
-stages 1 to j-1 of the network loop equal those of the gain loop, stage j's
-input is the gain loop's, ``R_j x >= 0``, where ``pi`` is K, so stage j
-equals the gain loop's too.  The step is then ``P x >= 0``, and the next
-starts in the orthant again.  So the network loop's RK4 recursion is the
-gain loop's, and each such column keeps the gain block's contract: it is
-bit-identical to its run as a one-column block, and agrees with the
-stepping run in its blow-up time and verdict, and in its peaks and rate up
-to rounding.  The block steps the columns of every other delta.
+Some network loops are gain loops in the nonnegative orthant.  A zero-bias
+ReLU network with one input, or with nonnegative weights, is one matrix K
+there: ``pi(y) = K y`` for every ``y >= 0`` (``Nonlinearity.orthant``).
+Take ``W = [R; P]`` of the gain loop of K, for ``h = dt (A + D delta E + B
+K C)``, finite and ``>= 0``.  For one step from ``x >= 0``, by induction
+over the stages: where stages 1 to j-1 of the network loop equal those of
+the gain loop, stage j's input is the gain loop's, ``R_j x >= 0``, where
+``pi`` is K, so stage j equals the gain loop's too.  The step is then ``P x
+>= 0``, and the next starts in the orthant again: the RK4 recursion is the
+gain loop's.
+
+The column contract: column (delta i, state t) of a block jumps by powers
+of delta i's P where ``phi`` is a gain, or where ``phi.orthant`` is K,
+state t is ``>= 0`` and delta i's W is finite and ``>= 0``; every other
+column steps.  Its engine thus depends on its own delta and state alone, so
+it is bit-identical to its run as a one-column block.  A stepping column
+equals its single trajectory bit for bit; a jumping one agrees with it in
+its blow-up time and verdict, and in its peaks, rate and ``decay_ratio`` up
+to rounding in the last bits.
 
 A sweep integrates all its (delta, trial) columns as one block, and the
 critical-perturbation search integrates each of its probe sets as one block
@@ -164,8 +165,9 @@ class Nonlinearity:
     @functools.cached_property
     def orthant(self) -> np.ndarray | None:
         """The ``m x p`` matrix K with ``phi(y) = K y`` for every ``y >= 0``,
-        where positivity shows one, else None: a block whose stages stay in
-        the orthant integrates the gain loop of K (``simulate_lure``).
+        where positivity shows one, else None.  A block column from a state
+        ``>= 0`` whose delta's gain loop of K has a finite ``W >= 0`` jumps
+        as that gain loop (the column contract in the module docstring).
 
         A zero-bias ReLU network is positively homogeneous, so with one
         input ``pi(y) = y pi(1)``; with nonnegative weights, every
@@ -342,22 +344,18 @@ def simulate_lure(
 
     ``delta`` is one ``k1 x k2`` matrix or an array of shape ``(D, k1, k2)``,
     and ``x0`` is one state or an array of shape ``(T, n)``.  One matrix and
-    one state give a Trajectory with its full state history.  Otherwise each
+    one state give a Trajectory with its full state history, which steps:
+    by ``P`` for a gain loop, by its stages otherwise.  Otherwise each
     (delta, state) pair is a column of one block, and the result is a
-    TrajectoryBlock.  A nonlinear loop's block steps its columns together,
-    each bit-identical to that delta and state run alone.  A gain loop's
-    block jumps by powers of the step matrix (see the module docstring):
-    each column is bit-identical to its run as a one-column block, and
-    agrees with the stepping run alone in its blow-up time and verdict, and
-    in its peaks up to rounding in the last bits.  So do the columns of a
-    network loop's delta whose stages the module docstring shows to stay in
-    the orthant, where the network is ``phi.orthant``: they jump as the gain
-    loop of that matrix, and the block steps the other deltas' columns.
+    TrajectoryBlock whose columns keep the module docstring's column
+    contract: each jumps or steps by its own delta and state.
 
     A column halts, and leaves the block, once its state magnitude is
     infinite or exceeds the blowup bound.  A NaN state in any live column
     raises NonFiniteStateError at the earliest time it appears, even where
-    a run of the block's other columns alone would not have reached it.
+    a run of the block's other columns alone would not have reached it.  A
+    ``dt`` too small for the loop's diagonal raises InputError
+    (``_step_arguments``).
     """
     pert.check_dims(sys.n)
     stacked = isinstance(delta, np.ndarray) and delta.ndim == 3
@@ -386,150 +384,148 @@ def simulate_lure(
 
     dt = cfg.dt
     steps = int(round(cfg.horizon / dt))
-    # Column i * T + t runs delta i from state t.
-    initial = np.tile(np.abs(x0s).max(axis=1), len(deltas))
-    drifts = (sys.a + pert.d @ d @ pert.e for d in deltas)
+    trials = len(x0s)
+    drifts = [sys.a + pert.d @ d @ pert.e for d in deltas]
+    # column i * T + t, delta i from state t, jumps if i is in powers and t in jumping
+    powers, jumping = {}, range(trials)
     if phi.mat is not None:
-        # For a linear field the four RK4 stages telescope into one constant
-        # step matrix.
+        # a linear field's four RK4 stages telescope into one step matrix
         bkc = sys.b @ phi.mat @ sys.c
-        step_matrices = (_taylor4(dt * (drift + bkc)) for drift in drifts)
+        gain_steps = [_taylor4(h) for h in _step_arguments([m + bkc for m in drifts], dt)]
         if not single:
-            return _powered_block(step_matrices, x0s, initial, steps, dt)
-        stacks = (np.array(list(step_matrices)),)
-        advance = np.matmul  # (P, x) -> the state one step on
-    else:
-        drifts = list(drifts)
-        if not single and phi.orthant is not None and (x0s >= 0).all():
-            # W = [R; P] of the gain loop of K: where it is finite and
-            # nonnegative, that delta's stages stay in the orthant, where phi
-            # is K (see the module docstring)
+            powers = dict(enumerate(gain_steps))
+    elif not single and phi.orthant is not None:
+        jumping = set(np.flatnonzero((x0s >= 0).all(axis=1)).tolist())
+        if jumping:
+            # where the gain loop of K has a finite W = [R; P] >= 0, a column
+            # from a state >= 0 stays where phi is K (see the module docstring)
             bkc = sys.b @ phi.orthant @ sys.c
-            ws = [_stage_matrices(dt * (drift + bkc), sys.b, sys.c, dt)[0] for drift in drifts]
-            jumps = [(w >= 0).all() and np.isfinite(w).all() for w in ws]
-            if all(jumps):
-                return _powered_block((w[4 * sys.p:] for w in ws), x0s, initial, steps, dt)
-            if any(jumps):
-                # each column is its delta's run alone, so the jumping and the
-                # stepping deltas run apart and their columns merge in order;
-                # a jumping state stays finite and >= 0, so only the stepping
-                # part can raise NonFiniteStateError
-                jumped, stepped = (simulate_lure(sys, phi, pert, np.array(
-                    [d for d, j in zip(deltas, jumps) if j == part]), cfg, x0s) for part in (True, False))
-                parts = {True: iter(jumped.columns), False: iter(stepped.columns)}
-                return TrajectoryBlock(tuple(next(parts[j]) for j in jumps for _ in x0s),
-                                       max(jumped.last, stepped.last), dt)
-
-        # each of W, G_2, G_3, G_4 and Q over the deltas
-        stacks = [np.array(group) for group in zip(*(
-            _stage_matrices(dt * drift, sys.b, sys.c, dt) for drift in drifts))]
-        p, m = sys.p, sys.m
-        s1, s2, s3, s4 = (slice(j * p, (j + 1) * p) for j in range(4))
-        s5 = slice(4 * p, None)
-        o1, o2, o3, o4 = (slice(j * m, (j + 1) * m) for j in range(4))
-        # each column's buffer for [u_1; ...; u_4], the phi outputs of its
-        # stages, which leaves the block with the column as its matrices do
-        stacks.append(np.empty((len(deltas), 4 * m, 1)))
-
-        def advance(w, g2, g3, g4, q, u, x):
-            # the sums add the couplings' products to the stage inputs in
-            # place; IEEE addition commutes, so each is z + G u bit for bit
-            z = np.matmul(w, x)  # R x, the stage inputs before the couplings, over P x
-            u[:, o1] = phi(z[:, s1])
-            v = np.matmul(g2, u[:, o1])
-            v += z[:, s2]
-            u[:, o2] = phi(v)
-            v = np.matmul(g3, u[:, :2 * m])
-            v += z[:, s3]
-            u[:, o3] = phi(v)
-            v = np.matmul(g4, u[:, :3 * m])
-            v += z[:, s4]
-            u[:, o4] = phi(v)
-            x = np.matmul(q, u)
-            x += z[:, s5]
-            return x
-
-    # The columns are held as a (K, n, 1) stack, each with its own copy of
-    # its delta's matrices.  The products are stacked matrix-vector
-    # products: one (n, K) matrix product would differ from a column's run
-    # alone in the last bits.
-    x = np.tile(x0s, (len(deltas), 1)).reshape(-1, sys.n, 1)
-    mats = tuple(np.repeat(stack, len(x0s), axis=0) for stack in stacks)
-    live = np.arange(len(x))
-    final = np.empty(len(x))
-    blowup = [None] * len(x)
-    if single:
-        try:
-            states = np.empty((steps + 1, sys.n))
-        except (ValueError, MemoryError):  # past numpy's largest array, or the memory
-            raise InputError(
-                f"dt={dt!r} and horizon={cfg.horizon!r} take {steps:.3g} steps, too many "
-                "to keep a trajectory's state history"
-            ) from None
-        states[0] = x[0, :, 0]
-    bound_sq = BLOWUP_BOUND**2  # 1e18, exact
+            for i, h in enumerate(_step_arguments([m + bkc for m in drifts], dt)):
+                w = _stage_matrices(h, sys.b, sys.c, dt)[0]
+                if (w >= 0).all() and np.isfinite(w).all():
+                    powers[i] = w[4 * sys.p:]
+    initial = np.tile(np.abs(x0s).max(axis=1), len(deltas))
     midway = steps // 2
-    mid = initial.copy()  # each column's peak at step ``midway``
-    last = 0
-    # the matrices are bound once, not unpacked at every step
-    step = functools.partial(advance, *mats)
-    while live.size and last < steps:
-        last += 1
-        x = step(x)
+    # each column's peaks at step ``midway`` and at its last step, and its blow-up time
+    mid, final, blowup = initial.copy(), np.empty(len(initial)), [None] * len(initial)
+    # a gain block has no stepping column and a network loop's jumping one
+    # stays >= 0, so a NaN that _powered_block raises for is the earliest
+    last = _powered_block(powers, x0s, jumping, initial, mid, final, blowup, steps, dt) if powers else 0
+    live = np.array([i * trials + t for i in range(len(deltas)) for t in range(trials)
+                     if i not in powers or t not in jumping], dtype=int)
+    if live.size:  # an all-jumping block builds no stepping matrices
+        if phi.mat is not None:
+            stacks = (np.array(gain_steps),)
+            advance = np.matmul  # (P, x) -> the state one step on
+        else:
+            # each of W, G_2, G_3, G_4 and Q over the deltas
+            stacks = [np.array(group) for group in zip(*(
+                _stage_matrices(h, sys.b, sys.c, dt) for h in _step_arguments(drifts, dt)))]
+            p, m = sys.p, sys.m
+            s1, s2, s3, s4 = (slice(j * p, (j + 1) * p) for j in range(4))
+            s5 = slice(4 * p, None)
+            o1, o2, o3, o4 = (slice(j * m, (j + 1) * m) for j in range(4))
+            # each column's buffer for [u_1; ...; u_4], the phi outputs of its
+            # stages, which leaves the block with the column as its matrices do
+            stacks.append(np.empty((len(deltas), 4 * m, 1)))
+
+            def advance(w, g2, g3, g4, q, u, x):
+                # the sums add the couplings' products to the stage inputs in
+                # place; IEEE addition commutes, so each is z + G u bit for bit
+                z = np.matmul(w, x)  # R x, the stage inputs before the couplings, over P x
+                u[:, o1] = phi(z[:, s1])
+                v = np.matmul(g2, u[:, o1])
+                v += z[:, s2]
+                u[:, o2] = phi(v)
+                v = np.matmul(g3, u[:, :2 * m])
+                v += z[:, s3]
+                u[:, o3] = phi(v)
+                v = np.matmul(g4, u[:, :3 * m])
+                v += z[:, s4]
+                u[:, o4] = phi(v)
+                x = np.matmul(q, u)
+                x += z[:, s5]
+                return x
+
+        # The stepping columns are a (K, n, 1) stack, each with a copy of its
+        # delta's matrices, for stacked matrix-vector products: one (n, K)
+        # product would differ from a column's run alone in the last bits.
+        x = x0s[live % trials][:, :, None]
+        mats = tuple(stack[live // trials] for stack in stacks)
         if single:
-            states[last] = x[0, :, 0]
-        if last == midway:
-            mid[live] = np.abs(x).max(axis=(1, 2))
-        # one call instead of abs and max: a sum of squares within the
-        # bound's square leaves every entry within the bound; a NaN, an
-        # infinity, an overflow, or columns whose squares add past the
-        # bound's square without any entry past the bound, take the exact
-        # check below
-        if np.vdot(x, x) <= bound_sq:
-            continue
-        peaks = np.abs(x).max(axis=(1, 2))
-        if np.isnan(peaks).any():
-            raise NonFiniteStateError(f"state became NaN at t = {last * dt:g}")
-        out = peaks > BLOWUP_BOUND
-        if not out.any():
-            continue
-        final[live[out]] = peaks[out]
-        for col in live[out]:
-            blowup[col] = last * dt
-        live, x = live[~out], x[~out]
-        mats = tuple(mat[~out] for mat in mats)
+            try:
+                states = np.empty((steps + 1, sys.n))
+            except (ValueError, MemoryError):  # past numpy's largest array, or the memory
+                raise InputError(
+                    f"dt={dt!r} and horizon={cfg.horizon!r} take {steps:.3g} steps, too many "
+                    "to keep a trajectory's state history"
+                ) from None
+            states[0] = x[0, :, 0]
+        bound_sq = BLOWUP_BOUND**2  # 1e18, exact
+        done = 0
+        # the matrices are bound once, not unpacked at every step
         step = functools.partial(advance, *mats)
-    final[live] = np.abs(x).max(axis=(1, 2))
+        while live.size and done < steps:
+            done += 1
+            x = step(x)
+            if single:
+                states[done] = x[0, :, 0]
+            if done == midway:
+                mid[live] = np.abs(x).max(axis=(1, 2))
+            # one call instead of abs and max: a sum of squares within the
+            # bound's square leaves every entry within the bound; a NaN, an
+            # overflow, or squares that add past it, take the exact check below
+            if np.vdot(x, x) <= bound_sq:
+                continue
+            peaks = np.abs(x).max(axis=(1, 2))
+            if np.isnan(peaks).any():
+                raise NonFiniteStateError(f"state became NaN at t = {done * dt:g}")
+            out = peaks > BLOWUP_BOUND
+            if not out.any():
+                continue
+            final[live[out]] = peaks[out]
+            for col in live[out]:
+                blowup[col] = done * dt
+            live, x = live[~out], x[~out]
+            mats = tuple(mat[~out] for mat in mats)
+            step = functools.partial(advance, *mats)
+        final[live] = np.abs(x).max(axis=(1, 2))
+        last = max(last, done)
     if single:
-        times = np.arange(last + 1) * dt
-        return Trajectory(times, states[: last + 1], blowup_time=blowup[0])
-    return _block(initial, mid, final, blowup, last, steps, dt)
-
-
-def _block(initial, mid, final, blowup, last: int, steps: int, dt: float) -> TrajectoryBlock:
-    """The TrajectoryBlock of columns with these peaks at steps 0, ``steps //
-    2`` and their last step, and these blow-up times, whose last live column
-    halted at step ``last``."""
-    t_mid, t_end = steps // 2 * dt, steps * dt
+        return Trajectory(np.arange(last + 1) * dt, states[: last + 1], blowup_time=blowup[0])
+    t_mid, t_end = midway * dt, steps * dt
     return TrajectoryBlock(tuple(
         ColumnPeaks(i, f, _growth_rate(i, h, f, t_mid, t_end, b), b)
         for i, h, f, b in zip(initial.tolist(), mid.tolist(), final.tolist(), blowup)
     ), last, dt)
 
 
-def _powered_block(step_matrices, x0s: np.ndarray, initial: np.ndarray, steps: int,
-                   dt: float) -> TrajectoryBlock:
-    """A gain loop's block, or a network loop's whose stages stay in the
-    orthant: the columns of each delta in turn, advanced by powers of that
-    delta's step matrix ``P`` (see the module docstring); ``initial`` holds
-    every column's initial peak."""
+def _step_arguments(ms, dt: float) -> list[np.ndarray]:
+    """``h = dt M`` for each M of ``ms``, as ``_taylor4`` and ``_stage_matrices``
+    take it.  A step adds ``h`` to the identity, so a nonzero ``h_ii`` lost in
+    ``1 + h_ii`` drops the loop's diagonal from the step, whose powers then
+    grow without bound where the loop decays: such a ``dt`` is an InputError."""
+    hs = [dt * m for m in ms]
+    if any(h_ii and 1.0 + h_ii == 1.0 for h in hs for h_ii in h.diagonal().tolist()):
+        raise InputError(
+            f"dt={dt!r} is too small for this loop: 1 + dt * M_ii rounds to 1 for a "
+            "nonzero diagonal entry M_ii of its matrix M, so a step would lose it"
+        )
+    return hs
+
+
+def _powered_block(powers: dict[int, np.ndarray], x0s: np.ndarray, jumping, initial: np.ndarray,
+                   mid: np.ndarray, final: np.ndarray, blowup: list, steps: int, dt: float) -> int:
+    """Jump each column ``i * T + t``, for delta i in ``powers`` and state t in
+    ``jumping``, by powers of ``powers[i]`` (see the module docstring), into
+    its entries of ``mid``, ``final`` and ``blowup``; ``initial`` holds every
+    column's initial peak.  Returns the last step that a column reached."""
     trials, n = x0s.shape
     midway = steps // 2
     levels = max(midway, steps - midway).bit_length()
     ladder = np.empty((levels, n, n))  # P^(2^j) of one delta, reused for the next
-    mid, final, blowup = initial.copy(), np.empty(len(initial)), [None] * len(initial)
     last, nan_step = 0, math.inf
-    for i, p in enumerate(step_matrices):
+    for i, p in powers.items():
         ladder[0] = p
         for j in range(1, levels):
             np.matmul(ladder[j - 1], ladder[j - 1], out=ladder[j])
@@ -539,9 +535,9 @@ def _powered_block(step_matrices, x0s: np.ndarray, initial: np.ndarray, steps: i
         # ||P^(2^j)|| never takes a level whose own matrix overflowed
         bounds = norms[0] * np.cumprod(np.concatenate(([1.0], np.maximum(1.0, norms[:-1]))))
         reach = np.maximum(norms, bounds).tolist()
-        for t, x in enumerate(x0s[:, :, None]):
+        for t in jumping:
             col = i * trials + t
-            peak, done = initial[col], 0
+            x, peak, done = x0s[t, :, None], initial[col], 0
             while done < steps:
                 # the largest jump that fits the steps left to midway or to
                 # the end and cannot pass the bound, else one step of P
@@ -563,7 +559,7 @@ def _powered_block(step_matrices, x0s: np.ndarray, initial: np.ndarray, steps: i
             last = max(last, done)
     if nan_step < math.inf:
         raise NonFiniteStateError(f"state became NaN at t = {nan_step * dt:g}")
-    return _block(initial, mid, final, blowup, last, steps, dt)
+    return last
 
 
 def classify_stability(traj: Trajectory | ColumnPeaks) -> StabilityVerdict:
@@ -728,15 +724,16 @@ def find_critical_delta(
                 hi = delta
                 break
             lo = delta
-    # A nonlinear block step costs a fixed overhead plus a share per column.
-    # A fourth step per block saves blocks for 8 more deltas each, which pays
-    # only where the overhead, the phi calls of a nonlinear loop, outweighs
-    # one trial's columns; a wide block's step grows with width.  A gain
-    # block costs one ladder per delta and a few products per column, so
-    # its cost grows with width too.  The benchmark's two gain searches end
-    # in the prediction phase, before any bisection block; caps 1 to 4 gave
-    # the same brackets and times within noise there, so gain loops keep the
-    # cap of three.
+    # The cap of four for a single-trial nonlinear search was measured when
+    # every nonlinear block stepped: a stepping block's step costs a fixed
+    # overhead, its phi calls, plus a share per column, and a fourth step
+    # per block saves blocks for 8 more deltas each.  It is kept as it was,
+    # though a network loop's columns now jump where they stay in the
+    # orthant (example_b's single-trial search among them), and a jumping
+    # block's cost, one ladder per delta and a few products per column,
+    # grows with width.  The benchmark's two gain searches end in the
+    # prediction phase, before any bisection block; caps 1 to 4 gave the
+    # same brackets and times within noise there, so gain loops keep three.
     cap = NARROW_SPECULATIVE_DEPTH if trials == 1 and phi.mat is None else SPECULATIVE_DEPTH
     outcome = {}
     # adjacent floats end the bisection too: no midpoint lies strictly between them

@@ -940,6 +940,20 @@ class TestSweepCommand:
         assert (code, err) == (0, "")
         assert len((tmp_path / "b.csv").read_text().splitlines()) == 5
 
+    @pytest.mark.parametrize("problem", ["example_a.json", "example_b.json"])
+    @pytest.mark.parametrize("dt", ["1e-20", "1e-300"])
+    def test_dt_that_rounds_the_diagonal_away_exits_one(self, capsys, tmp_path, problem, dt):
+        # 2e21 or 2e301 steps whose step matrix has lost the loop's diagonal:
+        # refused before any column runs, where example_b's would jump
+        # without end and example_a's would step without end
+        code, out, err = run_cli(
+            capsys, "sweep", "--problem", problem, "--out", str(tmp_path / "x.csv"),
+            "--trials", "1", "--dt", dt,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: dt={float(dt)!r} is too small for this loop") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -651,21 +651,26 @@ class TestBlockEngine:
     """One RK4 block for many (delta, initial state) columns."""
 
     def test_gain_loop_columns(self, example_a):
+        # a gain loop's columns jump from any state, one with a negative entry too
         phi = Nonlinearity.gain(example_a.analysis_sector().upper)
         x0s = np.random.default_rng(1).uniform(0.0, 1.0, size=(3, 3))
+        signed = x0s.copy()
+        signed[1, 0] = -0.6
         cfg = SimConfig(dt=0.01, horizon=40.0)
-        block = assert_columns_match_single_runs(
-            example_a.system, phi, example_a.pert, [[[0.2]], [[0.26]], [[0.4]]], cfg, x0s
-        )
-        assert [c.blowup_time is None for c in block.columns] == [True] * 6 + [False] * 3
+        for states in (x0s, signed):
+            block = assert_columns_match_single_runs(
+                example_a.system, phi, example_a.pert, [[[0.2]], [[0.26]], [[0.4]]], cfg, states,
+                jumps=True,
+            )
+            assert [c.blowup_time is None for c in block.columns] == [True] * 6 + [False] * 3
 
     @pytest.mark.parametrize("case", ["orthant", "negative_state", "coarse_dt", "mixed_dt"])
     def test_network_columns(self, case, example_b):
         # from nonnegative states example_b's stages stay in the orthant and
-        # its block jumps; from a state with a negative entry, or at a dt
-        # whose W = [R; P] has a negative entry for every delta, it steps;
-        # at dt 0.195, W is nonnegative for delta 4 alone, so delta 4 jumps
-        # and delta 0 steps
+        # its columns jump; a column from a state with a negative entry steps
+        # beside its delta's jumping ones, and at a dt whose W = [R; P] has a
+        # negative entry for every delta, every column steps; at dt 0.195, W
+        # is nonnegative for delta 4 alone, so delta 4 jumps and delta 0 steps
         x0s = np.random.default_rng(2).uniform(0.0, 1.0, size=(2, 3))
         dt = {"coarse_dt": 0.5, "mixed_dt": 0.195}.get(case, 0.02)
         deltas = [[[0.0]], [[4.0]]] if case == "mixed_dt" else [[[1.0]], [[2.04]], [[3.0]]]
@@ -673,7 +678,7 @@ class TestBlockEngine:
             x0s[1, 1] = -0.8
         assert_columns_match_single_runs(
             example_b.system, example_b.loop_nonlinearity(), example_b.pert,
-            deltas, SimConfig(dt=dt, horizon=20.0), x0s, jumps=case in {"orthant", "mixed_dt"},
+            deltas, SimConfig(dt=dt, horizon=20.0), x0s, jumps=case != "coarse_dt",
         )
 
     def test_mixed_sweep_rows_are_their_deltas_swept_alone(self, example_b):
@@ -1196,16 +1201,35 @@ class TestSimConfig:
             with pytest.raises(InputError):
                 SimConfig(dt=value)
 
-    @pytest.mark.parametrize("dt", [1e-300, 1e-15])
+    @pytest.mark.parametrize("dt", [1e-15])
     def test_history_too_long_to_keep_is_input_error(self, dt):
-        # 2e301 steps pass numpy's largest dimension; 2e16 steps of two
-        # entries pass any memory
+        # 2e16 steps of two entries pass any memory
         message = f"dt={dt!r} and horizon=20.0 take {20.0 / dt:.3g} steps, too many"
         with pytest.raises(InputError, match=re.escape(message)):
             sim.simulate_lure(
                 two_state_system(), ZERO_PHI, identity_pert(2), np.zeros((2, 2)),
                 SimConfig(dt=dt), np.ones(2),
             )
+
+    @pytest.mark.parametrize("dt", [1e-300, 1e-20])
+    @pytest.mark.parametrize("engine", ["single", "stepping_block", "gain_block"])
+    def test_dt_that_rounds_the_diagonal_away_is_input_error(self, dt, engine):
+        # 1 - 1e-20 rounds to 1, so a step would keep A's off-diagonal 2 and
+        # lose its diagonal -1 and -3; the refusal comes before the history
+        # of 2e301 steps is allocated
+        phi = Nonlinearity.gain([[0.5]]) if engine == "gain_block" else ZERO_PHI
+        delta, x0 = (np.zeros((2, 2)), np.ones(2)) if engine == "single" else (np.zeros((2, 2, 2)), np.ones((2, 2)))
+        message = f"dt={dt!r} is too small for this loop"
+        with pytest.raises(InputError, match=re.escape(message)):
+            sim.simulate_lure(two_state_system(), phi, identity_pert(2), delta, SimConfig(dt=dt), x0)
+
+    def test_tiny_dt_with_a_zero_diagonal_runs(self):
+        # a zero diagonal entry loses nothing in 1 + h_ii: this nilpotent
+        # gain loop's 1e20 steps jump to the horizon
+        sys = two_state_system(a=[[0.0, 2.0], [0.0, 0.0]])
+        block = sim.simulate_lure(sys, Nonlinearity.gain([[0.0]]), identity_pert(2), np.zeros((1, 2, 2)),
+                                  SimConfig(dt=1e-20, horizon=1.0), np.ones((1, 2)))
+        assert block.last == 10**20 and block.columns[0].blowup_time is None
 
 
 class TestFormulaConsistency:
