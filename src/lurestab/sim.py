@@ -61,6 +61,18 @@ equals its single trajectory bit for bit; a jumping one agrees with it in
 its blow-up time and verdict, and in its peaks, rate and ``decay_ratio`` up
 to rounding in the last bits.
 
+A stepping column settles once a step leaves its state bit for bit as it
+was (compared as integers, so a zero that flips its sign has not).  Its step
+is a fixed function of its own state and its delta's matrices, so every
+later state is that one: it leaves the block as having reached the horizon,
+its current peak its final one, and its halfway one if step ``steps // 2``
+is still ahead.  The check is gated on the sum of squares of the block's
+states that the blow-up rule computes anyway: each live column is compared
+with its previous state only at a step that leaves that sum as it was.  So
+a column that never stands still, near the crossing, keeps the others of
+its block stepping, and a stepping block costs up to its last settle,
+blow-up or horizon.
+
 A sweep integrates all its (delta, trial) columns as one block, and the
 critical-perturbation search integrates each of its probe sets as one block
 (``find_critical_delta`` describes the search).
@@ -280,7 +292,8 @@ class TrajectoryBlock:
     """Columns integrated together, kept without state histories.
 
     Column ``i * T + t`` starts from the t-th of T initial states under the
-    i-th delta.  The block ran to step ``last``: the horizon's, or the one at
+    i-th delta.  The block ran to step ``last``: the horizon's, where some
+    column reached it or settled (the module docstring), or else the one at
     which the last live column blew up.  ``times`` is built only when read,
     so a block of many steps allocates no grid.
     """
@@ -351,11 +364,13 @@ def simulate_lure(
     contract: each jumps or steps by its own delta and state.
 
     A column halts, and leaves the block, once its state magnitude is
-    infinite or exceeds the blowup bound.  A NaN state in any live column
-    raises NonFiniteStateError at the earliest time it appears, even where
-    a run of the block's other columns alone would not have reached it.  A
-    ``dt`` too small for the loop's diagonal raises InputError
-    (``_step_arguments``).
+    infinite or exceeds the blowup bound.  A stepping column that settles
+    leaves it too, as having reached the horizon, and a single trajectory
+    that settles keeps its settled state to the horizon.  A NaN state in any
+    live column raises NonFiniteStateError at the earliest time it appears,
+    even where a run of the block's other columns alone would not have
+    reached it.  A ``dt`` too small for the loop's diagonal raises
+    InputError (``_step_arguments``).
     """
     pert.check_dims(sys.n)
     stacked = isinstance(delta, np.ndarray) and delta.ndim == 3
@@ -462,12 +477,12 @@ def simulate_lure(
                 ) from None
             states[0] = x[0, :, 0]
         bound_sq = BLOWUP_BOUND**2  # 1e18, exact
-        done = 0
+        done, prev_sq = 0, math.nan
         # the matrices are bound once, not unpacked at every step
         step = functools.partial(advance, *mats)
         while live.size and done < steps:
             done += 1
-            x = step(x)
+            prev, x = x, step(x)
             if single:
                 states[done] = x[0, :, 0]
             if done == midway:
@@ -475,22 +490,39 @@ def simulate_lure(
             # one call instead of abs and max: a sum of squares within the
             # bound's square leaves every entry within the bound; a NaN, an
             # overflow, or squares that add past it, take the exact check below
-            if np.vdot(x, x) <= bound_sq:
-                continue
-            peaks = np.abs(x).max(axis=(1, 2))
-            if np.isnan(peaks).any():
-                raise NonFiniteStateError(f"state became NaN at t = {done * dt:g}")
-            out = peaks > BLOWUP_BOUND
-            if not out.any():
-                continue
-            final[live[out]] = peaks[out]
-            for col in live[out]:
-                blowup[col] = done * dt
-            live, x = live[~out], x[~out]
-            mats = tuple(mat[~out] for mat in mats)
+            sq = np.vdot(x, x)
+            if sq <= bound_sq:
+                # a sum of squares that did not move gates the check for
+                # settled columns, whose step left every bit of the state as
+                # it was (the column contract in the module docstring)
+                if sq != prev_sq:
+                    prev_sq = sq
+                    continue
+                gone = (x.view(np.int64) == prev.view(np.int64)).all(axis=(1, 2))
+                if not gone.any():
+                    continue
+                peaks = np.abs(x[gone]).max(axis=(1, 2))
+                if done < midway:
+                    mid[live[gone]] = peaks
+                last = steps
+            else:
+                peaks = np.abs(x).max(axis=(1, 2))
+                if np.isnan(peaks).any():
+                    raise NonFiniteStateError(f"state became NaN at t = {done * dt:g}")
+                gone = peaks > BLOWUP_BOUND
+                if not gone.any():
+                    continue
+                peaks = peaks[gone]
+                for col in live[gone]:
+                    blowup[col] = done * dt
+            final[live[gone]] = peaks
+            live, x = live[~gone], x[~gone]
+            mats = tuple(mat[~gone] for mat in mats)
             step = functools.partial(advance, *mats)
         final[live] = np.abs(x).max(axis=(1, 2))
         last = max(last, done)
+        if single:
+            states[done + 1 : last + 1] = states[done]  # a settled trajectory stays where it settled
     if single:
         return Trajectory(np.arange(last + 1) * dt, states[: last + 1], blowup_time=blowup[0])
     t_mid, t_end = midway * dt, steps * dt
@@ -504,12 +536,21 @@ def _step_arguments(ms, dt: float) -> list[np.ndarray]:
     """``h = dt M`` for each M of ``ms``, as ``_taylor4`` and ``_stage_matrices``
     take it.  A step adds ``h`` to the identity, so a nonzero ``h_ii`` lost in
     ``1 + h_ii`` drops the loop's diagonal from the step, whose powers then
-    grow without bound where the loop decays: such a ``dt`` is an InputError."""
+    grow without bound where the loop decays: such a ``dt`` is an InputError.
+    So is one at which rounding ``1 + h_ii``, by up to ``2**-53`` a step, can
+    move a growth rate by ``2**-53 / dt`` per unit time, more than ``RES``."""
     hs = [dt * m for m in ms]
-    if any(h_ii and 1.0 + h_ii == 1.0 for h in hs for h_ii in h.diagonal().tolist()):
+    diagonal = [h_ii for h in hs for h_ii in h.diagonal().tolist() if h_ii]
+    if any(1.0 + h_ii == 1.0 for h_ii in diagonal):
         raise InputError(
             f"dt={dt!r} is too small for this loop: 1 + dt * M_ii rounds to 1 for a "
             "nonzero diagonal entry M_ii of its matrix M, so a step would lose it"
+        )
+    if diagonal and 2.0**-53 / dt > RES:
+        raise InputError(
+            f"dt={dt!r} is too small for this loop: rounding 1 + dt * M_ii for a nonzero "
+            f"diagonal entry M_ii of its matrix M can move a growth rate by 2**-53 / dt = "
+            f"{2.0**-53 / dt:.3g} per unit time, more than the resolution {RES}"
         )
     return hs
 
@@ -725,15 +766,18 @@ def find_critical_delta(
                 break
             lo = delta
     # The cap of four for a single-trial nonlinear search was measured when
-    # every nonlinear block stepped: a stepping block's step costs a fixed
-    # overhead, its phi calls, plus a share per column, and a fourth step
-    # per block saves blocks for 8 more deltas each.  It is kept as it was,
-    # though a network loop's columns now jump where they stay in the
-    # orthant (example_b's single-trial search among them), and a jumping
-    # block's cost, one ladder per delta and a few products per column,
-    # grows with width.  The benchmark's two gain searches end in the
-    # prediction phase, before any bisection block; caps 1 to 4 gave the
-    # same brackets and times within noise there, so gain loops keep three.
+    # every nonlinear block stepped to the horizon: a stepping block's step
+    # costs a fixed overhead, its phi calls, plus a share per column, and a
+    # fourth step per block saves blocks for 8 more deltas each.  Now that a
+    # block stops at its last settle, blow-up or horizon, caps 2, 3, 4, 5
+    # and 7 took 50, 46, 47, 47 and 65 ms on the benchmark's cubic_sine
+    # search, with the same bracket, so four stays.  A network loop's
+    # columns jump where they stay in the orthant (example_b's single-trial
+    # search among them), and a jumping block's cost, one ladder per delta
+    # and a few products per column, grows with width.  The benchmark's two
+    # gain searches end in the prediction phase, before any bisection block;
+    # caps 1 to 4 gave the same brackets and times within noise there, so
+    # gain loops keep three.
     cap = NARROW_SPECULATIVE_DEPTH if trials == 1 and phi.mat is None else SPECULATIVE_DEPTH
     outcome = {}
     # adjacent floats end the bisection too: no midpoint lies strictly between them

@@ -954,6 +954,29 @@ class TestSweepCommand:
         assert err.startswith(f"error: dt={float(dt)!r} is too small for this loop") and err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("dt", ["1e-14", "1e-15", "1e-16"])
+    def test_dt_below_the_rate_resolution_exits_one(self, capsys, tmp_path, dt):
+        # rounding 1 + dt * M_ii moves a rate by up to 2**-53 / dt, past RES
+        # below dt = 3.7e-14: these read delta 2.04 Unstable, or lose delta
+        # in I + h, where they ran
+        code, out, err = run_cli(
+            capsys, "sweep", "--problem", "example_b.json", "--out", str(tmp_path / "b.csv"),
+            "--trials", "1", "--dt", dt,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: dt={float(dt)!r} is too small for this loop: rounding") \
+            and err.count("\n") == 1
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_dt_just_above_the_rate_resolution_runs(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "sweep", "--problem", "example_b.json", "--out", str(tmp_path / "b.csv"),
+            "--trials", "1", "--dt", "1e-13",
+        )
+        assert (code, err) == (0, "")
+        rows = (tmp_path / "b.csv").read_text().splitlines()
+        assert rows[3].startswith("2.04,0,42,Inconclusive,")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -876,6 +876,88 @@ class TestBlockEngine:
         assert str(block.value) == str(first.value)
 
 
+def one_step_reference(sys, phi, pert, delta, cfg, x0) -> Trajectory:
+    """A single trajectory stepped by one-step runs, each from the last
+    state, so that no run can see a step leave its state unchanged; it halts
+    where a run halts at a blow-up."""
+    one = SimConfig(dt=cfg.dt, horizon=cfg.dt)
+    states, blowup = [np.asarray(x0, dtype=float)], None
+    for k in range(1, round(cfg.horizon / cfg.dt) + 1):
+        states.append(sim.simulate_lure(sys, phi, pert, delta, one, states[-1]).states[-1])
+        if not np.abs(states[-1]).max() <= sim.BLOWUP_BOUND:
+            blowup = k * cfg.dt
+            break
+    return Trajectory(np.arange(len(states)) * cfg.dt, np.array(states), blowup)
+
+
+# example_a's cubic_sine loop crosses near delta 1.1289: at dt 0.02 the
+# columns below 1.1 reach a fixed point of the step between steps 410 and
+# 476, those at 1.1 near step 680, and those at 1.125 never within 1,000
+SETTLING_DELTAS = [0.2, 0.26, 0.4, 1.1, 1.125]
+SETTLING_CFG = SimConfig(dt=0.02, horizon=20.0)
+SETTLING_STATES = np.random.default_rng(5).uniform(0.0, 1.0, size=(2, 3))
+
+
+class TestSettledColumns:
+    """A stepping column whose step leaves its state bit for bit as it was
+    stays there, and leaves the block as if it had reached the horizon."""
+
+    @pytest.fixture(scope="class")
+    def loop(self, example_a):
+        return example_a.system, sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi, example_a.pert
+
+    @pytest.fixture(scope="class")
+    def references(self, loop):
+        return {(delta, t): one_step_reference(*loop, [[delta]], SETTLING_CFG, x0)
+                for delta in SETTLING_DELTAS for t, x0 in enumerate(SETTLING_STATES)}
+
+    def test_references_settle_below_the_crossing(self, references):
+        steps = round(SETTLING_CFG.horizon / SETTLING_CFG.dt)
+        for (delta, _), ref in references.items():
+            assert len(ref.states) == steps + 1 and ref.blowup_time is None
+            assert (ref.states[-1] == ref.states[-2]).all() == (delta < 1.125)
+
+    @pytest.mark.parametrize("deltas", [SETTLING_DELTAS, SETTLING_DELTAS[:4], SETTLING_DELTAS[:3]],
+                             ids=["with_crossing", "settling", "settled_by_midway"])
+    def test_columns_equal_the_one_step_reference(self, deltas, loop, references):
+        block = sim.simulate_lure(*loop, np.array(deltas)[:, None, None], SETTLING_CFG,
+                                  SETTLING_STATES)
+        assert block.last == 1000 and len(block.times) == 1001
+        assert block.columns == tuple(
+            sim.ColumnPeaks(ref.initial_peak, ref.final_peak, ref.rate, ref.blowup_time)
+            for ref in (references[delta, t] for delta in deltas for t in range(2))
+        )
+
+    def test_settled_columns_stop_stepping(self, loop, monkeypatch):
+        # the shape check calls phi once, then each step four times over the
+        # live columns: fewer than 1 + 4 * 500 calls show that the block
+        # stopped stepping before step 500 of 1,000, its columns one group at
+        # a time
+        calls, call = [], Nonlinearity.__call__
+        monkeypatch.setattr(Nonlinearity, "__call__", lambda phi, y: calls.append(len(y)) or call(phi, y))
+        block = sim.simulate_lure(*loop, np.array(SETTLING_DELTAS[:3])[:, None, None], SETTLING_CFG,
+                                  SETTLING_STATES)
+        assert calls[1] == 6 and len(calls) < 1 + 4 * 500
+        assert calls[1:] == sorted(calls[1:], reverse=True) and calls[-1] < 6
+        assert block.last == 1000
+
+    def test_column_settled_before_midway_has_its_final_peak_there(self, loop):
+        # deltas up to 0.4 settle before step 500, so their halfway peak is
+        # their final one, and their rate 0
+        block = sim.simulate_lure(*loop, np.array(SETTLING_DELTAS[:3])[:, None, None], SETTLING_CFG,
+                                  SETTLING_STATES)
+        for column in block.columns:
+            assert column.rate == 0.0 and sim.classify_stability(column).label == "Inconclusive"
+
+    @pytest.mark.parametrize("delta", [0.2, 1.1, 1.125])
+    def test_settled_trajectory_keeps_its_state_to_the_horizon(self, delta, loop, references):
+        traj = sim.simulate_lure(*loop, [[delta]], SETTLING_CFG, SETTLING_STATES[0])
+        ref = references[delta, 0]
+        assert traj.states.shape == (1001, 3)
+        assert np.array_equal(traj.states, ref.states) and np.array_equal(traj.times, ref.times)
+        assert traj.blowup_time is None
+
+
 def one_input_net(hidden=(0.7, 0.7), out=(0.65, 0.65), bias=(0.0, 0.0), activation=RELU):
     """A 1 -> 2 -> 1 network; the defaults are example_b's weights."""
     return Ffnn((Layer([[w] for w in hidden], bias),), Layer([out], [0.0]), activation)
@@ -1201,9 +1283,10 @@ class TestSimConfig:
             with pytest.raises(InputError):
                 SimConfig(dt=value)
 
-    @pytest.mark.parametrize("dt", [1e-15])
+    @pytest.mark.parametrize("dt", [1e-13])
     def test_history_too_long_to_keep_is_input_error(self, dt):
-        # 2e16 steps of two entries pass any memory
+        # 2e14 steps of two entries, 3.2 PB, pass the address space, so
+        # nothing is allocated
         message = f"dt={dt!r} and horizon=20.0 take {20.0 / dt:.3g} steps, too many"
         with pytest.raises(InputError, match=re.escape(message)):
             sim.simulate_lure(
@@ -1220,6 +1303,16 @@ class TestSimConfig:
         phi = Nonlinearity.gain([[0.5]]) if engine == "gain_block" else ZERO_PHI
         delta, x0 = (np.zeros((2, 2)), np.ones(2)) if engine == "single" else (np.zeros((2, 2, 2)), np.ones((2, 2)))
         message = f"dt={dt!r} is too small for this loop"
+        with pytest.raises(InputError, match=re.escape(message)):
+            sim.simulate_lure(two_state_system(), phi, identity_pert(2), delta, SimConfig(dt=dt), x0)
+
+    @pytest.mark.parametrize("dt", [3.6e-14, 1e-14])
+    @pytest.mark.parametrize("engine", ["single", "stepping_block", "gain_block"])
+    def test_dt_below_the_rate_resolution_is_input_error(self, dt, engine):
+        # 1 - dt rounds by up to 2**-53, a rate of 2**-53 / dt > RES per unit time
+        phi = Nonlinearity.gain([[0.5]]) if engine == "gain_block" else ZERO_PHI
+        delta, x0 = (np.zeros((2, 2)), np.ones(2)) if engine == "single" else (np.zeros((2, 2, 2)), np.ones((2, 2)))
+        message = f"dt={dt!r} is too small for this loop: rounding 1 + dt * M_ii"
         with pytest.raises(InputError, match=re.escape(message)):
             sim.simulate_lure(two_state_system(), phi, identity_pert(2), delta, SimConfig(dt=dt), x0)
 
