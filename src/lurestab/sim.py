@@ -534,25 +534,21 @@ def simulate_lure(
 
 def _step_arguments(ms, dt: float) -> list[np.ndarray]:
     """``h = dt M`` for each M of ``ms``, as ``_taylor4`` and ``_stage_matrices``
-    take it.  A step adds ``h`` to the identity, so a nonzero ``h_ii`` lost in
-    ``1 + h_ii`` drops the loop's diagonal from the step, whose powers then
-    grow without bound where the loop decays: such a ``dt`` is an InputError.
-    So is one at which rounding ``1 + h_ii``, by up to ``2**-53`` a step, can
-    move a growth rate by ``2**-53 / dt`` per unit time, more than ``RES``."""
-    hs = [dt * m for m in ms]
-    diagonal = [h_ii for h in hs for h_ii in h.diagonal().tolist() if h_ii]
-    if any(1.0 + h_ii == 1.0 for h_ii in diagonal):
-        raise InputError(
-            f"dt={dt!r} is too small for this loop: 1 + dt * M_ii rounds to 1 for a "
-            "nonzero diagonal entry M_ii of its matrix M, so a step would lose it"
-        )
-    if diagonal and 2.0**-53 / dt > RES:
+    take it.  A step adds ``h`` to the identity, and rounding ``1 + h_ii``
+    moves it by up to ``2**-53``, a growth rate of up to ``2**-53 / dt`` per
+    unit time.  So where some M has a nonzero diagonal entry, a ``dt`` at which
+    that exceeds ``RES`` is an InputError.  Its extreme case is a diagonal lost
+    outright in ``1 + h_ii``, whose step matrix's powers then grow without
+    bound where the loop decays.  An entry lost at a larger ``dt`` has
+    ``|M_ii| <= 2**-53 / dt <= RES``, so losing it moves a rate by at most
+    ``RES`` and is not refused."""
+    if 2.0**-53 / dt > RES and any(m_ii for m in ms for m_ii in m.diagonal().tolist()):
         raise InputError(
             f"dt={dt!r} is too small for this loop: rounding 1 + dt * M_ii for a nonzero "
-            f"diagonal entry M_ii of its matrix M can move a growth rate by 2**-53 / dt = "
-            f"{2.0**-53 / dt:.3g} per unit time, more than the resolution {RES}"
+            f"diagonal entry M_ii of its matrix M, or losing it outright, can move a growth "
+            f"rate by 2**-53 / dt = {2.0**-53 / dt:.3g} per unit time, more than the resolution {RES}"
         )
-    return hs
+    return [dt * m for m in ms]
 
 
 def _powered_block(powers: dict[int, np.ndarray], x0s: np.ndarray, jumping, initial: np.ndarray,
