@@ -158,12 +158,24 @@ def _number(value, key: str) -> float:
     return float(value)
 
 
+def _numbers(value, key: str) -> None:
+    """Refuse an entry of ``value``, at any depth of nested lists, that is not
+    a JSON number: numpy would read "-5" or true as a number and null as NaN."""
+    level = [value]
+    while level:  # one depth at a time; a bool's type is not int
+        kinds = set(map(type, level))
+        if not kinds <= {int, float, list}:
+            bad = next(x for x in level if type(x) not in (int, float, list))
+            raise InputError(f"{key}: expected numbers, got {'null' if bad is None else repr(bad)}")
+        level = [y for x in level if type(x) is list for y in x] if list in kinds else []
+
+
 def _matrix(data: dict, key: str) -> object:
     """A matrix field's raw value, for its typed constructor to check.
 
-    Two faults are named here: ragged rows, which the gate would only call
-    an inhomogeneous shape, and null, which a constructor reads as an absent
-    optional matrix.
+    Named here: ragged rows, which the gate would only call an inhomogeneous
+    shape, null, which a constructor reads as an absent optional matrix, and
+    an entry that is not a JSON number.
     """
     raw = _get(data, key)
     if raw is None:
@@ -172,6 +184,7 @@ def _matrix(data: dict, key: str) -> object:
         lengths = {len(r) for r in raw}
         if len(lengths) > 1:
             raise InputError(f"{key}: ragged rows (lengths {sorted(lengths)})")
+    _numbers(raw, key)
     return raw
 
 
@@ -331,9 +344,11 @@ def _read_ffnn(path) -> tuple[Ffnn, bytes]:
             if type(rows) is not int or type(cols) is not int or min(rows, cols) < 1:
                 raise InputError(f"rows, cols: expected positive integers, got {rows!r}, {cols!r}")
             weights = _get(entry, "weights")
+            _numbers(weights, "weights")
+            _numbers(entry.get("bias", []), "bias")
             try:  # Layer checks that the entries are finite
                 w = np.asarray(weights, dtype=float).reshape(rows, cols)
-            except (TypeError, ValueError, OverflowError):  # not numbers, or not rows x cols
+            except (ValueError, OverflowError):  # not rows x cols, or an int past float
                 raise InputError(f"weights: expected {rows}x{cols} numbers") from None
             layers.append(Layer(w, entry.get("bias", np.zeros(rows))))
     with _Section("network", path):

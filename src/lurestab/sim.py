@@ -110,7 +110,6 @@ DEFAULT_TRIALS = 10
 DEFAULT_SEED = 42
 GEOMETRIC_LEVELS = 8
 SPECULATIVE_DEPTH = 3  # most bisection steps that one search block resolves
-NARROW_SPECULATIVE_DEPTH = 4  # the same for a single-trial nonlinear search
 PREDICTION_PROBES = 5  # deltas integrated around a predicted crossing
 
 
@@ -656,15 +655,15 @@ def _midpoints(lo: float, hi: float, tol: float, depth: int) -> list[float]:
     return [mid] + _midpoints(lo, mid, tol, depth - 1) + _midpoints(mid, hi, tol, depth - 1)
 
 
-def _block_depth(lo: float, hi: float, tol: float, cap: int) -> int:
+def _block_depth(lo: float, hi: float, tol: float) -> int:
     """Bisection steps for the next search block: the steps left until the
     bracket is within ``tol``, split evenly into the fewest blocks of at
-    most ``cap`` steps."""
+    most ``SPECULATIVE_DEPTH`` steps."""
     steps, width = 0, hi - lo
     while width > tol:  # halving, not log2(width / tol), which overflows for a subnormal tol
         steps += 1
         width *= 0.5
-    blocks = -(-steps // cap)
+    blocks = -(-steps // SPECULATIVE_DEPTH)
     return -(-steps // blocks)
 
 
@@ -719,13 +718,10 @@ def find_critical_delta(
     wider than ``tol``, down to ``tol`` or to adjacent floats.  When a
     bisection step needs a midpoint not yet integrated, one block integrates
     every midpoint that the next ``depth`` steps can visit, so the bracket is
-    the one plain bisection of the phase 3 bracket finds.  With S steps left
-    and a cap of ``SPECULATIVE_DEPTH`` steps per block,
-    ``blocks = ceil(S / cap)`` and ``depth = ceil(S / blocks)``: 8 steps take
-    blocks of depth 3, 3 and 2.  A single-trial search of a nonlinear loop
-    has the cap ``NARROW_SPECULATIVE_DEPTH``, so 8 steps take two blocks of
-    depth 4 (15 deltas each).  The same seeded batch of nonnegative initial
-    states is reused at every delta.
+    the one plain bisection of the phase 3 bracket finds.  ``_block_depth``
+    splits the steps left evenly into blocks of at most ``SPECULATIVE_DEPTH``
+    steps: 8 steps take depths 3, 3 and 2.  The same seeded batch of
+    nonnegative initial states is reused at every delta.
     """
     if not 0 < delta_max < math.inf:
         raise InputError(f"delta_max must be positive and finite; got {delta_max!r}")
@@ -761,25 +757,12 @@ def find_critical_delta(
                 hi = delta
                 break
             lo = delta
-    # The cap of four for a single-trial nonlinear search was measured when
-    # every nonlinear block stepped to the horizon: a stepping block's step
-    # costs a fixed overhead, its phi calls, plus a share per column, and a
-    # fourth step per block saves blocks for 8 more deltas each.  Now that a
-    # block stops at its last settle, blow-up or horizon, caps 2, 3, 4, 5
-    # and 7 took 50, 46, 47, 47 and 65 ms on the benchmark's cubic_sine
-    # search, with the same bracket, so four stays.  A network loop's
-    # columns jump where they stay in the orthant (example_b's single-trial
-    # search among them), and a jumping block's cost, one ladder per delta
-    # and a few products per column, grows with width.  The benchmark's two
-    # gain searches end in the prediction phase, before any bisection block;
-    # caps 1 to 4 gave the same brackets and times within noise there, so
-    # gain loops keep three.
-    cap = NARROW_SPECULATIVE_DEPTH if trials == 1 and phi.mat is None else SPECULATIVE_DEPTH
+    # depth d integrates 2**d - 1 midpoints to save d - 1 blocks; deeper blocks measured no faster
     outcome = {}
     # adjacent floats end the bisection too: no midpoint lies strictly between them
     while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if mid not in outcome:
-            mids = _midpoints(lo, hi, tol, _block_depth(lo, hi, tol, cap))
+            mids = _midpoints(lo, hi, tol, _block_depth(lo, hi, tol))
             outcome = dict(zip(mids, probe(mids)[0]))
         if outcome[mid]:
             hi = mid

@@ -242,16 +242,19 @@ class TestProblemLoading:
     @pytest.mark.parametrize("field", ["A", "B", "C", "D", "E"])
     @pytest.mark.parametrize(
         "value",
-        [float("nan"), "x", 3, None, [], [[]], [1.0, 2.0], [[1.0], [1.0, 2.0]], [[[1.0]]]],
-        ids=["nan", "string", "number", "null", "empty", "empty-row", "flat", "ragged", "3d"],
+        [(float("nan"),), ("-5",), (True,),
+         "x", 3, None, [], [[]], [1.0, 2.0], [[1.0], [1.0, 2.0]], [[[1.0]]]],
+        ids=["nan", "string-entry", "bool-entry",
+             "string", "number", "null", "empty", "empty-row", "flat", "ragged", "3d"],
     )
     def test_malformed_matrix_field_names_its_section_and_field(
         self, capsys, tmp_path, fixture, field, value
     ):
+        # a 1-tuple is one entry, set at [0][0]; anything else replaces the field
         doc = json.loads(fixture_path(fixture).read_text())
         section = "system" if field in "ABC" else "perturbation"
-        if isinstance(value, float):
-            doc[section][field][0][0] = value
+        if isinstance(value, tuple):
+            doc[section][field][0][0] = value[0]
         else:
             doc[section][field] = value
         if "network" in doc:
@@ -394,6 +397,9 @@ class TestProblemLoading:
             (("layers", 0, "bias"), ["BIG", 0.0], "layer 1: layer bias: contains NaN or infinite"),
             (("layers", 0, "bias"), [[1, 2], [3]], "layer 1: layer bias: not a numeric vector"),
             (("layers", 0, "weights"), ["BIG", 0.7], "layer 1: layer weight: contains NaN or inf"),
+            (("layers", 0, "bias"), None, "layer 1: bias: expected numbers, got null"),
+            (("layers", 0, "weights"), ["0.7", 0.7], "layer 1: weights: expected numbers, got '0.7'"),
+            (("layers", 0, "weights"), [True, 0.7], "layer 1: weights: expected numbers, got True"),
             (("activation",), "relu", "activation: must be an object"),
             (("layers",), [], "network: layers: expected a nonempty list"),
             ((), [], "top level must be a JSON object"),
@@ -404,7 +410,8 @@ class TestProblemLoading:
             (("activation",), {"name": "relu", "a1": 0.0},
              "activation: activation 'relu': only one of a1/a2 given"),
         ],
-        ids=["bias-inf", "bias-ragged", "weight-inf", "activation-string", "no-layers", "top-list",
+        ids=["bias-inf", "bias-ragged", "weight-inf", "bias-null", "weight-string", "weight-bool",
+             "activation-string", "no-layers", "top-list",
              "unknown-activation", "unordered-slopes", "negative-rows", "one-slope"],
     )
     @pytest.mark.parametrize("route", ["nn-bound", "problem"])

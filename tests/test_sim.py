@@ -483,9 +483,11 @@ class TestSpeculativeBisection:
     """A search that bisects reproduces plain bisection exactly; a predicted
     search keeps the bracket's meaning."""
 
-    @pytest.mark.parametrize("case", ["network", "cubic_sine", "random_gain"])
+    @pytest.mark.parametrize(
+        "case", ["network", "cubic_sine", "cubic_sine, one trial", "random_gain"]
+    )
     def test_same_result_as_sequential_bisection(self, case, example_a, example_b):
-        cfg = SimConfig(dt=0.02, horizon=10.0)
+        cfg, trials, seed = SimConfig(dt=0.02, horizon=10.0), 2, 7
         if case == "network":
             loop = (example_b.system, example_b.loop_nonlinearity(), example_b.pert)
             delta_max, tol = 4.0, 0.01
@@ -493,22 +495,29 @@ class TestSpeculativeBisection:
             phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi
             loop = (example_a.system, phi, example_a.pert)
             delta_max, tol = 2.0, 0.005
+        elif case == "cubic_sine, one trial":  # the benchmark's search
+            phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi
+            loop = (example_a.system, phi, example_a.pert)
+            delta_max, tol = 2.0, 0.01
+            cfg, trials, seed = SimConfig(dt=0.02, horizon=20.0), 1, sim.DEFAULT_SEED
         else:
             loop = random_gain_loop()
             delta_max, tol = 2.0, 0.003
         found = sim.find_critical_delta(
-            *loop, delta_max=delta_max, tol=tol, cfg=cfg, trials=2, seed=7
+            *loop, delta_max=delta_max, tol=tol, cfg=cfg, trials=trials, seed=seed
         )
-        if case == "cubic_sine":
+        if case.startswith("cubic_sine"):
             # its level rates do not rise, so the search bisects
-            assert found == reference_search(*loop, delta_max, tol, cfg, trials=2, seed=7)
+            assert found == reference_search(*loop, delta_max, tol, cfg, trials, seed)
+            if trials == 1:
+                assert found.bracket == (1.125, 1.1328125)
             return
         # the search predicted the crossing; single runs confirm the bracket
         lo, hi = found.bracket
         assert type(lo) is float and type(hi) is float
         assert 0.0 < hi - lo <= tol and lo <= found.delta_star <= hi
-        assert not any_unstable_alone(*loop, lo, cfg, trials=2, seed=7)
-        assert any_unstable_alone(*loop, hi, cfg, trials=2, seed=7)
+        assert not any_unstable_alone(*loop, lo, cfg, trials, seed)
+        assert any_unstable_alone(*loop, hi, cfg, trials, seed)
 
     def test_midpoints_are_the_bisection_tree(self):
         assert sim._midpoints(0.0, 8.0, 0.5, 3) == [4.0, 2.0, 1.0, 3.0, 6.0, 5.0, 7.0]
@@ -548,14 +557,13 @@ class TestSpeculativeBisection:
             ("network, one trial", [10, 5]),
             ("network, two trials", [10, 5]),
             ("gain, one trial", [10, 5]),
-            ("cubic_sine, one trial", [10, 15, 7]),
+            ("cubic_sine, one trial", [10, 7, 3, 3]),
         ],
     )
     def test_search_block_widths(self, case, deltas, example_a, example_b, monkeypatch):
         # delta 0 and the 9 levels, then five probes around the predicted
         # crossing, which bracket it within tol.  cubic_sine's level rates
-        # do not rise, so it bisects its 8 steps: two blocks of depth 4 for a
-        # single-trial nonlinear search (else depths 3, 3, 2)
+        # do not rise, so it bisects its 7 steps in blocks of depth 3, 2, 2
         if case.startswith("network"):
             loop = (example_b.system, example_b.loop_nonlinearity(), example_b.pert)
             delta_max, tol = 4.0, 0.01
@@ -583,16 +591,12 @@ class TestSpeculativeBisection:
         assert widths == deltas
 
     def test_block_depth_splits_the_steps_left_evenly(self):
-        # cap 4: 8 steps 4 + 4; 9: 3 + 3 + 3; 10: 4, then 3 + 3; 3: one block of 3
-        assert sim._block_depth(2.0, 4.0, 0.01, 4) == 4
-        assert sim._block_depth(0.0, 512.0, 1.0, 4) == 3
-        assert sim._block_depth(0.0, 1024.0, 1.0, 4) == 4
-        assert sim._block_depth(0.0, 8.0, 1.0, 4) == 3
-        assert sim._block_depth(0.0, 4.0, 5e-324, 4) == 4
-        # cap 3: 8 steps 3 + 3 + 2; 7: 3, then 2 + 2 (a fixed depth 3 took 3 + 3 + 1)
-        assert sim._block_depth(2.0, 4.0, 0.01, 3) == 3
-        assert sim._block_depth(0.0, 128.0, 1.0, 3) == 3
-        assert sim._block_depth(0.0, 16.0, 1.0, 3) == 2
+        # 8 steps 3 + 3 + 2; 7: 3, then 2 + 2 (a fixed depth 3 took 3 + 3 + 1);
+        # 4: 2 + 2; a subnormal tol's 1076 steps: 359 blocks of at most 3
+        assert sim._block_depth(2.0, 4.0, 0.01) == 3
+        assert sim._block_depth(0.0, 128.0, 1.0) == 3
+        assert sim._block_depth(0.0, 16.0, 1.0) == 2
+        assert sim._block_depth(0.0, 4.0, 5e-324) == 3
 
 
 def assert_columns_match_single_runs(sys, phi, pert, deltas, cfg, x0s, jumps=None):
