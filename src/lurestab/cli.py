@@ -25,6 +25,7 @@ from .errors import (
     LureStabError,
     NoInstabilityError,
     NonzeroBiasError,
+    UnstableAtZeroError,
 )
 from .problems import Problem, load_ffnn, load_problem
 
@@ -82,6 +83,12 @@ def _human(value) -> str:
     if isinstance(value, list):
         return json.dumps(value)
     return str(value)
+
+
+def _below_radius_causes(dt: float) -> str:
+    """Why a certified loop can read Unstable below its radius in simulation."""
+    return (f"either the simulated feedback leaves its sector, or dt={dt!r} puts the step outside "
+            "RK4's stability region; a smaller --dt tells the two apart")
 
 
 def _certificate_results(report: Report, cert: rad.AizermanCertificate) -> None:
@@ -184,7 +191,7 @@ def cmd_sweep(args) -> int:
     if phi is None:
         raise InputError("sweep needs a sector, network, or builtin nonlinearity")
     cfg = problem.sim_config(dt=args.dt, horizon=args.horizon)
-    formula_radius = None
+    formula_radius, certified = None, False
     try:
         result = problem.radius(override_gates=True)
     except InputError:
@@ -192,8 +199,8 @@ def cmd_sweep(args) -> int:
     except LureStabError as exc:
         report.warn(f"no analytic radius available ({exc})")
     else:
-        formula_radius = result.radius
-        if not result.certificate.verdict:
+        formula_radius, certified = result.radius, result.certificate.verdict
+        if not certified:
             report.warn(
                 "radius used for the delta grid was computed with failed gates: "
                 + ", ".join(result.certificate.failed_gates())
@@ -239,6 +246,12 @@ def cmd_sweep(args) -> int:
                 "analytic radius conservative: no instability observed at any "
                 "tested delta beyond the formula radius"
             )
+        below = sum(s["unstable"] for s in summary if s["delta"] < formula_radius)
+        if certified and below:
+            report.warn(
+                f"{below} trial(s) Unstable at deltas below the certified radius: "
+                + _below_radius_causes(cfg.dt)
+            )
     report.emit(args.format)
     return EXIT_OK
 
@@ -269,6 +282,11 @@ def cmd_refine(args) -> int:
             report.warn(str(exc))
             report.emit(args.format)
             return EXIT_NEGATIVE
+        except UnstableAtZeroError as exc:
+            # the radius above certified the loop, so delta 0 lies below it
+            raise UnstableAtZeroError(
+                f"{exc}, although the loop is certified: {_below_radius_causes(cfg.dt)}"
+            ) from None
         delta_crit = found.bracket[0]  # no trial was unstable here
         report.set("delta_crit_bracket", [found.bracket[0], found.bracket[1]])
     report.set("delta_crit", float(delta_crit))

@@ -39,7 +39,10 @@ j's input to it is ``R_j x + G_j [u_1; ...; u_{j-1}]`` and the step is ``P x
 (``_stage_matrices``).  That is five stacked products per step, ``[R; P]
 x``, ``G_2``, ``G_3``, ``G_4`` and ``Q``, against twelve stage by stage, and
 ``phi`` takes the engine's ``(K, p, 1)`` stack with no transposes.  It
-agrees with stage-by-stage RK4 up to rounding in the last bits.
+agrees with stage-by-stage RK4 up to rounding in the last bits.  A stepping
+block writes every step into one workspace, the buffers of ``[R; P] x``, of
+a coupled stage input and of ``[u_1; ...; u_4]`` with their stage views,
+built with its live columns and rebuilt only when some of them leave it.
 
 Some network loops are gain loops in the nonnegative orthant.  A zero-bias
 ReLU network with one input, or with nonnegative weights, is one matrix K
@@ -149,8 +152,8 @@ class Nonlinearity:
 
         def block(y: np.ndarray) -> np.ndarray:
             entries = y.ravel().tolist()
-            # guard each call only once some entry raises: the guard costs a
-            # fifth of a cubic_sine search
+            # guard each call only once some entry raises: guarding every
+            # entry made a cubic_sine search and sweep 1-3 % slower
             try:
                 out = [fn(yi) for yi in entries]
             except (OverflowError, ValueError):
@@ -430,36 +433,49 @@ def simulate_lure(
     if live.size:  # an all-jumping block builds no stepping matrices
         if phi.mat is not None:
             stacks = (np.array(gain_steps),)
-            advance = np.matmul  # (P, x) -> the state one step on
+
+            def stepper(step_matrix):
+                return lambda x, out: np.matmul(step_matrix, x, out=out)  # P x, one step on
         else:
             # each of W, G_2, G_3, G_4 and Q over the deltas
             stacks = [np.array(group) for group in zip(*(
                 _stage_matrices(h, sys.b, sys.c, dt) for h in _step_arguments(drifts, dt)))]
             p, m = sys.p, sys.m
-            s1, s2, s3, s4 = (slice(j * p, (j + 1) * p) for j in range(4))
-            s5 = slice(4 * p, None)
-            o1, o2, o3, o4 = (slice(j * m, (j + 1) * m) for j in range(4))
-            # each column's buffer for [u_1; ...; u_4], the phi outputs of its
-            # stages, which leaves the block with the column as its matrices do
-            stacks.append(np.empty((len(deltas), 4 * m, 1)))
 
-            def advance(w, g2, g3, g4, q, u, x):
-                # the sums add the couplings' products to the stage inputs in
-                # place; IEEE addition commutes, so each is z + G u bit for bit
-                z = np.matmul(w, x)  # R x, the stage inputs before the couplings, over P x
-                u[:, o1] = phi(z[:, s1])
-                v = np.matmul(g2, u[:, o1])
-                v += z[:, s2]
-                u[:, o2] = phi(v)
-                v = np.matmul(g3, u[:, :2 * m])
-                v += z[:, s3]
-                u[:, o3] = phi(v)
-                v = np.matmul(g4, u[:, :3 * m])
-                v += z[:, s4]
-                u[:, o4] = phi(v)
-                x = np.matmul(q, u)
-                x += z[:, s5]
-                return x
+            def stepper(w, g2, g3, g4, q):
+                # the step of one live set and its workspace: the buffers of
+                # the stage inputs before the couplings over P x, of a coupled
+                # stage input, and of [u_1; ...; u_4], the phi outputs of the
+                # stages, with their views
+                k = len(w)
+                z = np.empty((k, 4 * p + sys.n, 1))
+                v = np.empty((k, p, 1))
+                u = np.empty((k, 4 * m, 1))
+                z1, z2, z3, z4 = (z[:, j * p : (j + 1) * p] for j in range(4))
+                z5 = z[:, 4 * p :]
+                u1, u2, u3, u4 = (u[:, j * m : (j + 1) * m] for j in range(4))
+                u12, u123 = u[:, : 2 * m], u[:, : 3 * m]
+
+                def advance(x, out):
+                    # the sums add the stage inputs to the couplings' products
+                    # in place; IEEE addition commutes, so each is z + G u bit
+                    # for bit.  phi's result is copied into its slot, so a phi
+                    # that returns its input, or a view of it, is safe
+                    np.matmul(w, x, out=z)
+                    u1[...] = phi(z1)
+                    np.matmul(g2, u1, out=v)
+                    np.add(v, z2, out=v)
+                    u2[...] = phi(v)
+                    np.matmul(g3, u12, out=v)
+                    np.add(v, z3, out=v)
+                    u3[...] = phi(v)
+                    np.matmul(g4, u123, out=v)
+                    np.add(v, z4, out=v)
+                    u4[...] = phi(v)
+                    np.matmul(q, u, out=out)
+                    return np.add(out, z5, out=out)
+
+                return advance
 
         # The stepping columns are a (K, n, 1) stack, each with a copy of its
         # delta's matrices, for stacked matrix-vector products: one (n, K)
@@ -477,11 +493,12 @@ def simulate_lure(
             states[0] = x[0, :, 0]
         bound_sq = BLOWUP_BOUND**2  # 1e18, exact
         done, prev_sq = 0, math.nan
-        # the matrices are bound once, not unpacked at every step
-        step = functools.partial(advance, *mats)
+        # a step writes the next state into prev's buffer, which then holds
+        # the state before it
+        step, prev = stepper(*mats), np.empty_like(x)
         while live.size and done < steps:
             done += 1
-            prev, x = x, step(x)
+            x, prev = step(x, prev), x
             if single:
                 states[done] = x[0, :, 0]
             if done == midway:
@@ -517,7 +534,7 @@ def simulate_lure(
             final[live[gone]] = peaks
             live, x = live[~gone], x[~gone]
             mats = tuple(mat[~gone] for mat in mats)
-            step = functools.partial(advance, *mats)
+            step, prev = stepper(*mats), np.empty_like(x)
         final[live] = np.abs(x).max(axis=(1, 2))
         last = max(last, done)
         if single:

@@ -973,6 +973,43 @@ class TestSweepCommand:
         assert rows[3].startswith("2.04,0,42,Inconclusive,")
 
     @pytest.mark.parametrize(
+        ("dt", "below", "warnings"),
+        [
+            ("0.5", [1, 1], [
+                "2 trial(s) Unstable at deltas below the certified radius: either the simulated "
+                "feedback leaves its sector, or dt=0.5 puts the step outside RK4's stability "
+                "region; a smaller --dt tells the two apart"
+            ]),
+            ("0.3", [0, 0], []),
+        ],
+    )
+    def test_unstable_trials_below_a_certified_radius_warn_with_dt(
+        self, capsys, tmp_path, dt, below, warnings
+    ):
+        # A's eigenvalue -9.04 puts dt * lambda = -4.5 outside RK4's real
+        # stability interval (-2.785, 0) at dt 0.5, so deltas 1.0 and 2.0,
+        # below the radius 2.0398, read Unstable; at dt 0.3 neither does
+        code, data = run_json(
+            capsys, "sweep", "--problem", "example_b.json", "--out", str(tmp_path / "b.csv"),
+            "--trials", "1", "--dt", dt,
+        )
+        assert code == 0
+        assert [s["unstable"] for s in data["results"]["per_delta"]
+                if s["delta"] < data["results"]["formula_radius"]] == below
+        assert data["warnings"] == warnings
+
+    def test_unstable_trials_below_an_uncertified_radius_do_not_warn(self, capsys, tmp_path):
+        # example_a fails its gates, so its radius certifies nothing
+        code, data = run_json(
+            capsys, "sweep", "--problem", "example_a.json", "--out", str(tmp_path / "a.csv"),
+            "--trials", "1", "--dt", "0.5", "--horizon", "10",
+        )
+        assert code == 0
+        assert any(s["unstable"] for s in data["results"]["per_delta"]
+                   if s["delta"] < data["results"]["formula_radius"])
+        assert not any("below the certified radius" in w for w in data["warnings"])
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("sweep", "--problem", "example_a.json", "--seed", "-1"),
@@ -1045,6 +1082,18 @@ class TestRefineCommand:
         )
         assert (code, out) == (2, "")
         assert err == "error: refine requires a Hurwitz A + delta_crit D E\n"
+
+    def test_unstable_at_zero_on_a_certified_loop_names_dt(self, capsys):
+        # at dt 0.5, RK4 is unstable on example_b's certified loop at delta 0
+        code, out, err = run_cli(
+            capsys, "refine", "--problem", "example_b.json", "--trials", "1", "--dt", "0.5"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: a trial trajectory is unstable at delta = 0, although the loop is "
+            "certified: either the simulated feedback leaves its sector, or dt=0.5 puts the "
+            "step outside RK4's stability region; a smaller --dt tells the two apart\n"
+        )
 
     def test_without_network_is_usage_error(self, capsys, sector_problem):
         code, out, err = run_cli(capsys, "refine", "--problem", str(sector_problem))

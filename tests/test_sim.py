@@ -1105,6 +1105,28 @@ class TestTelescopedStages:
         assert np.abs(traj.states - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
+class TestStepWorkspace:
+    """A stepping block reuses its buffers from step to step, and copies each
+    stage's phi output into its own slot, so no stage output aliases a later
+    stage input."""
+
+    @pytest.mark.parametrize("aliasing", ["input", "view"])
+    def test_phi_that_returns_its_input_or_a_view_of_it(self, aliasing):
+        # the identity, and the swap of the two outputs, which returns a view
+        phi = Nonlinearity((lambda y: y) if aliasing == "input" else (lambda y: y[:, ::-1]))
+        copying = Nonlinearity(lambda y: phi(y).copy())
+        deltas = [np.full((3, 3), d) for d in (-0.5, 0.0, 1.0)]
+        x0s = np.random.default_rng(6).uniform(-1.0, 1.0, size=(2, 3))
+        cfg = SimConfig(dt=0.05, horizon=10.0)
+        block = assert_columns_match_single_runs(
+            MIMO_SYSTEM, phi, identity_pert(3), deltas, cfg, x0s, jumps=False,
+        )
+        assert {c.blowup_time is None for c in block.columns} == {True, False}
+        assert block == sim.simulate_lure(
+            MIMO_SYSTEM, copying, identity_pert(3), np.array(deltas), cfg, x0s,
+        )
+
+
 class TestBlockInputChecks:
     """The block path validates its inputs as the single-trajectory path does."""
 
