@@ -34,11 +34,11 @@ EXIT_NEGATIVE = 2
 
 
 def _mat(m: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.atleast_2d(m)]
+    return np.atleast_2d(np.asarray(m, dtype=float)).tolist()
 
 
 def _vec(v) -> list | None:
-    return None if v is None else [float(x) for x in np.asarray(v).ravel()]
+    return None if v is None else np.asarray(v, dtype=float).ravel().tolist()
 
 
 class Report:

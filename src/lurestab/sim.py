@@ -1,30 +1,30 @@
 """Fixed-step integration of perturbed feedback loops and threshold search.
 
 The loop is ``x' = (A + D delta E) x + B phi(C x)`` with a static
-nonlinearity ``phi``.  One RK4 engine integrates a single trajectory, with
-its state history, or a block of columns, one per (delta, initial state)
-pair, keeping each column's initial, halfway and final magnitude and its
-blow-up time.  Classification reads a column's growth rate: the log of its
-final over its halfway magnitude per unit time, or of its blow-up magnitude
-over its initial one per unit time up to the blow-up.  A blow-up or a rate
-above ``RES`` is Unstable, a rate below ``-RES`` Stable, anything between
+nonlinearity ``phi``.  One RK4 engine integrates a block of columns, one
+per (delta, initial state) pair, keeping each column's initial, halfway
+and final magnitude and its blow-up time, and no state history.
+Classification reads a column's growth rate: the log of its final over
+its halfway magnitude per unit time, or of its blow-up magnitude over its
+initial one per unit time up to the blow-up.  A blow-up or a rate above
+``RES`` is Unstable, a rate below ``-RES`` Stable, anything between
 Inconclusive.
 
 Each RK4 step is telescoped into matrices computed once per delta, so that
 a step costs a few stacked products rather than a dozen small numpy calls
 per stage.  A gain loop's step is one matrix, ``P = _taylor4(h)`` for ``h =
 dt (A + D delta E + B K C)``, so its state after k steps is ``P^k x0``.  A
-single trajectory steps by ``P`` to keep its history.  A block builds, for
-one delta at a time, the ladder ``P^(2^j)`` by repeated squaring, with the
-bounds ``N_0 = ||P||``, ``N_{j+1} = N_j max(1, ||P^(2^j)||)`` (inf-norms),
-so that ``N_j >= ||P^k||`` for every ``k <= 2^j``.  Each jumping column
-then jumps greedily toward the halfway step and then toward the end: by the
-largest ``2^j`` steps that fit, provided ``N_j ||x|| <= JUMP_BOUND``, just
-under ``BLOWUP_BOUND``.  No step inside such a jump can pass the bound.
-Where no jump qualifies, the column takes one step of ``P`` under the
-blow-up and NaN rules of stepping, so it blows up, or raises, at the step
-stepping does.  A column of 4,000 steps that stays well under the bound
-takes 14 products, two per set bit of 2,000, instead of 4,000.
+block builds, for one delta at a time, the ladder ``P^(2^j)`` by repeated
+squaring, with the bounds ``N_0 = ||P||``, ``N_{j+1} = N_j max(1,
+||P^(2^j)||)`` (inf-norms), so that ``N_j >= ||P^k||`` for every ``k <=
+2^j``.  Each jumping column then jumps greedily toward the halfway step
+and then toward the end: by the largest ``2^j`` steps that fit, provided
+``N_j ||x|| <= JUMP_BOUND``, just under ``BLOWUP_BOUND``.  No step inside
+such a jump can pass the bound.  Where no jump qualifies, the column takes
+one step of ``P`` under the blow-up and NaN rules of stepping, so it blows
+up, or raises, at the step stepping does.  A column of 4,000 steps that
+stays well under the bound takes 14 products, two per set bit of 2,000,
+instead of 4,000.
 
 A nonlinear loop steps ``x' = M x + B phi(C x)``, with the drift ``M = A +
 D delta E``.  A step makes four calls of ``phi``; for ``h = dt M``, stage
@@ -59,10 +59,9 @@ The column contract: column (delta i, state t) of a block jumps by powers
 of delta i's P where ``phi`` is a gain, or where ``phi.orthant`` is K,
 state t is ``>= 0`` and delta i's W is finite and ``>= 0``; every other
 column steps.  Its engine thus depends on its own delta and state alone, so
-it is bit-identical to its run as a one-column block.  A stepping column
-equals its single trajectory bit for bit; a jumping one agrees with it in
-its blow-up time and verdict, and in its peaks, rate and ``decay_ratio`` up
-to rounding in the last bits.
+it is bit-identical to its run as a one-column block.  A jumping column
+agrees with stepping in its blow-up time and verdict, and in its peaks,
+rate and ``decay_ratio`` up to rounding in the last bits.
 
 A stepping column settles once a step leaves its state bit for bit as it
 was (compared as integers, so a zero that flips its sign has not).  Its step
@@ -239,32 +238,6 @@ class SimConfig:
             )
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Uniformly sampled solution; truncated early if the state blew up."""
-
-    times: np.ndarray
-    states: np.ndarray
-    blowup_time: float | None = None
-
-    @property
-    def initial_peak(self) -> float:
-        return float(np.abs(self.states[0]).max())
-
-    @property
-    def final_peak(self) -> float:
-        return float(np.abs(self.states[-1]).max())
-
-    @property
-    def rate(self) -> float:
-        """Growth rate, read from the history as a block column reads it."""
-        half = (len(self.times) - 1) // 2
-        return _growth_rate(
-            self.initial_peak, float(np.abs(self.states[half]).max()), self.final_peak,
-            float(self.times[half]), float(self.times[-1]), self.blowup_time,
-        )
-
-
 def _growth_rate(initial, mid, final, t_mid, t_end, blowup_time) -> float:
     """``ln(final / mid) / (t_end - t_mid)``, or ``ln(final / initial) /
     blowup_time`` for a blown-up state.  A state that underflowed to the
@@ -354,25 +327,23 @@ def simulate_lure(
     delta,
     cfg: SimConfig,
     x0,
-) -> Trajectory | TrajectoryBlock:
+) -> TrajectoryBlock:
     """Integrate ``x' = (A + D delta E) x + B phi(C x)`` from ``x0`` with classical RK4.
 
     ``delta`` is one ``k1 x k2`` matrix or an array of shape ``(D, k1, k2)``,
-    and ``x0`` is one state or an array of shape ``(T, n)``.  One matrix and
-    one state give a Trajectory with its full state history, which steps:
-    by ``P`` for a gain loop, by its stages otherwise.  Otherwise each
-    (delta, state) pair is a column of one block, and the result is a
-    TrajectoryBlock whose columns keep the module docstring's column
-    contract: each jumps or steps by its own delta and state.
+    and ``x0`` is one state or an array of shape ``(T, n)``; one matrix is a
+    stack of one, and one state a batch of one.  Each (delta, state) pair
+    is a column of the returned TrajectoryBlock, and the columns keep the
+    module docstring's column contract: each jumps or steps by its own
+    delta and state.
 
     A column halts, and leaves the block, once its state magnitude is
     infinite or exceeds the blowup bound.  A stepping column that settles
-    leaves it too, as having reached the horizon, and a single trajectory
-    that settles keeps its settled state to the horizon.  A NaN state in any
-    live column raises NonFiniteStateError at the earliest time it appears,
-    even where a run of the block's other columns alone would not have
-    reached it.  A ``dt`` too small for the loop's diagonal raises
-    InputError (``_step_arguments``).
+    leaves it too, as having reached the horizon.  A NaN state in any live
+    column raises NonFiniteStateError at the earliest time it appears, even
+    where a run of the block's other columns alone would not have reached
+    it.  A ``dt`` too small for the loop's diagonal raises InputError
+    (``_step_arguments``).
     """
     pert.check_dims(sys.n)
     stacked = isinstance(delta, np.ndarray) and delta.ndim == 3
@@ -380,7 +351,6 @@ def simulate_lure(
     shape = delta.shape[1:] if stacked else deltas[0].shape
     if shape != (pert.k1, pert.k2):
         raise DimensionMismatchError(f"delta must be {pert.k1}x{pert.k2}, got {shape}")
-    single = not stacked and np.ndim(x0) < 2
     x0s = np.atleast_2d(np.asarray(x0, dtype=float))
     if x0s.ndim != 2 or x0s.shape[1] != sys.n:
         raise DimensionMismatchError(
@@ -408,10 +378,8 @@ def simulate_lure(
     if phi.mat is not None:
         # a linear field's four RK4 stages telescope into one step matrix
         bkc = sys.b @ phi.mat @ sys.c
-        gain_steps = [_taylor4(h) for h in _step_arguments([m + bkc for m in drifts], dt)]
-        if not single:
-            powers = dict(enumerate(gain_steps))
-    elif not single and phi.orthant is not None:
+        powers = dict(enumerate(_taylor4(h) for h in _step_arguments([m + bkc for m in drifts], dt)))
+    elif phi.orthant is not None:
         jumping = set(np.flatnonzero((x0s >= 0).all(axis=1)).tolist())
         if jumping:
             # where the gain loop of K has a finite W = [R; P] >= 0, a column
@@ -430,67 +398,52 @@ def simulate_lure(
     last = _powered_block(powers, x0s, jumping, initial, mid, final, blowup, steps, dt) if powers else 0
     live = np.array([i * trials + t for i in range(len(deltas)) for t in range(trials)
                      if i not in powers or t not in jumping], dtype=int)
-    if live.size:  # an all-jumping block builds no stepping matrices
-        if phi.mat is not None:
-            stacks = (np.array(gain_steps),)
+    if live.size:  # a block whose columns all jump builds no stepping matrices
+        # each of W, G_2, G_3, G_4 and Q over the deltas
+        stacks = [np.array(group) for group in zip(*(
+            _stage_matrices(h, sys.b, sys.c, dt) for h in _step_arguments(drifts, dt)))]
+        p, m = sys.p, sys.m
 
-            def stepper(step_matrix):
-                return lambda x, out: np.matmul(step_matrix, x, out=out)  # P x, one step on
-        else:
-            # each of W, G_2, G_3, G_4 and Q over the deltas
-            stacks = [np.array(group) for group in zip(*(
-                _stage_matrices(h, sys.b, sys.c, dt) for h in _step_arguments(drifts, dt)))]
-            p, m = sys.p, sys.m
+        def stepper(w, g2, g3, g4, q):
+            # the step of one live set and its workspace: the buffers of the
+            # stage inputs before the couplings over P x, of a coupled stage
+            # input, and of [u_1; ...; u_4], the phi outputs of the stages,
+            # with their views
+            k = len(w)
+            z = np.empty((k, 4 * p + sys.n, 1))
+            v = np.empty((k, p, 1))
+            u = np.empty((k, 4 * m, 1))
+            z1, z2, z3, z4 = (z[:, j * p : (j + 1) * p] for j in range(4))
+            z5 = z[:, 4 * p :]
+            u1, u2, u3, u4 = (u[:, j * m : (j + 1) * m] for j in range(4))
+            u12, u123 = u[:, : 2 * m], u[:, : 3 * m]
 
-            def stepper(w, g2, g3, g4, q):
-                # the step of one live set and its workspace: the buffers of
-                # the stage inputs before the couplings over P x, of a coupled
-                # stage input, and of [u_1; ...; u_4], the phi outputs of the
-                # stages, with their views
-                k = len(w)
-                z = np.empty((k, 4 * p + sys.n, 1))
-                v = np.empty((k, p, 1))
-                u = np.empty((k, 4 * m, 1))
-                z1, z2, z3, z4 = (z[:, j * p : (j + 1) * p] for j in range(4))
-                z5 = z[:, 4 * p :]
-                u1, u2, u3, u4 = (u[:, j * m : (j + 1) * m] for j in range(4))
-                u12, u123 = u[:, : 2 * m], u[:, : 3 * m]
+            def advance(x, out):
+                # the sums add the stage inputs to the couplings' products in
+                # place; IEEE addition commutes, so each is z + G u bit for
+                # bit.  phi's result is copied into its slot, so a phi that
+                # returns its input, or a view of it, is safe
+                np.matmul(w, x, out=z)
+                u1[...] = phi(z1)
+                np.matmul(g2, u1, out=v)
+                np.add(v, z2, out=v)
+                u2[...] = phi(v)
+                np.matmul(g3, u12, out=v)
+                np.add(v, z3, out=v)
+                u3[...] = phi(v)
+                np.matmul(g4, u123, out=v)
+                np.add(v, z4, out=v)
+                u4[...] = phi(v)
+                np.matmul(q, u, out=out)
+                return np.add(out, z5, out=out)
 
-                def advance(x, out):
-                    # the sums add the stage inputs to the couplings' products
-                    # in place; IEEE addition commutes, so each is z + G u bit
-                    # for bit.  phi's result is copied into its slot, so a phi
-                    # that returns its input, or a view of it, is safe
-                    np.matmul(w, x, out=z)
-                    u1[...] = phi(z1)
-                    np.matmul(g2, u1, out=v)
-                    np.add(v, z2, out=v)
-                    u2[...] = phi(v)
-                    np.matmul(g3, u12, out=v)
-                    np.add(v, z3, out=v)
-                    u3[...] = phi(v)
-                    np.matmul(g4, u123, out=v)
-                    np.add(v, z4, out=v)
-                    u4[...] = phi(v)
-                    np.matmul(q, u, out=out)
-                    return np.add(out, z5, out=out)
-
-                return advance
+            return advance
 
         # The stepping columns are a (K, n, 1) stack, each with a copy of its
         # delta's matrices, for stacked matrix-vector products: one (n, K)
         # product would differ from a column's run alone in the last bits.
         x = x0s[live % trials][:, :, None]
         mats = tuple(stack[live // trials] for stack in stacks)
-        if single:
-            try:
-                states = np.empty((steps + 1, sys.n))
-            except (ValueError, MemoryError):  # past numpy's largest array, or the memory
-                raise InputError(
-                    f"dt={dt!r} and horizon={cfg.horizon!r} take {steps:.3g} steps, too many "
-                    "to keep a trajectory's state history"
-                ) from None
-            states[0] = x[0, :, 0]
         bound_sq = BLOWUP_BOUND**2  # 1e18, exact
         done, prev_sq = 0, math.nan
         # a step writes the next state into prev's buffer, which then holds
@@ -499,8 +452,6 @@ def simulate_lure(
         while live.size and done < steps:
             done += 1
             x, prev = step(x, prev), x
-            if single:
-                states[done] = x[0, :, 0]
             if done == midway:
                 mid[live] = np.abs(x).max(axis=(1, 2))
             # one call instead of abs and max: a sum of squares within the
@@ -537,10 +488,6 @@ def simulate_lure(
             step, prev = stepper(*mats), np.empty_like(x)
         final[live] = np.abs(x).max(axis=(1, 2))
         last = max(last, done)
-        if single:
-            states[done + 1 : last + 1] = states[done]  # a settled trajectory stays where it settled
-    if single:
-        return Trajectory(np.arange(last + 1) * dt, states[: last + 1], blowup_time=blowup[0])
     t_mid, t_end = midway * dt, steps * dt
     return TrajectoryBlock(tuple(
         ColumnPeaks(i, f, _growth_rate(i, h, f, t_mid, t_end, b), b)
@@ -615,8 +562,8 @@ def _powered_block(powers: dict[int, np.ndarray], x0s: np.ndarray, jumping, init
     return last
 
 
-def classify_stability(traj: Trajectory | ColumnPeaks) -> StabilityVerdict:
-    """Label a trajectory, or a block column, by its growth rate.
+def classify_stability(column: ColumnPeaks) -> StabilityVerdict:
+    """Label a block column by its growth rate.
 
     The rate is ``ln(final / halfway peak)`` per unit time over the second
     half of the horizon, or ``ln(final / initial peak) / blowup_time`` for a
@@ -626,13 +573,13 @@ def classify_stability(traj: Trajectory | ColumnPeaks) -> StabilityVerdict:
     resolution).  The verdict also carries the final-to-initial magnitude
     ratio as ``decay_ratio``.
     """
-    initial = traj.initial_peak
+    initial = column.initial_peak
     if initial == 0.0:
         raise ZeroInitialStateError("cannot classify a trajectory started at the origin")
-    ratio = traj.final_peak / initial
-    rate = traj.rate
-    if traj.blowup_time is not None or rate > RES:
-        return StabilityVerdict("Unstable", ratio, rate, traj.blowup_time)
+    ratio = column.final_peak / initial
+    rate = column.rate
+    if column.blowup_time is not None or rate > RES:
+        return StabilityVerdict("Unstable", ratio, rate, column.blowup_time)
     if rate < -RES:
         return StabilityVerdict("Stable", ratio, rate, None)
     return StabilityVerdict("Inconclusive", ratio, rate, None)
@@ -738,13 +685,16 @@ def find_critical_delta(
     the one plain bisection of the phase 3 bracket finds.  ``_block_depth``
     splits the steps left evenly into blocks of at most ``SPECULATIVE_DEPTH``
     steps: 8 steps take depths 3, 3 and 2.  The same seeded batch of
-    nonnegative initial states is reused at every delta.
+    nonnegative initial states, of at least one trial, is reused at every
+    delta.
     """
     if not 0 < delta_max < math.inf:
         raise InputError(f"delta_max must be positive and finite; got {delta_max!r}")
     if not tol > 0:
         raise InputError(f"tol must be positive; got {tol!r}")
     verdicts = _trial_batch(sys, phi, pert, cfg, trials, seed)
+    if trials < 1:  # no trial can be Unstable, so no level would bracket a threshold
+        raise InputError(f"a threshold search needs at least one trial; got trials={trials}")
 
     def probe(deltas: list[float]) -> tuple[list[bool], list[float]]:
         """Per delta: whether any trial is Unstable, and the largest trial rate."""

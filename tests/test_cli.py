@@ -1095,6 +1095,12 @@ class TestRefineCommand:
             "step outside RK4's stability region; a smaller --dt tells the two apart\n"
         )
 
+    def test_search_without_trials_exits_one(self, capsys):
+        # no trial can go unstable, so a search of none has no verdict to report
+        code, out, err = run_cli(capsys, "refine", "--problem", "example_b.json", "--trials", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: a threshold search needs at least one trial; got trials=0\n"
+
     def test_without_network_is_usage_error(self, capsys, sector_problem):
         code, out, err = run_cli(capsys, "refine", "--problem", str(sector_problem))
         assert code == 1
