@@ -85,10 +85,25 @@ def _human(value) -> str:
     return str(value)
 
 
-def _below_radius_causes(dt: float) -> str:
-    """Why a certified loop can read Unstable below its radius in simulation."""
-    return (f"either the simulated feedback leaves its sector, or dt={dt!r} puts the step outside "
-            "RK4's stability region; a smaller --dt tells the two apart")
+def _check_step(report: Report, problem: Problem, phi, sector, deltas, dt: float) -> str:
+    """Warn, before simulating, where ``dt`` exceeds RK4's positivity bound on
+    the loops simulated at ``deltas``: of ``phi``'s gain, or else of both
+    edges of ``sector`` (none without either); returns why a certified loop
+    can read Unstable below its radius."""
+    leaves = "the simulated feedback leaves its sector"
+    if phi.mat is not None:
+        gains, edges = [phi.mat], "the gain"
+    elif sector is not None:
+        gains, edges = [sector.lower, sector.upper], "both sector edges"
+    else:
+        return leaves
+    bound = sim.rk4_positive_dt(problem.system, problem.pert, gains, deltas)
+    if dt <= bound:
+        return leaves
+    cause = f"dt={dt!r} exceeds {bound:.4g}, the largest step at which RK4 keeps the loops positive"
+    report.warn(f"{cause} (1 / max_i(-M_ii) over {edges} and the simulated deltas); "
+                "a verdict may then read the step, not the loop")
+    return cause
 
 
 def _certificate_results(report: Report, cert: rad.AizermanCertificate) -> None:
@@ -191,7 +206,7 @@ def cmd_sweep(args) -> int:
     if phi is None:
         raise InputError("sweep needs a sector, network, or builtin nonlinearity")
     cfg = problem.sim_config(dt=args.dt, horizon=args.horizon)
-    formula_radius, certified = None, False
+    formula_radius, certified, sector = None, False, None
     try:
         result = problem.radius(override_gates=True)
     except InputError:
@@ -199,7 +214,7 @@ def cmd_sweep(args) -> int:
     except LureStabError as exc:
         report.warn(f"no analytic radius available ({exc})")
     else:
-        formula_radius, certified = result.radius, result.certificate.verdict
+        formula_radius, certified, sector = result.radius, result.certificate.verdict, result.sector
         if not certified:
             report.warn(
                 "radius used for the delta grid was computed with failed gates: "
@@ -211,6 +226,7 @@ def cmd_sweep(args) -> int:
             raise InputError("the problem lists no sweep deltas and no radius is computable")
         deltas = [round(f * formula_radius, 12) for f in (0.5, 0.8, 1.0, 1.2, 1.5)]
         report.warn("sweep deltas derived from the analytic radius")
+    cause = _check_step(report, problem, phi, sector, deltas, cfg.dt)
 
     rows = sim.sweep(
         problem.system, phi, problem.pert, deltas,
@@ -248,10 +264,7 @@ def cmd_sweep(args) -> int:
             )
         below = sum(s["unstable"] for s in summary if s["delta"] < formula_radius)
         if certified and below:
-            report.warn(
-                f"{below} trial(s) Unstable at deltas below the certified radius: "
-                + _below_radius_causes(cfg.dt)
-            )
+            report.warn(f"{below} trial(s) Unstable at deltas below the certified radius: {cause}")
     report.emit(args.format)
     return EXIT_OK
 
@@ -272,11 +285,13 @@ def cmd_refine(args) -> int:
         base = rad.nn_stability_radius(problem.system, bound, problem.pert)
         report.set("formula_radius", float(base.radius))
         cfg = problem.sim_config(dt=args.dt, horizon=args.horizon)
+        delta_max = max(10.0 * base.radius, 1.0)
+        phi = problem.loop_nonlinearity()
+        cause = _check_step(report, problem, phi, bound, [0.0, delta_max], cfg.dt)
         try:
             found = sim.find_critical_delta(
-                problem.system, problem.loop_nonlinearity(), problem.pert,
-                delta_max=max(10.0 * base.radius, 1.0), tol=0.01, cfg=cfg,
-                trials=args.trials, seed=args.seed,
+                problem.system, phi, problem.pert,
+                delta_max=delta_max, tol=0.01, cfg=cfg, trials=args.trials, seed=args.seed,
             )
         except NoInstabilityError as exc:
             report.warn(str(exc))
@@ -284,9 +299,7 @@ def cmd_refine(args) -> int:
             return EXIT_NEGATIVE
         except UnstableAtZeroError as exc:
             # the radius above certified the loop, so delta 0 lies below it
-            raise UnstableAtZeroError(
-                f"{exc}, although the loop is certified: {_below_radius_causes(cfg.dt)}"
-            ) from None
+            raise UnstableAtZeroError(f"{exc}, although the loop is certified: {cause}") from None
         delta_crit = found.bracket[0]  # no trial was unstable here
         report.set("delta_crit_bracket", [found.bracket[0], found.bracket[1]])
     report.set("delta_crit", float(delta_crit))

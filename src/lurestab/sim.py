@@ -43,6 +43,10 @@ agrees with stage-by-stage RK4 up to rounding in the last bits.  A stepping
 block writes every step into one workspace, the buffers of ``[R; P] x``, of
 a coupled stage input and of ``[u_1; ...; u_4]`` with their stage views,
 built with its live columns and rebuilt only when some of them leave it.
+Each stage calls a copy of ``phi`` bound to its slot of ``u``
+(``Nonlinearity._into``), so that every stage still runs through
+``Nonlinearity.__call__``; a scalar ``phi`` writes its entries straight into
+the slot, with no array between.
 
 Some network loops are gain loops in the nonnegative orthant.  A zero-bias
 ReLU network with one input, or with nonnegative weights, is one matrix K
@@ -129,6 +133,8 @@ class Nonlinearity:
     block: Callable[[np.ndarray], np.ndarray]
     mat: np.ndarray | None = None
     net: Ffnn | None = field(default=None, init=False)
+    # set by ``scalar`` alone: phi's entries of a stack, as a list in C order
+    _entries: Callable[[np.ndarray], list] | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def scalar(cls, fn: Callable[[float], float], name: str = "scalar") -> "Nonlinearity":
@@ -149,17 +155,18 @@ class Nonlinearity:
             except ValueError as exc:
                 raise InputError(f"nonlinearity {name!r} is undefined at y = {y:g} ({exc})") from None
 
-        def block(y: np.ndarray) -> np.ndarray:
-            entries = y.ravel().tolist()
+        def entries(y: np.ndarray) -> list:
+            values = y.ravel().tolist()
             # guard each call only once some entry raises: guarding every
             # entry made a cubic_sine search and sweep 1-3 % slower
             try:
-                out = [fn(yi) for yi in entries]
+                return [fn(yi) for yi in values]
             except (OverflowError, ValueError):
-                out = [at(yi) for yi in entries]
-            return np.array(out, dtype=float).reshape(y.shape)
+                return [at(yi) for yi in values]
 
-        return cls(block)
+        phi = cls(lambda y: np.array(entries(y), dtype=float).reshape(y.shape))
+        object.__setattr__(phi, "_entries", entries)
+        return phi
 
     @classmethod
     def network(cls, net: Ffnn) -> "Nonlinearity":
@@ -202,6 +209,30 @@ class Nonlinearity:
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         return self.block(y)
+
+    def _into(self, out: np.ndarray) -> "Nonlinearity":
+        """This feedback bound to the ``(K, m, 1)`` view ``out``: a
+        Nonlinearity whose block writes ``phi(y)`` into ``out`` and returns
+        ``out``.  A stepping block calls one per stage slot, so each stage
+        still runs through ``__call__``.  A scalar ``phi`` assigns its entries
+        straight into the slot, through its 1-D view where m is 1; any other
+        copies its block's result there, so a block that returns its input,
+        or a view of it, is safe."""
+        entries = self._entries
+        if entries is None:
+            block = self.block
+
+            def write(y: np.ndarray) -> np.ndarray:
+                out[...] = block(y)
+                return out
+        else:
+            flat = out[:, 0, 0] if out.shape[1] == 1 else out.flat
+
+            def write(y: np.ndarray) -> np.ndarray:
+                flat[:] = entries(y)
+                return out
+
+        return Nonlinearity(write)
 
 
 def _cubic_sine(y: float) -> float:
@@ -408,32 +439,30 @@ def simulate_lure(
             # the step of one live set and its workspace: the buffers of the
             # stage inputs before the couplings over P x, of a coupled stage
             # input, and of [u_1; ...; u_4], the phi outputs of the stages,
-            # with their views
+            # with their views, and phi bound to each stage's slot of u
             k = len(w)
             z = np.empty((k, 4 * p + sys.n, 1))
             v = np.empty((k, p, 1))
             u = np.empty((k, 4 * m, 1))
             z1, z2, z3, z4 = (z[:, j * p : (j + 1) * p] for j in range(4))
             z5 = z[:, 4 * p :]
-            u1, u2, u3, u4 = (u[:, j * m : (j + 1) * m] for j in range(4))
-            u12, u123 = u[:, : 2 * m], u[:, : 3 * m]
+            u1, u12, u123 = u[:, :m], u[:, : 2 * m], u[:, : 3 * m]
+            phi1, phi2, phi3, phi4 = (phi._into(u[:, j * m : (j + 1) * m]) for j in range(4))
 
             def advance(x, out):
                 # the sums add the stage inputs to the couplings' products in
-                # place; IEEE addition commutes, so each is z + G u bit for
-                # bit.  phi's result is copied into its slot, so a phi that
-                # returns its input, or a view of it, is safe
+                # place; IEEE addition commutes, so each is z + G u bit for bit
                 np.matmul(w, x, out=z)
-                u1[...] = phi(z1)
+                phi1(z1)
                 np.matmul(g2, u1, out=v)
                 np.add(v, z2, out=v)
-                u2[...] = phi(v)
+                phi2(v)
                 np.matmul(g3, u12, out=v)
                 np.add(v, z3, out=v)
-                u3[...] = phi(v)
+                phi3(v)
                 np.matmul(g4, u123, out=v)
                 np.add(v, z4, out=v)
-                u4[...] = phi(v)
+                phi4(v)
                 np.matmul(q, u, out=out)
                 return np.add(out, z5, out=out)
 
@@ -585,6 +614,33 @@ def classify_stability(column: ColumnPeaks) -> StabilityVerdict:
     return StabilityVerdict("Inconclusive", ratio, rate, None)
 
 
+def _direction(pert: PerturbationStructure) -> np.ndarray:
+    """The perturbation of magnitude 1 that a sweep and a search scale: the
+    all-ones pattern normalized in the structure's norm."""
+    ones = np.ones((pert.k1, pert.k2))
+    return ones / operator_norm(ones, pert.norm)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def rk4_positive_dt(sys: LtiSystem, pert: PerturbationStructure, gains, deltas) -> float:
+    """The ``dt`` up to which RK4 provably keeps positive every loop ``x' = (A
+    + D delta E + B K C) x`` that a sweep or a search of ``deltas`` simulates,
+    with K each of ``gains``: ``1 / max_i(-M_ii)`` over those loops'
+    matrices M, or inf where no ``M_ii`` is negative.  At such a ``dt`` the
+    step matrix ``_taylor4(dt M)`` of a Metzler M is ``>= 0``, and its
+    spectral radius is below 1 exactly when M is Hurwitz: a positive loop
+    reads its true verdict.  ``M_ii`` is affine in delta, so the smallest
+    and the largest of ``deltas`` stand for all of them."""
+    if not len(deltas):
+        return math.inf
+    direction = _direction(pert)
+    worst = np.max([
+        -(sys.a + pert.d @ (delta * direction) @ pert.e + sys.b @ k @ sys.c).diagonal()
+        for k in gains for delta in (min(deltas), max(deltas))
+    ])
+    return 1.0 / float(worst) if worst > 0 else math.inf
+
+
 def _trial_batch(sys, phi, pert, cfg, trials: int, seed: int):
     """Per-trial verdicts of one seeded batch of initial states, by perturbation size.
 
@@ -598,8 +654,7 @@ def _trial_batch(sys, phi, pert, cfg, trials: int, seed: int):
     if seed < 0 or trials < 0:
         raise InputError(f"seed and trials must be nonnegative; got seed={seed}, trials={trials}")
     x0s = np.random.default_rng(seed).uniform(0.0, 1.0, size=(trials, sys.n))
-    ones = np.ones((pert.k1, pert.k2))
-    direction = ones / operator_norm(ones, pert.norm)
+    direction = _direction(pert)
     cfg = cfg or SimConfig()
 
     def verdicts(deltas: list[float]) -> list[list[StabilityVerdict]]:

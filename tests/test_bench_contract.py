@@ -3,7 +3,8 @@
 The benchmark's traced mode wraps functions by module attribute and counts
 ``sim.Nonlinearity.__call__``.  Deleting or renaming one of them breaks that
 mode, so this test installs the tracer over the package and runs a check,
-a one-trial network sweep and a given-delta refine through ``cli.main``.
+a one-trial network sweep and a given-delta refine through ``cli.main``, and
+counts the stages of a stepping block.
 """
 
 from __future__ import annotations
@@ -90,3 +91,24 @@ def test_traced_run_counts_network_loops_built_before_install(tracing, example_b
         tracer.uninstall()
     assert metrics["ffnn.eval_calls"] > 0
     assert metrics["sim.phi_calls"] > 0
+
+
+def test_traced_stepping_block_counts_every_stage(tracing, example_a):
+    # each RK4 stage of a stepping block runs through Nonlinearity.__call__,
+    # which the tracer counts: the shape check's call and four a step
+    steps = 50
+    phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        first = tracer.mark()
+        block = sim.simulate_lure(
+            example_a.system, phi, example_a.pert, [[0.2]],
+            sim.SimConfig(dt=0.02, horizon=steps * 0.02), [0.5, 0.5, 0.5],
+        )
+        metrics = tracer.layer_metrics(first, tracer.mark())
+    finally:
+        tracer.uninstall()
+    assert block.last == steps and block.columns[0].blowup_time is None
+    assert metrics["sim.phi_calls"] == 1 + 4 * steps
+    assert metrics["sim.rk4_steps"] == steps

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lurestab import ffnn, problems, radius
+from lurestab import cli, ffnn, problems, radius, sim
 from lurestab.cli import main
 from lurestab.problems import fixture_path, load_problem, resolve_problem_path
 from lurestab.errors import ProblemFormatError
@@ -765,6 +765,15 @@ class TestNnBoundCommand:
         assert code == 1
 
 
+def step_warning(dt: str, bound: str, edges: str = "both sector edges") -> str:
+    """The warning that ``dt`` exceeds RK4's positivity bound on the simulated loops."""
+    return (
+        f"dt={dt} exceeds {bound}, the largest step at which RK4 keeps the loops positive "
+        f"(1 / max_i(-M_ii) over {edges} and the simulated deltas); a verdict may then read "
+        "the step, not the loop"
+    )
+
+
 class TestSweepCommand:
     def test_repeated_deltas_are_counted_once_each(self, capsys, tmp_path):
         doc = json.loads((PROBLEMS / "sector.json").read_text())
@@ -976,11 +985,11 @@ class TestSweepCommand:
         ("dt", "below", "warnings"),
         [
             ("0.5", [1, 1], [
-                "2 trial(s) Unstable at deltas below the certified radius: either the simulated "
-                "feedback leaves its sector, or dt=0.5 puts the step outside RK4's stability "
-                "region; a smaller --dt tells the two apart"
+                step_warning("0.5", "0.1103"),
+                "2 trial(s) Unstable at deltas below the certified radius: dt=0.5 exceeds "
+                "0.1103, the largest step at which RK4 keeps the loops positive",
             ]),
-            ("0.3", [0, 0], []),
+            ("0.3", [0, 0], [step_warning("0.3", "0.1103")]),
         ],
     )
     def test_unstable_trials_below_a_certified_radius_warn_with_dt(
@@ -988,7 +997,8 @@ class TestSweepCommand:
     ):
         # A's eigenvalue -9.04 puts dt * lambda = -4.5 outside RK4's real
         # stability interval (-2.785, 0) at dt 0.5, so deltas 1.0 and 2.0,
-        # below the radius 2.0398, read Unstable; at dt 0.3 neither does
+        # below the radius 2.0398, read Unstable; at dt 0.3 neither does,
+        # but both steps exceed the positivity bound of example_b's loops
         code, data = run_json(
             capsys, "sweep", "--problem", "example_b.json", "--out", str(tmp_path / "b.csv"),
             "--trials", "1", "--dt", dt,
@@ -997,6 +1007,33 @@ class TestSweepCommand:
         assert [s["unstable"] for s in data["results"]["per_delta"]
                 if s["delta"] < data["results"]["formula_radius"]] == below
         assert data["warnings"] == warnings
+
+    def test_unstable_trials_below_a_certified_radius_name_the_sector(self, capsys, tmp_path):
+        # x' = -x + cubic_sine(20 x) is certified in the sector [-2, -0.48],
+        # whose loops bound dt by 1 / 41; from x0 near 1 the cubic term takes
+        # the feedback out of the sector, so at dt 0.01 those trials read
+        # Unstable at delta 0.5, below the radius 10.6, and the step is not
+        # the cause
+        doc = {
+            "system": {"A": [[-1.0]], "B": [[1.0]], "C": [[20.0]]},
+            "perturbation": {"D": [[1.0]], "E": [[1.0]], "norm": "two"},
+            "builtin_nonlinearity": "cubic_sine",
+            "simulation": {"dt": 0.01, "horizon": 10.0},
+            "sweep": {"deltas": [0.5]},
+        }
+        path = tmp_path / "leaves.json"
+        path.write_text(json.dumps(doc))
+        code, data = run_json(
+            capsys, "sweep", "--problem", str(path), "--out", str(tmp_path / "s.csv"),
+            "--trials", "4",
+        )
+        assert code == 0
+        assert data["results"]["formula_radius"] == pytest.approx(10.6, rel=1e-12)
+        assert data["results"]["per_delta"][0]["unstable"] == 3
+        assert data["warnings"] == [
+            "3 trial(s) Unstable at deltas below the certified radius: "
+            "the simulated feedback leaves its sector"
+        ]
 
     def test_unstable_trials_below_an_uncertified_radius_do_not_warn(self, capsys, tmp_path):
         # example_a fails its gates, so its radius certifies nothing
@@ -1084,15 +1121,16 @@ class TestRefineCommand:
         assert err == "error: refine requires a Hurwitz A + delta_crit D E\n"
 
     def test_unstable_at_zero_on_a_certified_loop_names_dt(self, capsys):
-        # at dt 0.5, RK4 is unstable on example_b's certified loop at delta 0
+        # at dt 0.5, past the positivity bound 0.1103 of example_b's loops,
+        # RK4 is unstable on its certified loop at delta 0
         code, out, err = run_cli(
             capsys, "refine", "--problem", "example_b.json", "--trials", "1", "--dt", "0.5"
         )
         assert (code, out) == (2, "")
         assert err == (
             "error: a trial trajectory is unstable at delta = 0, although the loop is "
-            "certified: either the simulated feedback leaves its sector, or dt=0.5 puts the "
-            "step outside RK4's stability region; a smaller --dt tells the two apart\n"
+            "certified: dt=0.5 exceeds 0.1103, the largest step at which RK4 keeps the loops "
+            "positive\n"
         )
 
     def test_search_without_trials_exits_one(self, capsys):
@@ -1105,6 +1143,50 @@ class TestRefineCommand:
         code, out, err = run_cli(capsys, "refine", "--problem", str(sector_problem))
         assert code == 1
         assert "network" in err
+
+
+class TestStepBound:
+    """sweep and a searching refine warn before they simulate where dt exceeds
+    RK4's positivity bound on the loops they simulate (sim.rk4_positive_dt)."""
+
+    @pytest.mark.parametrize(("argv", "bound", "edges"), [
+        (["sweep", "--problem", "example_a.json", "--dt", "0.3"], "0.1143", "both sector edges"),
+        (["sweep", "--problem", "example_b.json", "--dt", "0.5"], "0.1103", "both sector edges"),
+        (["refine", "--problem", "example_b.json", "--dt", "0.2"], "0.1103", "both sector edges"),
+        # a sector problem simulates its upper gain alone, whose loops bound
+        # dt by 0.1802; its lower edge's loops would give 0.1667
+        (["sweep", "--problem", str(PROBLEMS / "sector.json"), "--dt", "0.19"], "0.1802",
+         "the gain"),
+    ], ids=["sweep_a", "sweep_b", "refine_b", "sweep_gain"])
+    def test_dt_past_the_bound_warns_before_simulating(
+        self, capsys, tmp_path, monkeypatch, argv, bound, edges
+    ):
+        events = []
+        warn, simulate = cli.Report.warn, sim.simulate_lure
+        monkeypatch.setattr(
+            cli.Report, "warn", lambda report, text: events.append(text) or warn(report, text)
+        )
+        monkeypatch.setattr(
+            sim, "simulate_lure", lambda *args: events.append("simulate") or simulate(*args)
+        )
+        extra = ["--out", str(tmp_path / "s.csv")] if argv[0] == "sweep" else []
+        code, data = run_json(capsys, *argv, "--trials", "2", *extra)
+        warning = step_warning(argv[-1], bound, edges)
+        assert code == 0
+        assert warning in data["warnings"]
+        assert events.index(warning) < events.index("simulate")
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--problem", "example_a.json", "--dt", "0.11"],
+        ["sweep", "--problem", "example_b.json", "--dt", "0.11"],
+        ["refine", "--problem", "example_b.json", "--dt", "0.11"],
+        ["sweep", "--problem", str(PROBLEMS / "sector.json"), "--dt", "0.17"],
+    ], ids=["sweep_a", "sweep_b", "refine_b", "sweep_gain"])
+    def test_admissible_dt_does_not_warn(self, capsys, tmp_path, argv):
+        extra = ["--out", str(tmp_path / "s.csv")] if argv[0] == "sweep" else []
+        code, data = run_json(capsys, *argv, "--trials", "2", *extra)
+        assert code == 0
+        assert not any("RK4" in warning for warning in data["warnings"])
 
 
 class TestEntryPoint:

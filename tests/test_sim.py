@@ -479,6 +479,36 @@ class TestRk4Positivity:
         assert p[0, 3] == pytest.approx((1.0 - dt) * dt**3 / 6.0, rel=1e-15, abs=0.0)
         assert (p >= 0).all() == (dt <= self.DT_S_BOUND)
 
+    def test_positive_dt_of_the_fixtures(self, example_a, example_b):
+        # example_a's worst diagonal entry is A's -7 plus B (-2) C's -2, less
+        # D E's 1.25 delta at the smallest delta; example_b's is A's -8.7 plus
+        # 0.4 of the lower edge -0.91
+        loops = [
+            (example_a, [0.0, 2.0], 1.0 / 9.0),
+            (example_a, [0.26, 0.2, 0.4], 1.0 / 8.75),
+            (example_b, [1.0, 2.24], 1.0 / 9.064),
+        ]
+        for problem, deltas, bound in loops:
+            sys, pert, sector = problem.system, problem.pert, problem.analysis_sector()
+            dt = sim.rk4_positive_dt(sys, pert, (sector.lower, sector.upper), deltas)
+            assert dt == pytest.approx(bound, rel=1e-12)
+        # example_b's four loops are Metzler, so each steps by a matrix >= 0 at the bound
+        sys, pert, sector = example_b.system, example_b.pert, example_b.analysis_sector()
+        for k in (sector.lower, sector.upper):
+            for delta in (1.0, 2.24):
+                m = sys.a + delta * pert.d @ pert.e + sys.b @ k @ sys.c
+                assert (sim._taylor4(dt * m) >= 0).all()
+
+    def test_positive_dt_without_a_negative_diagonal_or_a_delta(self, example_b):
+        sys, pert, sector = example_b.system, example_b.pert, example_b.analysis_sector()
+        edges = (sector.lower, sector.upper)
+        assert sim.rk4_positive_dt(sys, pert, edges, []) == math.inf
+        # delta 20 lifts A[0, 0] to 15, but A[2, 2] still bounds dt
+        dt = sim.rk4_positive_dt(sys, pert, edges, [0.0, 20.0])
+        assert dt == pytest.approx(1.0 / 9.064, rel=1e-12)
+        growing = LtiSystem(a=[[1.0]], b=[[1.0]], c=[[1.0]])
+        assert sim.rk4_positive_dt(growing, scalar_pert(1), [np.eye(1)], [0.0, 1.0]) == math.inf
+
 
 class TestFindCriticalDelta:
     def test_linear_gain_matches_analytic_radius(self, example_a):
@@ -743,6 +773,16 @@ def assert_columns_match_reference(sys, phi, pert, deltas, cfg, x0s, jumps=None)
     return block
 
 
+def count_phi_calls(monkeypatch) -> list:
+    """Count every ``Nonlinearity.__call__``, as the benchmark's tracer does;
+    returns the list that each call appends its input's shape to."""
+    calls, call = [], Nonlinearity.__call__
+    monkeypatch.setattr(
+        Nonlinearity, "__call__", lambda phi, y: calls.append(y.shape) or call(phi, y)
+    )
+    return calls
+
+
 # x' = (1 + delta) x: at delta = 0 the state crosses the blowup bound near
 # t = 20.7, and at delta = -3 it decays
 GROWING_GAIN = (LtiSystem(a=[[-1.0]], b=[[1.0]], c=[[1.0]]), Nonlinearity.gain([[2.0]]))
@@ -805,16 +845,29 @@ class TestBlockEngine:
     @pytest.mark.parametrize("net", sorted(STEPPING_NETS))
     def test_network_block_evaluates_the_network_four_times_a_step(self, net, monkeypatch):
         # the shape check evaluates the network once, and each RK4 stage
-        # once over all the block's columns
-        evals, calls = [], []
-        evaluate, call = sim.ffnn_eval, Nonlinearity.__call__
+        # once over all the block's columns, each through Nonlinearity.__call__
+        evals = []
+        evaluate = sim.ffnn_eval
         monkeypatch.setattr(sim, "ffnn_eval", lambda n, y: evals.append(y.shape) or evaluate(n, y))
-        monkeypatch.setattr(Nonlinearity, "__call__", lambda phi, y: calls.append(phi) or call(phi, y))
+        calls = count_phi_calls(monkeypatch)
         phi = Nonlinearity.network(STEPPING_NETS[net])
         cfg = SimConfig(dt=0.05, horizon=1.0)
         sim.simulate_lure(MIMO_SYSTEM, phi, identity_pert(3), np.zeros((2, 3, 3)), cfg, np.ones((3, 3)))
         assert evals == [(1, 2, 1)] + [(6, 2, 1)] * 4 * 20
-        assert calls == [phi] * 81
+        assert len(calls) == 81
+
+    @pytest.mark.parametrize("deltas", [[0.2], [0.2, 0.4, 1.0]])
+    def test_scalar_block_calls_phi_four_times_a_step(self, deltas, example_a, monkeypatch):
+        # 50 steps, none of which settles or blows up a column: the shape
+        # check's call and one call per stage over all the block's columns
+        calls = count_phi_calls(monkeypatch)
+        phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi
+        block = sim.simulate_lure(
+            example_a.system, phi, example_a.pert, np.array(deltas)[:, None, None],
+            SimConfig(dt=0.02, horizon=1.0), np.full(3, 0.5),
+        )
+        assert block.last == 50 and all(c.blowup_time is None for c in block.columns)
+        assert len(calls) == 1 + 4 * 50
 
     def test_cubic_sine_columns(self, example_a):
         phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi
@@ -1183,9 +1236,9 @@ class TestTelescopedStages:
 
 
 class TestStepWorkspace:
-    """A stepping block reuses its buffers from step to step, and copies each
-    stage's phi output into its own slot, so no stage output aliases a later
-    stage input."""
+    """A stepping block reuses its buffers from step to step, and phi writes
+    each stage's output into its own slot of them, through a copy of phi
+    bound to that slot, so no stage output aliases a later stage input."""
 
     @pytest.mark.parametrize("aliasing", ["input", "view"])
     def test_phi_that_returns_its_input_or_a_view_of_it(self, aliasing):
@@ -1202,6 +1255,41 @@ class TestStepWorkspace:
         assert block == sim.simulate_lure(
             MIMO_SYSTEM, copying, identity_pert(3), np.array(deltas), cfg, x0s,
         )
+
+    @pytest.mark.parametrize("x0", [(1.0,), (-1.0,)])
+    def test_scalar_overflow_writes_an_infinity_and_blows_up(self, x0):
+        # x' = x / 2 + sinh(x) runs away from x0 = +-1 until a stage input
+        # passes 710, where sinh overflows and its slot takes +-inf; every
+        # stage coefficient is positive, so the state is +-inf, not NaN
+        phi = Nonlinearity.scalar(math.sinh, name="sinh")
+        sys = LtiSystem(a=[[0.5]], b=[[1.0]], c=[[1.0]])
+        cfg = SimConfig(dt=0.05, horizon=20.0)
+        block = assert_columns_match_reference(sys, phi, scalar_pert(1), [[[0.0]]], cfg, [x0])
+        column = block.columns[0]
+        assert column.final_peak == math.inf and 0 < column.blowup_time < 20.0
+        out = np.zeros((2, 1, 1))
+        assert phi._into(out)(np.array([[[800.0]], [[-800.0]]])) is out
+        assert out.ravel().tolist() == [math.inf, -math.inf]
+
+    def test_scalar_undefined_inside_a_block_is_input_error(self):
+        # x1 swings negative, where the square root of the feedback is undefined
+        phi = Nonlinearity.scalar(math.sqrt, name="sqrt")
+        sys = LtiSystem(a=[[-0.1, -2.0], [2.0, -0.1]], b=[[0.0], [0.1]], c=[[1.0, 0.0]])
+        with pytest.raises(InputError, match=r"^nonlinearity 'sqrt' is undefined at y = -\d"):
+            sim.simulate_lure(
+                sys, phi, scalar_pert(2), [[0.0]], SimConfig(dt=0.05, horizon=5.0), [1.0, 0.0]
+            )
+
+    def test_two_output_scalar_loop_matches_the_reference(self):
+        # m = p = 2: each stage's two entries per column go through the slot's flat view
+        phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi
+        deltas = [np.full((3, 3), d) for d in (-0.5, 0.0, 0.3)]
+        x0s = np.random.default_rng(8).uniform(-1.0, 1.0, size=(2, 3))
+        cfg = SimConfig(dt=0.05, horizon=10.0)
+        block = assert_columns_match_reference(
+            MIMO_SYSTEM, phi, identity_pert(3), deltas, cfg, x0s, jumps=False,
+        )
+        assert block.last > 1
 
 
 class TestBlockInputChecks:
