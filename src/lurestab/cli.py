@@ -88,15 +88,16 @@ def _human(value) -> str:
 def _check_step(report: Report, problem: Problem, phi, sector, deltas, dt: float) -> str:
     """Warn, before simulating, where ``dt`` exceeds RK4's positivity bound on
     the loops simulated at ``deltas``: of ``phi``'s gain, or else of both
-    edges of ``sector`` (none without either); returns why a certified loop
-    can read Unstable below its radius."""
+    edges of ``sector``, or else of the plant alone (zero gain); returns why a
+    certified loop can read Unstable below its radius."""
     leaves = "the simulated feedback leaves its sector"
     if phi.mat is not None:
         gains, edges = [phi.mat], "the gain"
     elif sector is not None:
         gains, edges = [sector.lower, sector.upper], "both sector edges"
     else:
-        return leaves
+        gains = [np.zeros((problem.system.m, problem.system.p))]
+        edges = "the plant alone at zero gain"
     bound = sim.rk4_positive_dt(problem.system, problem.pert, gains, deltas)
     if dt <= bound:
         return leaves

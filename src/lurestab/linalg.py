@@ -76,9 +76,10 @@ def as_matrix(obj, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _require_square(m: np.ndarray, name: str = "matrix") -> None:
+def _require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"{name}: expected square matrix, got shape {m.shape}")
+    return m
 
 
 def is_nonnegative(m) -> bool:
@@ -93,8 +94,7 @@ def is_nonnegative(m) -> bool:
 def is_metzler(m, tol: float = 0.0) -> bool:
     """True iff every off-diagonal entry is >= -tol; the diagonal is free
     (a NaN entry fails).  ``m`` is not validated, as for ``is_nonnegative``."""
-    m = np.asarray(m, dtype=float)
-    _require_square(m)
+    m = _require_square(np.asarray(m, dtype=float))
     ok = m >= -tol
     np.fill_diagonal(ok, True)
     return bool(ok.all())
@@ -102,8 +102,7 @@ def is_metzler(m, tol: float = 0.0) -> bool:
 
 def spectral_abscissa(m) -> float:
     """Largest real part over the eigenvalues, by the dense QR method."""
-    m = as_matrix(m)
-    _require_square(m)
+    m = _require_square(as_matrix(m))
     eigs = np.linalg.eigvals(m)
     return float(np.max(eigs.real))
 
@@ -115,8 +114,7 @@ def is_hurwitz(m) -> bool:
 
 def spectral_radius(m) -> float:
     """Largest eigenvalue modulus, by the dense QR method."""
-    m = as_matrix(m)
-    _require_square(m)
+    m = _require_square(as_matrix(m))
     eigs = np.linalg.eigvals(m)
     return float(np.max(np.abs(eigs)))
 
@@ -147,8 +145,7 @@ def inverse(m, rhs) -> np.ndarray:
     ``||m||_1 ||m^{-1}||_1``.  Raises SingularMatrixError when ``m`` is
     exactly singular or that number exceeds ``COND_MAX``.
     """
-    m = as_matrix(m)
-    _require_square(m)
+    m = _require_square(as_matrix(m))
     try:
         inv = np.linalg.inv(m)
     except np.linalg.LinAlgError:  # an exact zero pivot
@@ -196,13 +193,19 @@ def metzler_solve(m, rhs=None) -> tuple[np.ndarray | None, np.ndarray | None]:
     return v, None if rhs is None else x[:, 1:]
 
 
+def _metzler_hurwitz_solve(m: np.ndarray, rhs, what: str) -> tuple:
+    """``metzler_solve(m, rhs)`` for a gated ``m`` that must be Metzler within
+    ``FLOAT_SLACK`` and Hurwitz: else NotMetzlerError or NotHurwitzError, worded
+    by the caller's ``what`` with ``{}`` for the property that ``m`` lacks."""
+    if not is_metzler(m, tol=FLOAT_SLACK):
+        raise NotMetzlerError(what.format("Metzler"))
+    v, solution = metzler_solve(m, rhs)
+    if v is None:
+        raise NotHurwitzError(what.format("Hurwitz"))
+    return v, solution
+
+
 def metzler_hurwitz_certificate(m) -> np.ndarray:
     """Positive ``v`` with ``m @ v < 0`` for a Metzler ``m``; NotHurwitzError if none exists."""
-    m = as_matrix(m)
-    if not is_metzler(m, tol=FLOAT_SLACK):
-        raise NotMetzlerError("certificate construction requires a Metzler matrix")
-    v, _ = metzler_solve(m)
-    if v is None:
-        raise NotHurwitzError("no positive vector v with m @ v < 0 exists")
-    return v
-
+    what = "certificate construction requires a {} matrix"
+    return _metzler_hurwitz_solve(as_matrix(m), None, what)[0]

@@ -12,6 +12,7 @@ in any norm monotone on nonnegative matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -21,8 +22,6 @@ from .errors import (
     DimensionMismatchError,
     InputError,
     MissingSchurScaleError,
-    NotHurwitzError,
-    NotMetzlerError,
     ZeroSpectralRadiusError,
 )
 from .linalg import NormKind, as_matrix
@@ -253,27 +252,34 @@ def _require_monotone_norm(norm: NormKind) -> None:
         )
 
 
-def _metzler_hurwitz_solve(
-    a: np.ndarray, rhs: np.ndarray, what: str = "stability radius formula requires a {} matrix"
-) -> np.ndarray:
-    """``(-a)^{-1} rhs`` for the linear formulas and refine, gated by the
-    witness of the same LU.  ``what`` words the refusal, with ``{}`` for
-    the property that ``a`` lacks."""
-    if not linalg.is_metzler(a, tol=linalg.FLOAT_SLACK):
-        raise NotMetzlerError(what.format("Metzler"))
-    v, solution = linalg.metzler_solve(a, rhs)
-    if v is None:
-        raise NotHurwitzError(what.format("Hurwitz"))
-    return solution
-
-
-def _reciprocal(size: float, what: str) -> float:
-    """``1 / size`` for the radius formulas; a zero ``size`` raises."""
+def _radius(what: str, norm: NormKind | None, *factors: np.ndarray) -> float:
+    """``1 / size`` of the transfer, the product of ``factors`` from the left,
+    gated once under its name ``what``.  Its size is its operator ``norm``, or
+    its spectral radius where ``norm`` is None.  A zero size raises."""
+    with np.errstate(over="ignore", invalid="ignore"):  # as_matrix names an overflow
+        transfer = as_matrix(reduce(np.matmul, factors), what)
+    size = linalg.operator_norm(transfer, norm) if norm else linalg.spectral_radius(transfer)
     if size <= 0.0:
         raise ZeroSpectralRadiusError(
-            f"{what} is zero; this structure cannot destabilize the system"
+            f"the {'norm' if norm else 'spectral radius'} of {what} is zero; "
+            "this structure cannot destabilize the system"
         )
     return 1.0 / size
+
+
+def _plant_radius(a, pert: PerturbationStructure, formula: str, what: str, norm, *scale):
+    """The report of the positive flow ``a``'s radius; ``norm`` as for ``_radius``."""
+    a = as_matrix(a, "A")
+    pert.check_dims(a.shape[0])
+    _, solution = linalg._metzler_hurwitz_solve(
+        a, pert.d, "stability radius formula requires a {} matrix"
+    )
+    return RadiusReport(
+        radius=_radius(what, norm, pert.e, solution, *scale),
+        norm=pert.norm,
+        formula=formula,
+        closed_loop=a,
+    )
 
 
 def stability_radius_linear(a, pert: PerturbationStructure) -> RadiusReport:
@@ -282,40 +288,17 @@ def stability_radius_linear(a, pert: PerturbationStructure) -> RadiusReport:
     For Metzler Hurwitz ``a`` and nonnegative D, E the real and complex
     radii coincide and equal ``1 / ||E a^{-1} D||`` in any operator norm.
     """
-    a = as_matrix(a, "A")
-    pert.check_dims(a.shape[0])
     _require_monotone_norm(pert.norm)
-    what = "the transfer E A^-1 D"
-    with np.errstate(over="ignore", invalid="ignore"):  # as_matrix names an overflow
-        transfer = as_matrix(pert.e @ _metzler_hurwitz_solve(a, pert.d), what)
-    return RadiusReport(
-        radius=_reciprocal(linalg.operator_norm(transfer, pert.norm), what),
-        norm=pert.norm,
-        formula="linear_norm",
-        closed_loop=a,
-    )
+    return _plant_radius(a, pert, "linear_norm", "the transfer E A^-1 D", pert.norm)
 
 
 def stability_radius_schur(a, pert: PerturbationStructure) -> RadiusReport:
     """Radius for entrywise-scaled perturbations ``S (.) delta`` under the
     max-entry norm: ``1 / rho(E (-a)^{-1} D S)``."""
-    a = as_matrix(a, "A")
-    pert.check_dims(a.shape[0])
     if pert.schur_scale is None:
         raise MissingSchurScaleError("the Schur-scaled radius needs a scale pattern S")
-    with np.errstate(over="ignore", invalid="ignore"):  # as_matrix names an overflow
-        product = as_matrix(
-            pert.e @ _metzler_hurwitz_solve(a, pert.d) @ pert.schur_scale,
-            "the scaled transfer E A^-1 D S",
-        )
-    return RadiusReport(
-        radius=_reciprocal(
-            linalg.spectral_radius(product), "spectral radius of the scaled transfer"
-        ),
-        norm=NormKind.MAX_ABS,
-        formula="schur_spectral",
-        closed_loop=a,
-    )
+    what = "the scaled transfer E A^-1 D S"
+    return _plant_radius(a, pert, "schur_spectral", what, None, pert.schur_scale)
 
 
 def stability_radius_lure(
@@ -342,11 +325,8 @@ def stability_radius_lure(
     if solution is None:
         # reached by override only: a non-Metzler upper loop, or a singular one (this raises)
         solution = linalg.inverse(-upper_loop, pert.d)
-    what = "the transfer E (A + B S2 C)^-1 D"
-    with np.errstate(over="ignore", invalid="ignore"):  # as_matrix names an overflow
-        transfer = as_matrix(pert.e @ solution, what)
     return RadiusReport(
-        radius=_reciprocal(linalg.operator_norm(transfer, pert.norm), what),
+        radius=_radius("the transfer E (A + B S2 C)^-1 D", pert.norm, pert.e, solution),
         norm=pert.norm,
         formula="lure_upper_sector",
         closed_loop=upper_loop,
@@ -391,13 +371,10 @@ def refine_upper_sector(
     if not 0 <= delta_crit < np.inf:  # a NaN fails too
         raise InputError(f"delta_crit must be nonnegative and finite; got {delta_crit!r}")
     pert.check_dims(sys.n)
-    what = "the transfer C (A + delta_crit D E)^-1 B"
     with np.errstate(over="ignore", invalid="ignore"):  # as_matrix names an overflow
         perturbed = as_matrix(
             sys.a + delta_crit * (pert.d @ np.eye(pert.k1, pert.k2) @ pert.e), "A + delta_crit D E"
         )
-        solution = _metzler_hurwitz_solve(
-            perturbed, sys.b, "refine requires a {} A + delta_crit D E"
-        )
-        transfer = as_matrix(sys.c @ solution, what)
-    return _reciprocal(linalg.operator_norm(transfer, pert.norm), what)
+    what = "refine requires a {} A + delta_crit D E"
+    _, solution = linalg._metzler_hurwitz_solve(perturbed, sys.b, what)
+    return _radius("the transfer C (A + delta_crit D E)^-1 B", pert.norm, sys.c, solution)

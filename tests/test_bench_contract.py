@@ -3,8 +3,8 @@
 The benchmark's traced mode wraps functions by module attribute and counts
 ``sim.Nonlinearity.__call__``.  Deleting or renaming one of them breaks that
 mode, so this test installs the tracer over the package and runs a check,
-a one-trial network sweep and a given-delta refine through ``cli.main``, and
-counts the stages of a stepping block.
+a one-trial network sweep, a given-delta refine and the two plant radii
+through ``cli.main``, and counts the stages of a stepping block.
 """
 
 from __future__ import annotations
@@ -72,6 +72,22 @@ def test_traced_refine_reaches_its_layers(tracing, capsys):
     capsys.readouterr()
     assert metrics["radius.refine_upper_sector_s"] > 0
     assert metrics["ffnn.empirical_check_calls"] == 2
+
+
+@pytest.mark.parametrize("problem", ["linear.json", "schur.json"])
+def test_traced_radius_counts_one_formula(tracing, capsys, problem):
+    # Problem.radius reaches each plant formula through its traced public name
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        first = tracer.mark()
+        path = Path(__file__).resolve().parent / "problems" / problem
+        assert lurestab.cli.main(["radius", "--problem", str(path)]) == 0
+        metrics = tracer.layer_metrics(first, tracer.mark())
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert metrics["radius.formula_calls"] == 1
 
 
 def test_traced_run_counts_network_loops_built_before_install(tracing, example_b):

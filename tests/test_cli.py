@@ -324,6 +324,28 @@ class TestProblemLoading:
         fields = ["A", "B", "C", "D", "E", "layer weight", "layer weight", "Sigma1", "Sigma2"]
         assert sorted(args[1] for args in calls) == sorted(fields + loops)
 
+    LURE = ["Sigma1", "Sigma2", *["the closed loop A + B K C"] * 2,
+            "the transfer E (A + B S2 C)^-1 D"]
+
+    # Beyond one gate per matrix field, computed loop and transfer, three re-gates
+    # stay as input checks at a public entry point: "matrix" is the transfer again
+    # in operator_norm / spectral_radius, the second "A" is the plant again in
+    # stability_radius_linear / _schur, and "gain" is the sector's upper edge again
+    # in the loader's Nonlinearity.gain.
+    @pytest.mark.parametrize("argv, names", [
+        (["example_a.json", "--override-gates"], [*LURE, "matrix"]),
+        (["example_b.json"], ["layer weight", "layer weight", *LURE, "matrix"]),
+        ([str(PROBLEMS / "linear.json")], ["A", "the transfer E A^-1 D", "matrix"]),
+        ([str(PROBLEMS / "schur.json")], ["S", "A", "the scaled transfer E A^-1 D S", "matrix"]),
+        ([str(PROBLEMS / "sector.json")], ["gain", *LURE, "matrix"]),
+    ], ids=["example_a", "example_b", "linear", "schur", "sector"])
+    def test_radius_gate_calls(self, capsys, monkeypatch, argv, names):
+        calls = gate_calls(monkeypatch)
+        code, out, err = run_cli(capsys, "radius", "--problem", *argv)
+        assert code == 0
+        gated = [args[1] if len(args) > 1 else "matrix" for args in calls]
+        assert sorted(gated) == sorted(["A", "B", "C", "D", "E", *names])
+
     @pytest.mark.parametrize("value", [5, [[1.0]], "x"], ids=["number", "list", "string"])
     def test_non_object_sector_exits_one(self, capsys, tmp_path, sector_problem, value):
         doc = json.loads(sector_problem.read_text())
@@ -1187,6 +1209,20 @@ class TestStepBound:
         code, data = run_json(capsys, *argv, "--trials", "2", *extra)
         assert code == 0
         assert not any("RK4" in warning for warning in data["warnings"])
+
+    @pytest.mark.parametrize("dt", ["0.5", "0.1"])
+    def test_loop_without_a_sector_is_bounded_by_its_plant(
+        self, capsys, tmp_path, biased_network_problem, dt
+    ):
+        # a biased network has no analytic sector: A[2][2] = -8.7 alone bounds dt by 1/8.7
+        code, data = run_json(
+            capsys, "sweep", "--problem", str(biased_network_problem), "--dt", dt,
+            "--trials", "1", "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 0
+        assert data["warnings"][0].startswith("no analytic radius available")
+        warning = step_warning(dt, "0.1149", "the plant alone at zero gain")
+        assert data["warnings"][1:] == ([warning] if dt == "0.5" else [])
 
 
 class TestEntryPoint:

@@ -200,11 +200,15 @@ class TestCertificate:
         assert (UPPER_LOOP @ v < 0).all()
 
     def test_unstable_scalar(self):
-        with pytest.raises(NotHurwitzError):
+        with pytest.raises(
+            NotHurwitzError, match=r"^certificate construction requires a Hurwitz matrix$"
+        ):
             linalg.metzler_hurwitz_certificate([[1.0]])
 
     def test_requires_metzler(self):
-        with pytest.raises(NotMetzlerError):
+        with pytest.raises(
+            NotMetzlerError, match=r"^certificate construction requires a Metzler matrix$"
+        ):
             linalg.metzler_hurwitz_certificate([[-1.0, -1.0], [0.0, -1.0]])
 
     def test_agrees_with_abscissa_on_random_metzler(self, rng):

@@ -7,6 +7,7 @@ from lurestab.errors import (
     DimensionMismatchError,
     InputError,
     MissingSchurScaleError,
+    NonFiniteEntriesError,
     NotHurwitzError,
     NotMetzlerError,
     ZeroSpectralRadiusError,
@@ -368,9 +369,13 @@ class TestLinearRadius:
 
     def test_rejects_unstable_or_non_metzler(self):
         pert = PerturbationStructure(d=np.eye(2), e=np.eye(2))
-        with pytest.raises(NotHurwitzError):
+        with pytest.raises(
+            NotHurwitzError, match=r"^stability radius formula requires a Hurwitz matrix$"
+        ):
             rad.stability_radius_linear([[1.0, 0.0], [0.0, -1.0]], pert)
-        with pytest.raises(NotMetzlerError):
+        with pytest.raises(
+            NotMetzlerError, match=r"^stability radius formula requires a Metzler matrix$"
+        ):
             rad.stability_radius_linear([[-1.0, -1.0], [0.0, -1.0]], pert)
 
     def test_rejects_maxabs_norm(self):
@@ -426,6 +431,19 @@ class TestSchurRadius:
         )
         with pytest.raises(ZeroSpectralRadiusError):
             rad.stability_radius_schur([[-1.0]], pert)
+
+    def test_rejects_unstable_or_non_metzler(self):
+        pert = PerturbationStructure(
+            d=np.eye(2), e=np.eye(2), norm=NormKind.MAX_ABS, schur_scale=np.ones((2, 2))
+        )
+        with pytest.raises(
+            NotHurwitzError, match=r"^stability radius formula requires a Hurwitz matrix$"
+        ):
+            rad.stability_radius_schur([[1.0, 0.0], [0.0, -1.0]], pert)
+        with pytest.raises(
+            NotMetzlerError, match=r"^stability radius formula requires a Metzler matrix$"
+        ):
+            rad.stability_radius_schur([[-1.0, -1.0], [0.0, -1.0]], pert)
 
     def test_missing_scale(self):
         pert = PerturbationStructure(d=[[1.0]], e=[[1.0]], norm=NormKind.MAX_ABS)
@@ -567,26 +585,69 @@ class TestRefineUpperSector:
 
 
 class TestZeroTransfer:
-    """A transfer with zero norm has no finite reciprocal: each formula raises."""
+    """A transfer of zero size has no finite reciprocal: each formula raises,
+    naming the size and the transfer."""
 
     ZERO_D = PerturbationStructure(d=[[0.0], [0.0], [0.0]], e=[[1.0, 0.0, 0.0]], norm=NormKind.TWO)
+    CANNOT = "is zero; this structure cannot destabilize the system"
 
     def test_linear_radius(self):
-        with pytest.raises(ZeroSpectralRadiusError, match="is zero"):
+        with pytest.raises(ZeroSpectralRadiusError) as info:
             rad.stability_radius_linear(SYS_B.a, self.ZERO_D)
+        assert str(info.value) == f"the norm of the transfer E A^-1 D {self.CANNOT}"
+
+    def test_schur_radius(self):
+        # E A^-1 D S = S is nonzero but nilpotent: its spectral radius is zero
+        pert = PerturbationStructure(
+            d=np.eye(2), e=np.eye(2), norm=NormKind.MAX_ABS, schur_scale=[[0.0, 1.0], [0.0, 0.0]]
+        )
+        with pytest.raises(ZeroSpectralRadiusError) as info:
+            rad.stability_radius_schur(-np.eye(2), pert)
+        assert str(info.value) == (
+            f"the spectral radius of the scaled transfer E A^-1 D S {self.CANNOT}"
+        )
 
     def test_lure_radius(self):
-        with pytest.raises(ZeroSpectralRadiusError, match="is zero"):
+        with pytest.raises(ZeroSpectralRadiusError) as info:
             rad.stability_radius_lure(SYS_B, SECTOR_B, self.ZERO_D)
+        assert str(info.value) == f"the norm of the transfer E (A + B S2 C)^-1 D {self.CANNOT}"
 
     def test_refined_sector(self):
         no_feedback = LtiSystem(a=SYS_B.a, b=[[0.0], [0.0], [0.0]], c=SYS_B.c)
-        with pytest.raises(ZeroSpectralRadiusError, match="is zero"):
+        with pytest.raises(ZeroSpectralRadiusError) as info:
             rad.refine_upper_sector(no_feedback, PERT_B, 1.0)
+        assert str(info.value) == (
+            f"the norm of the transfer C (A + delta_crit D E)^-1 B {self.CANNOT}"
+        )
 
     def test_report_records_the_sector(self):
         assert rad.stability_radius_lure(SYS_B, SECTOR_B, PERT_B).sector is SECTOR_B
         assert rad.nn_stability_radius(SYS_B, SECTOR_B, PERT_B).sector is SECTOR_B
+
+
+class TestOverflowingTransfer:
+    """A transfer that overflows is refused under its own name, and numpy does not warn."""
+
+    @pytest.mark.parametrize(("call", "transfer"), [
+        (lambda: rad.stability_radius_linear(
+            [[-0.1]], PerturbationStructure(d=[[1.0]], e=[[1e308]], norm=NormKind.TWO)
+        ), "the transfer E A^-1 D"),
+        # E A^-1 D = 10 is finite; its product with S is not
+        (lambda: rad.stability_radius_schur([[-0.1]], PerturbationStructure(
+            d=[[1.0]], e=[[1.0]], norm=NormKind.MAX_ABS, schur_scale=[[1e308]]
+        )), "the scaled transfer E A^-1 D S"),
+        # (-M)^-1 D has first entry 1.96 on example_b's upper loop M
+        (lambda: rad.stability_radius_lure(SYS_B, SECTOR_B, PerturbationStructure(
+            d=[[4.0], [0.0], [0.0]], e=[[1e308, 0.0, 0.0]], norm=NormKind.TWO
+        )), "the transfer E (A + B S2 C)^-1 D"),
+        (lambda: rad.refine_upper_sector(
+            LtiSystem(a=SYS_B.a, b=[[50.0], [100.0], [40.0]], c=[[1e308, 0.0, 0.0]]), PERT_B, 1.0
+        ), "the transfer C (A + delta_crit D E)^-1 B"),
+    ], ids=["linear", "schur", "lure", "refine"])
+    def test_overflow_is_named(self, call, transfer):
+        with pytest.raises(NonFiniteEntriesError) as info:
+            call()
+        assert str(info.value) == f"{transfer}: contains NaN or infinite entries"
 
 
 class TestMonotonicity:
