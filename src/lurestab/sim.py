@@ -41,12 +41,15 @@ x``, ``G_2``, ``G_3``, ``G_4`` and ``Q``, against twelve stage by stage, and
 ``phi`` takes the engine's ``(K, p, 1)`` stack with no transposes.  It
 agrees with stage-by-stage RK4 up to rounding in the last bits.  A stepping
 block writes every step into one workspace, the buffers of ``[R; P] x``, of
-a coupled stage input and of ``[u_1; ...; u_4]`` with their stage views,
+a coupling's product and of ``[u_1; ...; u_4]`` with their stage views,
 built with its live columns and rebuilt only when some of them leave it.
-Each stage calls a copy of ``phi`` bound to its slot of ``u``
-(``Nonlinearity._into``), so that every stage still runs through
-``Nonlinearity.__call__``; a scalar ``phi`` writes its entries straight into
-the slot, with no array between.
+Each stage calls a copy of ``phi`` bound to its slot of ``u`` and, past
+stage 1, to its ``R_j x``, which it adds to its coupling's product
+(``Nonlinearity._into``).  Every stage still runs through
+``Nonlinearity.__call__``, and a scalar ``phi`` adds with Python's float
+``+``, the same IEEE addition, entry by entry as it writes into the slot.
+A step is seven numpy calls: five products, ``Q u + P x`` and the blow-up
+rule's ``vdot``.
 
 Some network loops are gain loops in the nonnegative orthant.  A zero-bias
 ReLU network with one input, or with nonnegative weights, is one matrix K
@@ -133,8 +136,8 @@ class Nonlinearity:
     block: Callable[[np.ndarray], np.ndarray]
     mat: np.ndarray | None = None
     net: Ffnn | None = field(default=None, init=False)
-    # set by ``scalar`` alone: phi's entries of a stack, as a list in C order
-    _entries: Callable[[np.ndarray], list] | None = field(default=None, init=False, repr=False)
+    # set by ``scalar`` alone: phi's entries of a stack, or of its sum with an addend, in C order
+    _entries: Callable[..., list] | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def scalar(cls, fn: Callable[[float], float], name: str = "scalar") -> "Nonlinearity":
@@ -155,13 +158,19 @@ class Nonlinearity:
             except ValueError as exc:
                 raise InputError(f"nonlinearity {name!r} is undefined at y = {y:g} ({exc})") from None
 
-        def entries(y: np.ndarray) -> list:
+        def entries(y: np.ndarray, add: np.ndarray | None = None) -> list:
             values = y.ravel().tolist()
             # guard each call only once some entry raises: guarding every
             # entry made a cubic_sine search and sweep 1-3 % slower
             try:
-                return [fn(yi) for yi in values]
+                if add is None:
+                    return [fn(yi) for yi in values]
+                # Python's float + is numpy's addition, and gives inf rather than raise
+                addend = (add if add.ndim == 1 else add.ravel()).tolist()
+                return [fn(a + b) for a, b in zip(values, addend)]
             except (OverflowError, ValueError):
+                if add is not None:
+                    values = [a + b for a, b in zip(values, addend)]
                 return [at(yi) for yi in values]
 
         phi = cls(lambda y: np.array(entries(y), dtype=float).reshape(y.shape))
@@ -210,26 +219,29 @@ class Nonlinearity:
     def __call__(self, y: np.ndarray) -> np.ndarray:
         return self.block(y)
 
-    def _into(self, out: np.ndarray) -> "Nonlinearity":
+    def _into(self, out: np.ndarray, add: np.ndarray | None = None) -> "Nonlinearity":
         """This feedback bound to the ``(K, m, 1)`` view ``out``: a
-        Nonlinearity whose block writes ``phi(y)`` into ``out`` and returns
-        ``out``.  A stepping block calls one per stage slot, so each stage
-        still runs through ``__call__``.  A scalar ``phi`` assigns its entries
-        straight into the slot, through its 1-D view where m is 1; any other
-        copies its block's result there, so a block that returns its input,
+        Nonlinearity whose block writes ``phi(y)``, or ``phi(y + add)`` for a
+        ``(K, p, 1)`` view ``add``, into ``out`` and returns ``out``.  A
+        stepping block calls one per stage slot, so each stage still runs
+        through ``__call__``.  A scalar ``phi`` adds and assigns entry by
+        entry, through the 1-D view of ``out`` where m is 1 and of ``add``
+        where p is 1; any other adds ``add`` into ``y`` in place and copies
+        its block's result into ``out``, so a block that returns its input,
         or a view of it, is safe."""
         entries = self._entries
         if entries is None:
             block = self.block
 
             def write(y: np.ndarray) -> np.ndarray:
-                out[...] = block(y)
+                out[...] = block(y if add is None else np.add(y, add, out=y))
                 return out
         else:
             flat = out[:, 0, 0] if out.shape[1] == 1 else out.flat
+            addend = add[:, 0, 0] if add is not None and add.shape[1] == 1 else add
 
             def write(y: np.ndarray) -> np.ndarray:
-                flat[:] = entries(y)
+                flat[:] = entries(y, addend)
                 return out
 
         return Nonlinearity(write)
@@ -368,13 +380,13 @@ def simulate_lure(
     module docstring's column contract: each jumps or steps by its own
     delta and state.
 
-    A column halts, and leaves the block, once its state magnitude is
-    infinite or exceeds the blowup bound.  A stepping column that settles
-    leaves it too, as having reached the horizon.  A NaN state in any live
-    column raises NonFiniteStateError at the earliest time it appears, even
-    where a run of the block's other columns alone would not have reached
-    it.  A ``dt`` too small for the loop's diagonal raises InputError
-    (``_step_arguments``).
+    A column blows up, and leaves the block, once its state magnitude is
+    infinite or exceeds the blowup bound, or is NaN where a stage output of
+    its step is infinite.  A stepping column that settles leaves it too, as
+    having reached the horizon.  Any other NaN state in a live column raises
+    NonFiniteStateError at the earliest time it appears, even where a run of
+    the block's other columns alone would not have reached it.  A ``dt`` too
+    small for the loop's diagonal raises InputError (``_step_arguments``).
     """
     pert.check_dims(sys.n)
     stacked = isinstance(delta, np.ndarray) and delta.ndim == 3
@@ -437,36 +449,26 @@ def simulate_lure(
 
         def stepper(w, g2, g3, g4, q):
             # the step of one live set and its workspace: the buffers of the
-            # stage inputs before the couplings over P x, of a coupled stage
-            # input, and of [u_1; ...; u_4], the phi outputs of the stages,
-            # with their views, and phi bound to each stage's slot of u
-            k = len(w)
-            z = np.empty((k, 4 * p + sys.n, 1))
-            v = np.empty((k, p, 1))
-            u = np.empty((k, 4 * m, 1))
-            z1, z2, z3, z4 = (z[:, j * p : (j + 1) * p] for j in range(4))
-            z5 = z[:, 4 * p :]
+            # stage inputs before the couplings over P x, of a coupling's
+            # product G_j u and of [u_1; ...; u_4], with their views, and phi
+            # bound to each stage's slot of u and past stage 1 to its z_j
+            z, v, u = (np.empty((len(w), rows, 1)) for rows in (4 * p + sys.n, p, 4 * m))
+            z1, z5 = z[:, :p], z[:, 4 * p :]
             u1, u12, u123 = u[:, :m], u[:, : 2 * m], u[:, : 3 * m]
-            phi1, phi2, phi3, phi4 = (phi._into(u[:, j * m : (j + 1) * m]) for j in range(4))
+            phi1 = phi._into(u1)
+            phi2, phi3, phi4 = (phi._into(u[:, j * m : (j + 1) * m], z[:, j * p : (j + 1) * p])
+                                for j in range(1, 4))
 
             def advance(x, out):
-                # the sums add the stage inputs to the couplings' products in
-                # place; IEEE addition commutes, so each is z + G u bit for bit
                 np.matmul(w, x, out=z)
                 phi1(z1)
-                np.matmul(g2, u1, out=v)
-                np.add(v, z2, out=v)
-                phi2(v)
-                np.matmul(g3, u12, out=v)
-                np.add(v, z3, out=v)
-                phi3(v)
-                np.matmul(g4, u123, out=v)
-                np.add(v, z4, out=v)
-                phi4(v)
+                phi2(np.matmul(g2, u1, out=v))
+                phi3(np.matmul(g3, u12, out=v))
+                phi4(np.matmul(g4, u123, out=v))
                 np.matmul(q, u, out=out)
                 return np.add(out, z5, out=out)
 
-            return advance
+            return advance, u
 
         # The stepping columns are a (K, n, 1) stack, each with a copy of its
         # delta's matrices, for stacked matrix-vector products: one (n, K)
@@ -477,7 +479,7 @@ def simulate_lure(
         done, prev_sq = 0, math.nan
         # a step writes the next state into prev's buffer, which then holds
         # the state before it
-        step, prev = stepper(*mats), np.empty_like(x)
+        (step, stages), prev = stepper(*mats), np.empty_like(x)
         while live.size and done < steps:
             done += 1
             x, prev = step(x, prev), x
@@ -503,8 +505,13 @@ def simulate_lure(
                 last = steps
             else:
                 peaks = np.abs(x).max(axis=(1, 2))
-                if np.isnan(peaks).any():
-                    raise NonFiniteStateError(f"state became NaN at t = {done * dt:g}")
+                nan = np.isnan(peaks)
+                if nan.any():
+                    # a stage output of +-inf that meets one of the other
+                    # sign turns a column NaN as it blows up; any other raises
+                    if not np.isinf(stages[nan]).any(axis=(1, 2)).all():
+                        raise NonFiniteStateError(f"state became NaN at t = {done * dt:g}")
+                    peaks[nan] = math.inf
                 gone = peaks > BLOWUP_BOUND
                 if not gone.any():
                     continue
@@ -514,7 +521,7 @@ def simulate_lure(
             final[live[gone]] = peaks
             live, x = live[~gone], x[~gone]
             mats = tuple(mat[~gone] for mat in mats)
-            step, prev = stepper(*mats), np.empty_like(x)
+            (step, stages), prev = stepper(*mats), np.empty_like(x)
         final[live] = np.abs(x).max(axis=(1, 2))
         last = max(last, done)
     t_mid, t_end = midway * dt, steps * dt
@@ -832,14 +839,7 @@ def write_sweep_csv(rows, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["delta", "trial", "seed", "verdict", "decay_ratio", "blowup_time"])
-        for row in rows:
-            writer.writerow(
-                [
-                    repr(row.delta),
-                    row.trial,
-                    row.seed,
-                    row.verdict,
-                    repr(row.decay_ratio),
-                    "" if row.blowup_time is None else repr(row.blowup_time),
-                ]
-            )
+        writer.writerows(
+            [repr(row.delta), row.trial, row.seed, row.verdict, repr(row.decay_ratio),
+             "" if row.blowup_time is None else repr(row.blowup_time)] for row in rows
+        )

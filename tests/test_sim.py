@@ -50,13 +50,17 @@ def reference_run(sys, phi, pert, delta, cfg, x0):
     """One column stepped alone, as the engine steps a ``(1, n, 1)`` stack:
     by ``sim._taylor4`` of a gain loop's ``h``, else by the telescoped
     stages of ``sim._stage_matrices``, each product and sum in the engine's
-    order.  It halts where an entry passes the blow-up bound, raises where
-    the state is NaN, and never jumps or stops at a settled state.  Returns
-    the states, one row per step, and the ColumnPeaks a block keeps."""
+    order.  It halts where an entry passes the blow-up bound, or where the
+    state is NaN and some stage output of the step infinite, which is a
+    blow-up with the final peak inf; it raises at any other NaN state, and
+    never jumps or stops at a settled state.  Returns the states, one row
+    per step, and the ColumnPeaks a block keeps."""
     dt, steps = cfg.dt, round(cfg.horizon / cfg.dt)
     drift = sys.a + pert.d @ np.asarray(delta, dtype=float) @ pert.e
     x = np.asarray(x0, dtype=float).reshape(1, -1, 1)
     states, blowup = [x], None
+    p, m = sys.p, sys.m
+    u = np.zeros((1, 4 * m, 1))  # the last step's stage outputs; a gain step has none
     with np.errstate(over="ignore", invalid="ignore"):
         if phi.mat is not None:
             p_stack = np.array([sim._taylor4(dt * (drift + sys.b @ phi.mat @ sys.c))])
@@ -65,10 +69,9 @@ def reference_run(sys, phi, pert, delta, cfg, x0):
                 return p_stack @ x
         else:
             w, g2, g3, g4, q = (np.array([mat]) for mat in sim._stage_matrices(dt * drift, sys.b, sys.c, dt))
-            p, m = sys.p, sys.m
 
             def step(x):
-                z, u = w @ x, np.empty((1, 4 * m, 1))
+                z = w @ x
                 u[:, :m] = phi(z[:, :p])
                 for j, g in enumerate((g2, g3, g4), 1):
                     u[:, j * m : (j + 1) * m] = phi(g @ u[:, : j * m] + z[:, j * p : (j + 1) * p])
@@ -77,13 +80,15 @@ def reference_run(sys, phi, pert, delta, cfg, x0):
             x = step(x)
             states.append(x)
             peak = np.abs(x).max()
-            if np.isnan(peak):
+            if np.isnan(peak) and not np.isinf(u).any():
                 raise NonFiniteStateError(f"state became NaN at t = {k * dt:g}")
-            if peak > sim.BLOWUP_BOUND:
+            if not peak <= sim.BLOWUP_BOUND:
                 blowup = k * dt
                 break
     states = np.concatenate(states)[:, :, 0]
     peaks = np.abs(states).max(axis=1).tolist()
+    if blowup is not None and math.isnan(peaks[-1]):
+        peaks[-1] = math.inf
     midway = steps // 2
     rate = sim._growth_rate(peaks[0], peaks[min(midway, len(peaks) - 1)], peaks[-1],
                             midway * dt, steps * dt, blowup)
@@ -1145,18 +1150,17 @@ class TestOrthantNetwork:
             jumps=False,
         )
 
-    def test_overflowing_network_raises_as_stepping_does(self, example_b):
+    def test_overflowing_network_blows_up_as_stepping_does(self, example_b):
         # pi(C x0) overflows at the first stage, and a later stage's signed
-        # coupling meets it as inf - inf
+        # coupling meets it as inf - inf: the state is NaN where a stage
+        # output is infinite, which is a blow-up at that step
         sys, pert, phi = example_b.system, example_b.pert, Nonlinearity.network(OVERFLOWING_NET)
         cfg = SimConfig(dt=0.02, horizon=10.0)
-        with pytest.raises(NonFiniteStateError) as stepped:
-            reference_run(sys, phi, pert, [[1.0]], cfg, np.full(3, 0.5))
-        with mock.patch.object(sim, "_powered_block") as powered:
-            with pytest.raises(NonFiniteStateError) as block:
-                sim.simulate_lure(sys, phi, pert, np.array([[[1.0]]]), cfg, np.full((2, 3), 0.5))
-        assert str(block.value) == str(stepped.value) == "state became NaN at t = 0.02"
-        assert not powered.called
+        assert np.isnan(reference_run(sys, phi, pert, [[1.0]], cfg, np.full(3, 0.5))[0][-1]).all()
+        block = assert_columns_match_reference(
+            sys, phi, pert, [[[1.0]]], cfg, np.full((2, 3), 0.5), jumps=False,
+        )
+        assert block.columns == (sim.ColumnPeaks(0.5, math.inf, math.inf, 0.02),) * 2
 
     @pytest.mark.parametrize("case", ["signed_one_input", "nonnegative_mimo"])
     def test_orthant_columns(self, case, example_b):
@@ -1280,16 +1284,82 @@ class TestStepWorkspace:
                 sys, phi, scalar_pert(2), [[0.0]], SimConfig(dt=0.05, horizon=5.0), [1.0, 0.0]
             )
 
-    def test_two_output_scalar_loop_matches_the_reference(self):
-        # m = p = 2: each stage's two entries per column go through the slot's flat view
+    # blocks of 1 to 12 columns; where deltas above 1 blow up, at different
+    # steps, the block narrows
+    @pytest.mark.parametrize("deltas,trials", [
+        ([1.5], 1), ([0.0, 1.25, 1.5], 1), ([-0.5, 0.0, 0.3], 2), ([-0.5, 0.25, 1.25, 1.5], 3),
+    ], ids=["1", "3", "6", "12"])
+    def test_two_output_scalar_loop_matches_the_reference(self, deltas, trials):
+        # m = p = 2: each stage's two entries per column go through the slot's
+        # flat view, and stages 2 to 4 read their addends by ravel
         phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi
-        deltas = [np.full((3, 3), d) for d in (-0.5, 0.0, 0.3)]
-        x0s = np.random.default_rng(8).uniform(-1.0, 1.0, size=(2, 3))
-        cfg = SimConfig(dt=0.05, horizon=10.0)
+        x0s = np.random.default_rng(8).uniform(-1.0, 1.0, size=(trials, 3))
         block = assert_columns_match_reference(
-            MIMO_SYSTEM, phi, identity_pert(3), deltas, cfg, x0s, jumps=False,
+            MIMO_SYSTEM, phi, identity_pert(3), [np.full((3, 3), d) for d in deltas],
+            SimConfig(dt=0.05, horizon=10.0), x0s, jumps=False,
         )
         assert block.last > 1
+        blown = {delta > 1 for delta, column in zip(np.repeat(deltas, trials), block.columns)
+                 if column.blowup_time is not None}
+        assert blown == ({True} if max(deltas) > 1 else set())
+
+    def test_overflow_that_turns_the_state_nan_is_a_blow_up(self):
+        # x' = -x + sinh(x) runs away from x0 = 1; stage 1's +inf meets G_3's
+        # negative (dt/4) C h B, so the state is NaN at the step it blows up
+        phi = Nonlinearity.scalar(math.sinh, name="sinh")
+        sys, pert = LtiSystem(a=[[-1.0]], b=[[1.0]], c=[[1.0]]), scalar_pert(1)
+        cfg = SimConfig(dt=0.05, horizon=20.0)
+        block = assert_columns_match_reference(sys, phi, pert, [[[0.0]]], cfg, [[1.0]])
+        assert block.columns[0] == sim.ColumnPeaks(1.0, math.inf, math.inf, 51 * 0.05)
+        assert block.last == 51
+        assert np.isnan(reference_run(sys, phi, pert, [[0.0]], cfg, [1.0])[0][-1]).all()
+        rows = sim.sweep(sys, phi, pert, [0.0, 0.5], cfg, trials=2, seed=1)
+        assert [(r.verdict, r.blowup_time) for r in rows[:2]] == [("Unstable", 10.8), ("Unstable", 2.85)]
+        assert {r.verdict for r in rows} == {"Unstable"}
+
+
+def _strided(rng, k, rows, start, width):
+    """A ``(k, width, 1)`` view at rows ``start`` to ``start + width`` of a
+    random ``(k, rows, 1)`` stack, as the engine's stage slots are, with
+    entries over many decades so that every addition rounds."""
+    scale = 10.0 ** rng.integers(-6, 7, size=(k, rows, 1))
+    return (rng.uniform(-3.0, 3.0, size=(k, rows, 1)) * scale)[:, start : start + width]
+
+
+class TestBoundFeedback:
+    """``Nonlinearity._into(out, add)`` writes ``phi(y + add)`` into ``out``,
+    bit for bit what ``phi(np.add(y, add))`` returns."""
+
+    @pytest.mark.parametrize("phi,width", [
+        (sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi, 1),
+        (sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi, 2),
+        (Nonlinearity(lambda y: y), 2),
+        (Nonlinearity(lambda y: y[:, ::-1]), 2),
+        (Nonlinearity.network(MIMO_NET), 2),
+    ], ids=["scalar_m1", "scalar_m2", "returns_input", "returns_view", "network"])
+    def test_matches_phi_of_the_sum(self, phi, width):
+        # the scalar slot and addend at m = p = 1 are 1-D views; at 2, out.flat and ravel
+        rng = np.random.default_rng(11)
+        y = np.ascontiguousarray(_strided(rng, 6, 2, 0, width))
+        add = _strided(rng, 6, 4 * width + 3, width, width)
+        out = _strided(rng, 6, 4 * width, 2 * width, width)
+        expected = phi(np.add(y, add))
+        assert phi._into(out, add)(y) is out
+        assert out.tobytes() == expected.tobytes()
+
+    def test_scalar_overflow_fallback_runs_on_the_sums(self):
+        # neither 700 nor 20 overflows sinh, but their sum does
+        phi = Nonlinearity.scalar(math.sinh, name="sinh")
+        y = np.array([[[700.0]], [[-700.0]], [[1.0]]])
+        add = _strided(np.random.default_rng(12), 3, 4, 1, 1)
+        add[:, 0, 0] = [20.0, -20.0, 0.5]
+        out = np.zeros((3, 1, 1))
+        assert phi._into(out, add)(y) is out
+        assert out.tobytes() == phi(np.add(y, add)).tobytes()
+        assert out.ravel().tolist() == [math.inf, -math.inf, math.sinh(1.5)]
+        sqrt = Nonlinearity.scalar(math.sqrt, name="sqrt")
+        with pytest.raises(InputError, match=r"^nonlinearity 'sqrt' is undefined at y = -2 "):
+            sqrt._into(out, add)(np.array([[[4.0]], [[18.0]], [[-2.5]]]))
 
 
 class TestBlockInputChecks:
