@@ -14,17 +14,17 @@ Each RK4 step is telescoped into matrices computed once per delta, so that
 a step costs a few stacked products rather than a dozen small numpy calls
 per stage.  A gain loop's step is one matrix, ``P = _taylor4(h)`` for ``h =
 dt (A + D delta E + B K C)``, so its state after k steps is ``P^k x0``.  A
-block builds, for one delta at a time, the ladder ``P^(2^j)`` by repeated
-squaring, with the bounds ``N_0 = ||P||``, ``N_{j+1} = N_j max(1,
+block builds the ladder ``P^(2^j)`` of all its deltas at once, one stacked
+squaring per level, with the bounds ``N_0 = ||P||``, ``N_{j+1} = N_j max(1,
 ||P^(2^j)||)`` (inf-norms), so that ``N_j >= ||P^k||`` for every ``k <=
-2^j``.  Each jumping column then jumps greedily toward the halfway step
-and then toward the end: by the largest ``2^j`` steps that fit, provided
-``N_j ||x|| <= JUMP_BOUND``, just under ``BLOWUP_BOUND``.  No step inside
-such a jump can pass the bound.  Where no jump qualifies, the column takes
-one step of ``P`` under the blow-up and NaN rules of stepping, so it blows
-up, or raises, at the step stepping does.  A column of 4,000 steps that
-stays well under the bound takes 14 products, two per set bit of 2,000,
-instead of 4,000.
+2^j``.  Each jumping column jumps greedily toward the halfway step and then
+toward the end: by the largest ``2^j`` steps that fit, provided ``N_j ||x||
+<= JUMP_BOUND``, just under ``BLOWUP_BOUND``.  No step inside such a jump
+can pass the bound.  Where no jump qualifies, the column takes one step of
+``P`` under the blow-up and NaN rules of stepping, so it blows up, or
+raises, at the step stepping does.  The columns jump in lockstep, by
+stacked products: any number of them, of 4,000 steps well under the bound,
+take 12 products, two per set bit of 2,000.
 
 A nonlinear loop steps ``x' = M x + B phi(C x)``, with the drift ``M = A +
 D delta E``.  A step makes four calls of ``phi``; for ``h = dt M``, stage
@@ -335,28 +335,32 @@ class StabilityVerdict:
 
 def _taylor4(h: np.ndarray) -> np.ndarray:
     """``I + h + h^2/2 + h^3/6 + h^4/24``, the degree-4 Taylor polynomial of
-    ``expm(h)``: the RK4 step matrix of ``x' = (h / dt) x``."""
-    return np.eye(len(h)) + h + h @ h / 2.0 + h @ h @ h / 6.0 + h @ h @ h @ h / 24.0
+    ``expm(h)``: the RK4 step matrix of ``x' = (h / dt) x``, for one ``h`` or a stack."""
+    h2 = h @ h
+    h3 = h2 @ h
+    return np.eye(h.shape[-1]) + h + h2 / 2.0 + h3 / 6.0 + h3 @ h / 24.0
 
 
 def _stage_matrices(h, b, c, dt: float) -> tuple[np.ndarray, ...]:
     """``(W, G_2, G_3, G_4, Q)`` of one telescoped RK4 step of ``x' = M x + b
     phi(c x)``, for ``h = dt M`` (see the module docstring); ``W`` stacks
-    ``R`` over ``P``, so that one product gives both."""
+    ``R`` over ``P``, so that one product gives both.  For a stack of ``h``,
+    each is the stack of its matrices."""
+    b, c = (np.broadcast_to(m, (*h.shape[:-2], *m.shape)) for m in (b, c))
     hb = h @ b
     h2b = h @ hb
     ch = c @ h
     ch2 = ch @ h
     cb, chb = c @ b, ch @ b
-    w = np.vstack([
+    w = np.concatenate([
         c, c + ch / 2.0, c + ch / 2.0 + ch2 / 4.0, c + ch + ch2 / 2.0 + ch2 @ h / 4.0, _taylor4(h),
-    ])
+    ], axis=-2)
     g2 = dt / 2.0 * cb
-    g3 = np.hstack([dt / 4.0 * chb, dt / 2.0 * cb])
-    g4 = np.hstack([dt / 4.0 * (ch2 @ b), dt / 2.0 * chb, dt * cb])
-    q = dt / 6.0 * np.hstack([
+    g3 = np.concatenate([dt / 4.0 * chb, dt / 2.0 * cb], axis=-1)
+    g4 = np.concatenate([dt / 4.0 * (ch2 @ b), dt / 2.0 * chb, dt * cb], axis=-1)
+    q = dt / 6.0 * np.concatenate([
         b + hb + h2b / 2.0 + h @ h2b / 4.0, 2.0 * b + hb + h2b / 2.0, 2.0 * b + hb, b,
-    ])
+    ], axis=-1)
     return w, g2, g3, g4, q
 
 
@@ -394,6 +398,7 @@ def simulate_lure(
     shape = delta.shape[1:] if stacked else deltas[0].shape
     if shape != (pert.k1, pert.k2):
         raise DimensionMismatchError(f"delta must be {pert.k1}x{pert.k2}, got {shape}")
+    deltas = np.array(deltas).reshape(-1, *shape)
     x0s = np.atleast_2d(np.asarray(x0, dtype=float))
     if x0s.ndim != 2 or x0s.shape[1] != sys.n:
         raise DimensionMismatchError(
@@ -415,36 +420,34 @@ def simulate_lure(
     dt = cfg.dt
     steps = int(round(cfg.horizon / dt))
     trials = len(x0s)
-    drifts = [sys.a + pert.d @ d @ pert.e for d in deltas]
-    # column i * T + t, delta i from state t, jumps if i is in powers and t in jumping
-    powers, jumping = {}, range(trials)
+    drifts = sys.a + pert.d @ deltas @ pert.e
+    # column i * T + t, delta i from state t, jumps if i is in ``which`` and t in ``jumping``
+    which, jumping, powers = np.arange(0), np.arange(trials), None
     if phi.mat is not None:
         # a linear field's four RK4 stages telescope into one step matrix
-        bkc = sys.b @ phi.mat @ sys.c
-        powers = dict(enumerate(_taylor4(h) for h in _step_arguments([m + bkc for m in drifts], dt)))
+        powers = _taylor4(_step_arguments(drifts + sys.b @ phi.mat @ sys.c, dt))
+        which = np.arange(len(deltas))
     elif phi.orthant is not None:
-        jumping = set(np.flatnonzero((x0s >= 0).all(axis=1)).tolist())
-        if jumping:
+        jumping = np.flatnonzero((x0s >= 0).all(axis=1))
+        if jumping.size:
             # where the gain loop of K has a finite W = [R; P] >= 0, a column
             # from a state >= 0 stays where phi is K (see the module docstring)
-            bkc = sys.b @ phi.orthant @ sys.c
-            for i, h in enumerate(_step_arguments([m + bkc for m in drifts], dt)):
-                w = _stage_matrices(h, sys.b, sys.c, dt)[0]
-                if (w >= 0).all() and np.isfinite(w).all():
-                    powers[i] = w[4 * sys.p:]
+            w = _stage_matrices(_step_arguments(drifts + sys.b @ phi.orthant @ sys.c, dt),
+                                sys.b, sys.c, dt)[0]
+            which = np.flatnonzero(((w >= 0) & np.isfinite(w)).all(axis=(1, 2)))
+            powers = w[which, 4 * sys.p:]
     initial = np.tile(np.abs(x0s).max(axis=1), len(deltas))
     midway = steps // 2
     # each column's peaks at step ``midway`` and at its last step, and its blow-up time
     mid, final, blowup = initial.copy(), np.empty(len(initial)), [None] * len(initial)
+    grid = which[:, None] * trials + jumping  # the jumping columns, a row per delta
     # a gain block has no stepping column and a network loop's jumping one
     # stays >= 0, so a NaN that _powered_block raises for is the earliest
-    last = _powered_block(powers, x0s, jumping, initial, mid, final, blowup, steps, dt) if powers else 0
-    live = np.array([i * trials + t for i in range(len(deltas)) for t in range(trials)
-                     if i not in powers or t not in jumping], dtype=int)
+    last = grid.size and _powered_block(powers, grid, x0s, initial, mid, final, blowup, steps, dt)
+    live = np.delete(np.arange(len(initial)), grid.ravel())
     if live.size:  # a block whose columns all jump builds no stepping matrices
         # each of W, G_2, G_3, G_4 and Q over the deltas
-        stacks = [np.array(group) for group in zip(*(
-            _stage_matrices(h, sys.b, sys.c, dt) for h in _step_arguments(drifts, dt)))]
+        stacks = _stage_matrices(_step_arguments(drifts, dt), sys.b, sys.c, dt)
         p, m = sys.p, sys.m
 
         def stepper(w, g2, g3, g4, q):
@@ -531,8 +534,8 @@ def simulate_lure(
     ), last, dt)
 
 
-def _step_arguments(ms, dt: float) -> list[np.ndarray]:
-    """``h = dt M`` for each M of ``ms``, as ``_taylor4`` and ``_stage_matrices``
+def _step_arguments(ms: np.ndarray, dt: float) -> np.ndarray:
+    """``h = dt M`` for a matrix, or a stack, ``ms``, as ``_taylor4`` and ``_stage_matrices``
     take it.  A step adds ``h`` to the identity, and rounding ``1 + h_ii``
     moves it by up to ``2**-53``, a growth rate of up to ``2**-53 / dt`` per
     unit time.  So where some M has a nonzero diagonal entry, a ``dt`` at which
@@ -541,58 +544,78 @@ def _step_arguments(ms, dt: float) -> list[np.ndarray]:
     bound where the loop decays.  An entry lost at a larger ``dt`` has
     ``|M_ii| <= 2**-53 / dt <= RES``, so losing it moves a rate by at most
     ``RES`` and is not refused."""
-    if 2.0**-53 / dt > RES and any(m_ii for m in ms for m_ii in m.diagonal().tolist()):
+    if 2.0**-53 / dt > RES and np.diagonal(ms, axis1=-2, axis2=-1).any():
         raise InputError(
             f"dt={dt!r} is too small for this loop: rounding 1 + dt * M_ii for a nonzero "
             f"diagonal entry M_ii of its matrix M, or losing it outright, can move a growth "
             f"rate by 2**-53 / dt = {2.0**-53 / dt:.3g} per unit time, more than the resolution {RES}"
         )
-    return [dt * m for m in ms]
+    return dt * ms
 
 
-def _powered_block(powers: dict[int, np.ndarray], x0s: np.ndarray, jumping, initial: np.ndarray,
+def _powered_block(powers: np.ndarray, grid: np.ndarray, x0s: np.ndarray, initial: np.ndarray,
                    mid: np.ndarray, final: np.ndarray, blowup: list, steps: int, dt: float) -> int:
-    """Jump each column ``i * T + t``, for delta i in ``powers`` and state t in
-    ``jumping``, by powers of ``powers[i]`` (see the module docstring), into
-    its entries of ``mid``, ``final`` and ``blowup``; ``initial`` holds every
-    column's initial peak.  Returns the last step that a column reached."""
+    """Jump each column ``grid[k, s] = i * T + t`` by powers of ``powers[k]``,
+    delta i's step matrix, in lockstep (see the module docstring), into its
+    entries of ``mid``, ``final`` and ``blowup``; ``initial`` holds every
+    column's initial peak.  Returns the last step that a column reached.
+    Besides its ladder of ``len(powers) * levels * n^2`` floats, it holds a
+    few stacks of ``grid.size`` states: it grows with the trials by their
+    states alone."""
     trials, n = x0s.shape
     midway = steps // 2
     levels = max(midway, steps - midway).bit_length()
-    ladder = np.empty((levels, n, n))  # P^(2^j) of one delta, reused for the next
+    ladder = np.empty((levels, len(powers), n, n))  # P^(2^j) of each delta
+    ladder[0] = powers
+    for j in range(1, levels):
+        np.matmul(ladder[j - 1], ladder[j - 1], out=ladder[j])
+    # level by level, with no copy of |ladder|
+    norms = np.array([np.abs(level).sum(axis=2).max(axis=1) for level in ladder]).T
+    # N_0 = ||P||, N_{j+1} = N_j max(1, ||P^(2^j)||) bounds ||P^k|| for
+    # 1 <= k <= 2^j, since P^(2^j + r) = P^(2^j) P^r; the maximum with
+    # ||P^(2^j)|| never takes a level whose own matrix overflowed
+    bounds = norms[:, :1] * np.cumprod(np.concatenate(
+        (np.ones((len(powers), 1)), np.maximum(1.0, norms[:, :-1])), axis=1), axis=1)
+    reach = np.maximum(norms, bounds).tolist()
+    # the states of row r are ladder row r's; a live column is [r, its
+    # place s in the row, its column, the steps it took, its peak]
+    x = np.repeat(x0s[None, grid[0] % trials, :, None], len(powers), axis=0)
+    cols = [[r, s, col, 0, initial[col]] for (r, s), col in np.ndenumerate(grid)]
     last, nan_step = 0, math.inf
-    for i, p in powers.items():
-        ladder[0] = p
-        for j in range(1, levels):
-            np.matmul(ladder[j - 1], ladder[j - 1], out=ladder[j])
-        norms = np.abs(ladder).sum(axis=2).max(axis=1)
-        # N_0 = ||P||, N_{j+1} = N_j max(1, ||P^(2^j)||) bounds ||P^k|| for
-        # 1 <= k <= 2^j, since P^(2^j + r) = P^(2^j) P^r; the maximum with
-        # ||P^(2^j)|| never takes a level whose own matrix overflowed
-        bounds = norms[0] * np.cumprod(np.concatenate(([1.0], np.maximum(1.0, norms[:-1]))))
-        reach = np.maximum(norms, bounds).tolist()
-        for t in jumping:
-            col = i * trials + t
-            x, peak, done = x0s[t, :, None], initial[col], 0
-            while done < steps:
-                # the largest jump that fits the steps left to midway or to
-                # the end and cannot pass the bound, else one step of P
-                j = ((midway if done < midway else steps) - done).bit_length() - 1
-                while j and not reach[j] * peak <= JUMP_BOUND:
-                    j -= 1
-                x = np.matmul(ladder[j], x)
-                done += 1 << j
-                peak = float(np.abs(x).max())
-                if done == midway:
-                    mid[col] = peak
-                if not peak <= BLOWUP_BOUND:
-                    if math.isnan(peak):
-                        nan_step = min(nan_step, done)
-                    else:
-                        blowup[col] = done * dt
-                    break
+    while cols:
+        # each column's largest jump that fits its steps left to midway or
+        # to the end and cannot pass the bound, else one step of P
+        picks = []
+        for r, _, _, done, peak in cols:
+            j = ((midway if done < midway else steps) - done).bit_length() - 1
+            while j and not reach[r][j] * peak <= JUMP_BOUND:
+                j -= 1
+            picks.append(j)
+        # one stacked product by the jump most columns picked, one alone for each other column
+        most = max(set(picks), key=picks.count)
+        moved = np.matmul(ladder[most, :, None], x)
+        for (r, s, *_), j in zip(cols, picks):
+            if j != most:
+                moved[r, s] = np.matmul(ladder[j, r], x[r, s])
+        x = moved
+        peaks = np.abs(x).max(axis=(2, 3)).tolist()
+        kept = []
+        for c, j in zip(cols, picks):
+            c[3] += 1 << j
+            r, s, col, done, _ = c
+            c[4] = peak = peaks[r][s]
+            if done == midway:
+                mid[col] = peak
+            if math.isnan(peak):
+                nan_step = min(nan_step, done)
+            elif peak > BLOWUP_BOUND:
+                blowup[col] = done * dt
+            elif done < steps:
+                kept.append(c)
+                continue
             final[col] = peak
             last = max(last, done)
+        cols = kept
     if nan_step < math.inf:
         raise NonFiniteStateError(f"state became NaN at t = {nan_step * dt:g}")
     return last

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -27,7 +28,7 @@ from lurestab.linalg import NormKind, operator_norm, spectral_abscissa
 from lurestab.radius import LtiSystem, PerturbationStructure, stability_radius_lure
 from lurestab.sim import Nonlinearity, SimConfig
 
-from generators import bisect_destabilizing_delta
+from generators import bisect_destabilizing_delta, random_metzler_hurwitz
 
 
 def two_state_system(a=None):
@@ -750,8 +751,10 @@ def assert_columns_match_reference(sys, phi, pert, deltas, cfg, x0s, jumps=None)
     """
     with mock.patch.object(sim, "_powered_block", wraps=sim._powered_block) as powered:
         block = sim.simulate_lure(sys, phi, pert, np.array(deltas, dtype=float), cfg, x0s)
-    # (delta, state) pairs that jumped: _powered_block takes the deltas' powers and the states
-    jumped = {(i, t) for call in powered.call_args_list for i in call.args[0] for t in call.args[2]}
+    # (delta, state) pairs that jumped: _powered_block takes the deltas' step
+    # matrices and the grid of their jumping columns i * T + t
+    jumped = {divmod(col, len(x0s)) for call in powered.call_args_list
+              for col in call.args[1].ravel().tolist()}
     assert len(block.columns) == len(deltas) * len(x0s)
     for i, delta in enumerate(deltas):
         for t, x0 in enumerate(x0s):
@@ -786,6 +789,21 @@ def count_phi_calls(monkeypatch) -> list:
         Nonlinearity, "__call__", lambda phi, y: calls.append(y.shape) or call(phi, y)
     )
     return calls
+
+
+def count_state_products(monkeypatch) -> list:
+    """Count every ``np.matmul`` of jumping states, a ``(rows, states, n,
+    1)`` stack or one column's ``(n, 1)`` state; returns the list that each
+    product appends the states' shape to."""
+    products, matmul = [], np.matmul
+
+    def counted(a, b, *args, **kwargs):
+        if np.ndim(b) in (2, 4) and np.shape(b)[-1] == 1:
+            products.append(np.shape(b))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    return products
 
 
 # x' = (1 + delta) x: at delta = 0 the state crosses the blowup bound near
@@ -1007,7 +1025,7 @@ class TestBlockEngine:
         jumps = []
 
         def counted(a, b, *args, **kwargs):
-            if np.shape(b) == (3, 1):  # a product with the state
+            if np.shape(b)[-2:] == (3, 1):  # a product with the states
                 jumps.append(b)
             return matmul(a, b, *args, **kwargs)
 
@@ -1018,6 +1036,100 @@ class TestBlockEngine:
         assert block.columns[0].blowup_time is None and block.columns[0].rate < -sim.RES
         assert len(jumps) <= 2 * steps.bit_length()
         assert len(jumps) == 2 * bin(steps // 2).count("1")
+
+    def test_gain_block_jumps_its_columns_together(self, example_a, monkeypatch):
+        # 10 stable deltas x 2 trials of 4,000 steps: one stacked product per
+        # jump of a column, 2 * popcount(2,000) = 12, not one per column and
+        # jump (240)
+        phi = Nonlinearity.gain(example_a.analysis_sector().upper)
+        x0s = np.random.default_rng(6).uniform(0.0, 1.0, size=(2, 3))
+        products = count_state_products(monkeypatch)
+        block = sim.simulate_lure(
+            example_a.system, phi, example_a.pert, np.linspace(0.0, 0.2, 10)[:, None, None],
+            SimConfig(dt=0.005, horizon=20.0), x0s,
+        )
+        assert all(c.blowup_time is None and c.rate < -sim.RES for c in block.columns)
+        assert len(products) == 2 * bin(2000).count("1") == 12
+
+    @pytest.mark.parametrize("loop", ["gain", "orthant"])
+    def test_lockstep_block_of_mixed_columns(self, loop, example_b, monkeypatch):
+        # columns that reach the horizon, that blow up before midway and
+        # after it, and that near the bound take shorter jumps from different
+        # iterations on, so that some iteration moves columns by jumps of two
+        # lengths: each column equals its one-column block bit for bit, and
+        # the block runs to its largest column's last step
+        if loop == "gain":
+            (sys, phi), pert = GROWING_GAIN, scalar_pert(1)
+            deltas, cfg = [-3.0, -0.95, 0.0, 0.5], SimConfig(dt=0.02, horizon=30.0)
+            x0s = np.array([[1.0], [0.5], [2.5e8]])
+        else:
+            sys, phi, pert = example_b.system, example_b.loop_nonlinearity(), example_b.pert
+            deltas, cfg = [1.0, 2.5, 4.0, 8.0], SimConfig(dt=0.02, horizon=20.0)
+            x0s = np.random.default_rng(2).uniform(0.0, 1.0, size=(2, 3))
+        stack = np.array(deltas)[:, None, None]
+        products = count_state_products(monkeypatch)
+        block = sim.simulate_lure(sys, phi, pert, stack, cfg, x0s)
+        lockstep, alone = len(products), []
+        for delta in stack:
+            for x0 in x0s:
+                products.clear()
+                alone.append((sim.simulate_lure(sys, phi, pert, delta[None], cfg, x0[None]), len(products)))
+        assert block.columns == tuple(run.columns[0] for run, _ in alone)
+        assert block.last == max(run.last for run, _ in alone)
+        assert lockstep > max(jumps for _, jumps in alone)
+        blowups = [c.blowup_time for c in block.columns]
+        midway = cfg.horizon / 2
+        assert None in blowups
+        assert any(t is not None and t < midway for t in blowups)
+        assert any(t is not None and t > midway for t in blowups)
+
+    def test_lockstep_nan_raises_at_the_earliest_column(self):
+        # x_1 and x_2 both grow by delta a step and x_0 gains 1e308 (x_1 - x_2)
+        # = 0, until 1e308 x_1 overflows and that is inf - inf; the step
+        # matrix's norm is inf, so every column steps singly.  Delta 0.5 from
+        # x_1 = 0.6 turns NaN first, at step 4, delta 0 never
+        a = np.zeros((4, 4))
+        a[0, 1], a[0, 2] = 1e308, -1e308
+        sys = LtiSystem(a=a, b=np.zeros((4, 1)), c=np.ones((1, 4)))
+        pert = PerturbationStructure(d=[[0.0], [1.0], [1.0], [0.0]], e=[[0.0, 0.0, 0.0, 1.0]])
+        phi, cfg = Nonlinearity.gain([[0.0]]), SimConfig(dt=1.0, horizon=12.0)
+        deltas = np.array([[[0.25]], [[0.0]], [[0.5]]])
+        x0s = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.6, 0.6, 1.0]])
+        steps = []
+        for delta in deltas:
+            for x0 in x0s:
+                try:
+                    sim.simulate_lure(sys, phi, pert, delta[None], cfg, x0[None])
+                except NonFiniteStateError as exc:
+                    steps.append(float(re.fullmatch(r"state became NaN at t = (\S+)", str(exc))[1]))
+        assert sorted(steps) == [4.0, 5.0, 6.0, 9.0]
+        with pytest.raises(NonFiniteStateError, match=r"^state became NaN at t = 4$"):
+            sim.simulate_lure(sys, phi, pert, deltas, cfg, x0s)
+
+    def test_jumping_memory_grows_with_trials_by_their_states_alone(self):
+        # a 30-state gain block of 10 deltas holds its ladder, levels * D *
+        # n^2 floats, and a few stacks of its deltas' matrices; 40 more trials
+        # add a few states per column, not a matrix per column
+        rng = np.random.default_rng(30)
+        n, levels = 30, 11  # 4,000 steps: the bit length of 2,000
+        sys = LtiSystem(a=random_metzler_hurwitz(rng, n), b=rng.uniform(0.0, 1.0, (n, 1)),
+                        c=rng.uniform(0.0, 1.0, (1, n)))
+        pert = PerturbationStructure(d=rng.uniform(0.0, 0.1, (n, 1)), e=rng.uniform(0.0, 0.1, (1, n)))
+        deltas = np.linspace(-1.0, 1.0, 10)[:, None, None]
+        cfg = SimConfig(dt=0.005, horizon=20.0)
+        peaks = {}
+        for trials in (1, 41):
+            x0s = rng.uniform(0.0, 1.0, (trials, n))
+            tracemalloc.start()
+            try:
+                block = sim.simulate_lure(sys, Nonlinearity.gain([[0.0]]), pert, deltas, cfg, x0s)
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert all(c.blowup_time is None for c in block.columns)
+        mats = len(deltas) * n * n * 8  # bytes of one stack of the deltas' matrices
+        assert peaks[1] <= (levels + 6) * mats
+        assert peaks[41] - peaks[1] <= 8 * len(deltas) * 40 * n * 8
 
     def test_no_state_history_for_a_block(self):
         sys, phi = GROWING_GAIN
