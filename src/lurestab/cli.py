@@ -7,6 +7,8 @@ radius formulas), ``nn-bound`` (network sector bound), ``sweep``
 Exit codes: 0 success / verdict true, 2 analysis negative, 1 input
 error; an error exits with the ``exit_code`` of its class.  All numbers
 in a report come from library operations; the CLI only formats them.
+``main`` loads the input and emits the report; a handler
+``cmd_x(args, problem, report)`` computes, renders and returns the exit code.
 """
 
 from __future__ import annotations
@@ -44,13 +46,11 @@ def _vec(v) -> list | None:
 class Report:
     """Accumulates one command's results and renders them deterministically."""
 
-    def __init__(self, command: str, problem: Problem | None = None, source=None):
-        self.data = {"command": command, "results": {}, "warnings": []}
-        if problem is not None:
-            self.data["problem"] = str(problem.path)
-            self.data["inputs_digest"] = problem.digest
-        elif source is not None:
-            self.data["problem"] = str(source)
+    def __init__(self, command: str, path, digest: str | None = None):
+        """``digest`` is a loaded problem's; a network file read alone has none."""
+        self.data = {"command": command, "problem": str(path), "results": {}, "warnings": []}
+        if digest is not None:
+            self.data["inputs_digest"] = digest
 
     def set(self, key: str, value) -> None:
         self.data["results"][key] = value
@@ -63,8 +63,7 @@ class Report:
             print(json.dumps(self.data, sort_keys=True, indent=2))
             return
         print(f"command: {self.data['command']}")
-        if "problem" in self.data:
-            print(f"problem: {self.data['problem']}")
+        print(f"problem: {self.data['problem']}")
         if "inputs_digest" in self.data:
             print(f"sha256: {self.data['inputs_digest']}")
         for key, value in self.data["results"].items():
@@ -85,22 +84,13 @@ def _human(value) -> str:
     return str(value)
 
 
-def _check_step(report: Report, problem: Problem, phi, sector, deltas, dt: float) -> str:
+def _check_step(report: Report, problem: Problem, deltas, dt: float) -> str:
     """Warn, before simulating, where ``dt`` exceeds RK4's positivity bound on
-    the loops simulated at ``deltas``: of ``phi``'s gain, or else of both
-    edges of ``sector``, or else of the plant alone (zero gain); returns why a
+    the loops simulated at ``deltas`` (``Problem.step_bound``); returns why a
     certified loop can read Unstable below its radius."""
-    leaves = "the simulated feedback leaves its sector"
-    if phi.mat is not None:
-        gains, edges = [phi.mat], "the gain"
-    elif sector is not None:
-        gains, edges = [sector.lower, sector.upper], "both sector edges"
-    else:
-        gains = [np.zeros((problem.system.m, problem.system.p))]
-        edges = "the plant alone at zero gain"
-    bound = sim.rk4_positive_dt(problem.system, problem.pert, gains, deltas)
+    bound, edges = problem.step_bound(deltas)
     if dt <= bound:
-        return leaves
+        return "the simulated feedback leaves its sector"
     cause = f"dt={dt!r} exceeds {bound:.4g}, the largest step at which RK4 keeps the loops positive"
     report.warn(f"{cause} (1 / max_i(-M_ii) over {edges} and the simulated deltas); "
                 "a verdict may then read the step, not the loop")
@@ -115,10 +105,8 @@ def _certificate_results(report: Report, cert: rad.AizermanCertificate) -> None:
     report.set("positive_vector", _vec(cert.positive_vector))
 
 
-def cmd_check(args) -> int:
-    problem = load_problem(args.problem, norm_override=args.norm)
-    report = Report("check", problem)
-    sector = problem.analysis_sector()
+def cmd_check(args, problem: Problem, report: Report) -> int:
+    sector = problem.analysis_sector
     if sector is None:
         raise InputError("check needs a sector, network, or builtin nonlinearity")
     cert = rad.certify_positive_lure(problem.system, sector)
@@ -128,20 +116,16 @@ def cmd_check(args) -> int:
             "closed loop failed gate(s): " + ", ".join(cert.failed_gates())
             + "; sector-wide exponential stability is NOT certified"
         )
-    report.emit(args.format)
     return EXIT_OK if cert.verdict else EXIT_NEGATIVE
 
 
-def cmd_radius(args) -> int:
-    problem = load_problem(args.problem, norm_override=args.norm)
-    report = Report("radius", problem)
+def cmd_radius(args, problem: Problem, report: Report) -> int:
     try:
         result = problem.radius(override_gates=args.override_gates)
     except CertificationError as exc:
         _certificate_results(report, exc.certificate)
         report.warn(str(exc))
         report.warn("pass --override-gates to compute the formula anyway")
-        report.emit(args.format)
         return EXIT_NEGATIVE
     if result.certificate is not None and not result.certificate.verdict:
         report.warn(
@@ -161,28 +145,17 @@ def cmd_radius(args) -> int:
         report.set("gate_hurwitz", True)
     if result.sector is not None:
         report.set("sector_upper", _mat(result.sector.upper))
-    report.emit(args.format)
     return EXIT_OK
 
 
-def cmd_nn_bound(args) -> int:
-    if args.network:
-        net = load_ffnn(args.network)
-        report = Report("nn-bound", source=args.network)
-    elif args.problem:
-        problem = load_problem(args.problem)
-        if problem.network is None:
-            raise InputError("the problem file has no network")
-        net = problem.network
-        report = Report("nn-bound", problem)
-    else:
-        raise InputError("nn-bound needs --network or --problem")
-
+def cmd_nn_bound(args, source: ffnn.Ffnn | Problem, report: Report) -> int:
+    net = source.network if isinstance(source, Problem) else source
+    if net is None:
+        raise InputError("the problem file has no network")
     try:
         bound = ffnn.sector_bound_ffnn(net)
     except NonzeroBiasError as exc:
         report.warn(str(exc))
-        report.emit(args.format)
         return EXIT_NEGATIVE
 
     report.set("hidden_layers", net.q)
@@ -196,18 +169,15 @@ def cmd_nn_bound(args) -> int:
     ])
     report.set("gamma1", _mat(bound.lower))
     report.set("gamma2", _mat(bound.upper))
-    report.emit(args.format)
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    problem = load_problem(args.problem, norm_override=args.norm)
-    report = Report("sweep", problem)
+def cmd_sweep(args, problem: Problem, report: Report) -> int:
     phi = problem.loop_nonlinearity()
     if phi is None:
         raise InputError("sweep needs a sector, network, or builtin nonlinearity")
     cfg = problem.sim_config(dt=args.dt, horizon=args.horizon)
-    formula_radius, certified, sector = None, False, None
+    formula_radius, certified = None, False
     try:
         result = problem.radius(override_gates=True)
     except InputError:
@@ -215,7 +185,7 @@ def cmd_sweep(args) -> int:
     except LureStabError as exc:
         report.warn(f"no analytic radius available ({exc})")
     else:
-        formula_radius, certified, sector = result.radius, result.certificate.verdict, result.sector
+        formula_radius, certified = result.radius, result.certificate.verdict
         if not certified:
             report.warn(
                 "radius used for the delta grid was computed with failed gates: "
@@ -227,7 +197,7 @@ def cmd_sweep(args) -> int:
             raise InputError("the problem lists no sweep deltas and no radius is computable")
         deltas = [round(f * formula_radius, 12) for f in (0.5, 0.8, 1.0, 1.2, 1.5)]
         report.warn("sweep deltas derived from the analytic radius")
-    cause = _check_step(report, problem, phi, sector, deltas, cfg.dt)
+    cause = _check_step(report, problem, deltas, cfg.dt)
 
     rows = sim.sweep(
         problem.system, phi, problem.pert, deltas,
@@ -266,37 +236,31 @@ def cmd_sweep(args) -> int:
         below = sum(s["unstable"] for s in summary if s["delta"] < formula_radius)
         if certified and below:
             report.warn(f"{below} trial(s) Unstable at deltas below the certified radius: {cause}")
-    report.emit(args.format)
     return EXIT_OK
 
 
-def cmd_refine(args) -> int:
-    problem = load_problem(args.problem, norm_override=args.norm)
-    report = Report("refine", problem)
+def cmd_refine(args, problem: Problem, report: Report) -> int:
     if problem.network is None:
         raise InputError("refine needs a problem with a network")
     if problem.pert.k1 != 1 or problem.pert.k2 != 1:
         raise InputError("refine needs a scalar perturbation structure")
-    net = problem.network
-    bound = ffnn.sector_bound_ffnn(net)
+    bound = problem.analysis_sector
     report.set("gamma2", _mat(bound.upper))
 
     delta_crit = args.delta_crit
     if delta_crit is None:
-        base = rad.nn_stability_radius(problem.system, bound, problem.pert)
+        base = problem.radius()
         report.set("formula_radius", float(base.radius))
         cfg = problem.sim_config(dt=args.dt, horizon=args.horizon)
         delta_max = max(10.0 * base.radius, 1.0)
-        phi = problem.loop_nonlinearity()
-        cause = _check_step(report, problem, phi, bound, [0.0, delta_max], cfg.dt)
+        cause = _check_step(report, problem, [0.0, delta_max], cfg.dt)
         try:
             found = sim.find_critical_delta(
-                problem.system, phi, problem.pert,
+                problem.system, problem.loop_nonlinearity(), problem.pert,
                 delta_max=delta_max, tol=0.01, cfg=cfg, trials=args.trials, seed=args.seed,
             )
         except NoInstabilityError as exc:
             report.warn(str(exc))
-            report.emit(args.format)
             return EXIT_NEGATIVE
         except UnstableAtZeroError as exc:
             # the radius above certified the loop, so delta 0 lies below it
@@ -308,6 +272,7 @@ def cmd_refine(args) -> int:
     magnitude = rad.refine_upper_sector(problem.system, problem.pert, float(delta_crit))
     report.set("magnitude", magnitude)
     report.set("candidates", [magnitude, -magnitude])
+    net = problem.network
     chosen, check = ffnn.select_refined_sign(net, magnitude, bound.lower, seed=args.seed)
     report.set("refined_upper", _mat(chosen.upper))
     report.set("refined_lower", _mat(chosen.lower))
@@ -319,7 +284,6 @@ def cmd_refine(args) -> int:
             f"network output leaves the refined sector on {check.count} of "
             f"{check.samples} sampled inputs; the refined bound is empirically too tight"
         )
-    report.emit(args.format)
     return EXIT_OK
 
 
@@ -382,10 +346,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        if getattr(args, "network", None):  # nn-bound reads a network file before a problem
+            source, report = load_ffnn(args.network), Report(args.subcommand, args.network)
+        elif args.problem is not None:
+            source = load_problem(args.problem, norm_override=getattr(args, "norm", None))
+            report = Report(args.subcommand, source.path, source.digest)
+        else:
+            raise InputError("nn-bound needs --network or --problem")
+        code = args.handler(args, source, report)
     except LureStabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    report.emit(args.format)
+    return code
 
 
 if __name__ == "__main__":

@@ -151,10 +151,11 @@ def inverse(m, rhs) -> np.ndarray:
     except np.linalg.LinAlgError:  # an exact zero pivot
         inv = None
     # not <=: an inverse that overflowed to inf - inf has a NaN norm
-    if inv is None or not np.linalg.norm(m, 1) * np.linalg.norm(inv, 1) <= COND_MAX:
-        raise SingularMatrixError(
-            f"condition number above {COND_MAX:g}; matrix is numerically singular"
-        )
+    with np.errstate(over="ignore"):  # an overflowing product fails the bound
+        if inv is None or not np.linalg.norm(m, 1) * np.linalg.norm(inv, 1) <= COND_MAX:
+            raise SingularMatrixError(
+                f"condition number above {COND_MAX:g}; matrix is numerically singular"
+            )
     return inv @ rhs
 
 

@@ -19,6 +19,7 @@ resolved by bare filename when the given path does not exist.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
@@ -41,7 +42,7 @@ from .radius import (
     stability_radius_lure,
     stability_radius_schur,
 )
-from .sim import BUILTIN_NONLINEARITIES, Nonlinearity, SimConfig
+from .sim import BUILTIN_NONLINEARITIES, Nonlinearity, SimConfig, rk4_positive_dt
 
 FIXTURE_PACKAGE = "lurestab.fixtures"
 
@@ -68,10 +69,11 @@ class Problem:
     """A parsed problem file plus the digest of its raw bytes, followed by
     those of its network file if it names one.
 
-    The loader resolves the problem kind once.  ``feedback`` is what a
-    simulation feeds back: a sector's upper gain (the worst case), the
-    network, or the builtin function; ``sector`` holds a sector problem's
-    sector or a builtin's declared design sector.
+    The loader resolves the problem kind once, and every choice that depends
+    on it is made here.  ``feedback`` is what a simulation feeds back: a
+    sector's upper gain (the worst case), the network, or the builtin
+    function; ``sector`` holds a sector problem's sector or a builtin's
+    declared design sector.
     """
 
     system: LtiSystem
@@ -84,9 +86,10 @@ class Problem:
     path: Path
     digest: str
 
+    @functools.cached_property
     def analysis_sector(self) -> SectorBound | None:
         """The sector driving radius/certification: a network's weight-product
-        bound (computed on each call; a biased network raises), else ``sector``."""
+        bound (computed once; a biased network raises on each read), else ``sector``."""
         return sector_bound_ffnn(self.network) if self.network is not None else self.sector
 
     def loop_nonlinearity(self) -> Nonlinearity | None:
@@ -102,13 +105,30 @@ class Problem:
         sector or builtin problem takes the sector-loop radius.
         ``override_gates`` only applies to the loop formulas.
         """
-        sector = self.analysis_sector()
+        sector = self.analysis_sector
         if sector is None:
             if self.pert.schur_scale is not None:
                 return stability_radius_schur(self.system.a, self.pert)
             return stability_radius_linear(self.system.a, self.pert)
         compute = nn_stability_radius if self.network is not None else stability_radius_lure
         return compute(self.system, sector, self.pert, override_gates=override_gates)
+
+    def step_bound(self, deltas) -> tuple[float, str]:
+        """RK4's positivity bound on ``dt`` (``sim.rk4_positive_dt``) over the
+        loops a simulation at ``deltas`` runs through, and the gains those
+        loops close, in words: the feedback's gain, else both edges of the
+        analysis sector, else, where a network's sector cannot be computed,
+        the plant alone at zero gain."""
+        if self.feedback.mat is not None:
+            gains, edges = [self.feedback.mat], "the gain"
+        else:
+            try:
+                sector = self.analysis_sector
+                gains, edges = [sector.lower, sector.upper], "both sector edges"
+            except LureStabError:  # a biased or overflowing network has no sector
+                gains = [np.zeros((self.system.m, self.system.p))]
+                edges = "the plant alone at zero gain"
+        return rk4_positive_dt(self.system, self.pert, gains, deltas), edges
 
     def sim_config(self, dt=None, horizon=None) -> SimConfig:
         """The file's simulation settings with the given ones replacing them."""

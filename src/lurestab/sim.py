@@ -100,6 +100,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InputError,
+    NonFiniteEntriesError,
     NonFiniteStateError,
     UnstableAtZeroError,
     NoInstabilityError,
@@ -394,11 +395,11 @@ def simulate_lure(
     """
     pert.check_dims(sys.n)
     stacked = isinstance(delta, np.ndarray) and delta.ndim == 3
-    deltas = [as_matrix(d, "delta") for d in delta] if stacked else [as_matrix(delta, "delta")]
-    shape = delta.shape[1:] if stacked else deltas[0].shape
-    if shape != (pert.k1, pert.k2):
-        raise DimensionMismatchError(f"delta must be {pert.k1}x{pert.k2}, got {shape}")
-    deltas = np.array(deltas).reshape(-1, *shape)
+    deltas = np.asarray(delta, dtype=float) if stacked else as_matrix(delta, "delta")[None]
+    if not np.isfinite(deltas).all():  # as_matrix's test, once over a whole stack
+        raise NonFiniteEntriesError("delta: contains NaN or infinite entries")
+    if deltas.shape[1:] != (pert.k1, pert.k2):
+        raise DimensionMismatchError(f"delta must be {pert.k1}x{pert.k2}, got {deltas.shape[1:]}")
     x0s = np.atleast_2d(np.asarray(x0, dtype=float))
     if x0s.ndim != 2 or x0s.shape[1] != sys.n:
         raise DimensionMismatchError(

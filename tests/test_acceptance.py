@@ -82,7 +82,7 @@ def test_criterion_02_example_a_gate_truthing():
 
 def test_criterion_03_example_a_criticality_crosscheck(example_a):
     start = time.perf_counter()
-    sector = example_a.analysis_sector()
+    sector = example_a.analysis_sector
     upper_loop = example_a.system.a + example_a.system.b @ sector.upper @ example_a.system.c
     structure = example_a.pert.d @ example_a.pert.e
 
@@ -216,7 +216,7 @@ def test_criterion_08_sector_bound_soundness():
 
 def test_criterion_09_simulation_analysis_consistency(example_a):
     start = time.perf_counter()
-    sector = example_a.analysis_sector()
+    sector = example_a.analysis_sector
     formula = stability_radius_lure(
         example_a.system, sector, example_a.pert, override_gates=True
     ).radius

@@ -397,7 +397,7 @@ class TestProblemLoading:
         assert problem.loop_nonlinearity() is not None
         assert problem.loop_nonlinearity() is problem.loop_nonlinearity()
         if kind == "builtin":
-            assert problem.analysis_sector() is problem.sector
+            assert problem.analysis_sector is problem.sector
             assert problem.sector.lower.tolist() == [[-2.0]]
             assert problem.sector.upper.tolist() == [[-0.48]]
 
@@ -703,6 +703,24 @@ class TestRadiusCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "numerically singular" in err and "Traceback" not in err
 
+    def test_override_gates_on_overflowing_condition_number_exits_two(self, capsys, tmp_path):
+        # example_b in coordinates x = S z, S = diag(1e-100, 1, 1e100): the upper
+        # loop's Metzler solve is refused there, so the override inverts it, and
+        # ||M||_1 ||M^-1||_1 overflows to inf
+        doc = json.loads(fixture_path("example_b.json").read_text())
+        scale, unscale = np.diag([1e-100, 1.0, 1e100]), np.diag([1e100, 1.0, 1e-100])
+        a, b, c = (np.array(doc["system"][k], dtype=float) for k in "ABC")
+        d, e = (np.array(doc["perturbation"][k], dtype=float) for k in "DE")
+        doc["system"] = {"A": (unscale @ a @ scale).tolist(), "B": (unscale @ b).tolist(),
+                         "C": (c @ scale).tolist()}
+        doc["perturbation"].update(D=(unscale @ d).tolist(), E=(e @ scale).tolist())
+        doc["network"] = str(fixture_path(doc["network"]))
+        path = tmp_path / "scaled_b.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "radius", "--problem", str(path), "--override-gates")
+        assert (code, out) == (2, "")
+        assert err == "error: condition number above 1e+12; matrix is numerically singular\n"
+
     def test_override_gates_on_unstable_metzler_upper_loop_evaluates_formula(
         self, capsys, tmp_path
     ):
@@ -785,6 +803,22 @@ class TestNnBoundCommand:
     def test_needs_some_source(self, capsys):
         code, out, err = run_cli(capsys, "nn-bound")
         assert code == 1
+        assert (out, err) == ("", "error: nn-bound needs --network or --problem\n")
+
+    def test_network_is_read_before_problem(self, capsys, tmp_path):
+        net = {
+            "activation": {"name": "relu"},
+            "layers": [
+                {"rows": 1, "cols": 1, "weights": [0.5]},
+                {"rows": 1, "cols": 1, "weights": [0.5]},
+            ],
+        }
+        path = tmp_path / "quarter.json"
+        path.write_text(json.dumps(net))
+        code, data = run_json(capsys, "nn-bound", "--network", str(path), "--problem", "example_b.json")
+        assert code == 0
+        assert data["problem"] == str(path) and "inputs_digest" not in data
+        assert data["results"]["gamma2"] == [[0.25]]  # example_b's own network gives 0.91
 
 
 def step_warning(dt: str, bound: str, edges: str = "both sector edges") -> str:
@@ -1223,6 +1257,21 @@ class TestStepBound:
         assert data["warnings"][0].startswith("no analytic radius available")
         warning = step_warning(dt, "0.1149", "the plant alone at zero gain")
         assert data["warnings"][1:] == ([warning] if dt == "0.5" else [])
+
+
+    def test_loop_without_a_radius_is_bounded_by_its_sector(self, capsys, tmp_path):
+        # D = 0 leaves example_a no radius, but its builtin's sector is known
+        doc = json.loads(fixture_path("example_a.json").read_text())
+        doc["perturbation"]["D"] = [[0.0], [0.0], [0.0]]
+        path = tmp_path / "zero_d_a.json"
+        path.write_text(json.dumps(doc))
+        code, data = run_json(
+            capsys, "sweep", "--problem", str(path), "--dt", "0.12",
+            "--trials", "1", "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 0
+        assert data["warnings"][0].startswith("no analytic radius available")
+        assert data["warnings"][1:] == [step_warning("0.12", "0.1111")]
 
 
 class TestEntryPoint:

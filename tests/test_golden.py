@@ -2,10 +2,11 @@
 
 Each case runs one command in-process with ``--format json`` and compares
 its exit code, stdout, stderr and written sweep CSV, byte for byte, with
-``tests/golden/<case>.txt``.  Paths are normalised: the bundled fixture
-directory reads ``<fixtures>``, ``tests/problems`` reads ``<problems>``
-and the CSV directory ``<out>``.  After an intended change of output,
-rewrite the files with
+``tests/golden/<case>.txt``.  One case per subcommand also runs with
+``--format text``, which prints results in the order the command set them.
+Paths are normalised: the bundled fixture directory reads ``<fixtures>``,
+``tests/problems`` reads ``<problems>`` and the CSV directory ``<out>``.
+After an intended change of output, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -47,13 +48,17 @@ CASES = {
         "refine", "--problem", "example_b.json", "--trials", "1", "--horizon", "10", "--dt", "0.02",
     ),
 }
+TEXT_CASES = {
+    f"{case}_text": CASES[case]
+    for case in ("check_a", "radius_a_override", "nn_bound_b", "sweep_a", "refine_b_search")
+}
 
 
-def transcript(argv, out_dir: Path) -> str:
+def transcript(argv, out_dir: Path, fmt: str = "json") -> str:
     """Exit code, stdout, stderr and the sweep CSV of one command, paths normalised."""
     fixtures = str(fixture_path("example_a.json").parent)
     argv = [arg.format(fixtures=fixtures, problems=PROBLEMS, out=out_dir) for arg in argv]
-    argv += ["--format", "json"]
+    argv += ["--format", fmt]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
@@ -65,17 +70,24 @@ def transcript(argv, out_dir: Path) -> str:
     return text.replace(str(out_dir), "<out>")
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+def golden_argv(case: str) -> tuple[tuple, str]:
+    """A case's command and output format."""
+    return (TEXT_CASES[case], "text") if case in TEXT_CASES else (CASES[case], "json")
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + sorted(TEXT_CASES))
 def test_golden_output(case, tmp_path):
+    argv, fmt = golden_argv(case)
     expected = (GOLDEN / f"{case}.txt").read_bytes().decode()
-    assert transcript(CASES[case], tmp_path) == expected
+    assert transcript(argv, tmp_path, fmt) == expected
 
 
 def record() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    for case, argv in CASES.items():
+    for case in [*CASES, *TEXT_CASES]:
+        argv, fmt = golden_argv(case)
         with tempfile.TemporaryDirectory() as out:
-            text = transcript(argv, Path(out))
+            text = transcript(argv, Path(out), fmt)
         (GOLDEN / f"{case}.txt").write_bytes(text.encode())
         print(f"wrote {GOLDEN / case}.txt", file=sys.stderr)
 

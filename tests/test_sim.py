@@ -495,18 +495,18 @@ class TestRk4Positivity:
             (example_b, [1.0, 2.24], 1.0 / 9.064),
         ]
         for problem, deltas, bound in loops:
-            sys, pert, sector = problem.system, problem.pert, problem.analysis_sector()
+            sys, pert, sector = problem.system, problem.pert, problem.analysis_sector
             dt = sim.rk4_positive_dt(sys, pert, (sector.lower, sector.upper), deltas)
             assert dt == pytest.approx(bound, rel=1e-12)
         # example_b's four loops are Metzler, so each steps by a matrix >= 0 at the bound
-        sys, pert, sector = example_b.system, example_b.pert, example_b.analysis_sector()
+        sys, pert, sector = example_b.system, example_b.pert, example_b.analysis_sector
         for k in (sector.lower, sector.upper):
             for delta in (1.0, 2.24):
                 m = sys.a + delta * pert.d @ pert.e + sys.b @ k @ sys.c
                 assert (sim._taylor4(dt * m) >= 0).all()
 
     def test_positive_dt_without_a_negative_diagonal_or_a_delta(self, example_b):
-        sys, pert, sector = example_b.system, example_b.pert, example_b.analysis_sector()
+        sys, pert, sector = example_b.system, example_b.pert, example_b.analysis_sector
         edges = (sector.lower, sector.upper)
         assert sim.rk4_positive_dt(sys, pert, edges, []) == math.inf
         # delta 20 lifts A[0, 0] to 15, but A[2, 2] still bounds dt
@@ -518,7 +518,7 @@ class TestRk4Positivity:
 
 class TestFindCriticalDelta:
     def test_linear_gain_matches_analytic_radius(self, example_a):
-        sector = example_a.analysis_sector()
+        sector = example_a.analysis_sector
         report = stability_radius_lure(
             example_a.system, sector, example_a.pert, override_gates=True
         )
@@ -712,7 +712,7 @@ class TestSpeculativeBisection:
                     example_a.pert)
             delta_max, tol = 2.0, 0.01
         else:
-            loop = (example_a.system, Nonlinearity.gain(example_a.analysis_sector().upper),
+            loop = (example_a.system, Nonlinearity.gain(example_a.analysis_sector.upper),
                     example_a.pert)
             delta_max, tol = 1.0, 0.001
         trials = 2 if case.endswith("two trials") else 1
@@ -820,7 +820,7 @@ class TestBlockEngine:
 
     def test_gain_loop_columns(self, example_a):
         # a gain loop's columns jump from any state, one with a negative entry too
-        phi = Nonlinearity.gain(example_a.analysis_sector().upper)
+        phi = Nonlinearity.gain(example_a.analysis_sector.upper)
         x0s = np.random.default_rng(1).uniform(0.0, 1.0, size=(3, 3))
         signed = x0s.copy()
         signed[1, 0] = -0.6
@@ -903,7 +903,7 @@ class TestBlockEngine:
     def test_gain_loop_rate_is_the_step_matrix_growth(self, example_a):
         # the second half of a gain loop's run grows by the step matrix's
         # spectral radius per step
-        k = example_a.analysis_sector().upper
+        k = example_a.analysis_sector.upper
         phi = Nonlinearity.gain(k)
         sys, pert = example_a.system, example_a.pert
         cfg = SimConfig(dt=0.01, horizon=40.0)
@@ -1018,7 +1018,7 @@ class TestBlockEngine:
     def test_gain_column_jumps_logarithmically(self, example_a, monkeypatch):
         # a stable column of 4,000 steps takes a power of P per set bit of
         # its 2,000 steps to midway and of its 2,000 steps on, and no single step
-        phi = Nonlinearity.gain(example_a.analysis_sector().upper)
+        phi = Nonlinearity.gain(example_a.analysis_sector.upper)
         cfg = SimConfig(dt=0.005, horizon=20.0)
         steps = 4000
         matmul = np.matmul
@@ -1041,7 +1041,7 @@ class TestBlockEngine:
         # 10 stable deltas x 2 trials of 4,000 steps: one stacked product per
         # jump of a column, 2 * popcount(2,000) = 12, not one per column and
         # jump (240)
-        phi = Nonlinearity.gain(example_a.analysis_sector().upper)
+        phi = Nonlinearity.gain(example_a.analysis_sector.upper)
         x0s = np.random.default_rng(6).uniform(0.0, 1.0, size=(2, 3))
         products = count_state_products(monkeypatch)
         block = sim.simulate_lure(
@@ -1604,7 +1604,7 @@ class TestWorkedExampleLoop:
     def test_linear_worst_case_transition_pattern(self, example_a):
         # with the constant upper gain in the loop, the classic stable /
         # borderline / unstable pattern appears across the delta grid
-        sector = example_a.analysis_sector()
+        sector = example_a.analysis_sector
         phi = Nonlinearity.gain(sector.upper)
         cfg = SimConfig(dt=0.01, horizon=40.0)
         rows = sim.sweep(
