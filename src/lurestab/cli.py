@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import sys
 
@@ -29,7 +30,7 @@ from .errors import (
     NonzeroBiasError,
     UnstableAtZeroError,
 )
-from .problems import Problem, load_ffnn, load_problem
+from .problems import Problem, _read_ffnn, load_problem
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
@@ -47,7 +48,8 @@ class Report:
     """Accumulates one command's results and renders them deterministically."""
 
     def __init__(self, command: str, path, digest: str | None = None):
-        """``digest`` is a loaded problem's; a network file read alone has none."""
+        """``digest`` is the sha256 of the input's bytes: a problem's, with its
+        network file's, or a network file's read alone."""
         self.data = {"command": command, "problem": str(path), "results": {}, "warnings": []}
         if digest is not None:
             self.data["inputs_digest"] = digest
@@ -347,7 +349,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "network", None):  # nn-bound reads a network file before a problem
-            source, report = load_ffnn(args.network), Report(args.subcommand, args.network)
+            source, raw = _read_ffnn(args.network)
+            report = Report(args.subcommand, args.network, hashlib.sha256(raw).hexdigest())
         elif args.problem is not None:
             source = load_problem(args.problem, norm_override=getattr(args, "norm", None))
             report = Report(args.subcommand, source.path, source.digest)

@@ -33,6 +33,9 @@ COND_MAX = 1e12
 # user-supplied) matrices.
 FLOAT_SLACK = 1e-9
 
+# Rows per block of a whole-matrix pass over a dense loop (400 KB at n = 800).
+ROW_BLOCK = 64
+
 
 class NormKind(Enum):
     """Matrix norms used to measure perturbations.
@@ -91,12 +94,26 @@ def is_nonnegative(m) -> bool:
     return bool((np.asarray(m) >= 0).all())
 
 
-def is_metzler(m, tol: float = 0.0) -> bool:
+def row_blocks(n: int):
+    """The ``(start, stop)`` row ranges of an n-row pass, ``ROW_BLOCK`` rows
+    each.  A one-row tail joins the block before it: a one-row product takes
+    numpy's vector path, whose last bit can differ from a block's."""
+    for start in range(0, n - 1 or 1, ROW_BLOCK):
+        stop = start + ROW_BLOCK
+        yield start, stop if stop < n - 1 else n
+
+
+def is_metzler(m, tol: float = 0.0, first_row: int | None = None) -> bool:
     """True iff every off-diagonal entry is >= -tol; the diagonal is free
-    (a NaN entry fails).  ``m`` is not validated, as for ``is_nonnegative``."""
-    m = _require_square(np.asarray(m, dtype=float))
+    (a NaN entry fails).  ``m`` is square, or the block of a square matrix's
+    rows from its row ``first_row`` on, whose diagonal is ``m[i, first_row + i]``.
+    ``m`` is not validated, as for ``is_nonnegative``."""
+    m = np.asarray(m, dtype=float)
+    if first_row is None:
+        first_row = 0
+        _require_square(m)
     ok = m >= -tol
-    np.fill_diagonal(ok, True)
+    ok.flat[first_row :: m.shape[1] + 1] = True
     return bool(ok.all())
 
 
@@ -183,13 +200,20 @@ def metzler_solve(m, rhs=None) -> tuple[np.ndarray | None, np.ndarray | None]:
     except np.linalg.LinAlgError:  # an exactly zero pivot
         return None, None
     v = x[:, 0]
-    majorant = np.abs(m)
-    with np.errstate(over="ignore"):  # an overflow fails the bound, as NaN does
-        kappa = majorant.sum(axis=1).max() * np.abs(v).max()
+    # the majorant, |m| with m's diagonal, one row block at a time: the largest
+    # row sum of |m| gives kappa, and every row must map v below zero
+    n, diagonal = len(m), m.diagonal()
+    norm, maps_below = 0.0, True
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the bound, as NaN does
+        for i, j in row_blocks(n):
+            majorant = np.abs(m[i:j])
+            norm = max(norm, majorant.sum(axis=1).max())  # sums >= 0, never NaN
+            majorant.flat[i :: n + 1] = diagonal[i:j]
+            maps_below = maps_below and bool((majorant @ v < 0).all())
+        kappa = norm * np.abs(v).max()
     if not kappa <= COND_MAX:
         return None, None
-    np.fill_diagonal(majorant, np.diag(m))
-    if not (v > 0).all() or not ((majorant @ v) < 0).all():
+    if not (v > 0).all() or not maps_below:
         v = None
     return v, None if rhs is None else x[:, 1:]
 

@@ -86,11 +86,21 @@ class Problem:
     path: Path
     digest: str
 
-    @functools.cached_property
+    @property
     def analysis_sector(self) -> SectorBound | None:
         """The sector driving radius/certification: a network's weight-product
-        bound (computed once; a biased network raises on each read), else ``sector``."""
-        return sector_bound_ffnn(self.network) if self.network is not None else self.sector
+        bound, else ``sector``.  The bound is computed once: a network that has
+        none (a bias, an overflow) raises the same error on every read."""
+        if isinstance(self._sector, LureStabError):
+            raise self._sector.with_traceback(None)
+        return self._sector
+
+    @functools.cached_property
+    def _sector(self) -> SectorBound | LureStabError | None:
+        try:
+            return sector_bound_ffnn(self.network) if self.network is not None else self.sector
+        except LureStabError as exc:
+            return exc
 
     def loop_nonlinearity(self) -> Nonlinearity | None:
         """The feedback used in simulations, or None for a linear problem."""

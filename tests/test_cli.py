@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 from lurestab import cli, ffnn, problems, radius, sim
 from lurestab.cli import main
 from lurestab.problems import fixture_path, load_problem, resolve_problem_path
-from lurestab.errors import ProblemFormatError
+from lurestab.errors import NonzeroBiasError, ProblemFormatError
 from test_golden import CASES, GOLDEN, PROBLEMS, transcript
 
 
@@ -661,6 +662,28 @@ class TestRadiusCommand:
             assert len(calls) == 1, argv
             assert data["results"][key][0][0] == pytest.approx(0.91)
 
+    def test_network_sector_failure_computed_once(self, capsys, monkeypatch, tmp_path,
+                                                  biased_network_problem):
+        # Problem.radius and Problem.step_bound each read the sector; the
+        # failure is cached as a sector is, and both reads raise the same error
+        calls = counting(monkeypatch, problems, "sector_bound_ffnn")
+        out = tmp_path / "sweep.csv"
+        code, data = run_json(capsys, "sweep", "--problem", str(biased_network_problem),
+                              "--trials", "1", "--horizon", "1", "--dt", "0.1", "--out", str(out))
+        assert code == 0
+        assert len(calls) == 1
+        assert data["warnings"][0] == (
+            "no analytic radius available (sector bound requires zero biases; "
+            "nonzero bias in layer(s) 1)"
+        )
+        problem = load_problem(biased_network_problem)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(NonzeroBiasError) as info:
+                problem.analysis_sector
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -817,7 +840,8 @@ class TestNnBoundCommand:
         path.write_text(json.dumps(net))
         code, data = run_json(capsys, "nn-bound", "--network", str(path), "--problem", "example_b.json")
         assert code == 0
-        assert data["problem"] == str(path) and "inputs_digest" not in data
+        assert data["problem"] == str(path)
+        assert data["inputs_digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
         assert data["results"]["gamma2"] == [[0.25]]  # example_b's own network gives 0.91
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -709,3 +711,137 @@ class TestAizermanSoundness:
                 gain = np.array([[lo + u * (hi - lo)]])
                 loop = rad.closed_loop_matrix(sys, gain)
                 assert linalg.spectral_abscissa(loop) < 0
+
+
+def dense_loop_system(n: int, k: int, seed: int = 0) -> tuple:
+    """A dense certified plant with k inputs and outputs, its sector [-0.1, 0.5]
+    on every gain entry, and a nonnegative perturbation with k columns."""
+    rng = np.random.default_rng(seed + 1000 * n + k)
+    a = rng.uniform(0.5, 1.5, (n, n)) / n
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(a, -a.sum(axis=1) - 3.0)
+    b, c = rng.uniform(0.0, 1.0, (n, k)), rng.uniform(0.0, 1.0, (k, n)) / n
+    sector = SectorBound(np.full((k, k), -0.1 / k), np.full((k, k), 0.5 / k))
+    pert = PerturbationStructure(
+        d=rng.uniform(0.0, 1.0, (n, k)), e=rng.uniform(0.0, 1.0, (k, n)) / n, norm=NormKind.TWO
+    )
+    return LtiSystem(a=a, b=b, c=c), sector, pert
+
+
+def whole_loop_certificate(sys: LtiSystem, sector: SectorBound, rhs=None) -> tuple:
+    """Unblocked reference for the row pass: the gates from whole n x n loops,
+    and the witness and solution from the one solve and a whole majorant.  The
+    solve takes ``rhs`` as the code's does, since its bits depend on the block."""
+
+    def metzler(m):
+        ok = m >= -linalg.FLOAT_SLACK
+        np.fill_diagonal(ok, True)
+        return bool(ok.all())
+
+    lower = sys.a + sys.b @ sector.lower @ sys.c
+    upper = sys.a + sys.b @ sector.upper @ sys.c
+    ones = np.ones((sys.n, 1))
+    x = np.linalg.solve(upper, -(ones if rhs is None else np.hstack((ones, rhs))))
+    v = x[:, 0]
+    majorant = np.abs(upper)
+    kappa = majorant.sum(axis=1).max() * np.abs(v).max()
+    np.fill_diagonal(majorant, np.diag(upper))
+    keep = kappa <= linalg.COND_MAX and (v > 0).all() and (majorant @ v < 0).all()
+    return metzler(lower), metzler(upper), upper, v if keep else None, x[:, 1:]
+
+
+class TestRowPass:
+    """Lower-loop gate, upper loop and majorant made a row block at a time give
+    the bits of whole-matrix passes.  The sizes straddle ROW_BLOCK = 64: a single
+    block, an exact block, a one-row tail folded into its block, a two-row tail."""
+
+    SIZES = [1, 2, 63, 64, 65, 66, 197]
+
+    def test_blocks_partition_the_rows(self):
+        assert linalg.ROW_BLOCK == 64
+        for n in [*self.SIZES, 128, 129, 130, 800]:
+            blocks = list(linalg.row_blocks(n))
+            assert [i for i, _ in blocks] == [0, *(j for _, j in blocks[:-1])]
+            assert blocks[-1][1] == n
+            sizes = [j - i for i, j in blocks]
+            assert all(2 <= s <= linalg.ROW_BLOCK + 1 for s in sizes) or sizes == [1]
+        assert list(linalg.row_blocks(65)) == [(0, 65)]
+        assert list(linalg.row_blocks(66)) == [(0, 64), (64, 66)]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_the_whole_loop_bit_for_bit(self, n, k):
+        sys, sector, pert = dense_loop_system(n, k)
+        metzler_lower, metzler_upper, upper, v, _ = whole_loop_certificate(sys, sector)
+        cert = rad.certify_positive_lure(sys, sector)
+        assert cert.verdict and v is not None
+        assert (cert.metzler_at_lower, cert.metzler_at_upper) == (metzler_lower, metzler_upper)
+        assert cert.positive_vector.tobytes() == v.tobytes()
+        *gates, upper, v, solution = whole_loop_certificate(sys, sector, pert.d)
+        report = rad.stability_radius_lure(sys, sector, pert)
+        assert [report.certificate.metzler_at_lower, report.certificate.metzler_at_upper] == gates
+        assert report.closed_loop.tobytes() == upper.tobytes()
+        assert report.certificate.positive_vector.tobytes() == v.tobytes()
+        assert report.radius == 1.0 / np.linalg.norm(pert.e @ solution, 2)
+        assert rad.closed_loop_matrix(sys, sector.upper).tobytes() == upper.tobytes()
+
+    @pytest.mark.parametrize("entry, metzler", [(-5e-10, True), (-2e-9, False)],
+                             ids=["inside-slack", "outside-slack"])
+    @pytest.mark.parametrize("n", [66, 197])
+    def test_slack_in_the_last_block(self, n, entry, metzler):
+        # Sigma1 = 0 makes the lower loop A itself; the upper loop adds B Sigma2 C > 0
+        sys, _, _ = dense_loop_system(n, 1)
+        a = sys.a.copy()
+        a[n - 1, 0] = entry
+        sys = LtiSystem(a=a, b=sys.b, c=sys.c)
+        sector = SectorBound.scalar(0.0, 0.5)
+        assert list(linalg.row_blocks(n))[-1][0] > 0
+        cert = rad.certify_positive_lure(sys, sector)
+        assert cert.metzler_at_lower is metzler
+        assert cert.metzler_at_lower == whole_loop_certificate(sys, sector)[0]
+        assert cert.metzler_at_upper and cert.hurwitz_at_upper
+
+    @pytest.mark.parametrize("first_row", [0.0, 1.0], ids=["metzler-blocks", "non-metzler-block"])
+    def test_overflow_in_the_last_block_raises(self, first_row):
+        # B's last row, 1e308, overflows that row of B S1 C alone; where B's first
+        # row makes the first block fail the Metzler test, the gate still covers
+        # every block after it
+        n = 197
+        sys, _, _ = dense_loop_system(n, 1)
+        b = np.zeros((n, 1))
+        b[0, 0] = first_row
+        sector = SectorBound.scalar(-2.0, 0.0)
+        cert = rad.certify_positive_lure(LtiSystem(a=sys.a, b=b, c=np.ones((1, n))), sector)
+        assert cert.metzler_at_lower is not bool(first_row)
+        b[n - 1, 0] = 1e308
+        sys = LtiSystem(a=sys.a, b=b, c=np.ones((1, n)))
+        with pytest.raises(NonFiniteEntriesError) as info:
+            rad.certify_positive_lure(sys, sector)
+        assert str(info.value) == "the closed loop A + B K C: contains NaN or infinite entries"
+
+    @pytest.mark.parametrize("call, limit", [
+        ("certify", 1.5), ("lure", 1.5), ("linear", 0.5), ("schur", 0.5),
+    ])
+    def test_peak_memory_is_one_loop(self, call, limit):
+        # the loop formulas hold the one upper loop, the plant formulas no n x n
+        # array beyond their input; LAPACK's own copy of the loop is not traced
+        n = 400
+        sys, sector, pert = dense_loop_system(n, 1)
+        schur = PerturbationStructure(d=pert.d, e=pert.e, norm=NormKind.MAX_ABS,
+                                      schur_scale=[[1.0]])
+        run = {
+            "certify": lambda: rad.certify_positive_lure(sys, sector),
+            "lure": lambda: rad.stability_radius_lure(sys, sector, pert),
+            "linear": lambda: rad.stability_radius_linear(sys.a, pert),
+            "schur": lambda: rad.stability_radius_schur(sys.a, schur),
+        }[call]
+        run()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = run()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert result is not None
+        assert peak <= limit * 8 * n * n
