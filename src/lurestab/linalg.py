@@ -103,18 +103,23 @@ def row_blocks(n: int):
         yield start, stop if stop < n - 1 else n
 
 
-def is_metzler(m, tol: float = 0.0, first_row: int | None = None) -> bool:
-    """True iff every off-diagonal entry is >= -tol; the diagonal is free
-    (a NaN entry fails).  ``m`` is square, or the block of a square matrix's
-    rows from its row ``first_row`` on, whose diagonal is ``m[i, first_row + i]``.
-    ``m`` is not validated, as for ``is_nonnegative``."""
-    m = np.asarray(m, dtype=float)
-    if first_row is None:
-        first_row = 0
-        _require_square(m)
-    ok = m >= -tol
-    ok.flat[first_row :: m.shape[1] + 1] = True
+def _is_metzler_rows(rows: np.ndarray, first: int, tol: float) -> bool:
+    """Whether every off-diagonal entry of ``rows``, a square matrix's rows from its row
+    ``first`` on, is >= -tol; the diagonal ``rows[i, first + i]`` is free (a NaN fails)."""
+    ok = rows >= -tol
+    ok.flat[first :: rows.shape[1] + 1] = True
     return bool(ok.all())
+
+
+def is_metzler(m, tol: float = 0.0) -> bool:
+    """True iff every off-diagonal entry of the square ``m`` is >= -tol, the diagonal
+    free (a NaN entry fails), tested a row block at a time up to the first that
+    fails.  ``m`` is not validated, as for ``is_nonnegative``."""
+    m = _require_square(np.asarray(m, dtype=float))
+    for i, j in row_blocks(len(m)):
+        if not _is_metzler_rows(m[i:j], i, tol):
+            return False
+    return True
 
 
 def spectral_abscissa(m) -> float:
@@ -188,9 +193,9 @@ def metzler_solve(m, rhs=None) -> tuple[np.ndarray | None, np.ndarray | None]:
     that product is a lower bound.  A loop that is exactly singular, or
     whose product exceeds ``COND_MAX``, gives no witness and no solve.
 
-    Precondition, unchecked: ``m`` is a finite, square float array that passed
-    ``is_metzler(m, tol=FLOAT_SLACK)``, whose slack admits float noise in computed
-    loops; the witness is checked on the Metzler majorant, which bounds m's abscissa.
+    Precondition, unchecked: ``m`` is finite, square and float, and its caller tested it
+    with ``is_metzler``'s row-block test within ``FLOAT_SLACK``, a slack for float noise in
+    computed loops; the witness is checked on the Metzler majorant, which bounds m's abscissa.
     """
     ones = np.ones((m.shape[0], 1))
     try:

@@ -197,37 +197,29 @@ class RadiusReport:
 LOOP = "the closed loop A + B K C"
 
 
-def _feedback(sys: LtiSystem, gain) -> np.ndarray:
-    """``B @ gain`` for a constant feedback gain, which must be m x p."""
+def _loop_pass(sys: LtiSystem, gain, out=None) -> bool:
+    """Whether ``A + B @ gain @ C`` (gain m x p) is Metzler within ``FLOAT_SLACK``, the
+    loop made a row block at a time, ``(B gain)[rows] @ C + A[rows]``, into ``out[rows]``
+    when given.  Every block passes the gate, which raises on an overflow, naming the
+    loop, without a warning; the Metzler test stops at the first block that fails."""
     if np.shape(gain) != (sys.m, sys.p):
         raise DimensionMismatchError(f"gain must be {sys.m}x{sys.p}, got {np.shape(gain)}")
-    return sys.b @ gain
+    metzler = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        feedback = sys.b @ gain
+        for i, j in linalg.row_blocks(sys.n):
+            block = np.matmul(feedback[i:j], sys.c, out=None if out is None else out[i:j])
+            block += sys.a[i:j]
+            as_matrix(block, LOOP)
+            metzler = metzler and linalg._is_metzler_rows(block, i, linalg.FLOAT_SLACK)
+    return metzler
 
 
 def closed_loop_matrix(sys: LtiSystem, gain) -> np.ndarray:
-    """``A + B @ gain @ C`` for a constant feedback gain (m x p), through the
-    gate once: a loop that overflows raises, naming the loop, and does not warn.
-    The product is the one n x n array made: ``A`` is added in place."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        loop = _feedback(sys, gain) @ sys.c
-        loop += sys.a
-        return as_matrix(loop, LOOP)
-
-
-def _is_metzler_loop(sys: LtiSystem, gain) -> bool:
-    """Whether ``A + B @ gain @ C`` is Metzler within ``FLOAT_SLACK``, the loop
-    made and gated one row block at a time, never whole.  Every block passes
-    the gate, which raises as ``closed_loop_matrix`` does; the Metzler test
-    stops at the first block that fails it."""
-    metzler = True
-    with np.errstate(over="ignore", invalid="ignore"):
-        feedback = _feedback(sys, gain)
-        for i, j in linalg.row_blocks(sys.n):
-            block = feedback[i:j] @ sys.c
-            block += sys.a[i:j]
-            block = as_matrix(block, LOOP)
-            metzler = metzler and linalg.is_metzler(block, linalg.FLOAT_SLACK, first_row=i)
-    return metzler
+    """``A + B @ gain @ C`` for a constant gain (m x p), made and gated by the loops' row pass."""
+    loop = np.empty((sys.n, sys.n))
+    _loop_pass(sys, gain, loop)
+    return loop
 
 
 def certify_positive_lure(sys: LtiSystem, sector: SectorBound) -> AizermanCertificate:
@@ -246,9 +238,9 @@ def _certify(sys: LtiSystem, sector: SectorBound, rhs=None) -> tuple:
     b_nonneg = linalg.is_nonnegative(sys.b)
     c_nonneg = linalg.is_nonnegative(sys.c)
     sector_ordered = sector.ordered
-    metzler_at_lower = _is_metzler_loop(sys, sector.lower)  # gated before the upper loop
-    upper_loop = closed_loop_matrix(sys, sector.upper)
-    metzler_at_upper = linalg.is_metzler(upper_loop, tol=linalg.FLOAT_SLACK)
+    metzler_at_lower = _loop_pass(sys, sector.lower)  # gated before the upper loop
+    upper_loop = np.empty((sys.n, sys.n))
+    metzler_at_upper = _loop_pass(sys, sector.upper, upper_loop)
     positive_vector = solution = None
     if metzler_at_upper:
         positive_vector, solution = linalg.metzler_solve(upper_loop, rhs)

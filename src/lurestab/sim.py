@@ -157,6 +157,8 @@ class Nonlinearity:
             except OverflowError:
                 return math.copysign(math.inf, y)
             except ValueError as exc:
+                if not math.isfinite(y):  # an overflowed input: NaN, for the NaN and blow-up rules
+                    return math.nan
                 raise InputError(f"nonlinearity {name!r} is undefined at y = {y:g} ({exc})") from None
 
         def entries(y: np.ndarray, add: np.ndarray | None = None) -> list:

@@ -989,8 +989,28 @@ class TestSweepCommand:
         assert "formula_radius" not in data["results"]
         assert (tmp_path / "z.csv").exists()
 
-    def test_undefined_nonlinearity_value_exits_one(self, capsys, tmp_path):
-        # a huge delta drives cubic_sine's input to inf, where sin is undefined
+    def test_overflowed_nonlinearity_input_is_a_blow_up(self, capsys, tmp_path):
+        # at delta = 1e40 cubic_sine's y**3 overflows to inf in one RK4 stage,
+        # where sin is undefined: phi is NaN there, and the column blows up
+        doc = json.loads(fixture_path("example_a.json").read_text())
+        doc["sweep"]["deltas"] = [0.2, 1e40]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        out_csv = tmp_path / "h.csv"
+        code, data = run_json(
+            capsys, "sweep", "--problem", str(path), "--out", str(out_csv),
+            "--trials", "2", "--dt", "0.1", "--horizon", "1",
+        )
+        assert code == 0
+        assert data["results"]["per_delta"][1] == {
+            "delta": 1e40, "stable": 0, "unstable": 2, "inconclusive": 0,
+        }
+        rows = out_csv.read_text().splitlines()
+        assert rows[-2:] == ["1e+40,0,42,Unstable,inf,0.1", "1e+40,1,42,Unstable,inf,0.1"]
+
+    def test_overflow_to_nan_state_exits_two(self, capsys, tmp_path):
+        # at delta = 1e308 the state itself turns NaN, as in a gain loop whose
+        # step matrices overflow: a numerical failure, not an input error
         doc = json.loads(fixture_path("example_a.json").read_text())
         doc["sweep"]["deltas"] = [1e308]
         path = tmp_path / "huge.json"
@@ -999,8 +1019,8 @@ class TestSweepCommand:
             capsys, "sweep", "--problem", str(path), "--out", str(tmp_path / "h.csv"),
             "--trials", "1", "--dt", "0.1", "--horizon", "1",
         )
-        assert code == 1
-        assert err.startswith("error: nonlinearity 'cubic_sine' is undefined at y = inf")
+        assert code == 2
+        assert err == "error: state became NaN at t = 0.1\n"
 
     @pytest.mark.parametrize("flag", ["--horizon", "--dt"])
     @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -65,6 +65,25 @@ class TestPredicates:
         with pytest.raises(NonSquareError):
             linalg.is_metzler(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("n", [1, 2, 64, 65, 66, 129, 130, 197])
+    def test_metzler_row_blocks_match_the_whole_matrix(self, n):
+        # one entry of -2e-9 in each row block in turn, at its first and last
+        # rows: off the diagonal it fails beyond FLOAT_SLACK, on it it is exempt
+        def whole(m, tol):
+            ok = m >= -tol
+            np.fill_diagonal(ok, True)
+            return bool(ok.all())
+
+        base = np.random.default_rng(n).uniform(0.0, 1.0, (n, n)) - 2.0 * np.eye(n)
+        assert linalg.is_metzler(base) and whole(base, 0.0)
+        for i, j in linalg.row_blocks(n):
+            for row in (i, j - 1):
+                for col in {row, (row + 1) % n, (row - 1) % n}:
+                    m = base.copy()
+                    m[row, col] = -2e-9
+                    for tol in (0.0, linalg.FLOAT_SLACK):
+                        assert linalg.is_metzler(m, tol) is whole(m, tol) is (row == col)
+
 
 class TestSpectral:
     def test_abscissa_diagonal(self):

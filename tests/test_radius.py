@@ -281,9 +281,9 @@ class TestOneFactorizationPerClosedLoop:
         "refine": lambda: rad.refine_upper_sector(SYS_B, PERT_B, 3.15),
     }
 
-    # one Metzler test per closed loop: the lower and upper loops of a sector
-    # formula, the plant of a linear one, the perturbed plant of refine; it
-    # also makes the one finiteness check
+    # one call of the row-block Metzler test per closed loop, which a 3-state loop
+    # makes as one block: the lower and upper loops of a sector formula, the plant
+    # of a linear one, the perturbed plant of refine
     METZLER_TESTS = {
         "certify": 2, "lure": 2, "lure-override": 2, "linear": 1, "schur": 1, "refine": 1,
     }
@@ -311,14 +311,16 @@ class TestOneFactorizationPerClosedLoop:
 
     @pytest.mark.parametrize("call", sorted(CALLS))
     def test_one_metzler_test_per_closed_loop(self, monkeypatch, call):
-        is_metzler = linalg.is_metzler
+        # counts linalg._is_metzler_rows, which the sector loops' row pass and
+        # is_metzler (the plant formulas, refine) both call once per row block
+        is_metzler_rows = linalg._is_metzler_rows
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return is_metzler(*args, **kwargs)
+            return is_metzler_rows(*args, **kwargs)
 
-        monkeypatch.setattr(linalg, "is_metzler", counted)
+        monkeypatch.setattr(linalg, "_is_metzler_rows", counted)
         self.CALLS[call]()
         assert len(calls) == self.METZLER_TESTS[call]
 
@@ -818,6 +820,22 @@ class TestRowPass:
         with pytest.raises(NonFiniteEntriesError) as info:
             rad.certify_positive_lure(sys, sector)
         assert str(info.value) == "the closed loop A + B K C: contains NaN or infinite entries"
+
+    def test_overflow_in_the_last_block_of_the_upper_loop_raises(self):
+        # Sigma1 = 0 keeps the lower loop A, Metzler and finite; Sigma2 = 2 doubles
+        # B's last row, 1e308, to inf, in the upper loop's last row block alone
+        n = 197
+        sys, _, _ = dense_loop_system(n, 1)
+        b = np.zeros((n, 1))
+        b[n - 1, 0] = 1e308
+        sys = LtiSystem(a=sys.a, b=b, c=np.ones((1, n)))
+        sector = SectorBound.scalar(0.0, 2.0)
+        assert list(linalg.row_blocks(n))[-1] == (192, 197)
+        assert rad._loop_pass(sys, sector.lower)
+        for call in (rad.certify_positive_lure, lambda s, k: rad.closed_loop_matrix(s, k.upper)):
+            with pytest.raises(NonFiniteEntriesError) as info:
+                call(sys, sector)
+            assert str(info.value) == "the closed loop A + B K C: contains NaN or infinite entries"
 
     @pytest.mark.parametrize("call, limit", [
         ("certify", 1.5), ("lure", 1.5), ("linear", 0.5), ("schur", 0.5),

@@ -169,10 +169,15 @@ class TestNonlinearity:
         phi = Nonlinearity.scalar(lambda y: -y)
         assert phi(np.array([[[1.0], [-2.0]]])) == pytest.approx(np.array([[[-1.0], [2.0]]]))
 
-    def test_undefined_value_is_input_error(self):
+    def test_undefined_value_at_an_overflowed_input_is_nan(self):
+        # an input that overflowed to +-inf gives NaN, for the NaN and blow-up
+        # rules of stepping; a finite input outside the domain stays an input
+        # error (test_undefined_value_in_a_stack_is_input_error)
         phi = sim.BUILTIN_NONLINEARITIES["cubic_sine"].phi
-        with pytest.raises(InputError, match="undefined at y = inf"):
-            phi(np.array([[[np.inf]]]))
+        out = phi(np.array([[[np.inf]], [[-np.inf]], [[1.0]]]))
+        assert np.isnan(out[:2]).all() and out[2, 0, 0] == sim._cubic_sine(1.0)
+        root = Nonlinearity.scalar(math.sqrt, name="sqrt")
+        assert np.isnan(root(np.array([[[-np.inf]], [[4.0]]]))[0, 0, 0])
 
     def test_scalar_maps_every_entry_of_a_stack(self):
         phi = Nonlinearity.scalar(math.sinh, name="sinh")
