@@ -111,7 +111,7 @@ def cmd_check(args, problem: Problem, report: Report) -> int:
     sector = problem.analysis_sector
     if sector is None:
         raise InputError("check needs a sector, network, or builtin nonlinearity")
-    cert = rad.certify_positive_lure(problem.system, sector)
+    cert = rad.certify_positive_lure(problem.system, sector, problem.pert)
     _certificate_results(report, cert)
     if not cert.verdict:
         report.warn(
@@ -190,7 +190,7 @@ def cmd_sweep(args, problem: Problem, report: Report) -> int:
         formula_radius, certified = result.radius, result.certificate.verdict
         if not certified:
             report.warn(
-                "radius used for the delta grid was computed with failed gates: "
+                "the formula radius was computed with failed gates: "
                 + ", ".join(result.certificate.failed_gates())
             )
     deltas = problem.sweep_deltas

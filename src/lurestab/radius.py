@@ -151,7 +151,8 @@ class AizermanCertificate:
     ``metzler_at_upper`` is informational: B, C >= 0, S1 <= S2 and a Metzler
     lower loop imply it.  Then ``hurwitz_at_upper`` is decided by the
     witness ``positive_vector`` (``v > 0`` with ``(A + B S2 C) v < 0``);
-    only a non-Metzler upper loop is gated by its eigenvalues.
+    only a non-Metzler upper loop is gated by its eigenvalues.  ``closed_loop`` is
+    that loop M; ``transfer`` is ``(-M)^{-1} D`` from the witness's solve, or None.
     """
 
     b_nonneg: bool
@@ -161,6 +162,8 @@ class AizermanCertificate:
     hurwitz_at_upper: bool
     metzler_at_upper: bool
     positive_vector: np.ndarray | None
+    closed_loop: np.ndarray
+    transfer: np.ndarray | None
     verdict: bool
 
     def gates(self) -> dict:
@@ -215,38 +218,29 @@ def _loop_pass(sys: LtiSystem, gain, out=None) -> bool:
     return metzler
 
 
-def closed_loop_matrix(sys: LtiSystem, gain) -> np.ndarray:
-    """``A + B @ gain @ C`` for a constant gain (m x p), made and gated by the loops' row pass."""
-    loop = np.empty((sys.n, sys.n))
-    _loop_pass(sys, gain, loop)
-    return loop
-
-
-def certify_positive_lure(sys: LtiSystem, sector: SectorBound) -> AizermanCertificate:
+def certify_positive_lure(sys: LtiSystem, sector: SectorBound,
+                          pert: PerturbationStructure | None = None) -> AizermanCertificate:
     """Evaluate every gate required for sector-wide exponential stability.
 
     A true verdict means each nonlinearity inside the sector yields a
     positive, globally exponentially stable closed loop.  Gate checks on
     computed closed-loop matrices carry a small floating-point slack; the
-    sign checks on the user-supplied B and C are exact.
+    sign checks on the user-supplied B and C are exact.  A given ``pert`` adds ``transfer``.
     """
-    return _certify(sys, sector)[0]
-
-
-def _certify(sys: LtiSystem, sector: SectorBound, rhs=None) -> tuple:
-    """The certificate, the upper loop ``M`` and ``(-M)^{-1} rhs`` (or None), by one LU."""
+    if pert is not None:
+        pert.check_dims(sys.n)
     b_nonneg = linalg.is_nonnegative(sys.b)
     c_nonneg = linalg.is_nonnegative(sys.c)
     sector_ordered = sector.ordered
     metzler_at_lower = _loop_pass(sys, sector.lower)  # gated before the upper loop
-    upper_loop = np.empty((sys.n, sys.n))
-    metzler_at_upper = _loop_pass(sys, sector.upper, upper_loop)
-    positive_vector = solution = None
+    upper = np.empty((sys.n, sys.n))
+    metzler_at_upper = _loop_pass(sys, sector.upper, upper)
+    positive_vector = transfer = None
     if metzler_at_upper:
-        positive_vector, solution = linalg.metzler_solve(upper_loop, rhs)
+        positive_vector, transfer = linalg.metzler_solve(upper, None if pert is None else pert.d)
         hurwitz_at_upper = positive_vector is not None
     else:
-        hurwitz_at_upper = linalg.is_hurwitz(upper_loop)
+        hurwitz_at_upper = linalg.is_hurwitz(upper)
     verdict = bool(
         b_nonneg and c_nonneg and sector_ordered and metzler_at_lower and hurwitz_at_upper
     )
@@ -258,8 +252,10 @@ def _certify(sys: LtiSystem, sector: SectorBound, rhs=None) -> tuple:
         hurwitz_at_upper=hurwitz_at_upper,
         metzler_at_upper=metzler_at_upper,
         positive_vector=positive_vector,
+        closed_loop=upper,
+        transfer=transfer,
         verdict=verdict,
-    ), upper_loop, solution
+    )
 
 
 def _require_monotone_norm(norm: NormKind) -> None:
@@ -332,22 +328,22 @@ def stability_radius_lure(
     ``override_gates`` asks for the formula anyway (callers should then
     treat the result as outside the certified regime).
     """
-    pert.check_dims(sys.n)
     _require_monotone_norm(pert.norm)
-    certificate, upper_loop, solution = _certify(sys, sector, pert.d)
+    certificate = certify_positive_lure(sys, sector, pert)
     if not certificate.verdict and not override_gates:
         raise CertificationError(
             "closed loop failed gate(s): " + ", ".join(certificate.failed_gates()),
             certificate=certificate,
         )
-    if solution is None:
+    transfer = certificate.transfer
+    if transfer is None:
         # reached by override only: a non-Metzler upper loop, or a singular one (this raises)
-        solution = linalg.inverse(-upper_loop, pert.d)
+        transfer = linalg.inverse(-certificate.closed_loop, pert.d)
     return RadiusReport(
-        radius=_radius("the transfer E (A + B S2 C)^-1 D", pert.norm, pert.e, solution),
+        radius=_radius("the transfer E (A + B S2 C)^-1 D", pert.norm, pert.e, transfer),
         norm=pert.norm,
         formula="lure_upper_sector",
-        closed_loop=upper_loop,
+        closed_loop=certificate.closed_loop,
         certificate=certificate,
         sector=sector,
     )

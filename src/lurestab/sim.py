@@ -344,20 +344,27 @@ def _taylor4(h: np.ndarray) -> np.ndarray:
     return np.eye(h.shape[-1]) + h + h2 / 2.0 + h3 / 6.0 + h3 @ h / 24.0
 
 
+def _stage_inputs(h, c) -> np.ndarray:
+    """``R`` of the module docstring for ``h = dt M``, or their stack for a stack of ``h``."""
+    c = np.broadcast_to(c, (*h.shape[:-2], *c.shape))
+    ch = c @ h
+    ch2 = ch @ h
+    half = c + ch / 2.0
+    return np.concatenate([c, half, half + ch2 / 4.0, c + ch + ch2 / 2.0 + ch2 @ h / 4.0], axis=-2)
+
+
 def _stage_matrices(h, b, c, dt: float) -> tuple[np.ndarray, ...]:
     """``(W, G_2, G_3, G_4, Q)`` of one telescoped RK4 step of ``x' = M x + b
     phi(c x)``, for ``h = dt M`` (see the module docstring); ``W`` stacks
     ``R`` over ``P``, so that one product gives both.  For a stack of ``h``,
     each is the stack of its matrices."""
+    w = np.concatenate([_stage_inputs(h, c), _taylor4(h)], axis=-2)
     b, c = (np.broadcast_to(m, (*h.shape[:-2], *m.shape)) for m in (b, c))
     hb = h @ b
     h2b = h @ hb
     ch = c @ h
     ch2 = ch @ h
     cb, chb = c @ b, ch @ b
-    w = np.concatenate([
-        c, c + ch / 2.0, c + ch / 2.0 + ch2 / 4.0, c + ch + ch2 / 2.0 + ch2 @ h / 4.0, _taylor4(h),
-    ], axis=-2)
     g2 = dt / 2.0 * cb
     g3 = np.concatenate([dt / 4.0 * chb, dt / 2.0 * cb], axis=-1)
     g4 = np.concatenate([dt / 4.0 * (ch2 @ b), dt / 2.0 * chb, dt * cb], axis=-1)
@@ -425,20 +432,18 @@ def simulate_lure(
     trials = len(x0s)
     drifts = sys.a + pert.d @ deltas @ pert.e
     # column i * T + t, delta i from state t, jumps if i is in ``which`` and t in ``jumping``
-    which, jumping, powers = np.arange(0), np.arange(trials), None
-    if phi.mat is not None:
+    which, powers, gain = np.arange(0), None, phi.orthant if phi.mat is None else phi.mat
+    jumping = np.arange(trials) if phi.mat is not None else np.flatnonzero((x0s >= 0).all(axis=1))
+    if gain is not None and jumping.size:
         # a linear field's four RK4 stages telescope into one step matrix
-        powers = _taylor4(_step_arguments(drifts + sys.b @ phi.mat @ sys.c, dt))
-        which = np.arange(len(deltas))
-    elif phi.orthant is not None:
-        jumping = np.flatnonzero((x0s >= 0).all(axis=1))
-        if jumping.size:
+        h = _step_arguments(drifts + sys.b @ gain @ sys.c, dt)
+        powers, which = _taylor4(h), np.arange(len(deltas))
+        if phi.mat is None:
             # where the gain loop of K has a finite W = [R; P] >= 0, a column
             # from a state >= 0 stays where phi is K (see the module docstring)
-            w = _stage_matrices(_step_arguments(drifts + sys.b @ phi.orthant @ sys.c, dt),
-                                sys.b, sys.c, dt)[0]
+            w = np.concatenate([_stage_inputs(h, sys.c), powers], axis=-2)
             which = np.flatnonzero(((w >= 0) & np.isfinite(w)).all(axis=(1, 2)))
-            powers = w[which, 4 * sys.p:]
+            powers = powers[which]
     initial = np.tile(np.abs(x0s).max(axis=1), len(deltas))
     midway = steps // 2
     # each column's peaks at step ``midway`` and at its last step, and its blow-up time

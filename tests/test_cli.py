@@ -635,8 +635,8 @@ class TestRadiusCommand:
         assert "maxabs" in err
 
     def test_override_gates_certifies_once(self, capsys, monkeypatch):
-        # the Lur'e formula certifies through the helper behind certify_positive_lure
-        calls = counting(monkeypatch, radius, "_certify")
+        # the Lur'e formula certifies through certify_positive_lure, by its module name
+        calls = counting(monkeypatch, radius, "certify_positive_lure")
         code, data = run_json(
             capsys, "radius", "--problem", "example_a.json", "--override-gates"
         )
@@ -947,6 +947,27 @@ class TestSweepCommand:
         assert code == 0
         assert len(data["results"]["deltas"]) == 5
         assert any("derived" in w for w in data["warnings"])
+
+    @pytest.mark.parametrize("listed", [True, False], ids=["file-deltas", "derived-deltas"])
+    def test_failed_gates_warning_names_no_grid(self, capsys, tmp_path, listed):
+        # example_a's radius fails metzler_at_lower; only where the file lists
+        # no deltas does that radius make the grid, and a second warning says so
+        doc = json.loads(fixture_path("example_a.json").read_text())
+        if not listed:
+            del doc["sweep"]
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(doc))
+        code, data = run_json(
+            capsys, "sweep", "--problem", str(path), "--out", str(tmp_path / "a.csv"),
+            "--trials", "1", "--horizon", "1",
+        )
+        assert code == 0
+        gates = "the formula radius was computed with failed gates: metzler_at_lower"
+        derived = "sweep deltas derived from the analytic radius"
+        expected = [gates] if listed else [gates, derived]
+        assert data["warnings"][:len(expected)] == expected
+        assert not any("grid" in w for w in data["warnings"])
+        assert (derived in data["warnings"]) is not listed
 
     def test_maxabs_norm_without_scale_is_input_error(self, capsys, sector_problem, tmp_path):
         # a loop formula cannot use the maxabs norm; the sweep must stop

@@ -78,23 +78,28 @@ class TestTypes:
             PerturbationStructure(d=[[1.0]], e=[[1.0]], norm=NormKind.TWO, schur_scale=[[1.0]])
 
 
+def gain_loop(sys: LtiSystem, gain) -> np.ndarray:
+    """``A + B K C`` for a constant gain K, as the certificate of the sector [K, K] makes it."""
+    return rad.certify_positive_lure(sys, SectorBound(gain, gain)).closed_loop
+
+
 class TestClosedLoop:
     def test_zero_gain_returns_a(self):
-        assert np.array_equal(rad.closed_loop_matrix(SYS_A, [[0.0]]), SYS_A.a)
+        assert np.array_equal(gain_loop(SYS_A, [[0.0]]), SYS_A.a)
 
     def test_upper_gain_hand_product(self):
         expected = [[-5.48, 4.52, 0.52], [5.52, -7.48, 0.52], [1.52, 0.52, -5.48]]
-        assert rad.closed_loop_matrix(SYS_A, [[-0.48]]) == pytest.approx(np.array(expected))
+        assert gain_loop(SYS_A, [[-0.48]]) == pytest.approx(np.array(expected))
 
     def test_lower_gain_breaks_metzler(self):
-        loop = rad.closed_loop_matrix(SYS_A, [[-2.0]])
+        loop = gain_loop(SYS_A, [[-2.0]])
         off = loop - np.diag(np.diag(loop))
         assert off.min() == pytest.approx(-1.0)
         assert not linalg.is_metzler(loop)
 
     def test_gain_shape_checked(self):
         with pytest.raises(DimensionMismatchError):
-            rad.closed_loop_matrix(SYS_A, np.ones((2, 2)))
+            gain_loop(SYS_A, np.ones((2, 2)))
 
 
 class TestCertify:
@@ -109,7 +114,8 @@ class TestCertify:
             "hurwitz_at_upper": True,
         }
         assert cert.positive_vector is not None
-        upper = rad.closed_loop_matrix(SYS_B, SECTOR_B.upper)
+        upper = cert.closed_loop
+        assert np.array_equal(upper, gain_loop(SYS_B, SECTOR_B.upper))
         assert (cert.positive_vector > 0).all()
         assert (upper @ cert.positive_vector < 0).all()
 
@@ -348,7 +354,7 @@ class TestOneFactorizationPerClosedLoop:
         assert np.isfinite(report.radius)
 
     def test_transfer_matches_the_inverse_bit_for_bit(self):
-        upper = rad.closed_loop_matrix(SYS_B, SECTOR_B.upper)
+        upper = gain_loop(SYS_B, SECTOR_B.upper)
         v, solution = linalg.metzler_solve(upper, PERT_B.d)
         block = np.linalg.solve(-upper, np.column_stack((np.ones(3), PERT_B.d)))
         assert np.array_equal(v, block[:, 0])
@@ -357,6 +363,37 @@ class TestOneFactorizationPerClosedLoop:
         assert np.array_equal(v_alone, np.linalg.solve(-upper, np.ones((3, 1)))[:, 0])
         assert np.array_equal(v_alone, np.linalg.solve(-upper, np.ones(3)))
         assert none is None
+
+    def test_certificate_given_d_is_the_radius_certificate(self):
+        # given the perturbation, the certificate is the one the radius reads,
+        # bit for bit: its loop, its witness and its transfer from one solve
+        cert = rad.certify_positive_lure(SYS_B, SECTOR_B, PERT_B)
+        report = rad.stability_radius_lure(SYS_B, SECTOR_B, PERT_B)
+        for field in ("closed_loop", "positive_vector", "transfer"):
+            assert getattr(cert, field).tobytes() == getattr(report.certificate, field).tobytes()
+        v, transfer = linalg.metzler_solve(cert.closed_loop, PERT_B.d)
+        assert cert.positive_vector.tobytes() == v.tobytes()
+        assert cert.transfer.tobytes() == transfer.tobytes()
+        assert report.radius == 1.0 / np.linalg.norm(PERT_B.e @ transfer, 2)
+        assert rad.certify_positive_lure(SYS_B, SECTOR_B).transfer is None
+
+    def test_certificate_without_a_witness_has_no_transfer(self):
+        # a non-Metzler upper loop is gated by eigenvalues, so the override inverts it
+        sys = LtiSystem(a=[[-1.0, -1.0], [-1.0, -4.0]], b=[[1.0], [0.0]], c=[[1.0, 0.0]])
+        pert = PerturbationStructure(d=[[1.0], [1.0]], e=[[1.0, 1.0]], norm=NormKind.TWO)
+        cert = rad.certify_positive_lure(sys, SectorBound.scalar(0.0, 0.5), pert)
+        assert not cert.metzler_at_upper and cert.hurwitz_at_upper
+        assert cert.positive_vector is None and cert.transfer is None
+
+    @pytest.mark.parametrize("d, e, message", [
+        ([[1.0], [0.0]], [[1.0, 0.0, 0.0]], "D must have 3 rows"),
+        ([[1.0], [0.0], [0.0]], [[1.0, 0.0]], "E must have 3 columns"),
+    ])
+    def test_certificate_checks_the_perturbation_against_the_plant(self, d, e, message):
+        pert = PerturbationStructure(d=d, e=e)
+        for call in (rad.certify_positive_lure, rad.stability_radius_lure):
+            with pytest.raises(DimensionMismatchError, match=message):
+                call(SYS_B, SECTOR_B, pert)
 
 
 class TestLinearRadius:
@@ -545,7 +582,7 @@ class TestNnRadius:
     def test_intermediate_gain_matches_bisection_oracle(self):
         gamma2 = 0.5
         report = rad.nn_stability_radius(SYS_B, SectorBound.scalar(-gamma2, gamma2), PERT_B)
-        loop = rad.closed_loop_matrix(SYS_B, [[gamma2]])
+        loop = gain_loop(SYS_B, [[gamma2]])
         structure = PERT_B.d @ PERT_B.e
 
         def abscissa(delta):
@@ -711,7 +748,7 @@ class TestAizermanSoundness:
             checked += 1
             for u in rng.uniform(0.0, 1.0, size=20):
                 gain = np.array([[lo + u * (hi - lo)]])
-                loop = rad.closed_loop_matrix(sys, gain)
+                loop = gain_loop(sys, gain)
                 assert linalg.spectral_abscissa(loop) < 0
 
 
@@ -785,7 +822,7 @@ class TestRowPass:
         assert report.closed_loop.tobytes() == upper.tobytes()
         assert report.certificate.positive_vector.tobytes() == v.tobytes()
         assert report.radius == 1.0 / np.linalg.norm(pert.e @ solution, 2)
-        assert rad.closed_loop_matrix(sys, sector.upper).tobytes() == upper.tobytes()
+        assert cert.closed_loop.tobytes() == upper.tobytes()
 
     @pytest.mark.parametrize("entry, metzler", [(-5e-10, True), (-2e-9, False)],
                              ids=["inside-slack", "outside-slack"])
@@ -825,14 +862,14 @@ class TestRowPass:
         # Sigma1 = 0 keeps the lower loop A, Metzler and finite; Sigma2 = 2 doubles
         # B's last row, 1e308, to inf, in the upper loop's last row block alone
         n = 197
-        sys, _, _ = dense_loop_system(n, 1)
+        sys, _, pert = dense_loop_system(n, 1)
         b = np.zeros((n, 1))
         b[n - 1, 0] = 1e308
         sys = LtiSystem(a=sys.a, b=b, c=np.ones((1, n)))
         sector = SectorBound.scalar(0.0, 2.0)
         assert list(linalg.row_blocks(n))[-1] == (192, 197)
         assert rad._loop_pass(sys, sector.lower)
-        for call in (rad.certify_positive_lure, lambda s, k: rad.closed_loop_matrix(s, k.upper)):
+        for call in (rad.certify_positive_lure, lambda s, k: rad.stability_radius_lure(s, k, pert)):
             with pytest.raises(NonFiniteEntriesError) as info:
                 call(sys, sector)
             assert str(info.value) == "the closed loop A + B K C: contains NaN or infinite entries"

@@ -1311,6 +1311,17 @@ class TestOrthantNetwork:
         assert evals == [(1, 1, 1)] * 2
         assert calls == [phi]
 
+    def test_orthant_sweep_builds_no_stage_matrices(self, example_b, monkeypatch):
+        # every column of example_b's sweep jumps, so the orthant test needs R
+        # and P of the gain loop of K, not the other stage matrices
+        calls = []
+        stage_matrices = sim._stage_matrices
+        monkeypatch.setattr(sim, "_stage_matrices", lambda *a: calls.append(a) or stage_matrices(*a))
+        rows = sim.sweep(example_b.system, example_b.loop_nonlinearity(), example_b.pert,
+                         example_b.sweep_deltas, example_b.simulation, trials=2, seed=42)
+        assert len(rows) == 2 * len(example_b.sweep_deltas)
+        assert calls == []
+
 
 def staged_rk4(sys, phi, pert, delta, cfg, x0):
     """Reference: classical RK4 stage by stage, ``k_j = M x_j + B phi(C x_j)``,
