@@ -3,11 +3,9 @@
 from .errors import LureStabError
 from .linalg import (
     NormKind,
-    inverse,
     is_hurwitz,
     is_metzler,
     is_nonnegative,
-    metzler_hurwitz_certificate,
     operator_norm,
     spectral_abscissa,
     spectral_radius,
@@ -70,12 +68,10 @@ __all__ = [
     "empirical_sector_check",
     "ffnn_eval",
     "find_critical_delta",
-    "inverse",
     "is_hurwitz",
     "is_metzler",
     "is_nonnegative",
     "load_ffnn",
-    "metzler_hurwitz_certificate",
     "nn_stability_radius",
     "operator_norm",
     "refine_upper_sector",

@@ -28,6 +28,7 @@ from .errors import (
     LureStabError,
     NoInstabilityError,
     NonzeroBiasError,
+    ProblemFormatError,
     UnstableAtZeroError,
 )
 from .problems import Problem, _read_ffnn, load_problem
@@ -110,7 +111,8 @@ def _certificate_results(report: Report, cert: rad.AizermanCertificate) -> None:
 def cmd_check(args, problem: Problem, report: Report) -> int:
     sector = problem.analysis_sector
     if sector is None:
-        raise InputError("check needs a sector, network, or builtin nonlinearity")
+        raise ProblemFormatError("check needs a sector, network, or builtin nonlinearity",
+                                 path=problem.path)
     cert = rad.certify_positive_lure(problem.system, sector, problem.pert)
     _certificate_results(report, cert)
     if not cert.verdict:
@@ -127,7 +129,8 @@ def cmd_radius(args, problem: Problem, report: Report) -> int:
     except CertificationError as exc:
         _certificate_results(report, exc.certificate)
         report.warn(str(exc))
-        report.warn("pass --override-gates to compute the formula anyway")
+        if not args.override_gates and exc.certificate.transfer is not None:
+            report.warn("pass --override-gates to compute the formula anyway")
         return EXIT_NEGATIVE
     if result.certificate is not None and not result.certificate.verdict:
         report.warn(
@@ -153,7 +156,7 @@ def cmd_radius(args, problem: Problem, report: Report) -> int:
 def cmd_nn_bound(args, source: ffnn.Ffnn | Problem, report: Report) -> int:
     net = source.network if isinstance(source, Problem) else source
     if net is None:
-        raise InputError("the problem file has no network")
+        raise ProblemFormatError("nn-bound needs a problem with a network", path=source.path)
     try:
         bound = ffnn.sector_bound_ffnn(net)
     except NonzeroBiasError as exc:
@@ -177,7 +180,8 @@ def cmd_nn_bound(args, source: ffnn.Ffnn | Problem, report: Report) -> int:
 def cmd_sweep(args, problem: Problem, report: Report) -> int:
     phi = problem.loop_nonlinearity()
     if phi is None:
-        raise InputError("sweep needs a sector, network, or builtin nonlinearity")
+        raise ProblemFormatError("sweep needs a sector, network, or builtin nonlinearity",
+                                 path=problem.path)
     cfg = problem.sim_config(dt=args.dt, horizon=args.horizon)
     formula_radius, certified = None, False
     try:
@@ -196,7 +200,8 @@ def cmd_sweep(args, problem: Problem, report: Report) -> int:
     deltas = problem.sweep_deltas
     if deltas is None:
         if formula_radius is None:
-            raise InputError("the problem lists no sweep deltas and no radius is computable")
+            raise ProblemFormatError("the problem lists no sweep deltas and no radius is computable",
+                                     path=problem.path)
         deltas = [round(f * formula_radius, 12) for f in (0.5, 0.8, 1.0, 1.2, 1.5)]
         report.warn("sweep deltas derived from the analytic radius")
     cause = _check_step(report, problem, deltas, cfg.dt)
@@ -243,9 +248,10 @@ def cmd_sweep(args, problem: Problem, report: Report) -> int:
 
 def cmd_refine(args, problem: Problem, report: Report) -> int:
     if problem.network is None:
-        raise InputError("refine needs a problem with a network")
+        raise ProblemFormatError("refine needs a problem with a network", path=problem.path)
     if problem.pert.k1 != 1 or problem.pert.k2 != 1:
-        raise InputError("refine needs a scalar perturbation structure")
+        raise ProblemFormatError("refine needs a scalar perturbation structure", path=problem.path)
+    phi = problem.loop_nonlinearity()
     bound = problem.analysis_sector
     report.set("gamma2", _mat(bound.upper))
 
@@ -258,7 +264,7 @@ def cmd_refine(args, problem: Problem, report: Report) -> int:
         cause = _check_step(report, problem, [0.0, delta_max], cfg.dt)
         try:
             found = sim.find_critical_delta(
-                problem.system, problem.loop_nonlinearity(), problem.pert,
+                problem.system, phi, problem.pert,
                 delta_max=delta_max, tol=0.01, cfg=cfg, trials=args.trials, seed=args.seed,
             )
         except NoInstabilityError as exc:
@@ -314,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_radius = sub.add_parser("radius", help="compute the stability radius")
     common(p_radius)
     p_radius.add_argument("--override-gates", action="store_true",
-                          help="evaluate the formula even if certification fails")
+                          help="evaluate the formula past failed gates, where the upper "
+                               "loop has a Metzler solve")
     p_radius.set_defaults(handler=cmd_radius)
 
     p_nn = sub.add_parser("nn-bound", help="sector bound of a network")

@@ -200,7 +200,8 @@ def empirical_sector_check(
     """Sample inputs on ``[0, 10]^p`` and test ``S1 z <= pi(z) <= S2 z`` componentwise.
 
     A small relative slack absorbs float rounding so that exact-equality
-    cases (e.g. identity relu chains) do not count as violations.
+    cases (e.g. identity relu chains) do not count as violations.  An output
+    that overflowed, to inf or NaN, counts as one, without a warning.
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
@@ -213,14 +214,16 @@ def empirical_sector_check(
         )
     rng = np.random.default_rng(seed)
     z = rng.uniform(0.0, 10.0, size=(samples, p, 1))
-    out = ffnn_eval(net, z)
-    lower = np.matmul(sector.lower, z)
-    upper = np.matmul(sector.upper, z)
-    slack = 1e-9 * np.maximum(1.0, np.abs(upper))
-    bad = (out > upper + slack) | (out < lower - slack)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = ffnn_eval(net, z)
+        lower = np.matmul(sector.lower, z)
+        upper = np.matmul(sector.upper, z)
+        slack = 1e-9 * np.maximum(1.0, np.abs(upper))
+        bad = (out > upper + slack) | (out < lower - slack) | ~np.isfinite(out)
+        positive = upper > 0
+        # fmax passes over the NaN of an overflowed ratio, and warns of none
+        max_ratio = float(np.fmax.reduce(out[positive] / upper[positive])) if positive.any() else 0.0
     count = int(bad.any(axis=(1, 2)).sum())
-    positive = upper > 0
-    max_ratio = float((out[positive] / upper[positive]).max()) if positive.any() else 0.0
     return SectorCheck(samples=samples, count=count, max_ratio=max_ratio)
 
 

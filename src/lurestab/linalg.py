@@ -162,9 +162,10 @@ def operator_norm(m, kind: NormKind = NormKind.TWO) -> float:
 def inverse(m, rhs) -> np.ndarray:
     """``m^{-1} @ rhs`` (a vector or a block of columns) from one explicit inverse.
 
-    It serves only the non-Metzler override path, of small n, so one LAPACK
-    inverse gives both the product and the 1-norm condition number
-    ``||m||_1 ||m^{-1}||_1``.  Raises SingularMatrixError when ``m`` is
+    No command calls it: every radius reads the transfer of ``metzler_solve``.
+    It is kept for the benchmark's tracer, which times a ``linalg.inverse``
+    layer.  One LAPACK inverse gives both the product and the 1-norm condition
+    number ``||m||_1 ||m^{-1}||_1``.  Raises SingularMatrixError when ``m`` is
     exactly singular or that number exceeds ``COND_MAX``.
     """
     m = _require_square(as_matrix(m))

@@ -72,15 +72,16 @@ class Problem:
     The loader resolves the problem kind once, and every choice that depends
     on it is made here.  ``feedback`` is what a simulation feeds back: a
     sector's upper gain (the worst case), the network, or the builtin
-    function; ``sector`` holds a sector problem's sector or a builtin's
-    declared design sector.
+    function; or, for a network that cannot be evaluated, the error that
+    names its file.  ``sector`` holds a sector problem's sector or a
+    builtin's declared design sector.
     """
 
     system: LtiSystem
     pert: PerturbationStructure
     sector: SectorBound | None
     network: Ffnn | None
-    feedback: Nonlinearity | None
+    feedback: Nonlinearity | ProblemFormatError | None
     simulation: SimConfig
     sweep_deltas: list[float] | None
     path: Path
@@ -103,7 +104,10 @@ class Problem:
             return exc
 
     def loop_nonlinearity(self) -> Nonlinearity | None:
-        """The feedback used in simulations, or None for a linear problem."""
+        """The feedback used in simulations, or None for a linear problem.  A
+        network whose activation is not built in raises, naming its file."""
+        if isinstance(self.feedback, ProblemFormatError):
+            raise self.feedback.with_traceback(None)
         return self.feedback
 
     def radius(self, override_gates: bool = False) -> RadiusReport:
@@ -129,8 +133,9 @@ class Problem:
         loops close, in words: the feedback's gain, else both edges of the
         analysis sector, else, where a network's sector cannot be computed,
         the plant alone at zero gain."""
-        if self.feedback.mat is not None:
-            gains, edges = [self.feedback.mat], "the gain"
+        feedback = self.loop_nonlinearity()
+        if feedback.mat is not None:
+            gains, edges = [feedback.mat], "the gain"
         else:
             try:
                 sector = self.analysis_sector
@@ -281,7 +286,8 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
         with _Section("network", resolved):  # the network file's own faults name that file
             if not isinstance(data["network"], str):
                 raise InputError(f"expected a file path, got {data['network']!r}")
-            network, network_raw = _read_ffnn(resolved.parent / data["network"])
+            network_path = resolved.parent / data["network"]
+            network, network_raw = _read_ffnn(network_path)
             raw += network_raw  # the digest covers the network's weights too
             if network.input_dim != system.p or network.output_dim != system.m:
                 raise InputError(
@@ -289,6 +295,10 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
                     f"but the plant needs {system.p} -> {system.m}"
                 )
         feedback = Nonlinearity.network(network)
+        if network.hidden and network.activation.fn is None:  # its slopes serve check and radius
+            feedback = ProblemFormatError(
+                f"activation: {network.activation.name!r} is not built in, so the network "
+                "cannot be evaluated", path=network_path)
     elif "builtin_nonlinearity" in data:
         with _Section("builtin_nonlinearity", resolved):
             builtin = str(data["builtin_nonlinearity"])
@@ -365,7 +375,10 @@ def _read_ffnn(path) -> tuple[Ffnn, bytes]:
     with _Section("activation", path):
         act = _object(act)
         a1, a2 = (None if act.get(k) is None else _number(act[k], k) for k in ("a1", "a2"))
-        activation = activation_from_name(_get(act, "name"), a1, a2)
+        name = _get(act, "name")
+        if not isinstance(name, str):
+            raise InputError(f"name: expected a string, got {name!r}")
+        activation = activation_from_name(name, a1, a2)
     layers = []
     for i, entry in enumerate(raw_layers, 1):
         with _Section(f"layer {i}", path):

@@ -143,7 +143,9 @@ class PerturbationStructure:
             raise DimensionMismatchError(f"E must have {n} columns, got {self.e.shape}")
 
 
-@dataclass(frozen=True)
+# The certificate and the report compare by identity: a field-wise == over
+# their arrays has no single truth value.
+@dataclass(frozen=True, eq=False)
 class AizermanCertificate:
     """Gate-by-gate outcome of the positivity/stability certification.
 
@@ -179,7 +181,7 @@ class AizermanCertificate:
         return [name for name, ok in self.gates().items() if not ok]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadiusReport:
     """A computed stability radius together with its provenance.
 
@@ -324,23 +326,21 @@ def stability_radius_lure(
     """Radius of the sector-bounded loop: ``1 / ||E (A + B S2 C)^{-1} D||``.
 
     The worst case over the sector is its upper edge, so the formula
-    evaluates the upper closed loop.  Gate failures raise unless
-    ``override_gates`` asks for the formula anyway (callers should then
-    treat the result as outside the certified regime).
+    evaluates the upper closed loop, on the certificate's transfer.  Gate
+    failures raise unless ``override_gates`` asks for the formula anyway
+    (callers should then treat the result as outside the certified regime),
+    and they always raise where the upper loop has no Metzler solve.
     """
     _require_monotone_norm(pert.norm)
     certificate = certify_positive_lure(sys, sector, pert)
-    if not certificate.verdict and not override_gates:
+    if not certificate.verdict and not (override_gates and certificate.transfer is not None):
+        reason = "" if certificate.transfer is not None else "; the upper loop has no Metzler solve"
         raise CertificationError(
-            "closed loop failed gate(s): " + ", ".join(certificate.failed_gates()),
+            "closed loop failed gate(s): " + ", ".join(certificate.failed_gates()) + reason,
             certificate=certificate,
         )
-    transfer = certificate.transfer
-    if transfer is None:
-        # reached by override only: a non-Metzler upper loop, or a singular one (this raises)
-        transfer = linalg.inverse(-certificate.closed_loop, pert.d)
     return RadiusReport(
-        radius=_radius("the transfer E (A + B S2 C)^-1 D", pert.norm, pert.e, transfer),
+        radius=_radius("the transfer E (A + B S2 C)^-1 D", pert.norm, pert.e, certificate.transfer),
         norm=pert.norm,
         formula="lure_upper_sector",
         closed_loop=certificate.closed_loop,

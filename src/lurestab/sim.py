@@ -396,8 +396,10 @@ def simulate_lure(
 
     A column blows up, and leaves the block, once its state magnitude is
     infinite or exceeds the blowup bound, or is NaN where a stage output of
-    its step is infinite.  A stepping column that settles leaves it too, as
-    having reached the horizon.  Any other NaN state in a live column raises
+    its step is infinite; a delta whose drift ``A + D delta E`` is not finite
+    blows its columns up at the first step, with an infinite peak.  A
+    stepping column that settles leaves the block too, as having reached
+    the horizon.  Any other NaN state in a live column raises
     NonFiniteStateError at the earliest time it appears, even where a run of
     the block's other columns alone would not have reached it.  A ``dt`` too
     small for the loop's diagonal raises InputError (``_step_arguments``).
@@ -431,18 +433,20 @@ def simulate_lure(
     steps = int(round(cfg.horizon / dt))
     trials = len(x0s)
     drifts = sys.a + pert.d @ deltas @ pert.e
+    finite = np.isfinite(drifts).all(axis=(1, 2))
     # column i * T + t, delta i from state t, jumps if i is in ``which`` and t in ``jumping``
     which, powers, gain = np.arange(0), None, phi.orthant if phi.mat is None else phi.mat
     jumping = np.arange(trials) if phi.mat is not None else np.flatnonzero((x0s >= 0).all(axis=1))
     if gain is not None and jumping.size:
         # a linear field's four RK4 stages telescope into one step matrix
         h = _step_arguments(drifts + sys.b @ gain @ sys.c, dt)
-        powers, which = _taylor4(h), np.arange(len(deltas))
+        powers, which = _taylor4(h), np.flatnonzero(finite)
         if phi.mat is None:
             # where the gain loop of K has a finite W = [R; P] >= 0, a column
             # from a state >= 0 stays where phi is K (see the module docstring)
             w = np.concatenate([_stage_inputs(h, sys.c), powers], axis=-2)
             which = np.flatnonzero(((w >= 0) & np.isfinite(w)).all(axis=(1, 2)))
+        if which.size < len(powers):  # copied only where some delta does not jump
             powers = powers[which]
     initial = np.tile(np.abs(x0s).max(axis=1), len(deltas))
     midway = steps // 2
@@ -453,6 +457,12 @@ def simulate_lure(
     # stays >= 0, so a NaN that _powered_block raises for is the earliest
     last = grid.size and _powered_block(powers, grid, x0s, initial, mid, final, blowup, steps, dt)
     live = np.delete(np.arange(len(initial)), grid.ravel())
+    if not finite.all():  # no engine runs a drift that overflowed
+        overflowed = ~finite[live // trials]
+        final[live[overflowed]] = math.inf
+        for col in live[overflowed].tolist():
+            blowup[col] = dt
+        live, last = live[~overflowed], max(last, 1)
     if live.size:  # a block whose columns all jump builds no stepping matrices
         # each of W, G_2, G_3, G_4 and Q over the deltas
         stacks = _stage_matrices(_step_arguments(drifts, dt), sys.b, sys.c, dt)

@@ -11,7 +11,7 @@ from lurestab import cli, ffnn, problems, radius, sim
 from lurestab.cli import main
 from lurestab.problems import fixture_path, load_problem, resolve_problem_path
 from lurestab.errors import NonzeroBiasError, ProblemFormatError
-from test_golden import CASES, GOLDEN, PROBLEMS, transcript
+from test_golden import CASES, GOLDEN, PROBLEMS, TEXT_CASES, golden_argv, transcript
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +105,45 @@ def upper_loop_problem(tmp_path, upper):
     path = tmp_path / "upper_loop.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def non_metzler_upper_loop_problem(tmp_path):
+    """A non-Metzler plant whose upper loop [[-0.5, -1], [-1, -4]] is Hurwitz,
+    by its eigenvalues, and not Metzler: its lower gate fails."""
+    doc = {
+        "system": {"A": [[-1.0, -1.0], [-1.0, -4.0]], "B": [[1.0], [0.0]], "C": [[1.0, 0.0]]},
+        "perturbation": {"D": [[1.0], [1.0]], "E": [[1.0, 1.0]], "norm": "two"},
+        "sector": {"Sigma1": [[0.0]], "Sigma2": [[0.5]]},
+    }
+    path = tmp_path / "non_metzler.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def scaled_example_b(tmp_path):
+    """example_b in coordinates x = S z, S = diag(1e-100, 1, 1e100), where its
+    upper loop's Metzler solve is refused (ROADMAP item 17)."""
+    doc = json.loads(fixture_path("example_b.json").read_text())
+    scale, unscale = np.diag([1e-100, 1.0, 1e100]), np.diag([1e100, 1.0, 1e-100])
+    a, b, c = (np.array(doc["system"][k], dtype=float) for k in "ABC")
+    d, e = (np.array(doc["perturbation"][k], dtype=float) for k in "DE")
+    doc["system"] = {"A": (unscale @ a @ scale).tolist(), "B": (unscale @ b).tolist(),
+                     "C": (c @ scale).tolist()}
+    doc["perturbation"].update(D=(unscale @ d).tolist(), E=(e @ scale).tolist())
+    doc["network"] = str(fixture_path(doc["network"]))
+    path = tmp_path / "scaled_b.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.fixture
+def no_inverse(monkeypatch):
+    """Refuses every explicit inverse: a radius comes from the certificate's solve."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
 
 
 class TestProblemLoading:
@@ -432,10 +471,15 @@ class TestProblemLoading:
             (("layers", 0, "rows"), -1, "layer 1: rows, cols: expected positive integers"),
             (("activation",), {"name": "relu", "a1": 0.0},
              "activation: activation 'relu': only one of a1/a2 given"),
+            (("activation",), {"name": 3, "a1": 0.0, "a2": 1.0},
+             "activation: name: expected a string, got 3"),
+            (("activation",), {"name": 1e308, "a1": 0.0, "a2": 1.0},
+             "activation: name: expected a string, got 1e+308"),
         ],
         ids=["bias-inf", "bias-ragged", "weight-inf", "bias-null", "weight-string", "weight-bool",
              "activation-string", "no-layers", "top-list",
-             "unknown-activation", "unordered-slopes", "negative-rows", "one-slope"],
+             "unknown-activation", "unordered-slopes", "negative-rows", "one-slope",
+             "integer-name", "float-name"],
     )
     @pytest.mark.parametrize("route", ["nn-bound", "problem"])
     def test_malformed_network_file_names_its_path_and_section(
@@ -465,6 +509,59 @@ class TestProblemLoading:
         assert err.startswith(f"error: {net_path}: {fault}")
         assert err.count(str(net_path)) == 1
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize(
+        "argv, problem, fault",
+        [
+            (["check"], PROBLEMS / "linear.json",
+             "check needs a sector, network, or builtin nonlinearity"),
+            (["sweep", "--trials", "1"], PROBLEMS / "linear.json",
+             "sweep needs a sector, network, or builtin nonlinearity"),
+            (["refine"], PROBLEMS / "sector.json", "refine needs a problem with a network"),
+            (["nn-bound"], fixture_path("example_a.json"), "nn-bound needs a problem with a network"),
+        ],
+        ids=["check-linear", "sweep-linear", "refine-sector", "nn-bound-builtin"],
+    )
+    def test_kind_mismatch_names_the_problem_file(self, capsys, tmp_path, argv, problem, fault):
+        extra = ["--out", str(tmp_path / "s.csv")] if argv[0] == "sweep" else []
+        code, out, err = run_cli(capsys, argv[0], "--problem", str(problem), *argv[1:], *extra)
+        assert (code, out, err) == (1, "", f"error: {problem}: {fault}\n")
+
+    def test_refine_on_a_structured_perturbation_names_the_problem_file(self, capsys, tmp_path):
+        doc = json.loads(fixture_path("example_b.json").read_text())
+        doc["perturbation"].update(D=[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+                                   E=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        doc["network"] = str(fixture_path(doc["network"]))
+        path = tmp_path / "structured.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "refine", "--problem", str(path), "--delta-crit", "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: refine needs a scalar perturbation structure\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--trials", "1", "--horizon", "1", "--dt", "0.1"],
+        ["refine", "--delta-crit", "3.15"],
+        ["refine", "--trials", "1", "--horizon", "1", "--dt", "0.1"],
+    ], ids=["sweep", "refine-given", "refine-search"])
+    def test_custom_activation_is_refused_where_the_network_is_evaluated(
+        self, capsys, tmp_path, argv
+    ):
+        # its slopes suffice to certify the loop, but no command can evaluate it
+        net = json.loads(fixture_path("gain_network.json").read_text())
+        net["activation"] = {"name": "swish", "a1": 0.0, "a2": 1.0}
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(net))
+        doc = json.loads(fixture_path("example_b.json").read_text())
+        doc["network"] = "net.json"
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps(doc))
+        for command in ("check", "radius", "nn-bound"):
+            assert run_cli(capsys, command, "--problem", str(path))[0] == 0
+        extra = ["--out", str(tmp_path / "s.csv")] if argv[0] == "sweep" else []
+        code, out, err = run_cli(capsys, argv[0], "--problem", str(path), *argv[1:], *extra)
+        assert (code, out) == (1, "")
+        assert err == (f"error: {net_path}: activation: 'swish' is not built in, "
+                       "so the network cannot be evaluated\n")
 
     @pytest.mark.parametrize(
         "text, fault",
@@ -699,20 +796,37 @@ class TestRadiusCommand:
         run_cli(capsys, *argv)
         assert len(calls) == 1
 
-    def test_override_gates_on_singular_metzler_upper_loop_exits_two(self, capsys, tmp_path):
+    @staticmethod
+    def refused_by_the_override(capsys, path, gates):
+        """``radius --override-gates`` on a loop without a Metzler solve: exit 2 with
+        the gate report and the refusal, as without the override, and no hint."""
+        code, out, err = run_cli(capsys, "radius", "--problem", str(path), "--override-gates",
+                                 "--format", "json")
+        data = json.loads(out)
+        assert (code, err) == (2, "")
+        assert "radius" not in data["results"]
+        failed = [g for g, ok in data["results"].items() if g.startswith("gate_") and not ok]
+        assert sorted(failed) == sorted(f"gate_{g}" for g in gates)
+        assert data["warnings"] == [
+            f"closed loop failed gate(s): {', '.join(gates)}; the upper loop has no Metzler solve"
+        ]
+        return data
+
+    def test_override_gates_on_singular_metzler_upper_loop_exits_two(self, capsys, tmp_path,
+                                                                      no_inverse):
         # upper loop [[-0.5, 1], [1, -2]] is Metzler with determinant 0
         path = upper_loop_problem(tmp_path, 1.5)
         code, data = run_json(capsys, "radius", "--problem", str(path))
         assert code == 2
         assert data["results"]["gate_hurwitz_at_upper"] is False
-        code, out, err = run_cli(capsys, "radius", "--problem", str(path), "--override-gates")
-        assert code == 2
-        assert out == ""
-        assert err == "error: condition number above 1e+12; matrix is numerically singular\n"
+        assert data["warnings"][0].endswith("; the upper loop has no Metzler solve")
+        assert "pass --override-gates" not in " ".join(data["warnings"])
+        data = self.refused_by_the_override(capsys, path, ["hurwitz_at_upper"])
+        assert data["results"]["metzler_at_upper"] is True
 
-    def test_override_gates_on_singular_non_metzler_upper_loop_exits_two(self, capsys, tmp_path):
-        # upper loop [[-0.5, -1], [-2, -4]] is not Metzler and has determinant 0,
-        # so the override solves it through linalg.inverse
+    def test_override_gates_on_singular_non_metzler_upper_loop_exits_two(self, capsys, tmp_path,
+                                                                          no_inverse):
+        # upper loop [[-0.5, -1], [-2, -4]] is not Metzler and has determinant 0
         doc = {
             "system": {"A": [[-1.0, -1.0], [-2.0, -4.0]], "B": [[1.0], [0.0]], "C": [[1.0, 0.0]]},
             "perturbation": {"D": [[1.0], [1.0]], "E": [[1.0, 1.0]], "norm": "two"},
@@ -720,29 +834,20 @@ class TestRadiusCommand:
         }
         path = tmp_path / "singular.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, "radius", "--problem", str(path), "--override-gates")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "numerically singular" in err and "Traceback" not in err
+        self.refused_by_the_override(capsys, path, ["metzler_at_lower", "hurwitz_at_upper"])
 
-    def test_override_gates_on_overflowing_condition_number_exits_two(self, capsys, tmp_path):
-        # example_b in coordinates x = S z, S = diag(1e-100, 1, 1e100): the upper
-        # loop's Metzler solve is refused there, so the override inverts it, and
-        # ||M||_1 ||M^-1||_1 overflows to inf
-        doc = json.loads(fixture_path("example_b.json").read_text())
-        scale, unscale = np.diag([1e-100, 1.0, 1e100]), np.diag([1e100, 1.0, 1e-100])
-        a, b, c = (np.array(doc["system"][k], dtype=float) for k in "ABC")
-        d, e = (np.array(doc["perturbation"][k], dtype=float) for k in "DE")
-        doc["system"] = {"A": (unscale @ a @ scale).tolist(), "B": (unscale @ b).tolist(),
-                         "C": (c @ scale).tolist()}
-        doc["perturbation"].update(D=(unscale @ d).tolist(), E=(e @ scale).tolist())
-        doc["network"] = str(fixture_path(doc["network"]))
-        path = tmp_path / "scaled_b.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, "radius", "--problem", str(path), "--override-gates")
-        assert (code, out) == (2, "")
-        assert err == "error: condition number above 1e+12; matrix is numerically singular\n"
+    def test_override_gates_on_a_hurwitz_non_metzler_upper_loop_exits_two(self, capsys, tmp_path,
+                                                                          no_inverse):
+        # the upper loop is Hurwitz, but the formula is the radius of a Metzler loop only
+        path = non_metzler_upper_loop_problem(tmp_path)
+        data = self.refused_by_the_override(capsys, path, ["metzler_at_lower"])
+        assert data["results"]["metzler_at_upper"] is False
+
+    def test_override_gates_on_overflowing_condition_number_exits_two(self, capsys, tmp_path,
+                                                                      no_inverse):
+        # the scaled copy's kappa_inf exceeds COND_MAX, so its Metzler solve is refused
+        path = scaled_example_b(tmp_path)
+        self.refused_by_the_override(capsys, path, ["hurwitz_at_upper"])
 
     def test_override_gates_on_unstable_metzler_upper_loop_evaluates_formula(
         self, capsys, tmp_path
@@ -756,6 +861,18 @@ class TestRadiusCommand:
         # E (-M)^{-1} D = [1 1] [[-2, -1], [-1, 0]] [1 1]^T = -4, of norm 4
         assert data["results"]["radius"] == pytest.approx(0.25, rel=1e-12)
         assert any("GATES FAILED" in w for w in data["warnings"])
+
+    def test_no_command_inverts_a_matrix(self, capsys, tmp_path, no_inverse):
+        # every radius comes from the certificate's one solve: the golden
+        # commands keep their bytes, and a loop without a Metzler solve is refused
+        for case in [*CASES, *TEXT_CASES]:
+            argv, fmt = golden_argv(case)
+            (tmp_path / case).mkdir()
+            expected = (GOLDEN / f"{case}.txt").read_bytes().decode()
+            assert transcript(argv, tmp_path / case, fmt) == expected, case
+        for path in (non_metzler_upper_loop_problem(tmp_path), upper_loop_problem(tmp_path, 1.5),
+                     scaled_example_b(tmp_path)):
+            assert run_cli(capsys, "radius", "--problem", str(path), "--override-gates")[0] == 2
 
     def test_zero_transfer_exits_two_without_traceback(self, capsys, zero_transfer_problem):
         code, out, err = run_cli(capsys, "radius", "--problem", str(zero_transfer_problem))
@@ -1029,19 +1146,22 @@ class TestSweepCommand:
         rows = out_csv.read_text().splitlines()
         assert rows[-2:] == ["1e+40,0,42,Unstable,inf,0.1", "1e+40,1,42,Unstable,inf,0.1"]
 
-    def test_overflow_to_nan_state_exits_two(self, capsys, tmp_path):
-        # at delta = 1e308 the state itself turns NaN, as in a gain loop whose
-        # step matrices overflow: a numerical failure, not an input error
+    def test_overflowing_drift_blows_up(self, capsys, tmp_path):
+        # at delta = 1e308 the drift A + D delta E itself overflows, so the
+        # state's first step is not finite: a blow-up at t = dt, as at 1e300
         doc = json.loads(fixture_path("example_a.json").read_text())
-        doc["sweep"]["deltas"] = [1e308]
+        doc["sweep"]["deltas"] = [0.2, 1e300, 1e308]
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run_cli(
-            capsys, "sweep", "--problem", str(path), "--out", str(tmp_path / "h.csv"),
+        out_csv = tmp_path / "h.csv"
+        code, data = run_json(
+            capsys, "sweep", "--problem", str(path), "--out", str(out_csv),
             "--trials", "1", "--dt", "0.1", "--horizon", "1",
         )
-        assert code == 2
-        assert err == "error: state became NaN at t = 0.1\n"
+        assert code == 0
+        assert [s["unstable"] for s in data["results"]["per_delta"]] == [0, 1, 1]
+        rows = out_csv.read_text().splitlines()
+        assert rows[-2:] == ["1e+300,0,42,Unstable,inf,0.1", "1e+308,0,42,Unstable,inf,0.1"]
 
     @pytest.mark.parametrize("flag", ["--horizon", "--dt"])
     @pytest.mark.parametrize("value", ["inf", "nan"])

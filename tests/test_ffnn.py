@@ -165,6 +165,18 @@ class TestEmpiricalSectorCheck:
         b = ffnn.empirical_sector_check(reference_net, sector, samples=64, seed=5)
         assert a.count == b.count and a.max_ratio == b.max_ratio
 
+    @pytest.mark.parametrize("w1, w2", [
+        # 10 (1e308 z) overflows to inf for every sampled z (seed 1 draws none below 0.27),
+        # and 10 (1e308 z) - 10 (1e308 z) to inf - inf = NaN, or to inf where 1e308 z did not
+        ([[1e308]], [[10.0]]),
+        ([[1e308], [1e308]], [[10.0, -10.0]]),
+    ], ids=["inf", "nan"])
+    def test_overflowing_outputs_are_violations_without_a_warning(self, w1, w2):
+        net = scalar_net(w1, w2)
+        check = ffnn.empirical_sector_check(net, SectorBound.scalar(0.0, 1.0), samples=50, seed=1)
+        assert check.count == 50
+        assert check.max_ratio == np.inf  # the largest ratio that is not NaN
+
     def test_negative_seed_is_input_error(self, reference_net):
         bound = ffnn.sector_bound_ffnn(reference_net)
         with pytest.raises(InputError, match="seed must be nonnegative"):

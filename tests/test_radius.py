@@ -69,6 +69,14 @@ class TestTypes:
         with pytest.raises(DimensionMismatchError, match="gain must be 1x1"):
             rad.certify_positive_lure(SYS_B, SectorBound(np.zeros((1, 2)), np.ones((1, 2))))
 
+    def test_certificates_and_reports_compare_by_identity(self, example_b):
+        # a field-wise == over their arrays would have no single truth value
+        certs = [rad.certify_positive_lure(SYS_B, SECTOR_B, PERT_B) for _ in range(2)]
+        reports = [example_b.radius() for _ in range(2)]
+        for first, second in (certs, reports):
+            assert first == first and first != second
+            assert len({first, second, first}) == 2
+
     def test_perturbation_requires_nonnegative_scalings(self):
         with pytest.raises(ValueError):
             PerturbationStructure(d=[[-1.0]], e=[[1.0]])
@@ -330,28 +338,23 @@ class TestOneFactorizationPerClosedLoop:
         self.CALLS[call]()
         assert len(calls) == self.METZLER_TESTS[call]
 
-    def test_override_on_a_non_metzler_loop_inverts_once(self, monkeypatch):
-        # a non-Metzler upper loop takes linalg.inverse: one LAPACK inverse
-        # gives the product and the condition number, and nothing else factors
-        inv = np.linalg.inv
-        calls = []
-
-        def counted(m):
-            calls.append(np.shape(m))
-            return inv(m)
-
+    def test_override_on_a_non_metzler_loop_factors_nothing(self, monkeypatch):
+        # a non-Metzler upper loop has no Metzler solve, so no transfer: the
+        # override refuses it as any gate failure is refused, with no solve or inverse
         def refuse(*args, **kwargs):
-            raise AssertionError("a second factorization")
+            raise AssertionError("a factorization")
 
-        monkeypatch.setattr(np.linalg, "inv", counted)
-        monkeypatch.setattr(np.linalg, "solve", refuse)
-        monkeypatch.setattr(np.linalg, "cond", refuse)
+        for name in ("solve", "inv", "cond"):
+            monkeypatch.setattr(np.linalg, name, refuse)
         sys = LtiSystem(a=[[-1.0, -1.0], [-1.0, -4.0]], b=[[1.0], [0.0]], c=[[1.0, 0.0]])
         pert = PerturbationStructure(d=[[1.0], [1.0]], e=[[1.0, 1.0]], norm=NormKind.TWO)
-        report = rad.stability_radius_lure(sys, SectorBound.scalar(0.0, 0.5), pert,
-                                           override_gates=True)
-        assert calls == [(2, 2)]
-        assert np.isfinite(report.radius)
+        with pytest.raises(CertificationError) as info:
+            rad.stability_radius_lure(sys, SectorBound.scalar(0.0, 0.5), pert, override_gates=True)
+        assert str(info.value) == (
+            "closed loop failed gate(s): metzler_at_lower; the upper loop has no Metzler solve"
+        )
+        cert = info.value.certificate
+        assert not cert.metzler_at_upper and cert.hurwitz_at_upper and cert.transfer is None
 
     def test_transfer_matches_the_inverse_bit_for_bit(self):
         upper = gain_loop(SYS_B, SECTOR_B.upper)
@@ -378,7 +381,7 @@ class TestOneFactorizationPerClosedLoop:
         assert rad.certify_positive_lure(SYS_B, SECTOR_B).transfer is None
 
     def test_certificate_without_a_witness_has_no_transfer(self):
-        # a non-Metzler upper loop is gated by eigenvalues, so the override inverts it
+        # a non-Metzler upper loop is gated by eigenvalues and has no solve
         sys = LtiSystem(a=[[-1.0, -1.0], [-1.0, -4.0]], b=[[1.0], [0.0]], c=[[1.0, 0.0]])
         pert = PerturbationStructure(d=[[1.0], [1.0]], e=[[1.0, 1.0]], norm=NormKind.TWO)
         cert = rad.certify_positive_lure(sys, SectorBound.scalar(0.0, 0.5), pert)
@@ -434,7 +437,7 @@ class TestLinearRadius:
             pert = PerturbationStructure(d=d, e=e, norm=NormKind.TWO)
             formula = rad.stability_radius_linear(a, pert).radius
             # the worst perturbation direction is the positive one
-            assert (e @ linalg.inverse(-a, d) >= 0).all()
+            assert (e @ np.linalg.inv(-a) @ d >= 0).all()
 
             def abscissa(delta):
                 return linalg.spectral_abscissa(a + delta * (d @ e))
@@ -601,7 +604,7 @@ class TestRefineUpperSector:
     def test_zero_delta_uses_unperturbed_plant(self):
         magnitude = rad.refine_upper_sector(SYS_B, PERT_B, 0.0)
         expected = 1.0 / linalg.operator_norm(
-            SYS_B.c @ linalg.inverse(SYS_B.a, SYS_B.b), NormKind.TWO
+            SYS_B.c @ np.linalg.inv(SYS_B.a) @ SYS_B.b, NormKind.TWO
         )
         assert magnitude == pytest.approx(expected, rel=1e-12)
 

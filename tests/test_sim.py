@@ -362,6 +362,23 @@ class TestBlowupRule:
             messages.append(str(exc.value))
         assert messages == ["state became NaN at t = 0.01"] * 2
 
+    @pytest.mark.parametrize("delta", [1e308, -1e308])
+    @pytest.mark.parametrize("phi", [Nonlinearity.gain([[0.0]]), ZERO_PHI], ids=["gain", "stages"])
+    def test_overflowing_drift_blows_up_at_the_first_step(self, phi, delta):
+        # A + D delta E = -1 + 4 delta overflows to +-inf; at -inf the step's
+        # Taylor terms meet as inf - inf = NaN, so the drift, not the state, decides
+        sys = LtiSystem(a=[[-1.0]], b=[[1.0]], c=[[1.0]])
+        pert = PerturbationStructure(d=[[2.0]], e=[[2.0]])
+        cfg = SimConfig(dt=0.1, horizon=1.0)
+        deltas, x0s = np.array([[[0.5]], [[delta]]]), np.array([[1.0], [2.0]])
+        block = sim.simulate_lure(sys, phi, pert, deltas, cfg, x0s)
+        finite, overflowed = block.columns[:2], block.columns[2:]
+        assert [(c.blowup_time, c.final_peak) for c in overflowed] == [(0.1, math.inf)] * 2
+        assert [sim.classify_stability(c).label for c in overflowed] == ["Unstable"] * 2
+        alone = sim.simulate_lure(sys, phi, pert, deltas[:1], cfg, x0s).columns
+        assert finite == alone
+        assert block.last == 10
+
     @pytest.mark.parametrize("w_1, w_out", [(-1.0, 1e200), (-1e200, 1.0)],
                              ids=["output_weight", "first_weight"])
     def test_huge_weights_around_a_zero_activation_stay_finite(self, w_1, w_out):
