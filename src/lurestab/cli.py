@@ -48,12 +48,11 @@ def _vec(v) -> list | None:
 class Report:
     """Accumulates one command's results and renders them deterministically."""
 
-    def __init__(self, command: str, path, digest: str | None = None):
+    def __init__(self, command: str, path, digest: str):
         """``digest`` is the sha256 of the input's bytes: a problem's, with its
         network file's, or a network file's read alone."""
-        self.data = {"command": command, "problem": str(path), "results": {}, "warnings": []}
-        if digest is not None:
-            self.data["inputs_digest"] = digest
+        self.data = {"command": command, "problem": str(path), "inputs_digest": digest,
+                     "results": {}, "warnings": []}
 
     def set(self, key: str, value) -> None:
         self.data["results"][key] = value
@@ -67,8 +66,7 @@ class Report:
             return
         print(f"command: {self.data['command']}")
         print(f"problem: {self.data['problem']}")
-        if "inputs_digest" in self.data:
-            print(f"sha256: {self.data['inputs_digest']}")
+        print(f"sha256: {self.data['inputs_digest']}")
         for key, value in self.data["results"].items():
             print(f"{key}: {_human(value)}")
         for warning in self.data["warnings"]:
@@ -104,7 +102,7 @@ def _certificate_results(report: Report, cert: rad.AizermanCertificate) -> None:
     for name, ok in cert.gates().items():
         report.set(f"gate_{name}", ok)
     report.set("metzler_at_upper", cert.metzler_at_upper)
-    report.set("verdict", bool(cert.verdict))
+    report.set("verdict", cert.verdict)
     report.set("positive_vector", _vec(cert.positive_vector))
 
 
@@ -307,14 +305,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, problem_required=True):
-        p.add_argument("--problem", required=problem_required, help="problem JSON file")
-        p.add_argument("--norm", choices=["one", "two", "inf"], default=None,
-                       help="override the perturbation norm")
+    def common(p, norm=True):
+        p.add_argument("--problem", required=True, help="problem JSON file")
+        if norm:
+            p.add_argument("--norm", choices=["one", "two", "inf"], default=None,
+                           help="override the perturbation norm")
         p.add_argument("--format", choices=["text", "json"], default="text")
 
     p_check = sub.add_parser("check", help="evaluate positivity/stability gates")
-    common(p_check)
+    common(p_check, norm=False)  # the gates read D and E, never the norm
     p_check.set_defaults(handler=cmd_check)
 
     p_radius = sub.add_parser("radius", help="compute the stability radius")
@@ -325,8 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_radius.set_defaults(handler=cmd_radius)
 
     p_nn = sub.add_parser("nn-bound", help="sector bound of a network")
-    p_nn.add_argument("--network", help="network JSON file")
-    p_nn.add_argument("--problem", help="problem file whose network to use")
+    source = p_nn.add_mutually_exclusive_group(required=True)
+    source.add_argument("--network", help="network JSON file")
+    source.add_argument("--problem", help="problem file whose network to use")
     p_nn.add_argument("--format", choices=["text", "json"], default="text")
     p_nn.set_defaults(handler=cmd_nn_bound)
 
@@ -355,14 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "network", None):  # nn-bound reads a network file before a problem
+        if getattr(args, "network", None):  # nn-bound given a network file, not a problem
             source, raw = _read_ffnn(args.network)
             report = Report(args.subcommand, args.network, hashlib.sha256(raw).hexdigest())
-        elif args.problem is not None:
+        else:
             source = load_problem(args.problem, norm_override=getattr(args, "norm", None))
             report = Report(args.subcommand, source.path, source.digest)
-        else:
-            raise InputError("nn-bound needs --network or --problem")
         code = args.handler(args, source, report)
     except LureStabError as exc:
         print(f"error: {exc}", file=sys.stderr)

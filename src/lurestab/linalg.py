@@ -36,6 +36,10 @@ FLOAT_SLACK = 1e-9
 # Rows per block of a whole-matrix pass over a dense loop (400 KB at n = 800).
 ROW_BLOCK = 64
 
+# Most sweeps of the equilibration behind a refused solve's retry; each sweep halves
+# the binary exponents that separate the rows and columns, so 1e300 to 1 takes ten.
+RUIZ_SWEEPS = 32
+
 
 class NormKind(Enum):
     """Matrix norms used to measure perturbations.
@@ -192,19 +196,41 @@ def metzler_solve(m, rhs=None) -> tuple[np.ndarray | None, np.ndarray | None]:
     ``(-m)^{-1} >= 0``, so its inf-norm is ``max(v)`` and
     ``kappa_inf(m) = ||m||_inf * ||v||_inf`` exactly; for any other ``m``
     that product is a lower bound.  A loop that is exactly singular, or
-    whose product exceeds ``COND_MAX``, gives no witness and no solve.
+    whose product exceeds ``COND_MAX``, is solved once more as ``L m R``,
+    ``_equilibrate``'s power-of-two scales, against ``[ones | L rhs]``: the
+    scaled loop is Metzler and Hurwitz exactly when ``m`` is, its solve ``X``
+    gives ``(-m)^{-1} rhs = R X[:, 1:]`` and the witness ``R X[:, 0]``, which
+    ``m`` maps to ``-L^{-1} ones < 0``.  A loop refused there too gives no
+    witness and no solve.
 
     Precondition, unchecked: ``m`` is finite, square and float, and its caller tested it
     with ``is_metzler``'s row-block test within ``FLOAT_SLACK``, a slack for float noise in
     computed loops; the witness is checked on the Metzler majorant, which bounds m's abscissa.
     """
     ones = np.ones((m.shape[0], 1))
+    x, witness = _gated_solve(m, ones if rhs is None else np.hstack((ones, rhs)))
+    if x is None:  # refused: retry once where the refusal is only the loop's scale
+        left, right = _equilibrate(m)
+        block = ones if rhs is None else np.hstack((ones, left[:, None] * rhs))
+        x, witness = _gated_solve(left[:, None] * m * right, block)
+        if x is None:
+            return None, None
+        with np.errstate(over="ignore"):  # an overflow of R X refuses the loop
+            x = right[:, None] * x
+        if not np.isfinite(x).all():
+            return None, None
+    return x[:, 0] if witness else None, None if rhs is None else x[:, 1:]
+
+
+def _gated_solve(m: np.ndarray, block: np.ndarray) -> tuple[np.ndarray | None, bool]:
+    """``(-m)^{-1} @ block`` and whether its first column is a Hurwitz witness of ``m``,
+    as ``metzler_solve`` reads them; ``(None, False)`` where the solve is refused."""
     try:
         # m against the negated block gives the bits of -m against the block
         # (IEEE rounding is odd), without an n x n negated copy of m
-        x = np.linalg.solve(m, -(ones if rhs is None else np.hstack((ones, rhs))))
+        x = np.linalg.solve(m, -block)
     except np.linalg.LinAlgError:  # an exactly zero pivot
-        return None, None
+        return None, False
     v = x[:, 0]
     # the majorant, |m| with m's diagonal, one row block at a time: the largest
     # row sum of |m| gives kappa, and every row must map v below zero
@@ -218,10 +244,32 @@ def metzler_solve(m, rhs=None) -> tuple[np.ndarray | None, np.ndarray | None]:
             maps_below = maps_below and bool((majorant @ v < 0).all())
         kappa = norm * np.abs(v).max()
     if not kappa <= COND_MAX:
-        return None, None
-    if not (v > 0).all() or not maps_below:
-        v = None
-    return v, None if rhs is None else x[:, 1:]
+        return None, False
+    return x, bool((v > 0).all()) and maps_below
+
+
+def _equilibrate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Power-of-two row and column scales ``(l, r)`` under which every row and column of
+    ``diag(l) |m| diag(r)`` has its largest entry near 1 (D. Ruiz, RAL-TR-2001-034, 2001).
+
+    Each sweep divides every row and every column by the power of two nearest the square
+    root of its largest entry, until a sweep changes nothing or after ``RUIZ_SWEEPS``.  A
+    power of two scales a float exactly, so the scaled loop holds m's bits, moved in
+    exponent.  A zero row or column keeps the scale 1."""
+    scaled = np.abs(m)
+    left, right = np.ones(len(m)), np.ones(len(m))
+    for _ in range(RUIZ_SWEEPS):
+        # frexp gives x = f 2^e with f in [0.5, 1), so 2^-(e // 2) is near 1 / sqrt(x),
+        # and the exponent of 0 is 0
+        row = np.ldexp(1.0, -(np.frexp(scaled.max(axis=1))[1] // 2))
+        col = np.ldexp(1.0, -(np.frexp(scaled.max(axis=0))[1] // 2))
+        if (row == 1.0).all() and (col == 1.0).all():
+            break
+        scaled *= row[:, None]
+        scaled *= col
+        left *= row
+        right *= col
+    return left, right
 
 
 def _metzler_hurwitz_solve(m: np.ndarray, rhs, what: str) -> tuple:

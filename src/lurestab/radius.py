@@ -149,7 +149,7 @@ class PerturbationStructure:
 class AizermanCertificate:
     """Gate-by-gate outcome of the positivity/stability certification.
 
-    ``verdict`` is the conjunction of the five named gates.
+    ``verdict``, derived, is the conjunction of the five named gates.
     ``metzler_at_upper`` is informational: B, C >= 0, S1 <= S2 and a Metzler
     lower loop imply it.  Then ``hurwitz_at_upper`` is decided by the
     witness ``positive_vector`` (``v > 0`` with ``(A + B S2 C) v < 0``);
@@ -166,7 +166,6 @@ class AizermanCertificate:
     positive_vector: np.ndarray | None
     closed_loop: np.ndarray
     transfer: np.ndarray | None
-    verdict: bool
 
     def gates(self) -> dict:
         return {
@@ -179,6 +178,10 @@ class AizermanCertificate:
 
     def failed_gates(self) -> list[str]:
         return [name for name, ok in self.gates().items() if not ok]
+
+    @property
+    def verdict(self) -> bool:
+        return not self.failed_gates()
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,9 +246,6 @@ def certify_positive_lure(sys: LtiSystem, sector: SectorBound,
         hurwitz_at_upper = positive_vector is not None
     else:
         hurwitz_at_upper = linalg.is_hurwitz(upper)
-    verdict = bool(
-        b_nonneg and c_nonneg and sector_ordered and metzler_at_lower and hurwitz_at_upper
-    )
     return AizermanCertificate(
         b_nonneg=b_nonneg,
         c_nonneg=c_nonneg,
@@ -256,7 +256,6 @@ def certify_positive_lure(sys: LtiSystem, sector: SectorBound,
         positive_vector=positive_vector,
         closed_loop=upper,
         transfer=transfer,
-        verdict=verdict,
     )
 
 

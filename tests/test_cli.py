@@ -121,8 +121,8 @@ def non_metzler_upper_loop_problem(tmp_path):
 
 
 def scaled_example_b(tmp_path):
-    """example_b in coordinates x = S z, S = diag(1e-100, 1, 1e100), where its
-    upper loop's Metzler solve is refused (ROADMAP item 17)."""
+    """example_b in coordinates x = S z, S = diag(1e-100, 1, 1e100): its upper
+    loop's kappa_inf exceeds COND_MAX, and only the equilibrated retry solves it."""
     doc = json.loads(fixture_path("example_b.json").read_text())
     scale, unscale = np.diag([1e-100, 1.0, 1e100]), np.diag([1e100, 1.0, 1e-100])
     a, b, c = (np.array(doc["system"][k], dtype=float) for k in "ABC")
@@ -669,6 +669,15 @@ class TestCheckCommand:
         assert err.count("\n") == 1
         assert out == ""
 
+    def test_takes_no_norm(self, capsys):
+        # the gates read D and E, never the norm, so check has no --norm to take
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--problem", "example_b.json", "--norm", "two"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --norm two" in err
+
 
 class TestRadiusCommand:
     def test_example_a_needs_override(self, capsys):
@@ -845,9 +854,15 @@ class TestRadiusCommand:
 
     def test_override_gates_on_overflowing_condition_number_exits_two(self, capsys, tmp_path,
                                                                       no_inverse):
-        # the scaled copy's kappa_inf exceeds COND_MAX, so its Metzler solve is refused
-        path = scaled_example_b(tmp_path)
+        # upper loop [[-0.5 - 1e-13, 1], [1, -2]]: kappa_inf near 1e13 exceeds COND_MAX,
+        # in any row and column scales, so the equilibrated retry is refused too
+        path = upper_loop_problem(tmp_path, 1.5 - 1e-13)
         self.refused_by_the_override(capsys, path, ["hurwitz_at_upper"])
+        # the scaled copy's kappa_inf exceeds COND_MAX only in its own scale
+        code, data = run_json(capsys, "radius", "--problem", str(scaled_example_b(tmp_path)))
+        _, want = run_json(capsys, "radius", "--problem", "example_b.json")
+        assert code == 0 and data["results"]["verdict"] is True
+        assert data["results"]["radius"] == pytest.approx(want["results"]["radius"], rel=1e-12)
 
     def test_override_gates_on_unstable_metzler_upper_loop_evaluates_formula(
         self, capsys, tmp_path
@@ -863,16 +878,18 @@ class TestRadiusCommand:
         assert any("GATES FAILED" in w for w in data["warnings"])
 
     def test_no_command_inverts_a_matrix(self, capsys, tmp_path, no_inverse):
-        # every radius comes from the certificate's one solve: the golden
-        # commands keep their bytes, and a loop without a Metzler solve is refused
+        # every radius comes from the certificate's one solve: the golden commands
+        # keep their bytes, a loop without a Metzler solve is refused, and a loop
+        # refused only for its scale is solved on its equilibrated copy
         for case in [*CASES, *TEXT_CASES]:
             argv, fmt = golden_argv(case)
             (tmp_path / case).mkdir()
             expected = (GOLDEN / f"{case}.txt").read_bytes().decode()
             assert transcript(argv, tmp_path / case, fmt) == expected, case
-        for path in (non_metzler_upper_loop_problem(tmp_path), upper_loop_problem(tmp_path, 1.5),
-                     scaled_example_b(tmp_path)):
+        for path in (non_metzler_upper_loop_problem(tmp_path), upper_loop_problem(tmp_path, 1.5)):
             assert run_cli(capsys, "radius", "--problem", str(path), "--override-gates")[0] == 2
+        path = scaled_example_b(tmp_path)
+        assert run_cli(capsys, "radius", "--problem", str(path), "--override-gates")[0] == 0
 
     def test_zero_transfer_exits_two_without_traceback(self, capsys, zero_transfer_problem):
         code, out, err = run_cli(capsys, "radius", "--problem", str(zero_transfer_problem))
@@ -941,11 +958,14 @@ class TestNnBoundCommand:
         ]
 
     def test_needs_some_source(self, capsys):
-        code, out, err = run_cli(capsys, "nn-bound")
-        assert code == 1
-        assert (out, err) == ("", "error: nn-bound needs --network or --problem\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["nn-bound"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "one of the arguments --network --problem is required" in err
 
-    def test_network_is_read_before_problem(self, capsys, tmp_path):
+    def test_takes_one_source_only(self, capsys, tmp_path):
         net = {
             "activation": {"name": "relu"},
             "layers": [
@@ -955,7 +975,13 @@ class TestNnBoundCommand:
         }
         path = tmp_path / "quarter.json"
         path.write_text(json.dumps(net))
-        code, data = run_json(capsys, "nn-bound", "--network", str(path), "--problem", "example_b.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["nn-bound", "--network", str(path), "--problem", "example_b.json"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --problem: not allowed with argument --network" in err
+        code, data = run_json(capsys, "nn-bound", "--network", str(path))
         assert code == 0
         assert data["problem"] == str(path)
         assert data["inputs_digest"] == hashlib.sha256(path.read_bytes()).hexdigest()

@@ -280,6 +280,28 @@ class TestMetzlerSolve:
         v, solution = linalg.metzler_solve(m, np.ones((2, 1)))
         assert v is None and solution is None
 
+    @pytest.mark.parametrize("spread", [1e10, 1e50, 1e200])
+    def test_retries_a_loop_refused_only_for_its_scale(self, rng, spread):
+        # S M S^-1 has M's spectrum, but a kappa_inf near the spread
+        for _ in range(20):
+            m = random_metzler_hurwitz(rng, 4)
+            s = spread ** rng.permutation(np.linspace(-0.5, 0.5, 4))
+            scaled, rhs = s[:, None] * m / s, s[:, None] * rng.uniform(0.5, 2.0, (4, 2))
+            assert linalg._gated_solve(scaled, np.ones((4, 1)))[0] is None
+            v, solution = linalg.metzler_solve(scaled, rhs)
+            assert (v > 0).all() and (scaled @ v < 0).all()
+            want = s[:, None] * np.linalg.solve(-m, rhs / s[:, None])
+            np.testing.assert_allclose(solution, want, rtol=1e-10, atol=0.0)
+
+    def test_equilibrate_gives_powers_of_two_and_keeps_a_zero_row(self):
+        m = np.array([[-1e150, 1e-30, 0.0], [0.0, 0.0, 0.0], [3.0, 0.0, -1e-200]])
+        left, right = linalg._equilibrate(m)
+        assert (np.frexp(left)[0] == 0.5).all() and (np.frexp(right)[0] == 0.5).all()
+        assert left[1] == 1.0
+        scaled = np.abs(left[:, None] * m * right)
+        for maxima in (scaled.max(axis=1), scaled.max(axis=0)):
+            assert ((maxima == 0) | ((0.5 <= maxima) & (maxima < 2.0))).all()
+
 
 def test_norm_kind_parsing():
     assert NormKind.from_name("TWO") is NormKind.TWO

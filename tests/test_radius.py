@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -141,6 +142,13 @@ class TestCertify:
         assert cert.failed_gates() == ["metzler_at_lower"]
         # the upper loop is fine, so the witness vector is still available
         assert cert.positive_vector is not None
+
+    def test_verdict_is_derived_from_the_gates(self):
+        # no field stores it, so no certificate can disagree with its own gates
+        assert "verdict" not in {f.name for f in fields(rad.AizermanCertificate)}
+        for sys, sector in [(SYS_A, SECTOR_A), (SYS_B, SECTOR_B)]:
+            cert = rad.certify_positive_lure(sys, sector)
+            assert cert.verdict is (not cert.failed_gates())
 
     @pytest.mark.parametrize("abscissa", [-1e-7, -1e-8, 1e-8, 1e-7])
     def test_gate_and_certificate_agree_near_boundary(self, abscissa):
