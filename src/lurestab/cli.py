@@ -78,8 +78,6 @@ def _human(value) -> str:
         return "pass" if value else "FAIL"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, dict):
-        return "{" + ", ".join(f"{k}={_human(v)}" for k, v in value.items()) + "}"
     if isinstance(value, list):
         return json.dumps(value)
     return str(value)
@@ -184,8 +182,6 @@ def cmd_sweep(args, problem: Problem, report: Report) -> int:
     formula_radius, certified = None, False
     try:
         result = problem.radius(override_gates=True)
-    except InputError:
-        raise
     except LureStabError as exc:
         report.warn(f"no analytic radius available ({exc})")
     else:
@@ -249,6 +245,9 @@ def cmd_refine(args, problem: Problem, report: Report) -> int:
         raise ProblemFormatError("refine needs a problem with a network", path=problem.path)
     if problem.pert.k1 != 1 or problem.pert.k2 != 1:
         raise ProblemFormatError("refine needs a scalar perturbation structure", path=problem.path)
+    if problem.network.input_dim != 1 or problem.network.output_dim != 1:
+        raise ProblemFormatError("refine needs a network with one input and one output",
+                                 path=problem.path)
     phi = problem.loop_nonlinearity()
     bound = problem.analysis_sector
     report.set("gamma2", _mat(bound.upper))
@@ -340,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_refine = sub.add_parser("refine", help="refine the upper sector bound")
-    common(p_refine)
+    common(p_refine, norm=False)  # every transfer is 1x1, so every norm reads the same
     p_refine.add_argument("--delta-crit", type=float, default=None,
                           help="observed critical perturbation (searched if omitted)")
     p_refine.add_argument("--seed", type=int, default=sim.DEFAULT_SEED)

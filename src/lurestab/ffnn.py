@@ -24,6 +24,8 @@ from .errors import (
 from .linalg import as_matrix
 from .radius import SectorBound
 
+SECTOR_SAMPLES = 1000
+
 
 def _relu(x):
     return np.maximum(x, 0.0)
@@ -194,7 +196,6 @@ class SectorCheck:
 def empirical_sector_check(
     net: Ffnn,
     sector: SectorBound,
-    samples: int = 1000,
     seed: int = 42,
 ) -> SectorCheck:
     """Sample inputs on ``[0, 10]^p`` and test ``S1 z <= pi(z) <= S2 z`` componentwise.
@@ -203,8 +204,6 @@ def empirical_sector_check(
     cases (e.g. identity relu chains) do not count as violations.  An output
     that overflowed, to inf or NaN, counts as one, without a warning.
     """
-    if samples < 1:
-        raise InputError("samples must be >= 1")
     if seed < 0:
         raise InputError(f"seed must be nonnegative; got {seed}")
     p = net.input_dim
@@ -213,7 +212,7 @@ def empirical_sector_check(
             f"sector has {sector.lower.shape[1]} input columns, network expects {p}"
         )
     rng = np.random.default_rng(seed)
-    z = rng.uniform(0.0, 10.0, size=(samples, p, 1))
+    z = rng.uniform(0.0, 10.0, size=(SECTOR_SAMPLES, p, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         out = ffnn_eval(net, z)
         lower = np.matmul(sector.lower, z)
@@ -224,14 +223,13 @@ def empirical_sector_check(
         # fmax passes over the NaN of an overflowed ratio, and warns of none
         max_ratio = float(np.fmax.reduce(out[positive] / upper[positive])) if positive.any() else 0.0
     count = int(bad.any(axis=(1, 2)).sum())
-    return SectorCheck(samples=samples, count=count, max_ratio=max_ratio)
+    return SectorCheck(samples=SECTOR_SAMPLES, count=count, max_ratio=max_ratio)
 
 
 def select_refined_sign(
     net: Ffnn,
     magnitude: float,
     lower: np.ndarray,
-    samples: int = 1000,
     seed: int = 42,
 ) -> tuple[SectorBound, SectorCheck]:
     """Pick the sign of a refined scalar upper bound by sampling the network.
@@ -249,8 +247,8 @@ def select_refined_sign(
         raise NotSisoError("sign selection needs a scalar network (one input, one output)")
     plus = SectorBound(np.minimum(lower, magnitude), np.array([[magnitude]]))
     minus = SectorBound(np.minimum(lower, -magnitude), np.array([[-magnitude]]))
-    plus_check = empirical_sector_check(net, plus, samples, seed)
-    minus_check = empirical_sector_check(net, minus, samples, seed)
+    plus_check = empirical_sector_check(net, plus, seed)
+    minus_check = empirical_sector_check(net, minus, seed)
     if plus_check.count != minus_check.count:
         pick_plus = plus_check.count < minus_check.count
     else:

@@ -4,7 +4,7 @@ Schema (matrix literals are nested row-major arrays)::
 
     {
       "system": {"A": [[...]], "B": [[...]], "C": [[...]]},
-      "perturbation": {"D": [[...]], "E": [[...]], "norm": "two", "S": [[...]]},
+      "perturbation": {"D": [[...]], "E": [[...]], "norm": "two"},  # or "S": [[...]]
       "sector": {"Sigma1": [[...]], "Sigma2": [[...]]},      # at most one of
       "network": "relative/path.json",                        # these three
       "builtin_nonlinearity": "cubic_sine",
@@ -13,7 +13,8 @@ Schema (matrix literals are nested row-major arrays)::
     }
 
 A problem with none of sector/network/builtin describes a purely linear
-perturbation analysis.  Bundled problems (the two worked examples) are
+perturbation analysis, the only kind that may carry a scale pattern ``S``
+(whose norm is ``maxabs``).  Bundled problems (the two worked examples) are
 resolved by bare filename when the given path does not exist.
 """
 
@@ -271,6 +272,9 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
             + ", ".join(present),
             path=resolved,
         )
+    if present and pert.schur_scale is not None:
+        raise ProblemFormatError(f"perturbation: S is refused beside {present[0]}; the "
+                                 "Schur-scaled radius is for a linear problem only", path=resolved)
 
     sector = network = feedback = None
     if "sector" in data:
@@ -346,12 +350,9 @@ def load_problem(path, norm_override: str | None = None) -> Problem:
 
 def _build_perturbation(data: dict, norm_override) -> PerturbationStructure:
     d, e = _matrix(data, "D"), _matrix(data, "E")
-    norm = NormKind.from_name(norm_override or data.get("norm", "two"))
-    schur = None
-    if "S" in data:
-        schur = _matrix(data, "S")
-        norm = NormKind.MAX_ABS if norm_override is None else norm
-    elif norm is NormKind.MAX_ABS:
+    norm = NormKind.from_name(norm_override or data.get("norm", "maxabs" if "S" in data else "two"))
+    schur = _matrix(data, "S") if "S" in data else None
+    if schur is None and norm is NormKind.MAX_ABS:
         raise InputError("the maxabs norm needs a scale pattern S")
     return PerturbationStructure(d=d, e=e, norm=norm, schur_scale=schur)
 

@@ -11,6 +11,7 @@ from lurestab import cli, ffnn, problems, radius, sim
 from lurestab.cli import main
 from lurestab.problems import fixture_path, load_problem, resolve_problem_path
 from lurestab.errors import NonzeroBiasError, ProblemFormatError
+from test_fuzz import two_input_network
 from test_golden import CASES, GOLDEN, PROBLEMS, TEXT_CASES, golden_argv, transcript
 
 
@@ -337,6 +338,79 @@ class TestProblemLoading:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {path}: perturbation") and err.count("\n") == 1
         assert "S: expected a 2-D matrix" in err
+
+    SCHUR_NORM = "a Schur scale pattern requires the maxabs norm"
+
+    @pytest.mark.parametrize("norm", ["one", "two", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["check"], ["radius"], ["nn-bound"], ["sweep"], ["refine", "--delta-crit", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_scale_pattern_beside_another_norm_exits_one(self, capsys, tmp_path, command, norm):
+        # S takes only the maxabs norm; a file that names another is refused, not overridden
+        doc = json.loads((PROBLEMS / "schur.json").read_text())
+        doc["perturbation"]["norm"] = norm
+        path = tmp_path / "schur.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command[0], "--problem", str(path), *command[1:])
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: perturbation: {self.SCHUR_NORM}\n"
+
+    def test_scale_pattern_refuses_a_norm_flag(self, capsys):
+        path = PROBLEMS / "schur.json"
+        code, out, err = run_cli(capsys, "radius", "--problem", str(path), "--norm", "one")
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: perturbation: {self.SCHUR_NORM}\n"
+
+    @pytest.mark.parametrize("norm", [None, "maxabs"], ids=["default", "maxabs"])
+    def test_scale_pattern_reads_the_maxabs_radius(self, capsys, tmp_path, norm):
+        doc = json.loads((PROBLEMS / "schur.json").read_text())
+        if norm is not None:
+            doc["perturbation"]["norm"] = norm
+        path = tmp_path / "schur.json"
+        path.write_text(json.dumps(doc))
+        code, data = run_json(capsys, "radius", "--problem", str(path))
+        assert code == 0
+        assert (data["results"]["norm"], data["results"]["radius"]) == ("maxabs", 0.663873707364711)
+
+    @pytest.mark.parametrize("problem, kind", [
+        ("example_a.json", "builtin_nonlinearity"),
+        ("example_b.json", "network"),
+        (str(PROBLEMS / "sector.json"), "sector"),
+    ], ids=["builtin", "network", "sector"])
+    def test_scale_pattern_beside_a_loop_exits_one(self, capsys, tmp_path, problem, kind):
+        # S scales only the plant's own radius; the loop formulas would ignore it
+        doc = json.loads(resolve_problem_path(problem).read_text())
+        doc["perturbation"].update(S=[[1.0]], norm="maxabs")
+        if kind == "network":
+            doc["network"] = str(fixture_path(doc["network"]))
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", "--problem", str(path))
+        assert (code, out) == (1, "")
+        assert err == (f"error: {path}: perturbation: S is refused beside {kind}; "
+                       "the Schur-scaled radius is for a linear problem only\n")
+
+    @pytest.mark.parametrize("scale, fault", [
+        ([[1.0, -0.5], [0.0, 2.0]], "schur scale S must be elementwise nonnegative"),
+        ([[1.0]], "S must be 2x2 to scale delta, got (1, 1)"),
+    ], ids=["negative", "shape"])
+    def test_malformed_scale_pattern_exits_one(self, capsys, tmp_path, scale, fault):
+        doc = json.loads((PROBLEMS / "schur.json").read_text())
+        doc["perturbation"]["S"] = scale
+        path = tmp_path / "schur.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "radius", "--problem", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: perturbation: {fault}\n"
+
+    def test_sector_of_the_wrong_shape_exits_one(self, capsys, tmp_path, sector_problem):
+        doc = json.loads(sector_problem.read_text())
+        doc["sector"] = {"Sigma1": [[0.0, 0.0]], "Sigma2": [[0.1, 0.1]]}
+        path = tmp_path / "wide_sector.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", "--problem", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: sector: must be 1x1, got (1, 2)\n"
 
     @pytest.mark.parametrize(
         "problem, fields",
@@ -1129,8 +1203,8 @@ class TestSweepCommand:
         assert not out_csv.exists()
 
     def test_schur_scale_on_sector_problem_is_input_error(self, capsys, sector_problem, tmp_path):
-        # "S" forces the maxabs norm, which the loop formula rejects; the
-        # sweep must stop as it does for any input error
+        # "S" serves only a linear problem, so the loader refuses it, naming
+        # the file, before the sweep writes anything
         doc = json.loads(sector_problem.read_text())
         doc["perturbation"]["S"] = [[1.0]]
         path = tmp_path / "scaled.json"
@@ -1140,8 +1214,35 @@ class TestSweepCommand:
             capsys, "sweep", "--problem", str(path), "--out", str(out_csv), "--trials", "1"
         )
         assert code == 1
-        assert err.startswith("error: the maxabs norm is reserved")
+        assert err.startswith(f"error: {path}: perturbation: ")
         assert not out_csv.exists()
+
+    def test_no_deltas_and_no_radius_exits_one(self, capsys, tmp_path):
+        # a biased network has no sector, so no radius to derive deltas from
+        doc = json.loads(fixture_path("example_b.json").read_text())
+        del doc["sweep"]
+        net = json.loads(fixture_path(doc["network"]).read_text())
+        net["layers"][0]["bias"] = [0.1, 0.0]
+        (tmp_path / "net.json").write_text(json.dumps(net))
+        doc["network"] = "net.json"
+        path = tmp_path / "biased.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "sweep", "--problem", str(path), "--out", str(tmp_path / "s.csv")
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {path}: the problem lists no sweep deltas and no radius is computable\n"
+        )
+
+    def test_out_in_a_missing_directory_exits_one(self, capsys, sector_problem, tmp_path):
+        out_csv = tmp_path / "missing" / "rows.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--problem", str(sector_problem), "--out", str(out_csv),
+            "--trials", "1", "--horizon", "1",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {out_csv}: ")
 
     def test_zero_transfer_warns_and_still_sweeps(self, capsys, zero_transfer_problem, tmp_path):
         code, data = run_json(
@@ -1405,6 +1506,53 @@ class TestRefineCommand:
         code, out, err = run_cli(capsys, "refine", "--problem", "example_b.json", "--trials", "0")
         assert (code, out) == (1, "")
         assert err == "error: a threshold search needs at least one trial; got trials=0\n"
+
+    def test_takes_no_norm(self, capsys):
+        # every transfer refine reads is 1x1, and every norm of one is its magnitude
+        with pytest.raises(SystemExit) as exc:
+            main(["refine", "--problem", "example_b.json", "--delta-crit", "3.15", "--norm", "two"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --norm two" in err
+
+    @pytest.mark.parametrize("given", [["--delta-crit", "1"], ["--trials", "1"]],
+                             ids=["given", "search"])
+    def test_two_input_network_exits_one_before_searching(self, capsys, monkeypatch, tmp_path,
+                                                          given):
+        doc = json.loads(fixture_path("example_b.json").read_text())
+        net = json.loads(fixture_path(doc["network"]).read_text())
+        two_input_network(doc, net)
+        (tmp_path / "net.json").write_text(json.dumps(net))
+        doc["network"] = "net.json"
+        path = tmp_path / "two_inputs.json"
+        path.write_text(json.dumps(doc))
+        searches = counting(monkeypatch, sim, "find_critical_delta")
+        code, out, err = run_cli(capsys, "refine", "--problem", str(path), *given)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: refine needs a network with one input and one output\n"
+        assert searches == []
+
+    def test_search_without_instability_exits_two(self, capsys, tmp_path):
+        # relu(y) - relu(y) is zero, so the loop destabilizes only at delta 2.1,
+        # past the search's end at max(10 r, 1) = 1 for the formula radius r = 0.1
+        net = {"activation": {"name": "relu"}, "layers": [
+            {"rows": 2, "cols": 1, "weights": [1.0, 1.0]},
+            {"rows": 1, "cols": 2, "weights": [1.0, -1.0]},
+        ]}
+        (tmp_path / "net.json").write_text(json.dumps(net))
+        doc = {
+            "system": {"A": [[-2.1]], "B": [[1.0]], "C": [[1.0]]},
+            "perturbation": {"D": [[1.0]], "E": [[1.0]]},
+            "network": "net.json",
+        }
+        path = tmp_path / "null_net.json"
+        path.write_text(json.dumps(doc))
+        code, data = run_json(capsys, "refine", "--problem", str(path), "--trials", "1")
+        assert code == 2
+        assert data["results"]["formula_radius"] == pytest.approx(0.1)
+        assert "delta_crit" not in data["results"]
+        assert data["warnings"] == ["no instability found for any tested delta up to 1"]
 
     def test_without_network_is_usage_error(self, capsys, sector_problem):
         code, out, err = run_cli(capsys, "refine", "--problem", str(sector_problem))

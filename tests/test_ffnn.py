@@ -138,43 +138,46 @@ class TestEmpiricalSectorCheck:
         for _ in range(10):
             net = random_zero_bias_net(rng)
             bound = ffnn.sector_bound_ffnn(net)
-            check = ffnn.empirical_sector_check(net, bound, samples=500, seed=7)
+            check = ffnn.empirical_sector_check(net, bound, seed=7)
             assert check.count == 0
 
     def test_degenerate_sector_is_violated(self):
         net = scalar_net([[1.0]], [[1.0]])
         sector = SectorBound.scalar(0.0, 0.0)
-        check = ffnn.empirical_sector_check(net, sector, samples=100, seed=1)
+        check = ffnn.empirical_sector_check(net, sector, seed=1)
         assert check.count > 0
 
     def test_reference_net_violates_refined_candidate(self, reference_net):
         refined = SectorBound.scalar(-0.91, 0.25)
-        check = ffnn.empirical_sector_check(reference_net, refined, samples=1000, seed=42)
+        check = ffnn.empirical_sector_check(reference_net, refined, seed=42)
         assert check.count > 0
         assert check.max_ratio > 1.0
 
     def test_max_ratio_for_linear_gain_net(self, reference_net):
         bound = ffnn.sector_bound_ffnn(reference_net)
-        check = ffnn.empirical_sector_check(reference_net, bound, samples=200, seed=3)
+        check = ffnn.empirical_sector_check(reference_net, bound, seed=3)
         # the reference net realizes its own upper bound on positive inputs
         assert check.max_ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_seeded_reproducibility(self, reference_net):
         sector = SectorBound.scalar(-0.91, 0.25)
-        a = ffnn.empirical_sector_check(reference_net, sector, samples=64, seed=5)
-        b = ffnn.empirical_sector_check(reference_net, sector, samples=64, seed=5)
+        a = ffnn.empirical_sector_check(reference_net, sector, seed=5)
+        b = ffnn.empirical_sector_check(reference_net, sector, seed=5)
         assert a.count == b.count and a.max_ratio == b.max_ratio
 
     @pytest.mark.parametrize("w1, w2", [
-        # 10 (1e308 z) overflows to inf for every sampled z (seed 1 draws none below 0.27),
+        # 10 (1e308 z) overflows to inf wherever z > 0.18 (987 of seed 1's draws),
         # and 10 (1e308 z) - 10 (1e308 z) to inf - inf = NaN, or to inf where 1e308 z did not
         ([[1e308]], [[10.0]]),
         ([[1e308], [1e308]], [[10.0, -10.0]]),
     ], ids=["inf", "nan"])
     def test_overflowing_outputs_are_violations_without_a_warning(self, w1, w2):
         net = scalar_net(w1, w2)
-        check = ffnn.empirical_sector_check(net, SectorBound.scalar(0.0, 1.0), samples=50, seed=1)
-        assert check.count == 50
+        check = ffnn.empirical_sector_check(net, SectorBound.scalar(0.0, 1.0), seed=1)
+        z = np.random.default_rng(1).uniform(0.0, 10.0, size=(ffnn.SECTOR_SAMPLES, 1, 1))
+        with np.errstate(over="ignore", invalid="ignore"):  # the check's own draws
+            overflowed = int((~np.isfinite(ffnn.ffnn_eval(net, z))).sum())
+        assert 0 < overflowed <= check.count
         assert check.max_ratio == np.inf  # the largest ratio that is not NaN
 
     def test_negative_seed_is_input_error(self, reference_net):
@@ -182,26 +185,37 @@ class TestEmpiricalSectorCheck:
         with pytest.raises(InputError, match="seed must be nonnegative"):
             ffnn.empirical_sector_check(reference_net, bound, seed=-1)
 
+    def test_sector_of_the_wrong_width_is_dimension_error(self, reference_net):
+        wide = SectorBound(np.zeros((1, 2)), np.ones((1, 2)))
+        with pytest.raises(DimensionMismatchError, match="2 input columns, network expects 1"):
+            ffnn.empirical_sector_check(reference_net, wide)
+
 
 class TestSelectRefinedSign:
     def test_positive_net_selects_positive(self):
         net = scalar_net([[1.0]], [[0.9]])
         lower = ffnn.sector_bound_ffnn(net).lower
-        chosen, _ = ffnn.select_refined_sign(net, 0.5, lower, samples=200, seed=2)
+        chosen, _ = ffnn.select_refined_sign(net, 0.5, lower, seed=2)
         assert chosen.upper[0, 0] == pytest.approx(0.5)
 
     def test_negated_net_selects_negative(self):
         net = scalar_net([[1.0]], [[-0.9]])
         lower = ffnn.sector_bound_ffnn(net).lower
-        chosen, _ = ffnn.select_refined_sign(net, 0.5, lower, samples=200, seed=2)
+        chosen, _ = ffnn.select_refined_sign(net, 0.5, lower, seed=2)
         assert chosen.upper[0, 0] == pytest.approx(-0.5)
 
     def test_reference_net_keeps_positive_sign_but_violates(self, reference_net):
         lower = ffnn.sector_bound_ffnn(reference_net).lower
-        chosen, check = ffnn.select_refined_sign(reference_net, 0.25, lower, samples=500, seed=42)
+        chosen, check = ffnn.select_refined_sign(reference_net, 0.25, lower, seed=42)
         assert chosen.upper[0, 0] == pytest.approx(0.25)
-        assert check == ffnn.empirical_sector_check(reference_net, chosen, samples=500, seed=42)
+        assert check == ffnn.empirical_sector_check(reference_net, chosen, seed=42)
         assert check.count > 0
+
+    @pytest.mark.parametrize("magnitude", [0.0, -0.5])
+    def test_nonpositive_magnitude_is_input_error(self, reference_net, magnitude):
+        lower = ffnn.sector_bound_ffnn(reference_net).lower
+        with pytest.raises(InputError, match="magnitude must be positive"):
+            ffnn.select_refined_sign(reference_net, magnitude, lower)
 
     def test_requires_scalar_network(self):
         net = Ffnn(
@@ -219,7 +233,7 @@ class TestWeightProductBoundSoundness:
         for _ in range(25):
             net = random_zero_bias_net(rng)
             bound = ffnn.sector_bound_ffnn(net)
-            check = ffnn.empirical_sector_check(net, bound, samples=400, seed=11)
+            check = ffnn.empirical_sector_check(net, bound, seed=11)
             assert check.count == 0
 
 

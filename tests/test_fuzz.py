@@ -5,7 +5,9 @@ or ``tests/problems/sector.json``.  It changes one value anywhere in that
 file: it deletes the value's key, or puts one of ``VALUES`` in its place.
 Then it runs one of ``COMMANDS`` on the problem, with warnings as errors.
 Malformed input must exit 1 with a message that names its file, and never
-with a traceback; any input may also exit 0 or 2.  Run a seed by hand with
+with a traceback; any input may also exit 0 or 2.  ``VARIANTS`` adds the
+inputs no such mutation makes, a key added or a shape changed, and runs
+each through every command.  Run a seed by hand with
 
     PYTHONPATH=src python tests/test_fuzz.py <seed> [<cases>]
 """
@@ -22,6 +24,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from lurestab.cli import main
 from lurestab.problems import fixture_path
@@ -78,23 +81,34 @@ def _mutate(doc, rng):
 
 
 def _source(name: str) -> Path:
-    return PROBLEMS / name if name == "sector.json" else fixture_path(name)
+    return PROBLEMS / name if name in ("sector.json", "linear.json") else fixture_path(name)
+
+
+def _copies(problem_name: str, network_name: str | None, work: Path) -> tuple[Path, dict]:
+    """The path ``problem_name`` is written to in ``work``, and the documents
+    to write there: the problem's, and its network file's if it has one."""
+    problem, docs = work / problem_name, {}
+    docs[problem] = json.loads(_source(problem_name).read_text())
+    if network_name is not None:
+        docs[work / network_name] = json.loads(_source(network_name).read_text())
+    return problem, docs
 
 
 def run_case(rng, work: Path) -> tuple[list[str], int, str, list[str]]:
     """One mutated input and one command; returns the command, its exit code,
     its standard error and the paths an exit-1 message may name."""
     problem_name, network_name, mutated = TARGETS[rng.integers(len(TARGETS))]
-    problem, docs = work / problem_name, {}
-    docs[problem] = json.loads(_source(problem_name).read_text())
-    if network_name is not None:
-        docs[work / network_name] = json.loads(_source(network_name).read_text())
+    problem, docs = _copies(problem_name, network_name, work)
     target = problem if mutated == "problem" else work / network_name
     _mutate(docs[target], rng)
+    return run_command(COMMANDS[rng.integers(len(COMMANDS))], problem, docs, work)
+
+
+def run_command(command: list[str], problem: Path, docs: dict, work: Path):
+    """Write ``docs`` and run ``command`` on ``problem``, as ``run_case`` returns it."""
     for path, doc in docs.items():
         path.write_text(json.dumps(doc))
-    argv = COMMANDS[rng.integers(len(COMMANDS))]
-    argv = [argv[0], "--problem", str(problem), *argv[1:]]
+    argv = [command[0], "--problem", str(problem), *command[1:]]
     if argv[0] == "sweep":
         argv += ["--out", str(work / "sweep.csv")]
     # the files a message may name: the problem, and the network file it names
@@ -132,6 +146,48 @@ def fuzz(seed: int, cases: int, work: Path) -> list[str]:
 
 def test_malformed_inputs_exit_cleanly_and_name_their_file(tmp_path):
     assert fuzz(SEED, CASES, tmp_path) == []
+
+
+def two_input_network(doc, net):
+    """example_b read through a second output, into a 2 -> 2 -> 1 network."""
+    doc["system"]["C"] = [[0.3, 1, 1], [1, 0, 0]]
+    net["layers"][0].update(cols=2, weights=[0.7, 0.7, 0.7, 0.7])
+
+
+def _two_column_structure(doc, net):
+    doc["perturbation"].update(D=[[1, 0], [0, 1], [0, 0]], E=[[1, 0, 0], [0, 1, 0]])
+
+
+# inputs the value fuzz cannot make, since it changes no shape and adds no key:
+# (problem, network file or None, an edit of the problem and network documents)
+VARIANTS = {
+    "example_a-S": ("example_a.json", None, lambda doc, net: doc["perturbation"].update(S=[[1]])),
+    "example_b-S": ("example_b.json", "gain_network.json",
+                    lambda doc, net: doc["perturbation"].update(S=[[1]])),
+    "sector-S": ("sector.json", None, lambda doc, net: doc["perturbation"].update(S=[[1]])),
+    "sector-S-maxabs": ("sector.json", None,
+                        lambda doc, net: doc["perturbation"].update(S=[[1]], norm="maxabs")),
+    "two-input-network": ("example_b.json", "gain_network.json", two_input_network),
+    "example_b-2x2-structure": ("example_b.json", "gain_network.json", _two_column_structure),
+    "example_b-zero-D": ("example_b.json", "gain_network.json",
+                         lambda doc, net: doc["perturbation"].update(D=[[0], [0], [0]])),
+    "sector-1x2": ("sector.json", None,
+                   lambda doc, net: doc.update(sector={"Sigma1": [[0, 0]], "Sigma2": [[1, 1]]})),
+    "linear-with-sector": ("linear.json", None,
+                           lambda doc, net: doc.update(sector={"Sigma1": [[0]], "Sigma2": [[1]]})),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_structural_variants_exit_cleanly_and_name_their_file(tmp_path, variant, command):
+    problem_name, network_name, edit = VARIANTS[variant]
+    problem, docs = _copies(problem_name, network_name, tmp_path)
+    edit(docs[problem], network_name and docs[tmp_path / network_name])
+    argv, code, err, _ = run_command(command, problem, docs, tmp_path)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith(f"error: {problem}: ")
 
 
 if __name__ == "__main__":

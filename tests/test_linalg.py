@@ -280,6 +280,14 @@ class TestMetzlerSolve:
         v, solution = linalg.metzler_solve(m, np.ones((2, 1)))
         assert v is None and solution is None
 
+    def test_refuses_a_retry_whose_rescaled_solve_overflows(self):
+        # -1e-320 is subnormal: the first solve overflows, and the equilibrated
+        # one gives a finite X whose R X overflows only in the rhs column
+        v, solution = linalg.metzler_solve(np.array([[-1e-320]]), np.array([[1.0]]))
+        assert v is None and solution is None
+        v, none = linalg.metzler_solve(np.array([[-1e-320]]))
+        assert np.isfinite(v).all() and (v > 0).all() and none is None
+
     @pytest.mark.parametrize("spread", [1e10, 1e50, 1e200])
     def test_retries_a_loop_refused_only_for_its_scale(self, rng, spread):
         # S M S^-1 has M's spectrum, but a kappa_inf near the spread
