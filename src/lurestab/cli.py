@@ -257,7 +257,8 @@ def cmd_refine(args, problem: Problem, report: Report) -> int:
         base = problem.radius()
         report.set("formula_radius", float(base.radius))
         cfg = problem.sim_config(dt=args.dt, horizon=args.horizon)
-        delta_max = max(10.0 * base.radius, 1.0)
+        # refine_upper_sector refuses every delta from the plant's own radius on
+        delta_max = rad.stability_radius_linear(problem.system.a, problem.pert).radius
         cause = _check_step(report, problem, [0.0, delta_max], cfg.dt)
         try:
             found = sim.find_critical_delta(

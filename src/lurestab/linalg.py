@@ -149,9 +149,14 @@ def operator_norm(m, kind: NormKind = NormKind.TWO) -> float:
     """Matrix norm of the requested kind.
 
     ONE is the maximum column abs-sum, INF the maximum row abs-sum, TWO the
-    largest singular value, MAX_ABS the largest entry magnitude.
+    largest singular value, MAX_ABS the largest entry magnitude.  Each of them
+    reads a 1x1 matrix as its entry's magnitude, without LAPACK's SVD, which
+    gives the same bits for magnitudes in about [1e-138, 1e138] and can miss
+    by an ulp outside them, where it rescales.
     """
     m = as_matrix(m)
+    if m.size == 1 and isinstance(kind, NormKind):
+        return float(abs(m[0, 0]))
     if kind is NormKind.ONE:
         return float(np.abs(m).sum(axis=0).max())
     if kind is NormKind.INF:

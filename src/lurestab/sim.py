@@ -739,14 +739,32 @@ def _rate_crossing(deltas, rates, lo: float, hi: float) -> float | None:
     inside ``(lo, hi)``.  None unless the rates are finite and each rises by
     more than ``RES``, the resolution of a rate, over the one before: a loop
     that settles to a nonzero equilibrium has rates of about 0 until it
-    blows up, and no fit of them says where."""
+    blows up, and no fit of them says where.
+
+    The quadratic is solved in closed form, in ``u = delta - deltas[1]``:
+    ``rates[1] - RES + b u + a u**2`` from the divided differences, its roots
+    by the cancellation-free formula (N. J. Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, sec. 1.8).  Coincident deltas, or a fit that
+    is not finite, give None."""
     if not (all(map(math.isfinite, rates))
             and rates[0] + RES < rates[1] and rates[1] + RES < rates[2]):
         return None
-    coef = np.polyfit(deltas, rates, 2)
-    coef[-1] -= RES
-    roots = [float(z.real) for z in np.roots(coef) if z.imag == 0 and lo < z.real < hi]
-    return min(roots, default=None)
+    (d0, d1, d2), (r0, r1, r2) = map(float, deltas), map(float, rates)
+    h0, h1, span = d1 - d0, d2 - d1, d2 - d0
+    if 0.0 in (h0, h1, span):
+        return None
+    s0, s1 = (r1 - r0) / h0, (r2 - r1) / h1
+    a = (s1 - s0) / span
+    b, c = s0 + a * h0, r1 - RES
+    disc = b * b - 4.0 * a * c
+    if not 0.0 <= disc < math.inf:  # complex roots, or a NaN or infinite a, b or disc
+        return None
+    if a == 0.0:
+        offsets = [-c / b] if b != 0.0 else []
+    else:
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        offsets = [q / a, c / q] if q != 0.0 else [0.0]
+    return min((r for u in offsets if lo < (r := d1 + u) < hi), default=None)
 
 
 @dataclass(frozen=True)

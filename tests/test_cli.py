@@ -74,6 +74,24 @@ def biased_network_problem(tmp_path):
     return path
 
 
+def relu_pair_problem(tmp_path, output_weights):
+    """``x' = -2.1 x + pi(x)`` with D = E = 1 and ``pi(y) = w1 relu(y) + w2 relu(y)``,
+    the network's two hidden relu units both reading y; returns the problem path."""
+    net = {"activation": {"name": "relu"}, "layers": [
+        {"rows": 2, "cols": 1, "weights": [1.0, 1.0]},
+        {"rows": 1, "cols": 2, "weights": list(output_weights)},
+    ]}
+    (tmp_path / "net.json").write_text(json.dumps(net))
+    doc = {
+        "system": {"A": [[-2.1]], "B": [[1.0]], "C": [[1.0]]},
+        "perturbation": {"D": [[1.0]], "E": [[1.0]]},
+        "network": "net.json",
+    }
+    path = tmp_path / "relu_pair.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def counting(monkeypatch, module, name, calls=None):
     """Replace ``module.name`` by a wrapper; returns the list its calls append to."""
     calls = [] if calls is None else calls
@@ -1534,25 +1552,55 @@ class TestRefineCommand:
         assert searches == []
 
     def test_search_without_instability_exits_two(self, capsys, tmp_path):
-        # relu(y) - relu(y) is zero, so the loop destabilizes only at delta 2.1,
-        # past the search's end at max(10 r, 1) = 1 for the formula radius r = 0.1
-        net = {"activation": {"name": "relu"}, "layers": [
-            {"rows": 2, "cols": 1, "weights": [1.0, 1.0]},
-            {"rows": 1, "cols": 2, "weights": [1.0, -1.0]},
-        ]}
-        (tmp_path / "net.json").write_text(json.dumps(net))
-        doc = {
-            "system": {"A": [[-2.1]], "B": [[1.0]], "C": [[1.0]]},
-            "perturbation": {"D": [[1.0]], "E": [[1.0]]},
-            "network": "net.json",
-        }
-        path = tmp_path / "null_net.json"
-        path.write_text(json.dumps(doc))
+        # relu(y) - relu(y) is zero, so the loop destabilizes only past delta 2.1,
+        # the plant's own radius, where the search ends
+        path = relu_pair_problem(tmp_path, [1.0, -1.0])
         code, data = run_json(capsys, "refine", "--problem", str(path), "--trials", "1")
         assert code == 2
         assert data["results"]["formula_radius"] == pytest.approx(0.1)
         assert "delta_crit" not in data["results"]
-        assert data["warnings"] == ["no instability found for any tested delta up to 1"]
+        assert data["warnings"] == ["no instability found for any tested delta up to 2.1"]
+
+    def test_search_reaches_the_plant_radius(self, capsys, tmp_path, monkeypatch):
+        # relu(y) - 0.99 relu(y) = 0.01 relu(y): the loop destabilizes at delta
+        # 2.09, 19 times the formula radius 0.11 of its sector [-1.99, 1.99],
+        # and below the plant's radius 2.1, where the search ends
+        path = relu_pair_problem(tmp_path, [1.0, -0.99])
+        caps, search = [], sim.find_critical_delta
+        monkeypatch.setattr(sim, "find_critical_delta",
+                            lambda *args, **kwargs: caps.append(kwargs["delta_max"])
+                            or search(*args, **kwargs))
+        code, data = run_json(capsys, "refine", "--problem", str(path), "--trials", "1")
+        assert code == 0, data["warnings"]
+        assert caps == [pytest.approx(2.1, rel=1e-15)]
+        results = data["results"]
+        assert results["formula_radius"] == pytest.approx(0.11)
+        lo, hi = results["delta_crit_bracket"]
+        assert results["delta_crit"] == lo and 2.08 < lo < 2.09 <= hi <= lo + 0.01
+        assert results["magnitude"] == pytest.approx(2.1 - lo)
+        assert data["warnings"] == []
+
+    def test_scalar_algebra_calls_no_numpy_fit_roots_or_norm(self, capsys, monkeypatch):
+        # phase 2's parabola is solved in closed form and a 1x1 norm is the
+        # magnitude, so a searching refine (whose search predicts) and radius on
+        # example_b print the same reports without numpy's polyfit, roots or norm
+        argvs = [("refine", "--problem", "example_b.json",
+                  "--trials", "1", "--dt", "0.02", "--horizon", "10"),
+                 ("radius", "--problem", "example_b.json")]
+        expected = [run_json(capsys, *argv) for argv in argvs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy fit, roots or norm called")
+
+        for module, name in [(np, "polyfit"), (np, "roots"), (np.linalg, "norm")]:
+            monkeypatch.setattr(module, name, refuse)
+        assert sim.np.polyfit is refuse and radius.linalg.np.linalg.norm is refuse
+        guesses, crossing = [], sim._rate_crossing
+        monkeypatch.setattr(sim, "_rate_crossing",
+                            lambda *args: guesses.append(crossing(*args)) or guesses[-1])
+        assert [run_json(capsys, *argv) for argv in argvs] == expected
+        assert len(guesses) == 1 and guesses[0] is not None
+        assert expected[0][0] == expected[1][0] == 0
 
     def test_without_network_is_usage_error(self, capsys, sector_problem):
         code, out, err = run_cli(capsys, "refine", "--problem", str(sector_problem))

@@ -4,6 +4,7 @@ import pytest
 from lurestab import linalg
 from lurestab.errors import (
     DimensionMismatchError,
+    InputError,
     NonFiniteEntriesError,
     NonSquareError,
     NotHurwitzError,
@@ -143,6 +144,29 @@ class TestOperatorNorm:
             a = b * rng.uniform(0.0, 1.0, size=(n, k))
             for kind in (NormKind.ONE, NormKind.TWO, NormKind.INF):
                 assert linalg.operator_norm(a, kind) <= linalg.operator_norm(b, kind) + 1e-9
+
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_one_by_one_is_the_magnitude(self, kind):
+        # signed magnitudes over the whole float range, subnormals included
+        rng = np.random.default_rng(39)
+        xs = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-323.3, 308.23, 2000)
+        for x in [*xs.tolist(), 5e-324, -5e-324, 1.7e308, -1.7e308, 0.0, -0.0]:
+            norm = linalg.operator_norm([[x]], kind)
+            assert type(norm) is float and norm == abs(x), x
+
+    @pytest.mark.parametrize("m", [[[2.0]], [[1.0, 2.0]]])
+    def test_unknown_kind_is_input_error(self, m):
+        with pytest.raises(InputError, match="unknown norm kind 'two'"):
+            linalg.operator_norm(m, "two")
+
+    def test_one_by_one_two_norm_has_the_bits_of_the_svd(self):
+        # LAPACK's SVD reads a magnitude in about [1e-138, 1e138] exactly, and
+        # rescales outside it, where its result can miss |x| by an ulp
+        rng = np.random.default_rng(40)
+        xs = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-130.0, 130.0, 2000)
+        for x in [*xs.tolist(), 1e-130, -1e130]:
+            assert linalg.operator_norm([[x]], NormKind.TWO) == float(np.linalg.norm([[x]], 2)), x
 
 
 class TestInverse:

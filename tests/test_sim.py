@@ -761,6 +761,85 @@ class TestSpeculativeBisection:
         assert sim._block_depth(0.0, 4.0, 5e-324) == 3
 
 
+
+def polyfit_crossing(deltas, rates, lo, hi):
+    """``sim._rate_crossing`` by numpy's least-squares fit and companion-matrix roots."""
+    if not (all(map(math.isfinite, rates))
+            and rates[0] + sim.RES < rates[1] and rates[1] + sim.RES < rates[2]):
+        return None
+    coef = np.polyfit(deltas, rates, 2)
+    coef[-1] -= sim.RES
+    roots = [float(z.real) for z in np.roots(coef) if z.imag == 0 and lo < z.real < hi]
+    return min(roots, default=None)
+
+
+class TestRateCrossing:
+    """Phase 2's closed-form quadratic through three (delta, rate) points."""
+
+    def test_matches_the_polyfit_roots(self):
+        # seeded triples: most at three geometric levels, as the search probes
+        # them, the rest anywhere in (0, delta_max); rates sorted, so some rise
+        # by less than RES, and the crossing falls inside (lo, hi) or not
+        rng = np.random.default_rng(39)
+        crossings = 0
+        for _ in range(20_000):
+            delta_max = 10.0 ** rng.uniform(-3.0, 3.0)
+            if rng.random() < 0.7:
+                j = int(rng.integers(2, sim.GEOMETRIC_LEVELS + 2))
+                deltas = [delta_max * 2.0**-k for k in (j, j - 1, j - 2)]
+            else:
+                deltas = sorted(rng.uniform(0.0, delta_max, 3).tolist())
+            rates = sorted(rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 1.0), 3).tolist())
+            lo, hi = deltas[1], deltas[2]
+            expected = polyfit_crossing(deltas, rates, lo, hi)
+            got = sim._rate_crossing(deltas, rates, lo, hi)
+            assert (got is None) == (expected is None), (deltas, rates)
+            if got is not None:
+                crossings += 1
+                assert type(got) is float and lo < got < hi
+                assert got == pytest.approx(expected, rel=1e-12, abs=0.0), (deltas, rates)
+        assert 5_000 < crossings < 15_000
+
+    @pytest.mark.parametrize("deltas, rates", [
+        ([1.0, 1.0, 2.0], [-0.1, 0.2, 1.0]),
+        ([1.0, 2.0, 2.0], [-0.1, 0.2, 1.0]),
+        ([1.0, 1.0, 1.0], [-0.1, 0.2, 1.0]),
+        # squared deltas underflow: numpy's fit divides by zero here
+        ([1e-200, 2e-200, 4e-200], [-0.1, 0.2, 1.0]),
+        ([5e-324, 1e-323, 2e-323], [-0.1, 0.2, 1.0]),
+        ([0.25, 0.5, 1.0], [-1e300, 0.0, 1e300]),
+        ([0.25, 0.5, 1.0], [-1.7e308, 1e308, 1.7e308]),
+        ([0.25, 0.5, 1.0], [1e300, 1.5e300, 1.7e308]),
+        ([1e300, 1e305, 1e308], [-0.1, 0.2, 1.0]),
+        ([-1e308, 0.0, 1e308], [-0.1, 0.2, 1.0]),
+        ([math.nan, 0.5, 1.0], [-0.1, 0.2, 1.0]),
+    ])
+    def test_degenerate_triples_give_none_or_a_root_inside(self, deltas, rates):
+        lo, hi = deltas[1], deltas[2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sim._rate_crossing(deltas, rates, lo, hi)
+        assert got is None or (math.isfinite(got) and lo < got < hi)
+
+    def test_coincident_deltas_give_none(self):
+        for deltas in ([1.0, 1.0, 2.0], [1.0, 2.0, 2.0], [1.0, 1.0, 1.0]):
+            assert sim._rate_crossing(deltas, [-0.1, 0.2, 1.0], 1.0, 2.0) is None
+
+    @pytest.mark.parametrize("rates", [
+        [-0.1, -0.1 + sim.RES, 1.0],  # a rise of RES is not more than RES
+        [-0.1, 0.2, math.inf],
+        [-math.inf, 0.2, 1.0],
+        [-0.1, math.nan, 1.0],
+    ])
+    def test_rates_that_do_not_rise_past_res_give_none(self, rates):
+        assert sim._rate_crossing([0.25, 0.5, 1.0], rates, 0.5, 1.0) is None
+
+    def test_parabola_crossing(self):
+        # rate = delta**2 - 1 reaches RES at sqrt(1 + RES), inside (1, 2)
+        got = sim._rate_crossing([0.5, 1.0, 2.0], [-0.75, 0.0, 3.0], 1.0, 2.0)
+        assert got == pytest.approx(math.sqrt(1.0 + sim.RES), rel=1e-15)
+
+
 def assert_columns_match_reference(sys, phi, pert, deltas, cfg, x0s, jumps=None):
     """Every block column matches its ``reference_run``.
 
